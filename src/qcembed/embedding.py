@@ -145,12 +145,45 @@ def _make_vqe_solver(vqe_config: VqeConfig) -> ActiveSolver:
     return solver
 
 
+def _same_active_hamiltonian(a: ActiveHamiltonian, b: ActiveHamiltonian) -> bool:
+    return (
+        a.n_orbitals == b.n_orbitals
+        and a.n_electrons == b.n_electrons
+        and a.inactive_energy == b.inactive_energy
+        and np.array_equal(a.one_body_eff, b.one_body_eff)
+        and a.two_body == b.two_body
+    )
+
+
+def _reuse_unchanged(solve: ActiveSolver) -> ActiveSolver:
+    """Wrap a solver that is a pure function of its active Hamiltonian.
+
+    A call on a Hamiltonian equal by value to the previous call's returns
+    that call's energy and a copy of its 1-RDM, with 0 evaluations.  In
+    the fixed orbital basis the environment density often stops changing,
+    so this skips re-solving an identical active problem.
+    """
+    last: tuple[ActiveHamiltonian, float, np.ndarray] | None = None
+
+    def solver(active: ActiveHamiltonian, iteration: int) -> tuple[float, np.ndarray, int]:
+        nonlocal last
+        if last is not None and _same_active_hamiltonian(last[0], active):
+            return last[1], last[2].copy(), 0
+        energy, gamma, evaluations = solve(active, iteration)
+        last = (active, energy, gamma.copy())
+        return energy, gamma, evaluations
+
+    return solver
+
+
 def _resolve_solver(config: EmbeddingConfig, vqe_config: VqeConfig | None) -> ActiveSolver:
+    # callables may depend on the iteration, so only the built-in solvers,
+    # both pure functions of the active Hamiltonian, reuse a previous solve
     if callable(config.active_solver):
         return config.active_solver
     if config.active_solver == "fci":
-        return _solve_active_fci
-    return _make_vqe_solver(vqe_config or VqeConfig())
+        return _reuse_unchanged(_solve_active_fci)
+    return _reuse_unchanged(_make_vqe_solver(vqe_config or VqeConfig()))
 
 
 def _environment_density(density: np.ndarray, active: list[int]) -> np.ndarray:

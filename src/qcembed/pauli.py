@@ -129,13 +129,16 @@ class PauliSum:
 
     Simplified on construction: coefficients of equal strings merge and
     anything below :data:`PRUNE_TOLERANCE` is dropped.  Instances are
-    treated as immutable; all arithmetic returns new objects.
+    treated as immutable; all arithmetic returns new objects.  The
+    simulator fills ``_kernels`` with its compiled per-term tables the
+    first time it evaluates the sum, so they live and die with it.
     """
 
-    __slots__ = ("n_qubits", "_terms")
+    __slots__ = ("n_qubits", "_terms", "_kernels")
 
     def __init__(self, n_qubits: int, terms: Mapping[PauliString, complex] | None = None):
         self.n_qubits = n_qubits
+        self._kernels = None
         pruned: dict[PauliString, complex] = {}
         if terms:
             for string, coeff in terms.items():

@@ -9,11 +9,21 @@ Pauli strings act through bitmask traversal: for masks (x, z),
     P |b> = i^{|x & z|} (-1)^{|z & b|} |b ^ x>
 
 which costs O(2^n) per term and never materializes a matrix.
+
+Kernels are compiled once per string and kept by the object that owns
+the string.  A compiled string is a pair (factors, perm): ``factors[b]``
+is i^{|x & z|} (-1)^{|z & b|} and ``perm[b]`` is b ^ x (None when x = 0),
+so P acting on amplitudes is the gather ``(factors * amps)[perm]``; the
+permutation is an involution, so the gather equals the scatter
+``out[b ^ x] = factors[b] * amps[b]``.  A :class:`UccsdAnsatz` compiles
+its generator terms, in sorted term order, when it is constructed; a
+:class:`PauliSum` compiles its terms, in iteration order, the first time
+:func:`expectation` reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -101,34 +111,52 @@ def hf_state(n_qubits: int, occupation_bits: str | int) -> Statevector:
     return Statevector(n_qubits, amps)
 
 
-def _pauli_action(amps: np.ndarray, pauli: PauliString) -> np.ndarray:
-    indices = np.arange(len(amps), dtype=np.uint64)
+# (factors, perm): P @ amps == (factors * amps)[perm], perm None when x = 0
+_Kernel = tuple[np.ndarray, "np.ndarray | None"]
+
+
+def _compile_pauli(pauli: PauliString) -> _Kernel:
+    indices = np.arange(2**pauli.n_qubits, dtype=np.uint64)
     signs = 1.0 - 2.0 * parity_of_masked_bits(indices, pauli.z_mask).astype(np.float64)
     phase = 1j ** ((pauli.x_mask & pauli.z_mask).bit_count() % 4)
-    values = phase * signs * amps
+    factors = phase * signs
     if pauli.x_mask == 0:
-        return values
-    out = np.empty_like(amps)
-    out[indices ^ np.uint64(pauli.x_mask)] = values
-    return out
+        return factors, None
+    return factors, (indices ^ np.uint64(pauli.x_mask)).astype(np.intp)
+
+
+def _pauli_action(amps: np.ndarray, kernel: _Kernel) -> np.ndarray:
+    factors, perm = kernel
+    values = factors * amps
+    return values if perm is None else values[perm]
+
+
+def _rotate(amps: np.ndarray, kernel: _Kernel, angle: float) -> np.ndarray:
+    """exp(i * angle * P) applied to raw amplitudes."""
+    if angle == 0.0:
+        return amps
+    return np.cos(angle) * amps + 1j * np.sin(angle) * _pauli_action(amps, kernel)
+
+
+def _compiled_terms(op: PauliSum) -> tuple[tuple[complex, _Kernel], ...]:
+    """(coefficient, kernel) per term of ``op`` in iteration order,
+    compiled on first use and kept on ``op``."""
+    if op._kernels is None:
+        op._kernels = tuple((coeff, _compile_pauli(string)) for string, coeff in op)
+    return op._kernels
 
 
 def apply_pauli(state: Statevector, pauli: PauliString) -> Statevector:
     if pauli.n_qubits != state.n_qubits:
         raise SimulationError("qubit count mismatch")
-    return Statevector(state.n_qubits, _pauli_action(state.amplitudes, pauli))
+    return Statevector(state.n_qubits, _pauli_action(state.amplitudes, _compile_pauli(pauli)))
 
 
 def apply_pauli_exponential(state: Statevector, pauli: PauliString, angle: float) -> Statevector:
     """exp(i * angle * P) |state>, exact and norm-preserving."""
     if pauli.n_qubits != state.n_qubits:
         raise SimulationError("qubit count mismatch")
-    if angle == 0.0:
-        return state
-    rotated = np.cos(angle) * state.amplitudes + 1j * np.sin(angle) * _pauli_action(
-        state.amplitudes, pauli
-    )
-    return Statevector(state.n_qubits, rotated)
+    return Statevector(state.n_qubits, _rotate(state.amplitudes, _compile_pauli(pauli), angle))
 
 
 def expectation(state: Statevector, op: PauliSum) -> float:
@@ -138,8 +166,8 @@ def expectation(state: Statevector, op: PauliSum) -> float:
         raise SimulationError("qubit count mismatch")
     amps = state.amplitudes
     value = 0.0 + 0.0j
-    for string, coeff in op:
-        value += coeff * np.vdot(amps, _pauli_action(amps, string))
+    for coeff, kernel in _compiled_terms(op):
+        value += coeff * np.vdot(amps, _pauli_action(amps, kernel))
     if abs(value.imag) > _IMAG_TOLERANCE:
         raise SimulationError(
             f"expectation has imaginary residue {value.imag:.3e}; operator is not Hermitian"
@@ -193,6 +221,8 @@ class UccsdAnsatz:
     ``generators[k]`` is the qubit image of T_k - T_k^dagger (coefficients
     purely imaginary); evolution applies exp(theta_k G_k) once each, in
     enumeration order, starting from the mapped Hartree-Fock reference.
+    Construction checks that every generator is anti-Hermitian and
+    compiles its terms, in sorted term order, as (Im c, kernel) pairs.
     """
 
     n_spatial: int
@@ -204,7 +234,20 @@ class UccsdAnsatz:
     generators: tuple[PauliSum, ...]
     mapping: str
     two_qubit_reduced: bool
-    trotter_steps: int = 1
+    _kernels: tuple[tuple[tuple[float, _Kernel], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        kernels = []
+        for generator in self.generators:
+            terms = []
+            for string, coeff in generator.sorted_terms():
+                if abs(coeff.real) > _IMAG_TOLERANCE:
+                    raise SimulationError("excitation generator is not anti-Hermitian")
+                terms.append((coeff.imag, _compile_pauli(string)))
+            kernels.append(tuple(terms))
+        object.__setattr__(self, "_kernels", tuple(kernels))
 
     @property
     def n_parameters(self) -> int:
@@ -308,15 +351,13 @@ def evolve_ansatz(ansatz: UccsdAnsatz, parameters: np.ndarray) -> Statevector:
         raise SimulationError(
             f"expected {ansatz.n_parameters} parameters, got shape {parameters.shape}"
         )
-    state = hf_state(ansatz.n_qubits, ansatz.reference_index)
-    for theta, generator in zip(parameters, ansatz.generators):
+    amps = hf_state(ansatz.n_qubits, ansatz.reference_index).amplitudes
+    for theta, terms in zip(parameters, ansatz._kernels):
         if theta == 0.0:
             continue
-        for string, coeff in generator.sorted_terms():
-            if abs(coeff.real) > _IMAG_TOLERANCE:
-                raise SimulationError("excitation generator is not anti-Hermitian")
-            state = apply_pauli_exponential(state, string, theta * coeff.imag)
-    return state
+        for coeff, kernel in terms:
+            amps = _rotate(amps, kernel, theta * coeff)
+    return Statevector(ansatz.n_qubits, amps)
 
 
 # -- density feedback --------------------------------------------------------

@@ -22,11 +22,9 @@ from dataclasses import dataclass
 from itertools import product as cartesian_product
 
 from .mappings import drop_qubit_positions
-from .pauli import PauliString, PauliSum
+from .pauli import _PHASES, PauliString, PauliSum
 
 __all__ = ["TaperingResult", "Z2Symmetries", "find_z2_symmetries", "taper_all_sectors"]
-
-_PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
 # -- GF(2) linear algebra on int-encoded bit vectors ------------------------

@@ -188,3 +188,47 @@ def hartree_fock_determinant_energy(active, n_occ_active: int) -> float:
         for b in occupied:
             energy += 2.0 * active.two_body.get(a, a, b, b) - active.two_body.get(a, b, b, a)
     return float(energy)
+
+
+def reference_pauli_action(amps: np.ndarray, pauli) -> np.ndarray:
+    """P @ amps by bitmask scatter, recomputing the sign vector each call:
+    out[b ^ x] = i^{|x & z|} (-1)^{|z & b|} amps[b]."""
+    indices = np.arange(len(amps), dtype=np.uint64)
+    parity = np.bitwise_count(np.bitwise_and(indices, pauli.z_mask)) & 1
+    signs = 1.0 - 2.0 * parity.astype(np.float64)
+    phase = 1j ** ((pauli.x_mask & pauli.z_mask).bit_count() % 4)
+    values = phase * signs * amps
+    if pauli.x_mask == 0:
+        return values
+    out = np.empty_like(amps)
+    out[indices ^ np.uint64(pauli.x_mask)] = values
+    return out
+
+
+def reference_pauli_exponential(amps: np.ndarray, pauli, angle: float) -> np.ndarray:
+    """exp(i * angle * P) @ amps through :func:`reference_pauli_action`."""
+    if angle == 0.0:
+        return amps
+    return np.cos(angle) * amps + 1j * np.sin(angle) * reference_pauli_action(amps, pauli)
+
+
+def reference_evolve(ansatz, parameters: np.ndarray) -> np.ndarray:
+    """UCCSD amplitudes one Pauli exponential at a time, each generator's
+    terms re-sorted and re-checked on every call."""
+    amps = np.zeros(2**ansatz.n_qubits, dtype=np.complex128)
+    amps[ansatz.reference_index] = 1.0
+    for theta, generator in zip(np.asarray(parameters, dtype=float), ansatz.generators):
+        if theta == 0.0:
+            continue
+        for string, coeff in generator.sorted_terms():
+            assert abs(coeff.real) <= 1e-10
+            amps = reference_pauli_exponential(amps, string, theta * coeff.imag)
+    return amps
+
+
+def reference_expectation(amps: np.ndarray, op) -> complex:
+    """<amps| op |amps> accumulated term by term in iteration order."""
+    value = 0.0 + 0.0j
+    for string, coeff in op:
+        value += coeff * np.vdot(amps, reference_pauli_action(amps, string))
+    return value

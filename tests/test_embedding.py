@@ -1,5 +1,6 @@
 """Damped self-consistency cycle: schedules, exactness limits, histories."""
 
+import dataclasses
 import io
 import math
 
@@ -15,6 +16,7 @@ from qcembed.embedding import (
     total_energy,
     write_iteration_log_csv,
 )
+from qcembed.integrals import SymmetricTwoBody
 from qcembed.meanfield import solve_rhf
 from qcembed.vqe import VqeConfig
 
@@ -218,3 +220,99 @@ def test_unconverged_reference_rejected(h2o_integrals):
             run_embedding(h2o_integrals, ActiveSpaceSpec(2, 2), EmbeddingConfig(active_solver="fci"))
     finally:
         emb.solve_rhf = emb_solve
+
+
+def _count_calls(monkeypatch, name):
+    """Record the first argument of every call to qcembed.embedding.<name>."""
+    import qcembed.embedding as emb
+
+    calls = []
+    original = getattr(emb, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(emb, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("solver_name, entry", [("fci", "fci_solve"), ("vqe", "minimize")])
+@pytest.mark.parametrize("molecule, spec", [("h2", (2, 2)), ("h2o", (4, 4))])
+def test_builtin_solver_reuses_unchanged_hamiltonian(
+    monkeypatch, request, molecule, spec, solver_name, entry
+):
+    import qcembed.embedding as emb
+
+    integrals = request.getfixturevalue(f"{molecule}_integrals")
+    vqe_config = VqeConfig(seed=7)
+    calls = _count_calls(monkeypatch, entry)
+    state = run_embedding(
+        integrals, ActiveSpaceSpec(*spec), EmbeddingConfig(active_solver=solver_name), vqe_config
+    )
+    assert state.converged and state.iteration == 2
+    assert len(calls) == 1
+
+    # an unwrapped callable doing the same work solves in every iteration
+    if solver_name == "fci":
+        unwrapped = emb._solve_active_fci
+    else:
+        unwrapped = emb._make_vqe_solver(vqe_config)
+    reference = run_embedding(
+        integrals, ActiveSpaceSpec(*spec), EmbeddingConfig(active_solver=unwrapped), vqe_config
+    )
+    assert len(calls) == 1 + reference.iteration
+    assert state.energy_history == reference.energy_history
+    assert np.array_equal(state.damped_density, reference.damped_density)
+    assert reference.solver_evaluations[0] > 0
+    assert state.solver_evaluations == (reference.solver_evaluations[0], 0)
+
+
+def _perturb_one_body(active):
+    h = active.one_body_eff.copy()
+    h[0, 1] += 1e-12
+    h[1, 0] = h[0, 1]
+    return dataclasses.replace(active, one_body_eff=h)
+
+
+def _perturb_two_body(active):
+    two = SymmetricTwoBody.from_dense(active.two_body_dense())
+    two.set(1, 0, 0, 0, two.get(1, 0, 0, 0) + 1e-12)
+    return dataclasses.replace(active, two_body=two)
+
+
+def _shift_inactive_energy(active):
+    return dataclasses.replace(active, inactive_energy=active.inactive_energy + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "perturb", [_perturb_one_body, _perturb_two_body, _shift_inactive_energy]
+)
+def test_builtin_solver_resolves_changed_hamiltonian(monkeypatch, perturb):
+    from oracles import random_active_hamiltonian
+
+    import qcembed.embedding as emb
+
+    calls = _count_calls(monkeypatch, "fci_solve")
+    solver = emb._resolve_solver(EmbeddingConfig(active_solver="fci"), None)
+    active = random_active_hamiltonian(np.random.default_rng(61), 3)
+
+    energy, gamma, evaluations = solver(active, 1)
+    assert (len(calls), evaluations) == (1, 1)
+
+    # equal by value, not the same objects: reused, with a private 1-RDM copy
+    copy = dataclasses.replace(
+        active,
+        one_body_eff=active.one_body_eff.copy(),
+        two_body=SymmetricTwoBody.from_dense(active.two_body_dense()),
+    )
+    reused_energy, reused_gamma, reused_evaluations = solver(copy, 2)
+    assert (len(calls), reused_evaluations) == (1, 0)
+    assert reused_energy == energy
+    assert np.array_equal(reused_gamma, gamma) and reused_gamma is not gamma
+    reused_gamma[0, 0] = np.nan
+    assert np.array_equal(solver(copy, 3)[1], gamma)
+
+    changed = perturb(active)
+    assert solver(changed, 4)[2] == 1
+    assert len(calls) == 2

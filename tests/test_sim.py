@@ -1,5 +1,7 @@
 """Statevector primitives and UCCSD ansatz against dense oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,21 @@ def test_particle_number_conserved_through_evolution():
         theta = rng.uniform(-0.5, 0.5, size=ansatz.n_parameters)
         state = evolve_ansatz(ansatz, theta)
         assert expectation(state, mapped_number) == pytest.approx(2.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("real_part", [2e-10, 0.5])
+def test_ansatz_rejects_generator_with_real_coefficient(real_part):
+    base = build_uccsd_ansatz(2, 2)
+    bad = PauliSum.from_label_dict({"XY": 0.5j, "YX": real_part - 0.5j})
+    with pytest.raises(SimulationError, match="anti-Hermitian"):
+        dataclasses.replace(base, generators=(bad,) + base.generators[1:])
+
+
+def test_ansatz_accepts_real_residue_below_tolerance():
+    base = build_uccsd_ansatz(2, 2)
+    nearly = PauliSum.from_label_dict({"XY": 0.5j, "YX": 5e-11 - 0.5j})
+    ansatz = dataclasses.replace(base, generators=(nearly,) + base.generators[1:])
+    assert ansatz.n_parameters == base.n_parameters
 
 
 def test_parameter_length_mismatch():
