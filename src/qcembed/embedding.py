@@ -218,6 +218,25 @@ def total_energy(
     return reduced.inactive_energy + active_energy
 
 
+def _check_resume(state: EmbeddingState, n: int, inactive: list[int], active: list[int]) -> None:
+    """Refuse a state whose density or recorded orbital split does not fit
+    the integrals and active-space selection of the run resuming it."""
+    if state.damped_density.shape != (n, n):
+        raise EmbeddingError(
+            f"resume state density has shape {state.damped_density.shape}, "
+            f"the integrals need ({n}, {n})"
+        )
+    for name, recorded, current in (
+        ("active", state.active_orbitals, active),
+        ("inactive", state.inactive_orbitals, inactive),
+    ):
+        if recorded and tuple(recorded) != tuple(current):
+            raise EmbeddingError(
+                f"resume state {name} orbitals {tuple(recorded)} differ from the "
+                f"current selection {tuple(current)}"
+            )
+
+
 def run_embedding(
     integrals: IntegralSet,
     spec: ActiveSpaceSpec,
@@ -231,7 +250,8 @@ def run_embedding(
     exception) when the energy has not stabilized within
     ``max_embedding_iterations``.  Passing a previous state as
     ``resume_from`` continues the iteration count, histories and
-    densities of that run.
+    densities of that run; a state whose density shape or recorded
+    orbital split does not match this run raises :class:`EmbeddingError`.
     """
     if config is None:
         config = EmbeddingConfig()
@@ -247,6 +267,7 @@ def run_embedding(
     occupied = list(range(mf.n_occupied))
 
     if resume_from is not None:
+        _check_resume(resume_from, n, inactive, active)
         density = resume_from.damped_density.copy()
         energies = list(resume_from.energy_history)
         alphas = list(resume_from.alpha_history)

@@ -3,20 +3,42 @@
 Determinants are pairs of alpha/beta occupation strings over the active
 spatial orbitals (blocked spin-orbital convention shared with the qubit
 mappings).  The basis is alpha-string major, beta-string minor, with
-strings ordered by their integer bit value.  Matrix elements follow the
-Slater-Condon rules on spin orbitals; small problems are solved densely,
-larger ones with an implicitly restarted Lanczos iteration seeded from
-the Hartree-Fock determinant.
+strings ordered by their integer bit value, so the Hartree-Fock
+determinant is basis vector 0.
+
+The Hamiltonian is applied by string-based direct CI (Knowles & Handy,
+Chem. Phys. Lett. 111, 315 (1984)):
+
+    H = sum_pq k_pq E_pq + 1/2 sum_pqrs (pq|rs) E_pq E_rs,
+    k_pq = h_pq - 1/2 sum_r (pr|rq),   E_pq = E^a_pq + E^b_pq = a+_pa a_qa + a+_pb a_qb.
+
+Each spin gets one excitation table per solve, holding every entry
+E_pq|J> = sign |I> (q occupied in string J, p empty or p == q), with
+sign = (-1)^(occupied orbitals strictly between p and q).  All alpha
+modes sit below all beta modes, so a beta excitation passes no alpha
+electron and the determinant sign factorises into the per-spin signs.
+Every string has the same number L = k(n - k + 1) of entries for k
+electrons, so a table is a set of (m strings, L) arrays.
+
+* Lanczos (above ``dense_limit``): ``eigsh`` from the Hartree-Fock
+  determinant on a matvec D = E c (stacked over pq), G = 1/2 (pq|rs) D,
+  sigma = sum_pq E_pq G_pq + sum_pq k_pq D_pq.  The 8-fold symmetry of
+  (pq|rs) folds pq and qp onto the pair p >= q, so the matvec runs over
+  n(n+1)/2 operators E_pq + E_qp as gathers and one matrix product into
+  buffers allocated once per solve.
+* Dense: H = H_a (x) 1 + 1 (x) H_b + sum_pqrs (pq|rs) E^a_pq (x) E^b_rs,
+  each one-spin H_s assembled by chaining table entries E_pq E_rs.
+* The spin-summed 1-RDM is gamma_pq = c . (E_pq c), from the same D.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
 from .activespace import ActiveHamiltonian
@@ -38,12 +60,7 @@ class FciCapacityError(RuntimeError):
 def _bit_strings(n_orbitals: int, n_occupied: int) -> list[int]:
     """All n_orbitals-bit masks with n_occupied bits set, in lexicographic
     (ascending integer) order."""
-    strings = []
-    for occ in combinations(range(n_orbitals), n_occupied):
-        mask = 0
-        for k in occ:
-            mask |= 1 << k
-        strings.append(mask)
+    strings = [sum(1 << k for k in occ) for occ in combinations(range(n_orbitals), n_occupied)]
     strings.sort()
     return strings
 
@@ -65,135 +82,160 @@ class FciResult:
     beta_strings: tuple[int, ...]
 
 
-class _DeterminantSpace:
-    """Slater-Condon matrix elements over combined spin-orbital masks."""
+class _ExcitationTable:
+    """Every E_pq|J> = sign |I> over one spin's ascending strings.
 
-    def __init__(self, active: ActiveHamiltonian, n_alpha: int, n_beta: int):
-        n = active.n_orbitals
-        self.n_spatial = n
-        self.n_modes = 2 * n
-        self.alpha_strings = _bit_strings(n, n_alpha)
-        self.beta_strings = _bit_strings(n, n_beta)
-        self.dimension = len(self.alpha_strings) * len(self.beta_strings)
+    ``pq``, ``target`` and ``sign`` are (m, L) arrays: row J holds the
+    L entries of string J, in (p, q) order.
+    """
 
-        h = np.asarray(active.one_body_eff)
-        eri = active.two_body_dense()
-        m = self.n_modes
-        # spin-orbital one-body and antisymmetrized two-body <PQ||RS>
-        self.h_so = np.zeros((m, m))
-        self.h_so[:n, :n] = h
-        self.h_so[n:, n:] = h
-        spin_delta = np.zeros((m, m))
-        spin_delta[:n, :n] = 1.0
-        spin_delta[n:, n:] = 1.0
-        spatial = np.tile(np.arange(n), 2)
-        coulomb = eri[np.ix_(spatial, spatial, spatial, spatial)]
-        # <PQ|RS> = (PR|QS) delta(sP,sR) delta(sQ,sS), chemists -> physicists
-        phys = np.einsum("prqs,pr,qs->pqrs", coulomb, spin_delta, spin_delta, optimize=True)
-        self.antisym = phys - np.transpose(phys, (0, 1, 3, 2))
+    def __init__(self, strings, n: int):
+        masks = np.asarray(strings, dtype=np.int64)
+        bit = np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
+        occupied = (masks[:, None] & bit) != 0
+        # allowed[J, p, q]: q occupied in J and p empty or p == q
+        allowed = occupied[:, None, :] & (~occupied[:, :, None] | np.eye(n, dtype=bool))
+        source, p, q = np.nonzero(allowed)  # row-major: sorted by source J
+        low, high = np.minimum(p, q), np.maximum(p, q)
+        between = (bit[high] - 1) & ~((bit[low] << 1) - 1)  # empty when p == q
+        parity = np.bitwise_count(masks[source] & between) & 1
+        moved = masks[source] ^ bit[p] ^ bit[q]
 
-    def determinant(self, i_alpha: int, i_beta: int) -> int:
-        return self.alpha_strings[i_alpha] | (self.beta_strings[i_beta] << self.n_spatial)
+        shape = (len(masks), -1)
+        self.pq = (p * n + q).reshape(shape)
+        self.target = np.searchsorted(masks, moved).reshape(shape)
+        self.sign = (1.0 - 2.0 * parity).reshape(shape)
 
-    def index(self, i_alpha: int, i_beta: int) -> int:
-        return i_alpha * len(self.beta_strings) + i_beta
-
-    def diagonal(self, det: int) -> float:
-        occ = _occupied_list(det, self.n_modes)
-        value = sum(self.h_so[p, p] for p in occ)
-        for a in range(len(occ)):
-            for b in range(a + 1, len(occ)):
-                value += self.antisym[occ[a], occ[b], occ[a], occ[b]]
-        return float(value)
-
-    def single(self, det: int, i: int, a: int) -> float:
-        """<det| H |det with i -> a>, including the permutation sign."""
-        value = self.h_so[i, a]
-        rest = det & ~(1 << i)
-        for j in _occupied_list(rest, self.n_modes):
-            value += self.antisym[i, j, a, j]
-        return _excitation_sign(det, i, a) * float(value)
-
-    def double(self, det: int, i: int, j: int, a: int, b: int) -> float:
-        """<det| H |det with (i, j) -> (a, b)>, i < j and a < b."""
-        sign = _excitation_sign(det, i, a)
-        intermediate = (det & ~(1 << i)) | (1 << a)
-        sign *= _excitation_sign(intermediate, j, b)
-        return sign * float(self.antisym[i, j, a, b])
+    def one_spin_matrix(self, k: np.ndarray, half_eri: np.ndarray) -> np.ndarray:
+        """Dense sum_pq k_pq E_pq + sum_pqrs half_eri[pq, rs] E_pq E_rs over
+        this spin's strings, chaining E_rs|J> = t|K> with E_pq|K> = s|I>."""
+        m = len(self.pq)
+        source = np.arange(m)[:, None]
+        one = np.bincount(
+            (self.target * m + source).ravel(),
+            weights=(k[self.pq] * self.sign).ravel(),
+            minlength=m * m,
+        )
+        middle = self.target  # K for each (J, rs) entry
+        values = half_eri[self.pq[middle], self.pq[:, :, None]]
+        values *= self.sign[middle] * self.sign[:, :, None]
+        two = np.bincount(
+            (self.target[middle] * m + source[:, :, None]).ravel(),
+            weights=values.ravel(),
+            minlength=m * m,
+        )
+        return (one + two).reshape(m, m)
 
 
-def _occupied_list(mask: int, n_modes: int) -> list[int]:
-    return [k for k in range(n_modes) if (mask >> k) & 1]
+class _StringSpace:
+    """The alpha and beta excitation tables of one (N, S_z) sector.
+
+    ``excitations`` gives D+[I, pair, i] = ((E_pq + E_qp) c)[I, i] for the
+    pair p > q (E_pp c for p == q), pair = p(p+1)/2 + q, with c viewed as
+    C[I, i].  No two entries of one pair reach the same string, so D+ is
+    two gathers: rows of [C; -C; 0] for alpha, columns of [C, -C, 0] for
+    beta, where slots no entry reaches read the zero.  D+ is a buffer
+    owned by the space and is overwritten by the next call.
+    """
+
+    def __init__(self, n: int, alpha_strings, beta_strings):
+        self.n = n
+        self.alpha = a = _ExcitationTable(alpha_strings, n)
+        self.beta = b = _ExcitationTable(beta_strings, n)
+        m_a, m_b = self.shape = (len(alpha_strings), len(beta_strings))
+        self.dimension = m_a * m_b
+        p, q = np.divmod(np.arange(n * n), n)
+        high, low = np.maximum(p, q), np.minimum(p, q)
+        self.pair_of = high * (high + 1) // 2 + low  # pq -> pair
+        self.pairs = np.flatnonzero(p >= q)  # pair -> pq with p >= q
+        n_pairs = len(self.pairs)
+        alpha_rows = np.full((m_a, n_pairs), 2 * m_a, dtype=np.intp)
+        alpha_rows[a.target, self.pair_of[a.pq]] = np.arange(m_a)[:, None] + m_a * (a.sign < 0)
+        beta_cols = np.full((n_pairs, m_b), 2 * m_b, dtype=np.intp)
+        beta_cols[self.pair_of[b.pq], b.target] = np.arange(m_b)[:, None] + m_b * (b.sign < 0)
+        self._alpha_rows, self._beta_cols = alpha_rows.ravel(), beta_cols.ravel()
+        self._d = np.empty((m_a, n_pairs, m_b))
+        self._work = np.empty((m_a, n_pairs, m_b))
+
+    def excitations(self, vector: np.ndarray) -> np.ndarray:
+        """D+ with D+[I, pair, i] = (E+_pair c)[I, i]."""
+        c = vector.reshape(self.shape)
+        m_a, m_b = self.shape
+        rows = np.concatenate((c, -c, np.zeros((1, m_b))))
+        np.take(rows, self._alpha_rows, axis=0, out=self._d.reshape(-1, m_b), mode="clip")
+        cols = np.concatenate((c, -c, np.zeros((m_a, 1))), axis=1)
+        np.take(cols, self._beta_cols, axis=1, out=self._work.reshape(m_a, -1), mode="clip")
+        self._d += self._work
+        return self._d
+
+    def one_rdm(self, vector: np.ndarray) -> np.ndarray:
+        """Spin-summed gamma_pq = <c| E_pq |c> = <c| E+_pq |c> / 2 for p != q."""
+        d = self.excitations(vector)
+        paired = np.einsum("Ii,Iki->k", vector.reshape(self.shape), d)
+        p, q = np.divmod(np.arange(self.n * self.n), self.n)
+        return (paired[self.pair_of] * np.where(p == q, 1.0, 0.5)).reshape(self.n, self.n)
 
 
-def _excitation_sign(det: int, i: int, a: int) -> int:
-    """Sign of moving an electron from occupied i to empty a in det."""
-    low, high = (i, a) if i < a else (a, i)
-    between = det & (((1 << high) - 1) & ~((1 << (low + 1)) - 1))
-    return -1 if between.bit_count() % 2 else 1
+def _integrals(active: ActiveHamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """(k, eri) as (n*n,) and (n*n, n*n) arrays, pq flattened as p*n + q."""
+    n = active.n_orbitals
+    eri = active.two_body_dense()
+    k = np.asarray(active.one_body_eff) - 0.5 * np.einsum("prrq->pq", eri)
+    return k.ravel(), eri.reshape(n * n, n * n)
 
 
-def _connections(space: _DeterminantSpace):
-    """Yield (row, col, value) over the lower triangle incl. diagonal."""
-    n = space.n_spatial
-    n_b = len(space.beta_strings)
-    alpha_index = {m: i for i, m in enumerate(space.alpha_strings)}
-    beta_index = {m: i for i, m in enumerate(space.beta_strings)}
-
-    def substitutions(mask: int):
-        occ = [k for k in range(n) if (mask >> k) & 1]
-        virt = [k for k in range(n) if not (mask >> k) & 1]
-        for i in occ:
-            for a in virt:
-                yield i, a, (mask & ~(1 << i)) | (1 << a)
-
-    def double_substitutions(mask: int):
-        occ = [k for k in range(n) if (mask >> k) & 1]
-        virt = [k for k in range(n) if not (mask >> k) & 1]
-        for i, j in combinations(occ, 2):
-            for a, b in combinations(virt, 2):
-                yield i, j, a, b, (mask & ~(1 << i) & ~(1 << j)) | (1 << a) | (1 << b)
-
-    for ia, alpha in enumerate(space.alpha_strings):
-        for ib, beta in enumerate(space.beta_strings):
-            row = ia * n_b + ib
-            det = alpha | (beta << n)
-            yield row, row, space.diagonal(det)
-
-            # alpha singles
-            for i, a, new_alpha in substitutions(alpha):
-                col = alpha_index[new_alpha] * n_b + ib
-                if col < row:
-                    yield row, col, space.single(det, i, a)
-            # beta singles
-            for i, a, new_beta in substitutions(beta):
-                col = ia * n_b + beta_index[new_beta]
-                if col < row:
-                    yield row, col, space.single(det, i + n, a + n)
-            # alpha-alpha doubles
-            for i, j, a, b, new_alpha in double_substitutions(alpha):
-                col = alpha_index[new_alpha] * n_b + ib
-                if col < row:
-                    yield row, col, space.double(det, i, j, a, b)
-            # beta-beta doubles
-            for i, j, a, b, new_beta in double_substitutions(beta):
-                col = ia * n_b + beta_index[new_beta]
-                if col < row:
-                    yield row, col, space.double(det, i + n, j + n, a + n, b + n)
-            # alpha-beta doubles
-            for i, a, new_alpha in substitutions(alpha):
-                for j, b, new_beta in substitutions(beta):
-                    col = alpha_index[new_alpha] * n_b + beta_index[new_beta]
-                    if col < row:
-                        yield row, col, space.double(det, i, j + n, a, b + n)
+def _dense_hamiltonian(space: _StringSpace, k: np.ndarray, eri: np.ndarray) -> np.ndarray:
+    m_a, m_b = space.shape
+    alpha, beta = space.alpha, space.beta
+    # cross term sum (pq|rs) E^a_pq (x) E^b_rs, one weight per entry pair
+    a_src = np.repeat(np.arange(m_a), alpha.pq.shape[1])
+    b_src = np.repeat(np.arange(m_b), beta.pq.shape[1])
+    rows = alpha.target.reshape(-1, 1) * m_b + beta.target.reshape(1, -1)
+    cols = a_src[:, None] * m_b + b_src[None, :]
+    values = eri[alpha.pq.reshape(-1, 1), beta.pq.reshape(1, -1)]
+    values *= alpha.sign.reshape(-1, 1) * beta.sign.reshape(1, -1)
+    dim = space.dimension
+    cross = np.bincount((rows * dim + cols).ravel(), weights=values.ravel(), minlength=dim * dim)
+    half_eri = 0.5 * eri
+    matrix = np.kron(alpha.one_spin_matrix(k, half_eri), np.eye(m_b))
+    matrix += np.kron(np.eye(m_a), beta.one_spin_matrix(k, half_eri))
+    matrix += cross.reshape(dim, dim)
+    return matrix
 
 
-def _hartree_fock_index(space: _DeterminantSpace, n_alpha: int, n_beta: int) -> int:
-    hf_alpha = (1 << n_alpha) - 1
-    hf_beta = (1 << n_beta) - 1
-    ia = space.alpha_strings.index(hf_alpha)
-    ib = space.beta_strings.index(hf_beta)
-    return space.index(ia, ib)
+def _hamiltonian_operator(
+    space: _StringSpace, k: np.ndarray, eri: np.ndarray
+) -> scipy.sparse.linalg.LinearOperator:
+    """sigma = sum_pair (E+_pair G_pair + k_pair D+_pair), G = 1/2 (pq|rs) D+.
+    E+ is symmetric, so (I, i) gathers s G[J, pair, i] over the entries
+    E_pq|I> = s|J> of its alpha string and s G[I, pair, j] over those of
+    its beta string."""
+    m_a, m_b = space.shape
+    a, b = space.alpha, space.beta
+    n_pairs = len(space.pairs)
+    alpha_rows = a.target * n_pairs + space.pair_of[a.pq]  # rows of G as (m_a * n_pairs, m_b)
+    beta_cols = (space.pair_of[b.pq] * m_b + b.target).T  # columns of G as (m_a, n_pairs * m_b)
+    alpha_sign, beta_sign = a.sign[:, :, None], b.sign.T
+    half_eri = 0.5 * eri[np.ix_(space.pairs, space.pairs)]
+    k = k[space.pairs]
+    g = np.empty((m_a, n_pairs, m_b))
+    alpha_terms = np.empty((m_a, a.pq.shape[1], m_b))
+    beta_terms = np.empty((m_a, b.pq.shape[1], m_b))
+
+    def matvec(vector: np.ndarray) -> np.ndarray:
+        d = space.excitations(np.ravel(vector))
+        np.matmul(half_eri, d, out=g)
+        np.take(g.reshape(-1, m_b), alpha_rows, axis=0, out=alpha_terms, mode="clip")
+        np.multiply(alpha_terms, alpha_sign, out=alpha_terms)
+        np.take(g.reshape(m_a, -1), beta_cols, axis=1, out=beta_terms, mode="clip")
+        np.multiply(beta_terms, beta_sign, out=beta_terms)
+        sigma = alpha_terms.sum(axis=1)
+        sigma += beta_terms.sum(axis=1)
+        sigma += np.matmul(k, d)
+        return sigma.ravel()
+
+    dim = space.dimension
+    return scipy.sparse.linalg.LinearOperator((dim, dim), matvec=matvec, dtype=np.float64)
 
 
 def fci_solve(
@@ -206,9 +248,10 @@ def fci_solve(
     """Lowest eigenpair of the active Hamiltonian in a fixed (N, S_z) sector.
 
     Dense diagonalization is used for basis dimensions up to
-    ``dense_limit``; beyond that a Lanczos iteration with a
-    deterministic Hartree-Fock start vector takes over.  Exceeding
-    ``dimension_cap`` raises :class:`FciCapacityError`.
+    ``dense_limit`` (and always for a single determinant); beyond that a
+    Lanczos iteration with a deterministic Hartree-Fock start vector
+    takes over.  Exceeding ``dimension_cap`` (or 62 orbitals) raises
+    :class:`FciCapacityError` before any string is enumerated.
     """
     if n_electrons is None:
         n_electrons = active.n_electrons
@@ -229,110 +272,50 @@ def fci_solve(
         vector = np.array([1.0])
         return FciResult(0.0, vector, 1, np.zeros((0, 0)), 0, (0,), (0,))
 
-    space = _DeterminantSpace(active, n_alpha, n_beta)
-    if space.dimension > dimension_cap:
+    dimension = math.comb(n, n_alpha) * math.comb(n, n_beta)
+    if dimension > dimension_cap:
         raise FciCapacityError(
-            f"basis dimension {space.dimension} exceeds the cap of {dimension_cap}"
+            f"basis dimension {dimension} exceeds the cap of {dimension_cap}"
         )
+    if n > 62:  # strings are int64 masks; the sign rule shifts past bit n - 1
+        raise FciCapacityError(f"{n} orbitals exceed the 62 an occupation string holds")
 
-    if space.dimension <= dense_limit:
-        matrix = np.zeros((space.dimension, space.dimension))
-        for row, col, value in _connections(space):
-            matrix[row, col] = value
-            matrix[col, row] = value
-        energies, vectors = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
-        energy = float(energies[0])
-        vector = vectors[:, 0]
-    else:
-        rows, cols, vals = [], [], []
-        for row, col, value in _connections(space):
-            rows.append(row)
-            cols.append(col)
-            vals.append(value)
-            if row != col:
-                rows.append(col)
-                cols.append(row)
-                vals.append(value)
-        matrix = scipy.sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(space.dimension, space.dimension)
+    alpha_strings = tuple(_bit_strings(n, n_alpha))
+    beta_strings = tuple(_bit_strings(n, n_beta))
+    space = _StringSpace(n, alpha_strings, beta_strings)
+    k, eri = _integrals(active)
+
+    if dimension <= max(dense_limit, 1):  # ARPACK needs dimension >= 2
+        energies, vectors = scipy.linalg.eigh(
+            _dense_hamiltonian(space, k, eri), subset_by_index=[0, 0]
         )
-        v0 = np.zeros(space.dimension)
-        v0[_hartree_fock_index(space, n_alpha, n_beta)] = 1.0
-        energies, vectors = scipy.sparse.linalg.eigsh(matrix, k=1, which="SA", v0=v0)
-        energy = float(energies[0])
-        vector = vectors[:, 0]
+    else:
+        v0 = np.zeros(dimension)
+        v0[0] = 1.0  # Hartree-Fock determinant
+        energies, vectors = scipy.sparse.linalg.eigsh(
+            _hamiltonian_operator(space, k, eri), k=1, which="SA", v0=v0
+        )
+    energy = float(energies[0])
+    vector = vectors[:, 0]
 
     # deterministic global sign: largest-magnitude component positive
     pivot = int(np.argmax(np.abs(vector)))
     if vector[pivot] < 0:
         vector = -vector
 
-    one_rdm = _one_rdm_from_vector(
-        n, tuple(space.alpha_strings), tuple(space.beta_strings), vector
-    )
     return FciResult(
         ground_energy=energy,
         ground_vector=vector,
-        basis_dimension=space.dimension,
-        one_rdm=one_rdm,
+        basis_dimension=dimension,
+        one_rdm=space.one_rdm(vector),
         n_orbitals=n,
-        alpha_strings=tuple(space.alpha_strings),
-        beta_strings=tuple(space.beta_strings),
+        alpha_strings=alpha_strings,
+        beta_strings=beta_strings,
     )
-
-
-def _one_rdm_from_vector(
-    n: int,
-    alpha_strings: tuple[int, ...],
-    beta_strings: tuple[int, ...],
-    vector: np.ndarray,
-) -> np.ndarray:
-    n_b = len(beta_strings)
-    alpha_index = {m: i for i, m in enumerate(alpha_strings)}
-    beta_index = {m: i for i, m in enumerate(beta_strings)}
-    gamma = np.zeros((n, n))
-
-    for ia, alpha in enumerate(alpha_strings):
-        for ib, beta in enumerate(beta_strings):
-            source = ia * n_b + ib
-            weight = vector[source]
-            if weight == 0.0:
-                continue
-            det = alpha | (beta << n)
-            # diagonal occupations
-            for p in range(n):
-                if (alpha >> p) & 1:
-                    gamma[p, p] += weight * weight
-                if (beta >> p) & 1:
-                    gamma[p, p] += weight * weight
-            # alpha substitutions p <- q
-            for q in range(n):
-                if not (alpha >> q) & 1:
-                    continue
-                for p in range(n):
-                    if p == q or (alpha >> p) & 1:
-                        continue
-                    new_alpha = (alpha & ~(1 << q)) | (1 << p)
-                    target = alpha_index[new_alpha] * n_b + ib
-                    sign = _excitation_sign(det, q, p)
-                    gamma[p, q] += sign * vector[target] * weight
-            # beta substitutions
-            for q in range(n):
-                if not (beta >> q) & 1:
-                    continue
-                for p in range(n):
-                    if p == q or (beta >> p) & 1:
-                        continue
-                    new_beta = (beta & ~(1 << q)) | (1 << p)
-                    target = ia * n_b + beta_index[new_beta]
-                    sign = _excitation_sign(det, q + n, p + n)
-                    gamma[p, q] += sign * vector[target] * weight
-    return gamma
 
 
 def compute_1rdm(result: FciResult) -> np.ndarray:
     """Spin-summed one-particle reduced density matrix of the ground state,
     recomputed from the stored eigenvector."""
-    return _one_rdm_from_vector(
-        result.n_orbitals, result.alpha_strings, result.beta_strings, result.ground_vector
-    )
+    space = _StringSpace(result.n_orbitals, result.alpha_strings, result.beta_strings)
+    return space.one_rdm(result.ground_vector)

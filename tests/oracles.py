@@ -11,6 +11,8 @@ alpha then all beta.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import scipy.linalg
 
@@ -232,3 +234,181 @@ def reference_expectation(amps: np.ndarray, op) -> complex:
     for string, coeff in op:
         value += coeff * np.vdot(amps, reference_pauli_action(amps, string))
     return value
+
+
+# --- Slater-Condon determinant oracle ---------------------------------------
+# Matrix elements one determinant pair at a time, over combined spin-orbital
+# masks (alpha modes 0..n-1, beta modes n..2n-1), in the package's FCI basis:
+# alpha-string major, beta-string minor, strings in ascending integer order.
+
+
+def _strings(n_orbitals: int, n_occupied: int) -> list[int]:
+    return sorted(sum(1 << k for k in occ) for occ in combinations(range(n_orbitals), n_occupied))
+
+
+def _occupied_list(mask: int, n_modes: int) -> list[int]:
+    return [k for k in range(n_modes) if (mask >> k) & 1]
+
+
+def _excitation_sign(det: int, i: int, a: int) -> int:
+    """Sign of moving an electron from occupied i to empty a in det."""
+    low, high = (i, a) if i < a else (a, i)
+    between = det & (((1 << high) - 1) & ~((1 << (low + 1)) - 1))
+    return -1 if between.bit_count() % 2 else 1
+
+
+class _DeterminantSpace:
+    """Slater-Condon matrix elements over combined spin-orbital masks."""
+
+    def __init__(self, active, n_alpha: int, n_beta: int):
+        n = active.n_orbitals
+        self.n_spatial = n
+        self.n_modes = 2 * n
+        self.alpha_strings = _strings(n, n_alpha)
+        self.beta_strings = _strings(n, n_beta)
+        self.dimension = len(self.alpha_strings) * len(self.beta_strings)
+
+        h = np.asarray(active.one_body_eff)
+        eri = active.two_body_dense()
+        m = self.n_modes
+        # spin-orbital one-body and antisymmetrized two-body <PQ||RS>
+        self.h_so = np.zeros((m, m))
+        self.h_so[:n, :n] = h
+        self.h_so[n:, n:] = h
+        spin_delta = np.zeros((m, m))
+        spin_delta[:n, :n] = 1.0
+        spin_delta[n:, n:] = 1.0
+        spatial = np.tile(np.arange(n), 2)
+        coulomb = eri[np.ix_(spatial, spatial, spatial, spatial)]
+        # <PQ|RS> = (PR|QS) delta(sP,sR) delta(sQ,sS), chemists -> physicists
+        phys = np.einsum("prqs,pr,qs->pqrs", coulomb, spin_delta, spin_delta, optimize=True)
+        self.antisym = phys - np.transpose(phys, (0, 1, 3, 2))
+
+    def diagonal(self, det: int) -> float:
+        occ = _occupied_list(det, self.n_modes)
+        value = sum(self.h_so[p, p] for p in occ)
+        for a in range(len(occ)):
+            for b in range(a + 1, len(occ)):
+                value += self.antisym[occ[a], occ[b], occ[a], occ[b]]
+        return float(value)
+
+    def single(self, det: int, i: int, a: int) -> float:
+        """<det| H |det with i -> a>, including the permutation sign."""
+        value = self.h_so[i, a]
+        rest = det & ~(1 << i)
+        for j in _occupied_list(rest, self.n_modes):
+            value += self.antisym[i, j, a, j]
+        return _excitation_sign(det, i, a) * float(value)
+
+    def double(self, det: int, i: int, j: int, a: int, b: int) -> float:
+        """<det| H |det with (i, j) -> (a, b)>, i < j and a < b."""
+        sign = _excitation_sign(det, i, a)
+        intermediate = (det & ~(1 << i)) | (1 << a)
+        sign *= _excitation_sign(intermediate, j, b)
+        return sign * float(self.antisym[i, j, a, b])
+
+
+def _connections(space: _DeterminantSpace):
+    """Yield (row, col, value) over the lower triangle incl. diagonal."""
+    n = space.n_spatial
+    n_b = len(space.beta_strings)
+    alpha_index = {m: i for i, m in enumerate(space.alpha_strings)}
+    beta_index = {m: i for i, m in enumerate(space.beta_strings)}
+
+    def substitutions(mask: int):
+        occ = [k for k in range(n) if (mask >> k) & 1]
+        virt = [k for k in range(n) if not (mask >> k) & 1]
+        for i in occ:
+            for a in virt:
+                yield i, a, (mask & ~(1 << i)) | (1 << a)
+
+    def double_substitutions(mask: int):
+        occ = [k for k in range(n) if (mask >> k) & 1]
+        virt = [k for k in range(n) if not (mask >> k) & 1]
+        for i, j in combinations(occ, 2):
+            for a, b in combinations(virt, 2):
+                yield i, j, a, b, (mask & ~(1 << i) & ~(1 << j)) | (1 << a) | (1 << b)
+
+    for ia, alpha in enumerate(space.alpha_strings):
+        for ib, beta in enumerate(space.beta_strings):
+            row = ia * n_b + ib
+            det = alpha | (beta << n)
+            yield row, row, space.diagonal(det)
+
+            for i, a, new_alpha in substitutions(alpha):
+                col = alpha_index[new_alpha] * n_b + ib
+                if col < row:
+                    yield row, col, space.single(det, i, a)
+            for i, a, new_beta in substitutions(beta):
+                col = ia * n_b + beta_index[new_beta]
+                if col < row:
+                    yield row, col, space.single(det, i + n, a + n)
+            for i, j, a, b, new_alpha in double_substitutions(alpha):
+                col = alpha_index[new_alpha] * n_b + ib
+                if col < row:
+                    yield row, col, space.double(det, i, j, a, b)
+            for i, j, a, b, new_beta in double_substitutions(beta):
+                col = ia * n_b + beta_index[new_beta]
+                if col < row:
+                    yield row, col, space.double(det, i + n, j + n, a + n, b + n)
+            for i, a, new_alpha in substitutions(alpha):
+                for j, b, new_beta in substitutions(beta):
+                    col = alpha_index[new_alpha] * n_b + beta_index[new_beta]
+                    if col < row:
+                        yield row, col, space.double(det, i, j + n, a, b + n)
+
+
+def reference_fci_matrix(active, n_alpha: int, n_beta: int) -> np.ndarray:
+    """Dense FCI matrix of the (n_alpha, n_beta) sector, built one
+    Slater-Condon element at a time and mirrored from its lower triangle."""
+    space = _DeterminantSpace(active, n_alpha, n_beta)
+    matrix = np.zeros((space.dimension, space.dimension))
+    for row, col, value in _connections(space):
+        matrix[row, col] = value
+        matrix[col, row] = value
+    return matrix
+
+
+def reference_fci_one_rdm(n: int, n_alpha: int, n_beta: int, vector: np.ndarray) -> np.ndarray:
+    """Spin-summed gamma_pq = <c| E_pq |c>, one determinant and one
+    substitution at a time."""
+    alpha_strings = _strings(n, n_alpha)
+    beta_strings = _strings(n, n_beta)
+    n_b = len(beta_strings)
+    alpha_index = {m: i for i, m in enumerate(alpha_strings)}
+    beta_index = {m: i for i, m in enumerate(beta_strings)}
+    gamma = np.zeros((n, n))
+
+    for ia, alpha in enumerate(alpha_strings):
+        for ib, beta in enumerate(beta_strings):
+            source = ia * n_b + ib
+            weight = vector[source]
+            if weight == 0.0:
+                continue
+            det = alpha | (beta << n)
+            for p in range(n):
+                if (alpha >> p) & 1:
+                    gamma[p, p] += weight * weight
+                if (beta >> p) & 1:
+                    gamma[p, p] += weight * weight
+            for q in range(n):
+                if not (alpha >> q) & 1:
+                    continue
+                for p in range(n):
+                    if p == q or (alpha >> p) & 1:
+                        continue
+                    new_alpha = (alpha & ~(1 << q)) | (1 << p)
+                    target = alpha_index[new_alpha] * n_b + ib
+                    sign = _excitation_sign(det, q, p)
+                    gamma[p, q] += sign * vector[target] * weight
+            for q in range(n):
+                if not (beta >> q) & 1:
+                    continue
+                for p in range(n):
+                    if p == q or (beta >> p) & 1:
+                        continue
+                    new_beta = (beta & ~(1 << q)) | (1 << p)
+                    target = ia * n_b + beta_index[new_beta]
+                    sign = _excitation_sign(det, q + n, p + n)
+                    gamma[p, q] += sign * vector[target] * weight
+    return gamma

@@ -143,6 +143,26 @@ def test_idempotent_restart(h2_integrals):
         assert alpha == max(0.05, 0.2 / math.sqrt(i))
 
 
+def test_resume_refuses_mismatched_density_shape(h2_integrals, h2o_integrals):
+    config = EmbeddingConfig(active_solver="fci")
+    h2_state = run_embedding(h2_integrals, ActiveSpaceSpec(2, 2), config)
+    with pytest.raises(EmbeddingError, match="shape"):
+        run_embedding(h2o_integrals, ActiveSpaceSpec(2, 2), config, resume_from=h2_state)
+
+
+def test_resume_refuses_different_orbital_selection(h2o_integrals):
+    config = EmbeddingConfig(active_solver="fci", max_embedding_iterations=1)
+    state = run_embedding(h2o_integrals, ActiveSpaceSpec(2, 2), config)
+    with pytest.raises(EmbeddingError, match="state active orbitals"):
+        run_embedding(h2o_integrals, ActiveSpaceSpec(4, 4), config, resume_from=state)
+    inactive_only = dataclasses.replace(state, active_orbitals=())
+    with pytest.raises(EmbeddingError, match="state inactive orbitals"):
+        run_embedding(h2o_integrals, ActiveSpaceSpec(4, 4), config, resume_from=inactive_only)
+    unrecorded = dataclasses.replace(state, active_orbitals=(), inactive_orbitals=())
+    resumed = run_embedding(h2o_integrals, ActiveSpaceSpec(4, 4), config, resume_from=unrecorded)
+    assert resumed.iteration == state.iteration + 1
+
+
 def test_vqe_energy_dominates_fci_energy(h2o_integrals):
     spec = ActiveSpaceSpec(2, 2)
     with_fci = run_embedding(h2o_integrals, spec, EmbeddingConfig(active_solver="fci"))

@@ -1,8 +1,12 @@
-"""Exact diagonalization against brute-force Fock-space oracles and goldens."""
+"""Exact diagonalization against brute-force Fock-space oracles, the
+Slater-Condon determinant oracle and goldens."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qcembed.fci as fci
 from qcembed.activespace import ActiveHamiltonian, ActiveSpaceSpec, reduce_integrals
 from qcembed.fci import FciCapacityError, FciError, compute_1rdm, fci_solve
 from qcembed.integrals import SymmetricTwoBody
@@ -13,6 +17,8 @@ from oracles import (
     brute_force_one_rdm,
     brute_force_spectrum,
     random_active_hamiltonian,
+    reference_fci_matrix,
+    reference_fci_one_rdm,
 )
 from conftest import FIXTURE_DIR
 
@@ -53,14 +59,8 @@ def test_full_spectrum_matches_brute_force():
     rng = np.random.default_rng(52)
     active = random_active_hamiltonian(rng, 3)
     expected = brute_force_spectrum(active, 2, 1)
-    # package path: dense eigendecomposition of the same sector
-    from qcembed.fci import _connections, _DeterminantSpace
-
-    space = _DeterminantSpace(active, 2, 1)
-    matrix = np.zeros((space.dimension, space.dimension))
-    for row, col, value in _connections(space):
-        matrix[row, col] = value
-        matrix[col, row] = value
+    # Slater-Condon path: dense eigendecomposition of the same sector
+    matrix = reference_fci_matrix(active, 2, 1)
     assert np.allclose(np.linalg.eigvalsh(matrix), np.sort(expected), atol=1e-10)
 
 
@@ -83,14 +83,8 @@ def test_lih_full_fci_matches_golden(golden, lih_integrals):
 def test_eigenpair_residual():
     rng = np.random.default_rng(53)
     active = random_active_hamiltonian(rng, 3)
-    from qcembed.fci import _connections, _DeterminantSpace
-
     result = fci_solve(active, n_electrons=2, s_z=0.0)
-    space = _DeterminantSpace(active, 1, 1)
-    matrix = np.zeros((space.dimension, space.dimension))
-    for row, col, value in _connections(space):
-        matrix[row, col] = value
-        matrix[col, row] = value
+    matrix = reference_fci_matrix(active, 1, 1)
     residual = np.linalg.norm(matrix @ result.ground_vector - result.ground_energy * result.ground_vector)
     assert residual <= 1e-8 * np.linalg.norm(matrix)
 
@@ -140,6 +134,28 @@ def test_capacity_cap():
         fci_solve(active, n_electrons=4, s_z=0.0, dimension_cap=10)
 
 
+@pytest.mark.parametrize(
+    "n, n_electrons, s_z, message",
+    [(40, 20, 0.0, "exceeds the cap"), (63, 1, 0.5, "63 orbitals exceed the 62")],
+)
+def test_capacity_checked_before_enumerating_strings(monkeypatch, n, n_electrons, s_z, message):
+    active = ActiveHamiltonian(n, n_electrons, 0.0, np.eye(n), SymmetricTwoBody(n))
+
+    def enumerate_strings(*_):
+        raise AssertionError("strings enumerated before the capacity check")
+
+    monkeypatch.setattr(fci, "_bit_strings", enumerate_strings)
+    with pytest.raises(FciCapacityError, match=message):
+        fci_solve(active, s_z=s_z)
+
+
+def test_single_determinant_takes_dense_path_at_zero_dense_limit():
+    result = fci_solve(_single_orbital(), dense_limit=0)
+    assert result.basis_dimension == 1
+    assert result.ground_energy == pytest.approx(2 * -0.9 + 0.55, abs=1e-14)
+    assert np.allclose(result.one_rdm, [[2.0]], atol=1e-14)
+
+
 def test_inconsistent_spin_specification():
     with pytest.raises(FciError, match="inconsistent"):
         fci_solve(_single_orbital(), n_electrons=2, s_z=0.5)
@@ -176,3 +192,41 @@ def test_variational_bound_against_vqe(golden, h2_integrals):
     ansatz = build_uccsd_ansatz(active.n_orbitals, active.n_electrons)
     vqe_result = minimize(hamiltonian, ansatz, VqeConfig(seed=1))
     assert fci.ground_energy <= vqe_result.energy + 1e-9
+
+
+@st.composite
+def sectors(draw):
+    """A random 8-fold-symmetric Hamiltonian on n <= 5 orbitals and one of
+    its (n_alpha, n_beta) sectors, with a random unit vector in it."""
+    n = draw(st.integers(1, 5))
+    n_alpha, n_beta = draw(st.integers(0, n)), draw(st.integers(0, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    active = random_active_hamiltonian(rng, n)
+    space = fci._StringSpace(n, fci._bit_strings(n, n_alpha), fci._bit_strings(n, n_beta))
+    vector = rng.normal(size=space.dimension)
+    return active, n_alpha, n_beta, space, vector / np.linalg.norm(vector)
+
+
+@given(sectors())
+@settings(max_examples=60, deadline=None)
+def test_dense_matrix_matches_slater_condon(case):
+    active, n_alpha, n_beta, space, _ = case
+    matrix = fci._dense_hamiltonian(space, *fci._integrals(active))
+    np.testing.assert_allclose(matrix, reference_fci_matrix(active, n_alpha, n_beta), rtol=0, atol=1e-12)
+
+
+@given(sectors())
+@settings(max_examples=60, deadline=None)
+def test_matvec_matches_slater_condon(case):
+    active, n_alpha, n_beta, space, vector = case
+    operator = fci._hamiltonian_operator(space, *fci._integrals(active))
+    expected = reference_fci_matrix(active, n_alpha, n_beta) @ vector
+    np.testing.assert_allclose(operator @ vector, expected, rtol=0, atol=1e-12)
+
+
+@given(sectors())
+@settings(max_examples=60, deadline=None)
+def test_one_rdm_matches_slater_condon(case):
+    active, n_alpha, n_beta, space, vector = case
+    expected = reference_fci_one_rdm(active.n_orbitals, n_alpha, n_beta, vector)
+    np.testing.assert_allclose(space.one_rdm(vector), expected, rtol=0, atol=1e-12)
