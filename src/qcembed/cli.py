@@ -64,7 +64,12 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         _add_common_flags(sp)
         if name == "mu-scan":
-            sp.add_argument("--workers", type=int, default=None, help="parallel scan workers")
+            sp.add_argument(
+                "--workers",
+                type=int,
+                default=None,
+                help="scan threads (default: serial; threads are slower, the work holds the GIL)",
+            )
         if name == "report":
             sp.add_argument("--references", type=Path, help="reference-energy CSV (default: packaged table)")
             sp.add_argument("--results", type=Path, required=True, help="embedding results CSV")

@@ -46,7 +46,10 @@ from .activespace import ActiveHamiltonian
 __all__ = ["FciError", "FciCapacityError", "FciResult", "fci_solve", "compute_1rdm"]
 
 DEFAULT_DIMENSION_CAP = 40_000
-DENSE_DIMENSION_LIMIT = 2_000
+# Dense eigh wins below about 250 determinants and Lanczos above: random
+# Hamiltonians, 2-vCPU VM, dimension 147 dense 6 ms vs Lanczos 12 ms,
+# 300 dense 11 ms vs Lanczos 8 ms, 1225 dense 178 ms vs Lanczos 41 ms.
+DENSE_DIMENSION_LIMIT = 250
 
 
 class FciError(ValueError):

@@ -55,8 +55,10 @@ def _parity_ladder(mode: int, n_modes: int, creation: bool) -> PauliSum:
 
 
 def _map_with_ladder(op: FermionOperator, ladder) -> PauliSum:
+    """Sum of the ladder products of every term, accumulated in one dict
+    and simplified once."""
     n = op.n_modes
-    result = PauliSum.zero(n)
+    acc: dict[PauliString, complex] = {}
     cache: dict[tuple[int, bool], PauliSum] = {}
     for term, coeff in op.items():
         product = PauliSum.identity(n, coeff)
@@ -65,8 +67,9 @@ def _map_with_ladder(op: FermionOperator, ladder) -> PauliSum:
             if key not in cache:
                 cache[key] = ladder(mode, n, creation)
             product = product @ cache[key]
-        result = result + product
-    return result
+        for string, value in product:
+            acc[string] = acc.get(string, 0.0) + value
+    return PauliSum(n, acc)
 
 
 def map_jordan_wigner(op: FermionOperator) -> PauliSum:

@@ -130,8 +130,9 @@ class PauliSum:
     Simplified on construction: coefficients of equal strings merge and
     anything below :data:`PRUNE_TOLERANCE` is dropped.  Instances are
     treated as immutable; all arithmetic returns new objects.  The
-    simulator fills ``_kernels`` with its compiled per-term tables the
-    first time it evaluates the sum, so they live and die with it.
+    simulator fills ``_kernels`` with the sum's terms grouped by X-mask
+    (one table of diagonals and gathers) the first time it evaluates the
+    sum, so the table lives and dies with it.
     """
 
     __slots__ = ("n_qubits", "_terms", "_kernels")

@@ -95,7 +95,10 @@ def mu_scan(
 
     Every grid value must have an input file; all points share the same
     active space and solver configuration.  Points that fail to converge
-    are kept in the table (flagged) but excluded from the argmin.
+    are kept in the table (flagged) but excluded from the argmin.  The
+    points run one after another unless ``max_workers`` > 1 asks for a
+    thread pool; the work holds the interpreter lock, so threads are
+    measured slower than the serial loop.
     """
     grid = mu_grid(spec)
     missing = [mu for mu in grid if _input_for(spec, mu) is None]
@@ -116,9 +119,7 @@ def mu_scan(
             evaluations=sum(state.solver_evaluations),
         )
 
-    if max_workers is None:
-        max_workers = min(8, len(grid)) or 1
-    if max_workers <= 1:
+    if max_workers is None or max_workers <= 1:
         rows = [run_point(mu) for mu in grid]
     else:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:

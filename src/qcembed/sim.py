@@ -10,15 +10,27 @@ Pauli strings act through bitmask traversal: for masks (x, z),
 
 which costs O(2^n) per term and never materializes a matrix.
 
-Kernels are compiled once per string and kept by the object that owns
-the string.  A compiled string is a pair (factors, perm): ``factors[b]``
-is i^{|x & z|} (-1)^{|z & b|} and ``perm[b]`` is b ^ x (None when x = 0),
-so P acting on amplitudes is the gather ``(factors * amps)[perm]``; the
+Kernels are compiled once and kept by the object that owns the strings.
+A compiled string is a pair (factors, perm): ``factors[b]`` is
+i^{|x & z|} (-1)^{|z & b|} and ``perm[b]`` is b ^ x (None when x = 0), so
+P acting on amplitudes is the gather ``(factors * amps)[perm]``; the
 permutation is an involution, so the gather equals the scatter
-``out[b ^ x] = factors[b] * amps[b]``.  A :class:`UccsdAnsatz` compiles
-its generator terms, in sorted term order, when it is constructed; a
-:class:`PauliSum` compiles its terms, in iteration order, the first time
-:func:`expectation` reads it.
+``out[b ^ x] = factors[b] * amps[b]``.  :func:`apply_pauli` and
+:func:`apply_pauli_exponential` use it one string at a time.
+
+Strings with one X-mask x share the gather ``b ^ x``, so a sum of them
+is one diagonal D followed by that gather, ``(D * amps)[perm]``:
+
+* A :class:`UccsdAnsatz` compiles each generator G when it is
+  constructed.  The terms of a UCCSD generator share one X-mask and G^2
+  is diagonal with entries 0 or -1, so exp(theta G) = 1 + sin(theta) G
+  + (1 - cos(theta)) G^2 is the identity off G's support and
+  cos(theta) + sin(theta) G on it: one rotation of the connected
+  amplitudes per generator.
+* A :class:`PauliSum` is grouped by X-mask the first time
+  :func:`expectation` reads it, into a (groups x 2^n) table of
+  diagonals and gathers; op |amps> is then one column sum of
+  ``D * amps[gather]`` and the expectation one ``vdot`` with it.
 """
 
 from __future__ import annotations
@@ -131,18 +143,24 @@ def _pauli_action(amps: np.ndarray, kernel: _Kernel) -> np.ndarray:
     return values if perm is None else values[perm]
 
 
-def _rotate(amps: np.ndarray, kernel: _Kernel, angle: float) -> np.ndarray:
-    """exp(i * angle * P) applied to raw amplitudes."""
-    if angle == 0.0:
-        return amps
-    return np.cos(angle) * amps + 1j * np.sin(angle) * _pauli_action(amps, kernel)
+# (diagonals, gathers), both (groups, 2^n): op @ amps is the column sum
+# of diagonals * amps[gathers], one row per X-mask x with gather b ^ x
+_GroupedOperator = tuple[np.ndarray, np.ndarray]
 
 
-def _compiled_terms(op: PauliSum) -> tuple[tuple[complex, _Kernel], ...]:
-    """(coefficient, kernel) per term of ``op`` in iteration order,
-    compiled on first use and kept on ``op``."""
+def _grouped_operator(op: PauliSum) -> _GroupedOperator:
+    """The X-mask table of ``op``, built on first use and kept on ``op``."""
     if op._kernels is None:
-        op._kernels = tuple((coeff, _compile_pauli(string)) for string, coeff in op)
+        groups: dict[int, np.ndarray] = {}
+        for string, coeff in op:
+            factors, _ = _compile_pauli(string)
+            groups[string.x_mask] = groups.get(string.x_mask, 0.0) + coeff * factors
+        x_masks = np.fromiter(groups, dtype=np.intp, count=len(groups))
+        gathers = np.arange(2**op.n_qubits, dtype=np.intp)[None, :] ^ x_masks[:, None]
+        diagonals = np.empty(gathers.shape, dtype=np.complex128)
+        for row, diagonal in enumerate(groups.values()):
+            diagonals[row] = diagonal[gathers[row]]
+        op._kernels = (diagonals, gathers)
     return op._kernels
 
 
@@ -156,7 +174,10 @@ def apply_pauli_exponential(state: Statevector, pauli: PauliString, angle: float
     """exp(i * angle * P) |state>, exact and norm-preserving."""
     if pauli.n_qubits != state.n_qubits:
         raise SimulationError("qubit count mismatch")
-    return Statevector(state.n_qubits, _rotate(state.amplitudes, _compile_pauli(pauli), angle))
+    amps = state.amplitudes
+    if angle != 0.0:
+        amps = np.cos(angle) * amps + 1j * np.sin(angle) * _pauli_action(amps, _compile_pauli(pauli))
+    return Statevector(state.n_qubits, amps)
 
 
 def expectation(state: Statevector, op: PauliSum) -> float:
@@ -165,9 +186,8 @@ def expectation(state: Statevector, op: PauliSum) -> float:
     if op.n_qubits != state.n_qubits:
         raise SimulationError("qubit count mismatch")
     amps = state.amplitudes
-    value = 0.0 + 0.0j
-    for coeff, kernel in _compiled_terms(op):
-        value += coeff * np.vdot(amps, _pauli_action(amps, kernel))
+    diagonals, gathers = _grouped_operator(op)
+    value = complex(np.vdot(amps, (diagonals * amps[gathers]).sum(axis=0)))
     if abs(value.imag) > _IMAG_TOLERANCE:
         raise SimulationError(
             f"expectation has imaginary residue {value.imag:.3e}; operator is not Hermitian"
@@ -214,6 +234,32 @@ def uccsd_excitations(
     return singles + doubles
 
 
+# (connected, source, factors): exp(theta G) leaves every amplitude off
+# ``connected`` alone and sets amps[connected] to
+# cos(theta) amps[connected] + sin(theta) factors * amps[source]
+_Rotation = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _compile_generator(generator: PauliSum) -> _Rotation:
+    terms = generator.sorted_terms()
+    x_mask = terms[0][0].x_mask if terms else 0
+    diagonal = np.zeros(2**generator.n_qubits, dtype=np.complex128)
+    for string, coeff in terms:
+        if abs(coeff.real) > _IMAG_TOLERANCE:
+            raise SimulationError("excitation generator is not anti-Hermitian")
+        if string.x_mask != x_mask:
+            raise SimulationError("excitation generator terms do not share one X-mask")
+        diagonal += 1j * coeff.imag * _compile_pauli(string)[0]
+    source = np.arange(2**generator.n_qubits, dtype=np.intp) ^ x_mask
+    factors = diagonal[source]  # (G amps)[b] = factors[b] * amps[b ^ x]
+    square = factors * factors[source]  # the diagonal of G^2
+    projector = np.abs(square + 1.0) <= _IMAG_TOLERANCE
+    if not np.all(projector | (np.abs(square) <= _IMAG_TOLERANCE)):
+        raise SimulationError("excitation generator squared is not diagonal with entries 0 or -1")
+    connected = np.flatnonzero(projector)
+    return connected, source[connected], factors[connected]
+
+
 @dataclass(frozen=True)
 class UccsdAnsatz:
     """Single-Trotter-step UCCSD ansatz, generators pre-mapped to Pauli sums.
@@ -221,8 +267,9 @@ class UccsdAnsatz:
     ``generators[k]`` is the qubit image of T_k - T_k^dagger (coefficients
     purely imaginary); evolution applies exp(theta_k G_k) once each, in
     enumeration order, starting from the mapped Hartree-Fock reference.
-    Construction checks that every generator is anti-Hermitian and
-    compiles its terms, in sorted term order, as (Im c, kernel) pairs.
+    Construction checks that every generator is anti-Hermitian, that its
+    terms share one X-mask and that G_k^2 is diagonal with entries 0 or
+    -1, and compiles it into one closed-form rotation.
     """
 
     n_spatial: int
@@ -234,20 +281,11 @@ class UccsdAnsatz:
     generators: tuple[PauliSum, ...]
     mapping: str
     two_qubit_reduced: bool
-    _kernels: tuple[tuple[tuple[float, _Kernel], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    _rotations: tuple[_Rotation, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        kernels = []
-        for generator in self.generators:
-            terms = []
-            for string, coeff in generator.sorted_terms():
-                if abs(coeff.real) > _IMAG_TOLERANCE:
-                    raise SimulationError("excitation generator is not anti-Hermitian")
-                terms.append((coeff.imag, _compile_pauli(string)))
-            kernels.append(tuple(terms))
-        object.__setattr__(self, "_kernels", tuple(kernels))
+        rotations = tuple(_compile_generator(generator) for generator in self.generators)
+        object.__setattr__(self, "_rotations", rotations)
 
     @property
     def n_parameters(self) -> int:
@@ -342,9 +380,8 @@ def map_active_hamiltonian(
 def evolve_ansatz(ansatz: UccsdAnsatz, parameters: np.ndarray) -> Statevector:
     """Apply the single-Trotter-step UCCSD circuit to the reference state.
 
-    Each generator factor exp(theta_k G_k) splits exactly into
-    commuting Pauli exponentials exp(i theta_k c P), c real, applied in
-    sorted term order.
+    Each generator factor exp(theta_k G_k) is applied in closed form as
+    one rotation of the amplitudes G_k connects.
     """
     parameters = np.asarray(parameters, dtype=float)
     if parameters.shape != (ansatz.n_parameters,):
@@ -352,11 +389,11 @@ def evolve_ansatz(ansatz: UccsdAnsatz, parameters: np.ndarray) -> Statevector:
             f"expected {ansatz.n_parameters} parameters, got shape {parameters.shape}"
         )
     amps = hf_state(ansatz.n_qubits, ansatz.reference_index).amplitudes
-    for theta, terms in zip(parameters, ansatz._kernels):
+    steps = zip(parameters.tolist(), np.cos(parameters).tolist(), np.sin(parameters).tolist())
+    for (theta, cos, sin), (connected, source, factors) in zip(steps, ansatz._rotations):
         if theta == 0.0:
             continue
-        for coeff, kernel in terms:
-            amps = _rotate(amps, kernel, theta * coeff)
+        amps[connected] = cos * amps[connected] + sin * (factors * amps[source])
     return Statevector(ansatz.n_qubits, amps)
 
 
@@ -382,18 +419,16 @@ def lift_reduced_parity_state(
     bit_alpha = n_alpha % 2
     bit_total = (n_alpha + n_beta) % 2
 
-    full_mask = (1 << n_modes) - 1
+    reduced = np.arange(2**state.n_qubits, dtype=np.int64)
+    low = reduced & ((1 << (n_spatial - 1)) - 1)
+    high = reduced >> (n_spatial - 1)
+    parity = low | (bit_alpha << (n_spatial - 1)) | (high << n_spatial)
+    parity |= bit_total << (n_modes - 1)
+    # invert the cumulative parity: n_k = p_k xor p_{k-1}
+    occupation = (parity ^ (parity << 1)) & ((1 << n_modes) - 1)
+    nonzero = state.amplitudes != 0.0  # zeros, signed or not, stay +0
     amps = np.zeros(2**n_modes, dtype=np.complex128)
-    for reduced_index, amplitude in enumerate(state.amplitudes):
-        if amplitude == 0.0:
-            continue
-        low = reduced_index & ((1 << (n_spatial - 1)) - 1)
-        high = reduced_index >> (n_spatial - 1)
-        parity_index = low | (bit_alpha << (n_spatial - 1)) | (high << n_spatial)
-        parity_index |= bit_total << (n_modes - 1)
-        # invert the cumulative parity: n_k = p_k xor p_{k-1}
-        occupation = (parity_index ^ (parity_index << 1)) & full_mask
-        amps[occupation] = amplitude
+    amps[occupation[nonzero]] = state.amplitudes[nonzero]
     return Statevector(n_modes, amps)
 
 

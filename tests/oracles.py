@@ -236,6 +236,41 @@ def reference_expectation(amps: np.ndarray, op) -> complex:
     return value
 
 
+def reference_map_with_ladder(op, ladder):
+    """Qubit image of a FermionOperator, adding each term's ladder product
+    to a running PauliSum (which copies and re-prunes the whole sum)."""
+    from qcembed.pauli import PauliSum
+
+    n = op.n_modes
+    result = PauliSum.zero(n)
+    for term, coeff in op.items():
+        product = PauliSum.identity(n, coeff)
+        for mode, creation in term:
+            product = product @ ladder(mode, n, creation)
+        result = result + product
+    return result
+
+
+def reference_lift_reduced_parity_state(amplitudes: np.ndarray, n_spatial: int, n_alpha: int, n_beta: int):
+    """Occupation-basis amplitudes behind a two-qubit-reduced parity state,
+    one nonzero amplitude at a time."""
+    n_modes = 2 * n_spatial
+    bit_alpha = n_alpha % 2
+    bit_total = (n_alpha + n_beta) % 2
+    full_mask = (1 << n_modes) - 1
+    amps = np.zeros(2**n_modes, dtype=np.complex128)
+    for reduced_index, amplitude in enumerate(amplitudes):
+        if amplitude == 0.0:
+            continue
+        low = reduced_index & ((1 << (n_spatial - 1)) - 1)
+        high = reduced_index >> (n_spatial - 1)
+        parity_index = low | (bit_alpha << (n_spatial - 1)) | (high << n_spatial)
+        parity_index |= bit_total << (n_modes - 1)
+        occupation = (parity_index ^ (parity_index << 1)) & full_mask
+        amps[occupation] = amplitude
+    return amps
+
+
 # --- Slater-Condon determinant oracle ---------------------------------------
 # Matrix elements one determinant pair at a time, over combined spin-orbital
 # masks (alpha modes 0..n-1, beta modes n..2n-1), in the package's FCI basis:

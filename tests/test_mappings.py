@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcembed.fermion import FermionOperator
 from qcembed.mappings import (
     ReductionError,
+    _jw_ladder,
+    _parity_ladder,
     map_jordan_wigner,
     map_parity,
     occupation_to_parity_bits,
@@ -17,8 +21,11 @@ from oracles import (
     fermion_operator_matrix,
     pauli_sum_matrix,
     random_hermitian_fermion_operator,
+    reference_map_with_ladder,
     sector_indices,
 )
+
+MAPPERS = ((map_jordan_wigner, _jw_ladder), (map_parity, _parity_ladder))
 
 
 def parity_basis_permutation(n_modes: int) -> np.ndarray:
@@ -173,3 +180,36 @@ def test_reduced_ground_energy_preserved_in_sector():
 
         reduced_eigs = np.linalg.eigvalsh(pauli_sum_matrix(reduced))
         assert reduced_eigs[0] == pytest.approx(sector_ground, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "molecule, n_electrons, n_orbitals",
+    [("h2", 2, 2), ("lih", 2, 3), ("h2o", 4, 4), ("h2o", 8, 6)],
+)
+def test_one_pass_mapping_is_bitwise_reference_on_fixtures(
+    request, molecule, n_electrons, n_orbitals
+):
+    from qcembed.activespace import ActiveSpaceSpec, reduce_integrals
+    from qcembed.fermion import spin_orbital_hamiltonian
+    from qcembed.meanfield import solve_rhf
+
+    integrals = request.getfixturevalue(f"{molecule}_integrals")
+    active = reduce_integrals(
+        integrals, solve_rhf(integrals), ActiveSpaceSpec(n_electrons, n_orbitals)
+    )
+    op = spin_orbital_hamiltonian(active)
+    for mapper, ladder in MAPPERS:
+        # PauliSum equality compares every coefficient exactly
+        assert mapper(op) == reference_map_with_ladder(op, ladder)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_modes=st.integers(1, 6),
+    n_terms=st.integers(1, 12),
+)
+@settings(max_examples=40, deadline=None)
+def test_one_pass_mapping_matches_reference_on_random_operators(seed, n_modes, n_terms):
+    op = random_hermitian_fermion_operator(np.random.default_rng(seed), n_modes, n_terms)
+    for mapper, ladder in MAPPERS:
+        assert mapper(op).allclose(reference_map_with_ladder(op, ladder), tol=1e-12)

@@ -1,8 +1,14 @@
 """Compiled Pauli kernels against the per-call bitmask reference.
 
-The compiled path must reproduce the reference arithmetic exactly, so
-every comparison here is bitwise, never approximate.
+A single compiled string reproduces the reference arithmetic exactly,
+so those comparisons are bitwise.  The fused kernels change the order
+of the arithmetic by design: an ansatz applies each generator as one
+closed-form rotation instead of one exponential per string, and
+``expectation`` sums a Pauli sum grouped by X-mask instead of term by
+term.  Those are compared with the same references to 1e-12.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -11,17 +17,20 @@ from hypothesis import strategies as st
 
 from qcembed.pauli import PauliString, PauliSum
 from qcembed.sim import (
+    SimulationError,
     Statevector,
     apply_pauli,
     apply_pauli_exponential,
     build_uccsd_ansatz,
     evolve_ansatz,
     expectation,
+    lift_reduced_parity_state,
 )
 
 from oracles import (
     reference_evolve,
     reference_expectation,
+    reference_lift_reduced_parity_state,
     reference_pauli_action,
     reference_pauli_exponential,
 )
@@ -80,13 +89,15 @@ def operators_and_states(draw):
 
 @given(operators_and_states())
 @settings(max_examples=150, deadline=None)
-def test_compiled_expectation_is_bitwise_reference(case):
+def test_grouped_expectation_matches_reference(case):
     op, amps = case
     state = Statevector(op.n_qubits, amps)
     expected = reference_expectation(amps, op).real
-    assert expectation(state, op) == expected
-    # the second call reads the tables the first one compiled
-    assert expectation(state, op) == expected
+    # relative to the largest value the terms can reach
+    scale = sum(abs(coeff) for _, coeff in op) * np.vdot(amps, amps).real
+    assert abs(expectation(state, op) - expected) <= 1e-12 * max(scale, 1.0)
+    # the second call reads the table the first one built
+    assert expectation(state, op) == expectation(state, op)
 
 
 ANSATZ_SHAPES = (
@@ -98,6 +109,7 @@ ANSATZ_SHAPES = (
     (2, 2, 0, "jordan-wigner", False),
     (3, 2, 0, "jordan-wigner", False),
     (3, 4, 0, "parity", False),
+    (6, 8, 0, "parity", True),  # (8e,6o): 10 qubits, 92 parameters
 )
 
 
@@ -109,16 +121,58 @@ def ansatze():
     ]
 
 
+def random_parameters(ansatz, seed: int, zero_fraction: float) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(-np.pi, np.pi, size=ansatz.n_parameters)
+    theta[rng.random(ansatz.n_parameters) < zero_fraction] = 0.0
+    return theta
+
+
 @given(
     which=st.integers(0, len(ANSATZ_SHAPES) - 1),
     seed=SEEDS,
     zero_fraction=st.sampled_from((0.0, 0.3, 0.7, 1.0)),
 )
 @settings(max_examples=60, deadline=None)
-def test_evolve_ansatz_is_bitwise_reference(ansatze, which, seed, zero_fraction):
+def test_evolve_ansatz_matches_reference(ansatze, which, seed, zero_fraction):
     ansatz = ansatze[which]
-    assert ansatz.n_qubits <= 8
+    theta = random_parameters(ansatz, seed, zero_fraction)
+    difference = evolve_ansatz(ansatz, theta).amplitudes - reference_evolve(ansatz, theta)
+    assert np.max(np.abs(difference)) <= 1e-12
+
+
+@given(which=st.integers(0, len(ANSATZ_SHAPES) - 1), seed=SEEDS)
+@settings(max_examples=40, deadline=None)
+def test_evolve_ansatz_preserves_norm(ansatze, which, seed):
+    ansatz = ansatze[which]
+    state = evolve_ansatz(ansatz, random_parameters(ansatz, seed, 0.0))
+    assert abs(state.norm() - 1.0) <= 1e-12
+
+
+def test_generator_with_mixed_x_masks_is_rejected():
+    base = build_uccsd_ansatz(2, 2)
+    # XY and XZ carry X-masks 0b11 and 0b01
+    mixed = PauliSum.from_label_dict({"XY": 0.5j, "XZ": -0.5j})
+    with pytest.raises(SimulationError, match="X-mask"):
+        dataclasses.replace(base, generators=(mixed,) + base.generators[1:])
+
+
+def test_generator_whose_square_is_not_a_projector_is_rejected():
+    base = build_uccsd_ansatz(2, 2)
+    # G = 0.3i XY has G^2 = -0.09, not 0 or -1
+    scaled = PauliSum.from_label_dict({"XY": 0.3j})
+    with pytest.raises(SimulationError, match="0 or -1"):
+        dataclasses.replace(base, generators=(scaled,) + base.generators[1:])
+
+
+@pytest.mark.parametrize("n_spatial, n_alpha, n_beta", [(3, 1, 1), (6, 4, 4)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lift_reduced_parity_state_is_bitwise_reference(n_spatial, n_alpha, n_beta, seed):
+    n_qubits = 2 * n_spatial - 2
+    amps = random_amplitudes(seed, n_qubits)
     rng = np.random.default_rng(seed)
-    theta = rng.uniform(-np.pi, np.pi, size=ansatz.n_parameters)
-    theta[rng.random(ansatz.n_parameters) < zero_fraction] = 0.0
-    assert_bitwise(evolve_ansatz(ansatz, theta).amplitudes, reference_evolve(ansatz, theta))
+    amps[rng.random(2**n_qubits) < 0.3] = 0.0
+    amps[rng.random(2**n_qubits) < 0.1] = -0.0 - 0.0j
+    lifted = lift_reduced_parity_state(Statevector(n_qubits, amps), n_spatial, n_alpha, n_beta)
+    expected = reference_lift_reduced_parity_state(amps, n_spatial, n_alpha, n_beta)
+    assert_bitwise(lifted.amplitudes, expected)
