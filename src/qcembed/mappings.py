@@ -20,7 +20,7 @@ eigenvalues and removed.
 from __future__ import annotations
 
 from .fermion import FermionOperator
-from .pauli import PauliString, PauliSum
+from .pauli import _PHASES, PRUNE_TOLERANCE, PauliString, PauliSum
 
 __all__ = [
     "ReductionError",
@@ -54,22 +54,48 @@ def _parity_ladder(mode: int, n_modes: int, creation: bool) -> PauliSum:
     return PauliSum(n_modes, {xz_part: 0.5, y_part: sign})
 
 
+# a product of Pauli strings as {(x_mask, z_mask): coefficient}
+_Terms = dict[tuple[int, int], complex]
+
+
+def _prune(terms: _Terms) -> _Terms:
+    # the simplification PauliSum applies on construction
+    return {key: complex(c) for key, c in terms.items() if not abs(c) < PRUNE_TOLERANCE}
+
+
+def _ladder_factor(ladder_sum: PauliSum) -> list[tuple[int, int, int, complex]]:
+    return [(s.x_mask, s.z_mask, (s.x_mask & s.z_mask).bit_count(), c) for s, c in ladder_sum]
+
+
 def _map_with_ladder(op: FermionOperator, ladder) -> PauliSum:
     """Sum of the ladder products of every term, accumulated in one dict
-    and simplified once."""
+    and simplified once.
+
+    Each product is composed on (x_mask, z_mask) keys with the phase rule
+    of :meth:`PauliString.compose` and pruned after every ladder factor,
+    as ``PauliSum.__matmul__`` would; strings are built for the final
+    terms only.
+    """
     n = op.n_modes
-    acc: dict[PauliString, complex] = {}
-    cache: dict[tuple[int, bool], PauliSum] = {}
+    acc: _Terms = {}
+    cache: dict[tuple[int, bool], list[tuple[int, int, int, complex]]] = {}
     for term, coeff in op.items():
-        product = PauliSum.identity(n, coeff)
+        product = _prune({(0, 0): coeff})
         for mode, creation in term:
             key = (mode, creation)
             if key not in cache:
-                cache[key] = ladder(mode, n, creation)
-            product = product @ cache[key]
-        for string, value in product:
-            acc[string] = acc.get(string, 0.0) + value
-    return PauliSum(n, acc)
+                cache[key] = _ladder_factor(ladder(mode, n, creation))
+            composed: _Terms = {}
+            for (x1, z1), c1 in product.items():
+                y1 = (x1 & z1).bit_count()
+                for x2, z2, y2, c2 in cache[key]:
+                    x3, z3 = x1 ^ x2, z1 ^ z2
+                    exponent = (y1 + y2 - (x3 & z3).bit_count() + 2 * (z1 & x2).bit_count()) % 4
+                    composed[x3, z3] = composed.get((x3, z3), 0.0) + c1 * c2 * _PHASES[exponent]
+            product = _prune(composed)
+        for masks, value in product.items():
+            acc[masks] = acc.get(masks, 0.0) + value
+    return PauliSum(n, {PauliString(n, x, z): c for (x, z), c in acc.items()})
 
 
 def map_jordan_wigner(op: FermionOperator) -> PauliSum:

@@ -29,12 +29,23 @@ is one diagonal D followed by that gather, ``(D * amps)[perm]``:
   amplitudes per generator.
 * A :class:`PauliSum` is grouped by X-mask the first time
   :func:`expectation` reads it, into a (groups x 2^n) table of
-  diagonals and gathers; op |amps> is then one column sum of
-  ``D * amps[gather]`` and the expectation one ``vdot`` with it.
+  diagonals and gathers; op |amps> is then accumulated from zero as
+  ``D * amps[gather]`` one group at a time, and the expectation is one
+  ``vdot`` with it.
+
+Both run on a block of states at once: ``_evolve_rows`` takes an
+(R x n_parameters) array of parameter vectors and returns their (R x 2^n)
+amplitudes, and ``_expectation_rows`` evaluates every row of such a
+block, so each rotation or group costs one numpy call per block instead
+of one per state.  Inside, the block is held with the basis index first,
+so a gather moves R contiguous values per index.  :func:`evolve_ansatz`
+and :func:`expectation` are the one-row calls of the same kernels, and
+every row of a block is bitwise equal to its one-row call.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -69,6 +80,9 @@ __all__ = [
 ]
 
 _IMAG_TOLERANCE = 1e-10
+
+# distinct ansatz shapes kept by build_uccsd_ansatz; a run or a mu-scan uses one
+_ANSATZ_CACHE_SIZE = 8
 
 
 class SimulationError(ValueError):
@@ -180,19 +194,43 @@ def apply_pauli_exponential(state: Statevector, pauli: PauliString, angle: float
     return Statevector(state.n_qubits, amps)
 
 
+def _columns(rows: np.ndarray) -> np.ndarray:
+    """The (n, R) column view of an (R, n) row block, or the single row
+    itself: the kernels run on amplitudes indexed first by basis state,
+    so each gather moves whole rows of R values, and one row stays 1-D,
+    where numpy's gathers are cheapest."""
+    return rows[0] if len(rows) == 1 else rows.T
+
+
+def _expectation_rows(amps: np.ndarray, op: PauliSum) -> np.ndarray:
+    """<a_r| op |a_r> for every row a_r of an (R, 2^n) amplitude block.
+
+    op |a_r> is accumulated from zero one X-mask group at a time, then
+    each row takes one ``vdot``; every row's imaginary residue must stay
+    below 1e-10 and is discarded.
+    """
+    diagonals, gathers = _grouped_operator(op)
+    columns = _columns(amps)
+    per_state = (slice(None),) + (None,) * (columns.ndim - 1)
+    applied = np.zeros(columns.shape, dtype=np.complex128)
+    for diagonal, gather in zip(diagonals, gathers):
+        applied += diagonal[per_state] * columns[gather]
+    rows, applied = np.ascontiguousarray(amps), np.ascontiguousarray(np.atleast_2d(applied.T))
+    values = np.array([np.vdot(row, out) for row, out in zip(rows, applied)], dtype=np.complex128)
+    residue = np.abs(values.imag)
+    if np.any(residue > _IMAG_TOLERANCE):
+        raise SimulationError(
+            f"expectation has imaginary residue {residue.max():.3e}; operator is not Hermitian"
+        )
+    return values.real
+
+
 def expectation(state: Statevector, op: PauliSum) -> float:
     """<state| op |state> for a Hermitian op; the imaginary residue must
     stay below 1e-10 and is discarded."""
     if op.n_qubits != state.n_qubits:
         raise SimulationError("qubit count mismatch")
-    amps = state.amplitudes
-    diagonals, gathers = _grouped_operator(op)
-    value = complex(np.vdot(amps, (diagonals * amps[gathers]).sum(axis=0)))
-    if abs(value.imag) > _IMAG_TOLERANCE:
-        raise SimulationError(
-            f"expectation has imaginary residue {value.imag:.3e}; operator is not Hermitian"
-        )
-    return float(value.real)
+    return float(_expectation_rows(state.amplitudes[None, :], op)[0])
 
 
 # -- UCCSD ansatz ------------------------------------------------------------
@@ -257,7 +295,10 @@ def _compile_generator(generator: PauliSum) -> _Rotation:
     if not np.all(projector | (np.abs(square) <= _IMAG_TOLERANCE)):
         raise SimulationError("excitation generator squared is not diagonal with entries 0 or -1")
     connected = np.flatnonzero(projector)
-    return connected, source[connected], factors[connected]
+    rotation = (connected, source[connected], factors[connected])
+    for array in rotation:
+        array.flags.writeable = False  # shared by every caller of a cached ansatz
+    return rotation
 
 
 @dataclass(frozen=True)
@@ -317,7 +358,17 @@ def build_uccsd_ansatz(
     """Construct the UCCSD ansatz for an active space.
 
     With zero virtual orbitals the ansatz is valid and has 0 parameters.
+    An ansatz depends on nothing but these arguments and is never
+    modified, so the last few shapes are kept: a repeated call returns
+    the ansatz built first, with its compiled rotations.
     """
+    return _build_uccsd_ansatz(n_spatial, n_electrons, spin_2ms, mapping, two_qubit_reduced)
+
+
+@functools.lru_cache(maxsize=_ANSATZ_CACHE_SIZE)
+def _build_uccsd_ansatz(
+    n_spatial: int, n_electrons: int, spin_2ms: int, mapping: str, two_qubit_reduced: bool
+) -> UccsdAnsatz:
     if (n_electrons + spin_2ms) % 2 != 0:
         raise SimulationError(f"inconsistent (n_electrons={n_electrons}, MS2={spin_2ms})")
     n_alpha = (n_electrons + spin_2ms) // 2
@@ -377,6 +428,32 @@ def map_active_hamiltonian(
     return mapped.real_coefficients(_IMAG_TOLERANCE)
 
 
+def _evolve_rows(ansatz: UccsdAnsatz, thetas: np.ndarray) -> np.ndarray:
+    """(R, 2^n) amplitudes of the circuit at each row of an (R, n_parameters)
+    parameter array.
+
+    Generator k rotates the amplitudes it connects in every row whose
+    theta_k is nonzero, with that row's cos and sin; rows with theta_k
+    == 0.0 are left alone.
+    """
+    cos, sin = _columns(np.cos(thetas)), _columns(np.sin(thetas))
+    nonzero = thetas != 0.0
+    every_row = nonzero.all(axis=0).tolist()
+    amps = np.zeros((2**ansatz.n_qubits,) + cos.shape[1:], dtype=np.complex128)
+    amps[ansatz.reference_index] = 1.0
+    per_state = (slice(None),) + (None,) * (amps.ndim - 1)
+    for k, (connected, source, factors) in enumerate(ansatz._rotations):
+        if every_row[k]:
+            to, frm, c, s = connected, source, cos[k], sin[k]
+        else:
+            rows = np.flatnonzero(nonzero[:, k])
+            if not rows.size:
+                continue
+            to, frm, c, s = np.ix_(connected, rows), np.ix_(source, rows), cos[k, rows], sin[k, rows]
+        amps[to] = c * amps[to] + s * (factors[per_state] * amps[frm])
+    return np.atleast_2d(amps.T)
+
+
 def evolve_ansatz(ansatz: UccsdAnsatz, parameters: np.ndarray) -> Statevector:
     """Apply the single-Trotter-step UCCSD circuit to the reference state.
 
@@ -388,13 +465,7 @@ def evolve_ansatz(ansatz: UccsdAnsatz, parameters: np.ndarray) -> Statevector:
         raise SimulationError(
             f"expected {ansatz.n_parameters} parameters, got shape {parameters.shape}"
         )
-    amps = hf_state(ansatz.n_qubits, ansatz.reference_index).amplitudes
-    steps = zip(parameters.tolist(), np.cos(parameters).tolist(), np.sin(parameters).tolist())
-    for (theta, cos, sin), (connected, source, factors) in zip(steps, ansatz._rotations):
-        if theta == 0.0:
-            continue
-        amps[connected] = cos * amps[connected] + sin * (factors * amps[source])
-    return Statevector(ansatz.n_qubits, amps)
+    return Statevector(ansatz.n_qubits, _evolve_rows(ansatz, parameters[None, :])[0])
 
 
 # -- density feedback --------------------------------------------------------

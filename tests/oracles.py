@@ -447,3 +447,84 @@ def reference_fci_one_rdm(n: int, n_alpha: int, n_beta: int, vector: np.ndarray)
                     sign = _excitation_sign(det, q + n, p + n)
                     gamma[p, q] += sign * vector[target] * weight
     return gamma
+
+
+def reference_minimize(hamiltonian, ansatz, config):
+    """VQE minimization with the central-difference gradient evaluated one
+    shifted parameter vector at a time, each through the public
+    ``evolve_ansatz`` and ``expectation``."""
+    import scipy.optimize
+
+    from qcembed.sim import evolve_ansatz, expectation
+    from qcembed.vqe import VqeError, VqeResult, initialize_parameters
+
+    trace = []
+    last_eval = {"value": None}
+
+    def objective(theta):
+        energy = expectation(evolve_ansatz(ansatz, theta), hamiltonian)
+        if not np.isfinite(energy):
+            raise VqeError(f"non-finite energy {energy} during optimization", list(trace))
+        trace.append((len(trace), energy))
+        last_eval["value"] = (np.array(theta, dtype=float), energy)
+        return energy
+
+    n = ansatz.n_parameters
+    x0 = initialize_parameters(n, config)
+    if n == 0:
+        energy = objective(x0)
+        return VqeResult(energy, x0, tuple(trace), len(trace), True, (energy,))
+
+    def gradient(theta):
+        h = config.gradient_step
+        grad = np.empty(n)
+        for k in range(n):
+            shifted = np.array(theta, dtype=float)
+            shifted[k] = theta[k] + h
+            plus = objective(shifted)
+            shifted[k] = theta[k] - h
+            minus = objective(shifted)
+            grad[k] = (plus - minus) / (2.0 * h)
+        return grad
+
+    iterate_energies = []
+    best = {"value": None}
+
+    class Converged(Exception):
+        pass
+
+    def callback(xk):
+        cached = last_eval["value"]
+        if cached is not None and np.array_equal(cached[0], xk):
+            energy = cached[1]
+        else:
+            energy = objective(xk)
+        previous = iterate_energies[-1] if iterate_energies else None
+        iterate_energies.append(energy)
+        best["value"] = (np.array(xk, dtype=float), energy)
+        if previous is not None and abs(energy - previous) < config.tolerance:
+            raise Converged
+
+    converged = False
+    try:
+        result = scipy.optimize.minimize(
+            objective,
+            x0,
+            jac=gradient,
+            method="L-BFGS-B",
+            bounds=[(-np.pi, np.pi)] * n,
+            callback=callback,
+            options={"maxiter": config.max_iterations, "ftol": 0.0, "gtol": 1e-12},
+        )
+        parameters = np.array(result.x, dtype=float)
+        energy = float(result.fun)
+        if len(iterate_energies) >= 2:
+            converged = abs(iterate_energies[-1] - iterate_energies[-2]) < config.tolerance
+    except Converged:
+        parameters, energy = best["value"]
+        converged = True
+    if not iterate_energies:
+        iterate_energies.append(energy)
+    return VqeResult(
+        energy, parameters, tuple(trace), len(trace), converged, tuple(iterate_energies)
+    )

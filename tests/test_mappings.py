@@ -213,3 +213,12 @@ def test_one_pass_mapping_matches_reference_on_random_operators(seed, n_modes, n
     op = random_hermitian_fermion_operator(np.random.default_rng(seed), n_modes, n_terms)
     for mapper, ladder in MAPPERS:
         assert mapper(op).allclose(reference_map_with_ladder(op, ladder), tol=1e-12)
+
+
+def test_one_pass_mapping_prunes_after_every_ladder_factor():
+    # each product drops below PRUNE_TOLERANCE after its first ladder
+    # factor; unpruned, the two identity terms would add up above it
+    op = FermionOperator(2, {((0, True), (0, False)): 1.5e-12, ((1, True), (1, False)): 1.5e-12})
+    for mapper, ladder in MAPPERS:
+        assert mapper(op) == reference_map_with_ladder(op, ladder)
+        assert mapper(op).is_zero

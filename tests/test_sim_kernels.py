@@ -19,6 +19,8 @@ from qcembed.pauli import PauliString, PauliSum
 from qcembed.sim import (
     SimulationError,
     Statevector,
+    _evolve_rows,
+    _expectation_rows,
     apply_pauli,
     apply_pauli_exponential,
     build_uccsd_ansatz,
@@ -139,6 +141,54 @@ def test_evolve_ansatz_matches_reference(ansatze, which, seed, zero_fraction):
     theta = random_parameters(ansatz, seed, zero_fraction)
     difference = evolve_ansatz(ansatz, theta).amplitudes - reference_evolve(ansatz, theta)
     assert np.max(np.abs(difference)) <= 1e-12
+
+
+def random_parameter_rows(ansatz, seed: int, n_rows: int) -> np.ndarray:
+    """(n_rows, n_parameters) angles with scattered zeros and whole zero columns."""
+    rng = np.random.default_rng(seed)
+    thetas = rng.uniform(-np.pi, np.pi, size=(n_rows, ansatz.n_parameters))
+    thetas[rng.random(thetas.shape) < 0.3] = 0.0
+    thetas[:, rng.random(ansatz.n_parameters) < 0.2] = 0.0
+    return thetas
+
+
+def random_hermitian_sum(seed: int, n_qubits: int) -> PauliSum:
+    rng = np.random.default_rng(seed)
+    masks = rng.integers(0, 2**n_qubits, size=(int(rng.integers(1, 30)), 2))
+    return PauliSum.from_terms(
+        n_qubits, ((PauliString(n_qubits, int(x), int(z)), rng.normal()) for x, z in masks)
+    )
+
+
+# 17 rows is one more than the gradient block of the 10-qubit ansatz
+@given(
+    which=st.integers(0, len(ANSATZ_SHAPES) - 1),
+    seed=SEEDS,
+    n_rows=st.one_of(st.integers(0, 7), st.just(17)),
+)
+@settings(max_examples=60, deadline=None)
+def test_row_kernels_are_bitwise_one_row_calls(ansatze, which, seed, n_rows):
+    ansatz = ansatze[which]
+    thetas = random_parameter_rows(ansatz, seed, n_rows)
+    op = random_hermitian_sum(seed, ansatz.n_qubits)
+    rows = _evolve_rows(ansatz, thetas)
+    energies = _expectation_rows(rows, op)
+    assert rows.shape == (n_rows, 2**ansatz.n_qubits) and energies.shape == (n_rows,)
+    for theta, amps, energy in zip(thetas, rows, energies):
+        state = evolve_ansatz(ansatz, theta)
+        assert_bitwise(np.ascontiguousarray(amps), state.amplitudes)
+        assert energy == expectation(state, op)
+    # a row-major block of states gives the same energies
+    assert_bitwise(_expectation_rows(np.ascontiguousarray(rows), op), energies)
+
+
+def test_expectation_rows_checks_every_row():
+    op = PauliSum.from_label_dict({"ZI": 1j})  # not Hermitian: <a|op|a> = i <a|Z_0|a>
+    amps = np.zeros((3, 4), dtype=np.complex128)
+    amps[:2, :2] = np.sqrt(0.5)  # <Z_0> = 0 on the first two rows
+    amps[2, 0] = 1.0  # <Z_0> = 1 on the last
+    with pytest.raises(SimulationError, match="imaginary residue"):
+        _expectation_rows(amps, op)
 
 
 @given(which=st.integers(0, len(ANSATZ_SHAPES) - 1), seed=SEEDS)

@@ -1,15 +1,20 @@
-"""VQE driver: initialization determinism, convergence, trace contract."""
+"""VQE driver: initialization determinism, convergence, trace contract,
+and the batched gradient sweep against the serial reference."""
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcembed.activespace import ActiveSpaceSpec, reduce_integrals
 from qcembed.fci import fci_solve
 from qcembed.meanfield import solve_rhf
 from qcembed.pauli import PauliSum
 from qcembed.sim import build_uccsd_ansatz, map_active_hamiltonian
+from qcembed import vqe
 from qcembed.vqe import (
     VqeConfig,
     VqeError,
@@ -17,6 +22,8 @@ from qcembed.vqe import (
     minimize,
     write_trace_csv,
 )
+
+from oracles import reference_minimize
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +75,9 @@ def test_zero_parameter_ansatz_returns_hf_energy():
     assert result.evaluations == 1
     assert result.converged
     assert list(result.trace) == [(0, -0.75)]
+    assert result.iterations == 0
+    assert result.message == "no parameters to optimize"
+    assert result.gradient_norm == 0.0
 
 
 def test_h2_vqe_reaches_fci(h2_problem):
@@ -137,3 +147,121 @@ def test_trace_csv_export(h2_problem):
     index, energy = lines[1].split(",")
     assert int(index) == 0
     float(energy)  # parses
+
+
+# -- run records ---------------------------------------------------------------
+
+
+def central_gradient(hamiltonian, ansatz, theta, h):
+    from qcembed.sim import evolve_ansatz, expectation
+
+    def energy(point):
+        return expectation(evolve_ansatz(ansatz, point), hamiltonian)
+
+    grad = np.empty(len(theta))
+    for k in range(len(theta)):
+        step = np.zeros(len(theta))
+        step[k] = h
+        grad[k] = (energy(theta + step) - energy(theta - step)) / (2.0 * h)
+    return grad
+
+
+def test_run_records_on_tolerance_stop(h2_problem):
+    _, hamiltonian, ansatz = h2_problem
+    config = VqeConfig(seed=0)
+    result = minimize(hamiltonian, ansatz, config)
+    assert result.converged
+    assert result.iterations == len(result.iterate_energies) >= 2
+    assert result.message == "energy change between iterates below tolerance 1e-06"
+    # the last gradient was taken at the accepted iterate the run returns
+    expected = central_gradient(hamiltonian, ansatz, result.parameters, config.gradient_step)
+    assert result.gradient_norm == np.max(np.abs(expected))
+    assert result.evaluations == len(result.trace)  # the records cost no evaluation
+
+
+def test_run_records_on_iteration_cap(h2_problem):
+    _, hamiltonian, ansatz = h2_problem
+    result = minimize(hamiltonian, ansatz, VqeConfig(seed=0, max_iterations=1))
+    assert not result.converged
+    assert result.iterations == 1
+    assert "ITERATIONS REACHED LIMIT" in result.message
+    assert np.isfinite(result.gradient_norm) and result.gradient_norm > 0.0
+
+
+# -- the batched gradient sweep against the serial reference -------------------
+
+
+PROBLEMS = (("h2", 2, 2), ("lih", 2, 3), ("h2o", 4, 4))
+
+
+@pytest.fixture(scope="module")
+def problems(request):
+    built = []
+    for molecule, n_electrons, n_orbitals in PROBLEMS:
+        integrals = request.getfixturevalue(f"{molecule}_integrals")
+        active = reduce_integrals(
+            integrals, solve_rhf(integrals), ActiveSpaceSpec(n_electrons, n_orbitals)
+        )
+        built.append(
+            (map_active_hamiltonian(active), build_uccsd_ansatz(active.n_orbitals, active.n_electrons))
+        )
+    return built
+
+
+def assert_same_run(actual, expected):
+    assert actual.trace == expected.trace
+    assert actual.parameters.tobytes() == expected.parameters.tobytes()
+    assert actual.energy == expected.energy
+    assert actual.evaluations == expected.evaluations
+    assert actual.iterate_energies == expected.iterate_energies
+    assert actual.converged == expected.converged
+
+
+@given(
+    which=st.integers(0, len(PROBLEMS) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    sigma=st.one_of(st.just(0.0), st.floats(1e-4, 0.5)),
+    max_iterations=st.sampled_from((2, 50)),
+    block_rows=st.sampled_from((None, 1, 3, 5)),
+)
+@settings(max_examples=30, deadline=None)
+def test_sweep_is_bitwise_reference(problems, which, seed, sigma, max_iterations, block_rows):
+    hamiltonian, ansatz = problems[which]
+    config = VqeConfig(seed=seed, sigma=sigma, max_iterations=max_iterations)
+    # 2n rows in blocks of 3 or 5 leave a partial last block on every problem
+    block = vqe._BLOCK_AMPLITUDES if block_rows is None else block_rows * 2**ansatz.n_qubits
+    with mock.patch.object(vqe, "_BLOCK_AMPLITUDES", block):
+        result = minimize(hamiltonian, ansatz, config)
+    assert_same_run(result, reference_minimize(hamiltonian, ansatz, config))
+
+
+def overflow_hamiltonian(ansatz, k):
+    """c (I + X_k) with c the largest double and X_k the X-string of
+    generator k: finite at the Hartree-Fock state, infinite at one of the
+    two states shifted along theta_k, where c cos(h) + c sin(h) overflows."""
+    from qcembed.pauli import PauliString
+
+    c = float(np.finfo(float).max)
+    x_mask = ansatz.generators[k].sorted_terms()[0][0].x_mask
+    return PauliSum(
+        ansatz.n_qubits,
+        {PauliString(ansatz.n_qubits): c, PauliString(ansatz.n_qubits, x_mask, 0): c},
+    )
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 4])
+@np.errstate(over="ignore", invalid="ignore")  # the overflow is the point of the test
+def test_non_finite_shifted_row_raises_with_reference_trace(problems, block_rows):
+    _, ansatz = problems[2]
+    k = 3
+    hamiltonian = overflow_hamiltonian(ansatz, k)
+    config = VqeConfig(seed=0, sigma=0.0)
+    with pytest.raises(VqeError) as expected:
+        reference_minimize(hamiltonian, ansatz, config)
+    # the start point and the rows of generators 0..k-1 came first
+    assert len(expected.value.trace) in (1 + 2 * k, 2 + 2 * k)
+    block = vqe._BLOCK_AMPLITUDES if block_rows is None else block_rows * 2**ansatz.n_qubits
+    with mock.patch.object(vqe, "_BLOCK_AMPLITUDES", block), pytest.raises(VqeError) as err:
+        minimize(hamiltonian, ansatz, config)
+    assert err.value.trace == expected.value.trace
+    assert str(err.value) == str(expected.value)

@@ -352,3 +352,32 @@ def test_load_reference_table_from_csv(tmp_path):
     table = load_reference_table(path)
     assert table["water"].e_ccsd == -76.205
     assert table["water"].e_hf is None
+
+
+def test_mu_scan_builds_each_ansatz_shape_once(mu_inputs, monkeypatch):
+    from qcembed import sim
+
+    sim._build_uccsd_ansatz.cache_clear()
+    built = []
+    enumerate_excitations = sim.uccsd_excitations  # called once per construction
+
+    def counting(*args):
+        built.append(args)
+        return enumerate_excitations(*args)
+
+    monkeypatch.setattr(sim, "uccsd_excitations", counting)
+    spec = MuScanSpec(mu_start=1.0, mu_end=2.0, mu_step=0.5, per_mu_inputs=mu_inputs)
+    _, rows = mu_scan(spec, ActiveSpaceSpec(2, 2), EmbeddingConfig(active_solver="vqe"))
+    assert len(rows) == 3 and all(row.evaluations > 0 for row in rows)
+    assert len(built) == 1
+    mu_scan(spec, ActiveSpaceSpec(2, 2), EmbeddingConfig(active_solver="vqe"))
+    assert len(built) == 1
+
+    cached = sim.build_uccsd_ansatz(2, 2)
+    fresh = sim._build_uccsd_ansatz.__wrapped__(2, 2, 0, "parity", True)
+    assert len(built) == 2 and cached is not fresh
+    assert cached == fresh  # every field but the compiled rotations
+    assert len(cached._rotations) == len(fresh._rotations)
+    for ours, theirs in zip(cached._rotations, fresh._rotations):
+        for a, b in zip(ours, theirs):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
