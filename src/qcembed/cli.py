@@ -63,13 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=help_text)
         _add_common_flags(sp)
-        if name == "mu-scan":
-            sp.add_argument(
-                "--workers",
-                type=int,
-                default=None,
-                help="scan threads (default: serial; threads are slower, the work holds the GIL)",
-            )
         if name == "report":
             sp.add_argument("--references", type=Path, help="reference-energy CSV (default: packaged table)")
             sp.add_argument("--results", type=Path, required=True, help="embedding results CSV")
@@ -189,7 +182,7 @@ def _cmd_mu_scan(args) -> int:
     if cfg.mu_scan is None:
         raise SystemExit("error: mu-scan requires a config file with a [mu_scan] section")
     spec = _require_active(cfg, "mu-scan")
-    mu_opt, rows = mu_scan(cfg.mu_scan, spec, cfg.embedding, cfg.vqe, max_workers=args.workers)
+    mu_opt, rows = mu_scan(cfg.mu_scan, spec, cfg.embedding, cfg.vqe)
     buffer = io.StringIO()
     write_energy_table_csv(
         cfg.molecule or "system",

@@ -13,8 +13,16 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .activespace import ActiveHamiltonian
+from .integrals import canonical_classes
 
-__all__ = ["FermionTerm", "FermionOperator", "spin_orbital_hamiltonian", "excitation_generator"]
+__all__ = [
+    "FermionTerm",
+    "FermionOperator",
+    "hamiltonian_columns",
+    "integral_vector",
+    "spin_orbital_hamiltonian",
+    "excitation_generator",
+]
 
 # A term is a product of ladder operators applied right-to-left:
 # ((mode, is_creation), ...) with coefficients collected in a dict.
@@ -76,49 +84,63 @@ class FermionOperator:
         return f"FermionOperator(n_modes={self.n_modes}, terms={len(self._terms)})"
 
 
+def hamiltonian_columns(n_orbitals: int) -> list[tuple[float, tuple[FermionTerm, ...]]]:
+    """The second-quantized Hamiltonian as one (weight, terms) column per
+    integral, in the order of :func:`integral_vector`.
+
+    Integral x_c of column c contributes weight * x_c to each of its
+    terms: h_pq for every ordered (p, q) gives a+_{p,s} a_{q,s} over both
+    spins s, and each canonical (pq|rs) class gives
+    (1/2) a+_{w,s1} a+_{y,s2} a_{z,s2} a_{x,s1} for every distinct index
+    order (wx|yz) of the class and every spin pair, on 2 * n_orbitals
+    blocked spin orbitals.
+    """
+    n = n_orbitals
+    columns: list[tuple[float, tuple[FermionTerm, ...]]] = []
+    for p in range(n):
+        for q in range(n):
+            columns.append((1.0, tuple(((p + spin, True), (q + spin, False)) for spin in (0, n))))
+    for p, q, r, s in canonical_classes(n):
+        # expand the canonical class back to all distinct index orders
+        orders: list[tuple[int, int, int, int]] = []
+        for a, b in ((p, q), (q, p)):
+            for c, d in ((r, s), (s, r)):
+                for order in ((a, b, c, d), (c, d, a, b)):
+                    if order not in orders:
+                        orders.append(order)
+        terms = tuple(
+            ((w + spin1, True), (y + spin2, True), (z + spin2, False), (x + spin1, False))
+            for w, x, y, z in orders
+            for spin1 in (0, n)
+            for spin2 in (0, n)
+        )
+        columns.append((0.5, terms))
+    return columns
+
+
+def integral_vector(active: ActiveHamiltonian) -> np.ndarray:
+    """The integrals the columns of :func:`hamiltonian_columns` weight:
+    h_pq row-major, then every canonical (pq|rs) class, 0 where unset."""
+    one_body = np.asarray(active.one_body_eff).ravel()
+    return np.concatenate((one_body, active.two_body.canonical_vector()))
+
+
 def spin_orbital_hamiltonian(active: ActiveHamiltonian) -> FermionOperator:
     """Expand an active-space Hamiltonian into second quantization.
 
     Returns sum_pq h_pq a+_p a_q + (1/2) sum (pq|rs) a+_{p,s1} a+_{r,s2}
-    a_{s,s2} a_{q,s1} over 2 * n_orbitals blocked spin orbitals.  The
-    inactive energy offset is not included.
+    a_{s,s2} a_{q,s1} over 2 * n_orbitals blocked spin orbitals: each
+    nonzero integral weights the terms of its :func:`hamiltonian_columns`
+    column.  The inactive energy offset is not included.
     """
-    n = active.n_orbitals
-    h = np.asarray(active.one_body_eff)
+    columns = hamiltonian_columns(active.n_orbitals)
     terms: dict[FermionTerm, complex] = {}
-
-    def add(term: FermionTerm, coeff: float) -> None:
-        if coeff != 0.0:
-            terms[term] = terms.get(term, 0.0) + coeff
-
-    for p in range(n):
-        for q in range(n):
-            if h[p, q] == 0.0:
-                continue
-            for spin in (0, n):
-                add(((p + spin, True), (q + spin, False)), h[p, q])
-
-    for (p, q, r, s), value in active.two_body.items_canonical():
-        # expand the canonical class back to all distinct index orders
-        seen = set()
-        for a, b in ((p, q), (q, p)):
-            for c, d in ((r, s), (s, r)):
-                for (w, x), (y, z) in (((a, b), (c, d)), ((c, d), (a, b))):
-                    if (w, x, y, z) in seen:
-                        continue
-                    seen.add((w, x, y, z))
-                    for spin1 in (0, n):
-                        for spin2 in (0, n):
-                            add(
-                                (
-                                    (w + spin1, True),
-                                    (y + spin2, True),
-                                    (z + spin2, False),
-                                    (x + spin1, False),
-                                ),
-                                0.5 * value,
-                            )
-    return FermionOperator(2 * n, terms)
+    for value, (weight, column) in zip(integral_vector(active), columns):
+        if value == 0.0:
+            continue
+        for term in column:
+            terms[term] = terms.get(term, 0.0) + weight * value
+    return FermionOperator(2 * active.n_orbitals, terms)
 
 
 def excitation_generator(excitation: tuple[int, ...], n_modes: int) -> FermionOperator:

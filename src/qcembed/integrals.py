@@ -27,6 +27,7 @@ __all__ = [
     "FcidumpError",
     "SymmetricTwoBody",
     "IntegralSet",
+    "canonical_classes",
     "parse_fcidump",
     "read_fcidump",
     "write_fcidump",
@@ -49,6 +50,21 @@ def _pair_index(p: int, q: int) -> int:
     if p < q:
         p, q = q, p
     return p * (p + 1) // 2 + q
+
+
+def canonical_classes(n_orbitals: int) -> list[tuple[int, int, int, int]]:
+    """The canonical representative (p, q, r, s) of every (pq|rs) class:
+    p >= q, r >= s and (p, q) >= (r, s), sorted by index tuple.  This is
+    the order of :meth:`SymmetricTwoBody.items_canonical` and of
+    :meth:`SymmetricTwoBody.canonical_vector`, where the class with pair
+    indices (pq, rs) sits at pq (pq + 1) / 2 + rs."""
+    classes = []
+    for p in range(n_orbitals):
+        for q in range(p + 1):
+            for r in range(p + 1):
+                for s in range(q + 1 if r == p else r + 1):
+                    classes.append((p, q, r, s))
+    return classes
 
 
 class SymmetricTwoBody:
@@ -102,6 +118,15 @@ class SymmetricTwoBody:
             entries.append(((p, q, r, s), value))
         entries.sort(key=lambda e: e[0])
         yield from entries
+
+    def canonical_vector(self) -> np.ndarray:
+        """The value of every class of :func:`canonical_classes`, in that
+        order, 0 where unset."""
+        n_pairs = self.n_orbitals * (self.n_orbitals + 1) // 2
+        values = np.zeros(n_pairs * (n_pairs + 1) // 2)
+        for (pq, rs), value in self._data.items():
+            values[pq * (pq + 1) // 2 + rs] = value
+        return values
 
     def dense(self) -> np.ndarray:
         """Expand to a full n^4 tensor (chemists' index order)."""

@@ -10,7 +10,6 @@ total energy.  Non-converged points never enter the argmin.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -89,16 +88,13 @@ def mu_scan(
     active: ActiveSpaceSpec,
     embed_config: EmbeddingConfig | None = None,
     vqe_config: VqeConfig | None = None,
-    max_workers: int | None = None,
 ) -> tuple[float, list[MuScanRow]]:
     """Run the embedding at every grid point and pick the optimal mu.
 
     Every grid value must have an input file; all points share the same
     active space and solver configuration.  Points that fail to converge
     are kept in the table (flagged) but excluded from the argmin.  The
-    points run one after another unless ``max_workers`` > 1 asks for a
-    thread pool; the work holds the interpreter lock, so threads are
-    measured slower than the serial loop.
+    points run one after another.
     """
     grid = mu_grid(spec)
     missing = [mu for mu in grid if _input_for(spec, mu) is None]
@@ -119,10 +115,5 @@ def mu_scan(
             evaluations=sum(state.solver_evaluations),
         )
 
-    if max_workers is None or max_workers <= 1:
-        rows = [run_point(mu) for mu in grid]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(run_point, grid))
-
+    rows = [run_point(mu) for mu in grid]
     return select_optimal_mu(rows), rows

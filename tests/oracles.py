@@ -251,6 +251,19 @@ def reference_map_with_ladder(op, ladder):
     return result
 
 
+def reference_map_active_hamiltonian(active, spin_2ms=0, mapping="parity", two_qubit_reduced=True):
+    """Qubit image of an active Hamiltonian through its fermion operator:
+    expand every integral into ladder terms, map the operator, reduce it,
+    then check and drop the imaginary residue."""
+    from qcembed.fermion import spin_orbital_hamiltonian
+    from qcembed.sim import _map_operator
+
+    op = spin_orbital_hamiltonian(active)
+    n_alpha = (active.n_electrons + spin_2ms) // 2
+    mapped = _map_operator(op, mapping, two_qubit_reduced, active.n_electrons, n_alpha)
+    return mapped.real_coefficients(1e-10)
+
+
 def reference_lift_reduced_parity_state(amplitudes: np.ndarray, n_spatial: int, n_alpha: int, n_beta: int):
     """Occupation-basis amplitudes behind a two-qubit-reduced parity state,
     one nonzero amplitude at a time."""

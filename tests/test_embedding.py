@@ -336,3 +336,35 @@ def test_builtin_solver_resolves_changed_hamiltonian(monkeypatch, perturb):
     changed = perturb(active)
     assert solver(changed, 4)[2] == 1
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "molecule, specs",
+    [
+        ("h2", [(2, 1), (2, 2)]),
+        ("lih", [(2, 2), (2, 3), (4, 4)]),
+        ("h2o", [(2, 2), (4, 4), (6, 5)]),
+    ],
+)
+def test_active_hamiltonian_is_fixed_across_iterations(request, molecule, specs):
+    """In the fixed orbital basis the environment density outside the
+    window keeps its Hartree-Fock values, so every iteration reduces to
+    the same active Hamiltonian bitwise, whatever the solver returns."""
+    integrals = request.getfixturevalue(f"{molecule}_integrals")
+    for n_electrons, n_orbitals in specs:
+        seen = []
+
+        def solver(active, iteration):
+            seen.append(active)
+            rng = np.random.default_rng(iteration)
+            gamma = rng.normal(size=(n_orbitals, n_orbitals))
+            return -0.01 * iteration, gamma + gamma.T, 1
+
+        config = EmbeddingConfig(active_solver=solver, max_embedding_iterations=5)
+        state = run_embedding(integrals, ActiveSpaceSpec(n_electrons, n_orbitals), config)
+        assert len(seen) == 5 and not state.converged
+        first = seen[0]
+        for active in seen[1:]:
+            assert active.inactive_energy == first.inactive_energy
+            assert np.array_equal(active.one_body_eff, first.one_body_eff)
+            assert active.two_body == first.two_body

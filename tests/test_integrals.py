@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcembed.integrals import (
     FcidumpError,
     IntegralSet,
     SymmetricTwoBody,
+    canonical_classes,
     parse_fcidump,
     read_fcidump,
     write_fcidump,
@@ -177,3 +180,55 @@ def test_electron_capacity_invariant():
 def test_unrecognized_index_pattern():
     with pytest.raises(FcidumpError, match="unrecognized"):
         parse_fcidump(HEADER + "1.0 1 1 1 0\n")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+def test_canonical_vector_follows_canonical_classes(n):
+    classes = canonical_classes(n)
+    n_pairs = n * (n + 1) // 2
+    assert len(set(classes)) == len(classes) == n_pairs * (n_pairs + 1) // 2
+    assert classes == sorted(classes)
+    rng = np.random.default_rng(n)
+    two = SymmetricTwoBody(n)
+    for p, q, r, s in np.ndindex(n, n, n, n):
+        if rng.random() < 0.3:
+            two.set(p, q, r, s, rng.normal())
+    vector = two.canonical_vector()
+    assert vector.tolist() == [two.get(*indices) for indices in classes]
+    stored = [indices for indices, _ in two.items_canonical()]
+    assert stored == [indices for indices, value in zip(classes, vector) if value != 0.0]
+
+
+# a value that is exactly 0 about a third of the time
+_INTEGRAL = st.one_of(
+    st.just(0.0), st.floats(-50.0, 50.0, allow_nan=False), st.floats(-1e-8, 1e-8, allow_nan=False)
+)
+
+
+@st.composite
+def symmetric_integral_sets(draw):
+    """IntegralSets with n <= 5 built from a symmetric h and an
+    8-fold-symmetric (pq|rs) tensor, exact zeros included."""
+    n = draw(st.integers(1, 5))
+    h = np.zeros((n, n))
+    for p in range(n):
+        for q in range(p + 1):
+            h[p, q] = h[q, p] = draw(_INTEGRAL)
+    eri = np.zeros((n, n, n, n))
+    for p in range(n):
+        for q in range(p + 1):
+            for r in range(p + 1):
+                for s in range(q + 1 if r == p else r + 1):
+                    value = draw(_INTEGRAL)
+                    for a, b in ((p, q), (q, p)):
+                        for c, d in ((r, s), (s, r)):
+                            eri[a, b, c, d] = eri[c, d, a, b] = value
+    n_electrons = draw(st.integers(0, 2 * n))
+    spin_2ms = draw(st.integers(-n_electrons, n_electrons))
+    return IntegralSet.from_arrays(h, eri, draw(_INTEGRAL), n_electrons, spin_2ms)
+
+
+@given(integrals=symmetric_integral_sets())
+@settings(max_examples=60, deadline=None)
+def test_roundtrip_is_bitwise_identity_on_random_symmetric_sets(integrals):
+    assert parse_fcidump(write_fcidump(integrals)) == integrals

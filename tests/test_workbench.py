@@ -111,9 +111,7 @@ def mu_inputs(tmp_path, h2_integrals):
 
 def test_mu_scan_end_to_end(mu_inputs):
     spec = MuScanSpec(mu_start=1.0, mu_end=2.0, mu_step=0.5, per_mu_inputs=mu_inputs)
-    mu_opt, rows = mu_scan(
-        spec, ActiveSpaceSpec(2, 2), EmbeddingConfig(active_solver="fci"), max_workers=2
-    )
+    mu_opt, rows = mu_scan(spec, ActiveSpaceSpec(2, 2), EmbeddingConfig(active_solver="fci"))
     assert mu_opt == 1.5
     assert len(rows) == 3
     assert all(row.converged for row in rows)
@@ -381,3 +379,27 @@ def test_mu_scan_builds_each_ansatz_shape_once(mu_inputs, monkeypatch):
     for ours, theirs in zip(cached._rotations, fresh._rotations):
         for a, b in zip(ours, theirs):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# -- tooling ------------------------------------------------------------------
+
+
+def test_traced_bench_patches_name_existing_attributes(monkeypatch):
+    """The traced benchmark replaces package functions by module and name;
+    a refactor that drops one of those names must fail here too."""
+    import importlib
+    import sys
+    from pathlib import Path
+
+    bench = Path(__file__).parent.parent / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    for name in ("layers", "tracing"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    layers = importlib.import_module("layers")
+    missing = [
+        f"{module.__name__}.{attribute}"
+        for module, attribute, *_ in layers.PATCHES
+        if not hasattr(module, attribute)
+    ]
+    assert not missing
