@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .integrals import IntegralSet, SymmetricTwoBody
-from .meanfield import MeanFieldResult
+from .meanfield import MeanFieldResult, coulomb_exchange
 
 __all__ = [
     "ActiveSpaceError",
@@ -163,8 +163,7 @@ def reduce_in_orbital_basis(
         for i in inactive:
             env_density[i, i] = 2.0
 
-    coulomb = np.einsum("pqrs,rs->pq", eri, env_density, optimize=True)
-    exchange = np.einsum("prsq,rs->pq", eri, env_density, optimize=True)
+    coulomb, exchange = coulomb_exchange(eri, env_density)
     h_eff = h + coulomb - 0.5 * exchange
     inactive_energy = core_energy + 0.5 * float(np.sum(env_density * (h + h_eff)))
 

@@ -28,7 +28,9 @@ electrons, so a table is a set of (m strings, L) arrays.
   buffers allocated once per solve.
 * Dense: H = H_a (x) 1 + 1 (x) H_b + sum_pqrs (pq|rs) E^a_pq (x) E^b_rs,
   each one-spin H_s assembled by chaining table entries E_pq E_rs.
-* The spin-summed 1-RDM is gamma_pq = c . (E_pq c), from the same D.
+* The spin-summed 1-RDM is gamma_pq = c . (E_pq c), from the same D.  It
+  is the package's one 1-RDM routine: ``fci_solve``, :func:`compute_1rdm`
+  and the VQE density (``sim.spin_summed_one_rdm``) all read it.
 """
 
 from __future__ import annotations

@@ -49,15 +49,20 @@ class MeanFieldResult:
         return int(round(np.trace(self.density))) // 2
 
 
+def coulomb_exchange(eri: np.ndarray, density: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(J, K) with J_pq = sum_rs (pq|rs) D_rs and K_pq = sum_rs (pr|sq) D_rs."""
+    coulomb = np.einsum("pqrs,rs->pq", eri, density)
+    exchange = np.einsum("prsq,rs->pq", eri, density)
+    return coulomb, exchange
+
+
 def build_fock(integrals: IntegralSet, density: np.ndarray) -> np.ndarray:
     """Closed-shell Fock matrix F_pq = h_pq + sum_rs D_rs [(pq|rs) - (pr|sq)/2]."""
     density = np.asarray(density, dtype=float)
     n = integrals.n_orbitals
     if density.shape != (n, n):
         raise ScfError(f"density shape {density.shape} does not match {n} orbitals")
-    eri = integrals.two_body_dense
-    coulomb = np.einsum("pqrs,rs->pq", eri, density)
-    exchange = np.einsum("prsq,rs->pq", eri, density)
+    coulomb, exchange = coulomb_exchange(integrals.two_body_dense, density)
     return integrals.one_body + coulomb - 0.5 * exchange
 
 

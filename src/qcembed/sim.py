@@ -54,6 +54,10 @@ test oracle, gives the same terms within 1e-12, and in the same order
 when no integral is exactly zero.  The oracle prunes each term's ladder
 product below 1e-12 after every factor, so integrals below about 1e-11
 can lose terms there that W keeps; W prunes only the final sums.
+
+:func:`spin_summed_one_rdm` reads the density in the FCI string space,
+one (N_alpha, N_beta) sector at a time, through the one 1-RDM routine
+of :mod:`qcembed.fci`, which alone holds the E_pq sign rule.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ import numpy as np
 import scipy.sparse
 
 from .activespace import ActiveHamiltonian
+from .fci import _StringSpace, _bit_strings
 
 # spin_orbital_hamiltonian is not called here; bench/layers.py traces the
 # fermion expansion under this module's name for it
@@ -567,37 +572,24 @@ def lift_reduced_parity_state(
 
 def spin_summed_one_rdm(state: Statevector, n_spatial: int) -> np.ndarray:
     """gamma_pq = <a+_p,sigma a_q,sigma> summed over spin, from an
-    occupation-basis statevector on 2 * n_spatial blocked modes."""
-    n_modes = 2 * n_spatial
-    if state.n_qubits != n_modes:
+    occupation-basis statevector on 2 * n_spatial blocked modes.
+
+    Index b holds alpha string b & (2^M - 1) and beta string b >> M.
+    E_pq is real, so <c|E|c> = <a|E|a> + <b|E|b> for c = a + ib.
+    """
+    if state.n_qubits != 2 * n_spatial:
         raise SimulationError("state does not match 2 * n_spatial modes")
     amps = state.amplitudes
-    indices = np.arange(len(amps), dtype=np.uint64)
+    nonzero = np.flatnonzero(amps)
+    alpha_counts = np.bitwise_count(nonzero & ((1 << n_spatial) - 1))
+    beta_counts = np.bitwise_count(nonzero >> n_spatial)
     gamma = np.zeros((n_spatial, n_spatial))
-    for spin in (0, n_spatial):
-        for p in range(n_spatial):
-            mp = p + spin
-            for q in range(n_spatial):
-                mq = q + spin
-                if mp == mq:
-                    occupied = (indices >> np.uint64(mq)) & np.uint64(1)
-                    gamma[p, q] += float(
-                        np.real(np.sum(occupied * np.abs(amps) ** 2))
-                    )
-                    continue
-                # a_q then a+_p: q must be occupied, p empty after removal
-                occ_q = ((indices >> np.uint64(mq)) & np.uint64(1)).astype(bool)
-                occ_p = ((indices >> np.uint64(mp)) & np.uint64(1)).astype(bool)
-                valid = occ_q & ~occ_p
-                if not np.any(valid):
-                    continue
-                source = indices[valid]
-                intermediate = source ^ np.uint64(1 << mq)
-                target = intermediate ^ np.uint64(1 << mp)
-                sign_q = 1.0 - 2.0 * parity_of_masked_bits(source, (1 << mq) - 1).astype(float)
-                sign_p = 1.0 - 2.0 * parity_of_masked_bits(intermediate, (1 << mp) - 1).astype(
-                    float
-                )
-                contribution = np.conj(amps[target]) * sign_q * sign_p * amps[source]
-                gamma[p, q] += float(np.real(np.sum(contribution)))
+    for sector in np.unique(alpha_counts * (n_spatial + 1) + beta_counts).tolist():
+        n_alpha, n_beta = divmod(sector, n_spatial + 1)
+        alpha = np.array(_bit_strings(n_spatial, n_alpha), dtype=np.int64)
+        beta = np.array(_bit_strings(n_spatial, n_beta), dtype=np.int64)
+        vector = amps[alpha[:, None] | (beta[None, :] << n_spatial)].ravel()
+        space = _StringSpace(n_spatial, alpha, beta)
+        gamma += space.one_rdm(vector.real)
+        gamma += space.one_rdm(vector.imag)
     return gamma

@@ -238,17 +238,22 @@ def reference_expectation(amps: np.ndarray, op) -> complex:
 
 def reference_map_with_ladder(op, ladder):
     """Qubit image of a FermionOperator, adding each term's ladder product
-    to a running PauliSum (which copies and re-prunes the whole sum)."""
-    from qcembed.pauli import PauliSum
+    to a running sum.  Only the strings a product touches can fall below
+    the prune tolerance, so pruning those after each addition is the
+    prune a rebuilt ``PauliSum`` would apply to the whole sum."""
+    from qcembed.pauli import PRUNE_TOLERANCE, PauliSum
 
     n = op.n_modes
-    result = PauliSum.zero(n)
+    acc = {}
     for term, coeff in op.items():
         product = PauliSum.identity(n, coeff)
         for mode, creation in term:
             product = product @ ladder(mode, n, creation)
-        result = result + product
-    return result
+        for string, value in product:
+            acc[string] = acc.get(string, 0.0) + value
+            if abs(acc[string]) < PRUNE_TOLERANCE:
+                del acc[string]
+    return PauliSum(n, acc)
 
 
 def reference_map_active_hamiltonian(active, spin_2ms=0, mapping="parity", two_qubit_reduced=True):
@@ -282,6 +287,43 @@ def reference_lift_reduced_parity_state(amplitudes: np.ndarray, n_spatial: int, 
         occupation = (parity_index ^ (parity_index << 1)) & full_mask
         amps[occupation] = amplitude
     return amps
+
+
+def reference_spin_summed_one_rdm(amps: np.ndarray, n_spatial: int) -> np.ndarray:
+    """gamma_pq = <a+_p,sigma a_q,sigma> summed over spin, from occupation-
+    basis amplitudes on 2 * n_spatial blocked modes, one mode pair at a
+    time with the Jordan-Wigner sign of every ladder operator."""
+    from qcembed.pauli import parity_of_masked_bits
+
+    indices = np.arange(len(amps), dtype=np.uint64)
+    gamma = np.zeros((n_spatial, n_spatial))
+    for spin in (0, n_spatial):
+        for p in range(n_spatial):
+            mp = p + spin
+            for q in range(n_spatial):
+                mq = q + spin
+                if mp == mq:
+                    occupied = (indices >> np.uint64(mq)) & np.uint64(1)
+                    gamma[p, q] += float(
+                        np.real(np.sum(occupied * np.abs(amps) ** 2))
+                    )
+                    continue
+                # a_q then a+_p: q must be occupied, p empty after removal
+                occ_q = ((indices >> np.uint64(mq)) & np.uint64(1)).astype(bool)
+                occ_p = ((indices >> np.uint64(mp)) & np.uint64(1)).astype(bool)
+                valid = occ_q & ~occ_p
+                if not np.any(valid):
+                    continue
+                source = indices[valid]
+                intermediate = source ^ np.uint64(1 << mq)
+                target = intermediate ^ np.uint64(1 << mp)
+                sign_q = 1.0 - 2.0 * parity_of_masked_bits(source, (1 << mq) - 1).astype(float)
+                sign_p = 1.0 - 2.0 * parity_of_masked_bits(intermediate, (1 << mp) - 1).astype(
+                    float
+                )
+                contribution = np.conj(amps[target]) * sign_q * sign_p * amps[source]
+                gamma[p, q] += float(np.real(np.sum(contribution)))
+    return gamma
 
 
 # --- Slater-Condon determinant oracle ---------------------------------------

@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcembed.activespace import ActiveHamiltonian
 from qcembed.fermion import spin_orbital_hamiltonian
 from qcembed.integrals import SymmetricTwoBody
 from qcembed.mappings import map_jordan_wigner
 from qcembed.pauli import PauliString, PauliSum
+from qcembed.sim import map_active_hamiltonian
 from qcembed.tapering import find_z2_symmetries, taper_all_sectors
 
 from oracles import pauli_sum_matrix
+from test_hamiltonian_map import random_symmetric_active
 
 
 def sorted_spectrum(op: PauliSum) -> np.ndarray:
@@ -19,7 +23,8 @@ def sorted_spectrum(op: PauliSum) -> np.ndarray:
 
 def union_of_sector_spectra(op: PauliSum) -> np.ndarray:
     values = []
-    for _, tapered in find_z2_symmetries(op).all_sectors():
+    for result in taper_all_sectors(op):
+        tapered = result.tapered_operator
         if tapered.n_qubits == 0:
             coeff = tapered.coefficient(PauliString.identity(0))
             values.append(float(coeff.real))
@@ -129,6 +134,22 @@ def test_random_planted_symmetry_spectrum_preserved():
         assert np.allclose(union_of_sector_spectra(op), sorted_spectrum(op), atol=1e-10)
         checked += 1
     assert checked >= 10
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_orbitals=st.integers(1, 3),
+    mapping=st.sampled_from(["jordan-wigner", "parity"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_union_of_sector_spectra_is_full_spectrum_of_random_active_hamiltonians(
+    seed, n_orbitals, mapping
+):
+    active = random_symmetric_active(np.random.default_rng(seed), n_orbitals, n_orbitals)
+    op = map_active_hamiltonian(active, mapping=mapping, two_qubit_reduced=False)
+    union = union_of_sector_spectra(op)
+    assert len(union) == 2**op.n_qubits
+    assert np.allclose(union, sorted_spectrum(op), rtol=0, atol=1e-10)
 
 
 def test_empty_generator_set_is_valid():
