@@ -20,7 +20,14 @@ from .embedding import (
     damping_factor,
     run_embedding,
 )
-from .fci import FciCapacityError, FciError, FciResult, compute_1rdm, fci_solve
+from .fci import (
+    FciCapacityError,
+    FciConvergenceError,
+    FciError,
+    FciResult,
+    compute_1rdm,
+    fci_solve,
+)
 from .fermion import FermionOperator, excitation_generator, spin_orbital_hamiltonian
 from .integrals import (
     FcidumpError,

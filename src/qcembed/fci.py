@@ -20,12 +20,20 @@ electron and the determinant sign factorises into the per-spin signs.
 Every string has the same number L = k(n - k + 1) of entries for k
 electrons, so a table is a set of (m strings, L) arrays.
 
-* Lanczos (above ``dense_limit``): ``eigsh`` from the Hartree-Fock
-  determinant on a matvec D = E c (stacked over pq), G = 1/2 (pq|rs) D,
+* Davidson (above ``dense_limit``): Davidson-Liu (Davidson, J. Comput.
+  Phys. 17, 87 (1975)) from the Hartree-Fock determinant on a matvec
+  D = E c (stacked over pq), G = 1/2 (pq|rs) D,
   sigma = sum_pq E_pq G_pq + sum_pq k_pq D_pq.  The 8-fold symmetry of
   (pq|rs) folds pq and qp onto the pair p >= q, so the matvec runs over
   n(n+1)/2 operators E_pq + E_qp as gathers and one matrix product into
-  buffers allocated once per solve.
+  buffers allocated once per solve.  Each step corrects the Ritz pair
+  (theta, x) by (H_diag - theta)^-1 r, r = Hx - theta x, with the exact
+  determinant diagonal H_diag from the string occupations; it stops at
+  ||r|| < ``DAVIDSON_TOLERANCE`` and raises :class:`FciConvergenceError`
+  after ``DAVIDSON_MAX_ITERATIONS`` steps.  For n_alpha == n_beta, H and
+  H_diag commute with transposing C[I, i] and the start is symmetric, so
+  the iteration, like Lanczos from the same start, finds the lowest state
+  with a symmetric C; the dense path finds the lowest of the whole sector.
 * Dense: H = H_a (x) 1 + 1 (x) H_b + sum_pqrs (pq|rs) E^a_pq (x) E^b_rs,
   each one-spin H_s assembled by chaining table entries E_pq E_rs.
 * The spin-summed 1-RDM is gamma_pq = c . (E_pq c), from the same D.  It
@@ -45,13 +53,32 @@ import scipy.sparse.linalg
 
 from .activespace import ActiveHamiltonian
 
-__all__ = ["FciError", "FciCapacityError", "FciResult", "fci_solve", "compute_1rdm"]
+__all__ = [
+    "FciError",
+    "FciCapacityError",
+    "FciConvergenceError",
+    "FciResult",
+    "fci_solve",
+    "compute_1rdm",
+]
 
 DEFAULT_DIMENSION_CAP = 40_000
-# Dense eigh wins below about 250 determinants and Lanczos above: random
-# Hamiltonians, 2-vCPU VM, dimension 147 dense 6 ms vs Lanczos 12 ms,
-# 300 dense 11 ms vs Lanczos 8 ms, 1225 dense 178 ms vs Lanczos 41 ms.
+# Dense eigh and Davidson break even near 225 determinants on molecular
+# sectors (H2O, LiH, H8 STO-3G spaces, whole fci_solve, best of 9, 2-vCPU
+# VM): 49 dense 2.8 ms vs Davidson 4.1 ms, 147 4.4 vs 5.2 ms, 224-225
+# 5.6-9.2 vs 2.3-11.5 ms (11-27 matvecs), 245 9.9 vs 6.0 ms, 400 18.4
+# vs 4.6 ms.  Random Hamiltonians favour dense further up (441: 16 vs
+# 25 ms): the diagonal preconditions them poorly.
 DENSE_DIMENSION_LIMIT = 250
+# Davidson stops once ||H x - theta x|| < DAVIDSON_TOLERANCE and raises
+# FciConvergenceError after DAVIDSON_MAX_ITERATIONS Ritz steps; it keeps
+# at most DAVIDSON_MAX_SUBSPACE basis vectors and their images.
+DAVIDSON_TOLERANCE = 1e-9
+DAVIDSON_MAX_ITERATIONS = 200
+DAVIDSON_MAX_SUBSPACE = 16
+# clamp on |diag - theta|, and the fraction of its norm a correction must
+# keep after orthogonalization to count as a new direction
+_SMALL = 1e-8
 
 
 class FciError(ValueError):
@@ -60,6 +87,10 @@ class FciError(ValueError):
 
 class FciCapacityError(RuntimeError):
     """Requested determinant basis exceeds the configured cap."""
+
+
+class FciConvergenceError(RuntimeError):
+    """The Davidson iteration did not reach ``DAVIDSON_TOLERANCE``."""
 
 
 def _bit_strings(n_orbitals: int, n_occupied: int) -> list[int]:
@@ -75,7 +106,8 @@ class FciResult:
     """Ground eigenpair plus the spin-summed one-particle density matrix.
 
     ``ground_energy`` excludes the inactive energy offset; callers add
-    it when reporting totals.
+    it when reporting totals.  ``matvecs`` counts the Davidson matvecs (0
+    on the dense path) and ``residual_norm`` is ||H c - E c||.
     """
 
     ground_energy: float
@@ -85,13 +117,16 @@ class FciResult:
     n_orbitals: int
     alpha_strings: tuple[int, ...]
     beta_strings: tuple[int, ...]
+    matvecs: int = 0
+    residual_norm: float = 0.0
 
 
 class _ExcitationTable:
     """Every E_pq|J> = sign |I> over one spin's ascending strings.
 
     ``pq``, ``target`` and ``sign`` are (m, L) arrays: row J holds the
-    L entries of string J, in (p, q) order.
+    L entries of string J, in (p, q) order.  ``occupations`` is the
+    (m, n) 0/1 occupation of each string.
     """
 
     def __init__(self, strings, n: int):
@@ -107,6 +142,7 @@ class _ExcitationTable:
         moved = masks[source] ^ bit[p] ^ bit[q]
 
         shape = (len(masks), -1)
+        self.occupations = occupied.astype(np.float64)
         self.pq = (p * n + q).reshape(shape)
         self.target = np.searchsorted(masks, moved).reshape(shape)
         self.sign = (1.0 - 2.0 * parity).reshape(shape)
@@ -243,6 +279,90 @@ def _hamiltonian_operator(
     return scipy.sparse.linalg.LinearOperator((dim, dim), matvec=matvec, dtype=np.float64)
 
 
+def _diagonal(space: _StringSpace, k: np.ndarray, eri: np.ndarray) -> np.ndarray:
+    """<Ii|H|Ii> = eps_a(I) + eps_b(i) + n_a(I) . J . n_b(i) for occupation
+    rows n_s, eps_s = n_s . h_diag + 1/2 n_s . (J - K) . n_s, J_pq = (pp|qq),
+    K_pq = (pq|qp) and h_pp = k_pp + 1/2 sum_r (pr|rp)."""
+    n = space.n
+    eri = eri.reshape(n, n, n, n)
+    coulomb = np.einsum("ppqq->pq", eri)
+    exchange = np.einsum("pqqp->pq", eri)
+    h_diag = k.reshape(n, n).diagonal() + 0.5 * exchange.sum(axis=1)
+    n_a, n_b = space.alpha.occupations, space.beta.occupations
+
+    def spin_energy(occupations):
+        same_spin = 0.5 * np.einsum("Ip,pq,Iq->I", occupations, coulomb - exchange, occupations)
+        return occupations @ h_diag + same_spin
+
+    diagonal = n_a @ coulomb @ n_b.T
+    diagonal += spin_energy(n_a)[:, None]
+    diagonal += spin_energy(n_b)[None, :]
+    return diagonal.ravel()
+
+
+def _davidson_ground(
+    operator: scipy.sparse.linalg.LinearOperator, diagonal: np.ndarray
+) -> tuple[float, np.ndarray, int, float]:
+    """Lowest eigenpair by Davidson-Liu from basis vector 0 (the
+    Hartree-Fock determinant).
+
+    Returns (energy, unit vector, matvecs, final residual norm).  Each
+    step corrects the Ritz pair (theta, x) by t = r / (diag - theta),
+    r = Hx - theta x, orthogonalized twice against the subspace; a
+    correction the subspace already holds is replaced by the residual.
+    A full subspace collapses onto x.
+    """
+    dimension = len(diagonal)
+    max_subspace = min(DAVIDSON_MAX_SUBSPACE, dimension)
+    basis = np.zeros((max_subspace, dimension))
+    images = np.zeros((max_subspace, dimension))  # H applied to each basis row
+    projected = np.zeros((max_subspace, max_subspace))
+    basis[0, 0] = 1.0  # Hartree-Fock determinant
+    images[0] = operator.matvec(basis[0])
+    projected[0, 0] = images[0, 0]
+    size, matvecs = 1, 1
+
+    for iteration in range(1, DAVIDSON_MAX_ITERATIONS + 1):
+        thetas, ritz = scipy.linalg.eigh(projected[:size, :size], subset_by_index=[0, 0])
+        theta, coefficients = float(thetas[0]), ritz[:, 0]
+        vector = coefficients @ basis[:size]
+        residual = coefficients @ images[:size] - theta * vector
+        residual_norm = float(np.linalg.norm(residual))
+        if residual_norm < DAVIDSON_TOLERANCE:
+            return theta, vector / np.linalg.norm(vector), matvecs, residual_norm
+        if iteration == DAVIDSON_MAX_ITERATIONS:
+            break
+
+        if size == max_subspace:
+            images[0] = coefficients @ images[:size]
+            basis[0] = vector
+            projected[0, 0] = theta
+            size = 1
+        shift = diagonal - theta
+        shift[np.abs(shift) < _SMALL] = _SMALL
+        for candidate in (residual / shift, residual):
+            start_norm = np.linalg.norm(candidate)
+            for _ in range(2):
+                candidate -= (basis[:size] @ candidate) @ basis[:size]
+            norm = np.linalg.norm(candidate)
+            if norm > _SMALL * start_norm:
+                break
+        else:  # even the residual lies in the subspace: no new direction
+            break
+        basis[size] = candidate / norm
+        images[size] = operator.matvec(basis[size])
+        matvecs += 1
+        projected[size, : size + 1] = basis[: size + 1] @ images[size]
+        projected[: size + 1, size] = projected[size, : size + 1]
+        size += 1
+
+    raise FciConvergenceError(
+        f"Davidson stopped unconverged after {iteration} iterations: residual norm "
+        f"{residual_norm:.3e}, tolerance {DAVIDSON_TOLERANCE:.0e}, "
+        f"cap {DAVIDSON_MAX_ITERATIONS} iterations"
+    )
+
+
 def fci_solve(
     active: ActiveHamiltonian,
     n_electrons: int | None = None,
@@ -254,9 +374,12 @@ def fci_solve(
 
     Dense diagonalization is used for basis dimensions up to
     ``dense_limit`` (and always for a single determinant); beyond that a
-    Lanczos iteration with a deterministic Hartree-Fock start vector
-    takes over.  Exceeding ``dimension_cap`` (or 62 orbitals) raises
-    :class:`FciCapacityError` before any string is enumerated.
+    Davidson iteration from the Hartree-Fock determinant takes over and
+    raises :class:`FciConvergenceError` if it does not converge.
+    ``matvecs`` and ``residual_norm`` on the result say what the solve
+    took (0 matvecs on the dense path).  Exceeding ``dimension_cap`` (or
+    62 orbitals) raises :class:`FciCapacityError` before any string is
+    enumerated.
     """
     if n_electrons is None:
         n_electrons = active.n_electrons
@@ -290,18 +413,15 @@ def fci_solve(
     space = _StringSpace(n, alpha_strings, beta_strings)
     k, eri = _integrals(active)
 
-    if dimension <= max(dense_limit, 1):  # ARPACK needs dimension >= 2
-        energies, vectors = scipy.linalg.eigh(
-            _dense_hamiltonian(space, k, eri), subset_by_index=[0, 0]
-        )
+    if dimension <= max(dense_limit, 1):  # one determinant is its own eigenvector
+        matrix = _dense_hamiltonian(space, k, eri)
+        energies, vectors = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
+        energy, vector, matvecs = float(energies[0]), vectors[:, 0], 0
+        residual_norm = float(np.linalg.norm(matrix @ vector - energy * vector))
     else:
-        v0 = np.zeros(dimension)
-        v0[0] = 1.0  # Hartree-Fock determinant
-        energies, vectors = scipy.sparse.linalg.eigsh(
-            _hamiltonian_operator(space, k, eri), k=1, which="SA", v0=v0
+        energy, vector, matvecs, residual_norm = _davidson_ground(
+            _hamiltonian_operator(space, k, eri), _diagonal(space, k, eri)
         )
-    energy = float(energies[0])
-    vector = vectors[:, 0]
 
     # deterministic global sign: largest-magnitude component positive
     pivot = int(np.argmax(np.abs(vector)))
@@ -316,6 +436,8 @@ def fci_solve(
         n_orbitals=n,
         alpha_strings=alpha_strings,
         beta_strings=beta_strings,
+        matvecs=matvecs,
+        residual_norm=residual_norm,
     )
 
 

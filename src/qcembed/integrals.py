@@ -129,15 +129,13 @@ class SymmetricTwoBody:
         return values
 
     def dense(self) -> np.ndarray:
-        """Expand to a full n^4 tensor (chemists' index order)."""
-        n = self.n_orbitals
-        out = np.zeros((n, n, n, n))
-        for (p, q, r, s), value in self.items_canonical():
-            for a, b in ((p, q), (q, p)):
-                for c, d in ((r, s), (s, r)):
-                    out[a, b, c, d] = value
-                    out[c, d, a, b] = value
-        return out
+        """Expand to a full n^4 tensor (chemists' index order): element
+        (p, q, r, s) reads the canonical vector at its class index."""
+        orbitals = np.arange(self.n_orbitals)
+        high = np.maximum.outer(orbitals, orbitals)
+        pair = high * (high + 1) // 2 + np.minimum.outer(orbitals, orbitals)
+        high, low = np.maximum.outer(pair, pair), np.minimum.outer(pair, pair)
+        return self.canonical_vector()[high * (high + 1) // 2 + low]
 
     @classmethod
     def from_dense(cls, tensor: np.ndarray, tolerance: float = 0.0) -> "SymmetricTwoBody":

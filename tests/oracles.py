@@ -157,6 +157,19 @@ def random_hermitian_fermion_operator(rng: np.random.Generator, n_modes: int, n_
     return op
 
 
+def reference_two_body_dense(two_body) -> np.ndarray:
+    """The n^4 (pq|rs) tensor of a ``SymmetricTwoBody``, writing each
+    canonical value into its 8 index permutations one at a time."""
+    n = two_body.n_orbitals
+    out = np.zeros((n, n, n, n))
+    for (p, q, r, s), value in two_body.items_canonical():
+        for a, b in ((p, q), (q, p)):
+            for c, d in ((r, s), (s, r)):
+                out[a, b, c, d] = value
+                out[c, d, a, b] = value
+    return out
+
+
 def random_active_hamiltonian(rng: np.random.Generator, n_orbitals: int, scale: float = 1.0):
     """Random symmetric one-body + 8-fold-symmetric two-body active Hamiltonian."""
     from qcembed.activespace import ActiveHamiltonian
@@ -457,6 +470,18 @@ def reference_fci_matrix(active, n_alpha: int, n_beta: int) -> np.ndarray:
         matrix[row, col] = value
         matrix[col, row] = value
     return matrix
+
+
+def reference_lanczos_ground(operator) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair by ARPACK Lanczos (``eigsh``, machine-precision
+    tolerance) from the Hartree-Fock determinant, basis vector 0: the
+    iterative FCI solve the Davidson iteration replaced."""
+    import scipy.sparse.linalg
+
+    start = np.zeros(operator.shape[0])
+    start[0] = 1.0
+    energies, vectors = scipy.sparse.linalg.eigsh(operator, k=1, which="SA", v0=start)
+    return float(energies[0]), vectors[:, 0]
 
 
 def reference_fci_one_rdm(n: int, n_alpha: int, n_beta: int, vector: np.ndarray) -> np.ndarray:

@@ -3,12 +3,13 @@ Slater-Condon determinant oracle and goldens."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse.linalg
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qcembed.fci as fci
 from qcembed.activespace import ActiveHamiltonian, ActiveSpaceSpec, reduce_integrals
-from qcembed.fci import FciCapacityError, FciError, compute_1rdm, fci_solve
+from qcembed.fci import FciCapacityError, FciConvergenceError, FciError, compute_1rdm, fci_solve
 from qcembed.integrals import SymmetricTwoBody
 from qcembed.meanfield import solve_rhf
 
@@ -19,6 +20,7 @@ from oracles import (
     random_active_hamiltonian,
     reference_fci_matrix,
     reference_fci_one_rdm,
+    reference_lanczos_ground,
 )
 from conftest import FIXTURE_DIR
 
@@ -230,3 +232,114 @@ def test_one_rdm_matches_slater_condon(case):
     active, n_alpha, n_beta, space, vector = case
     expected = reference_fci_one_rdm(active.n_orbitals, n_alpha, n_beta, vector)
     np.testing.assert_allclose(space.one_rdm(vector), expected, rtol=0, atol=1e-12)
+
+
+@given(sectors())
+@settings(max_examples=60, deadline=None)
+def test_diagonal_matches_dense_matrix(case):
+    active, _, _, space, _ = case
+    k, eri = fci._integrals(active)
+    expected = np.diag(fci._dense_hamiltonian(space, k, eri))
+    np.testing.assert_allclose(fci._diagonal(space, k, eri), expected, rtol=0, atol=1e-12)
+
+
+def _check_davidson_ground(active, n_alpha, n_beta) -> bool:
+    """Davidson against dense eigh and the Lanczos oracle on one sector.
+
+    Both iterative solves start from the Hartree-Fock determinant and
+    cannot reach a ground state it has no weight in (an antisymmetric
+    C[I, i] when n_alpha == n_beta).  Returns False, checking nothing,
+    for such a sector.
+    """
+    n = active.n_orbitals
+    space = fci._StringSpace(n, fci._bit_strings(n, n_alpha), fci._bit_strings(n, n_beta))
+    k, eri = fci._integrals(active)
+    energies, vectors = np.linalg.eigh(fci._dense_hamiltonian(space, k, eri))
+    ground = energies - energies[0] < 1e-8
+    if np.sum(vectors[0, ground] ** 2) < 1e-8:
+        return False
+    result = fci_solve(
+        active, n_electrons=n_alpha + n_beta, s_z=(n_alpha - n_beta) / 2, dense_limit=0
+    )
+    lanczos_energy, _ = reference_lanczos_ground(fci._hamiltonian_operator(space, k, eri))
+    assert 1 <= result.matvecs <= fci.DAVIDSON_MAX_ITERATIONS
+    assert result.residual_norm < fci.DAVIDSON_TOLERANCE
+    assert result.ground_energy == pytest.approx(energies[0], abs=1e-10)
+    assert result.ground_energy == pytest.approx(lanczos_energy, abs=1e-10)
+    if ground.sum() == 1 and energies[1] - energies[0] > 1e-3:
+        assert abs(vectors[:, 0] @ result.ground_vector) >= 1 - 1e-8
+    return True
+
+
+@given(sectors())
+@settings(max_examples=60, deadline=None)
+def test_davidson_matches_dense_and_lanczos(case):
+    active, n_alpha, n_beta, space, _ = case
+    assume(space.dimension >= 2)
+    assume(_check_davidson_ground(active, n_alpha, n_beta))
+
+
+@pytest.mark.parametrize(
+    "n, n_alpha, n_beta",
+    [(4, 0, 2), (4, 4, 1), (3, 3, 2), (5, 2, 0), (5, 3, 1), (4, 1, 3), (5, 2, 2)],
+)
+def test_davidson_on_empty_full_and_open_shell_sectors(n, n_alpha, n_beta):
+    active = random_active_hamiltonian(np.random.default_rng(60 + n), n)
+    assert _check_davidson_ground(active, n_alpha, n_beta)
+
+
+def test_davidson_replaces_a_correction_already_in_the_subspace():
+    """A 3x3 problem whose second correction lies in the span of the first
+    two basis vectors: the solve must add the residual instead, without a
+    division by a vanishing norm, and finish exactly."""
+    cos, sin, h1, h2 = 0.6, 0.8, 1.0, 2.0
+    matrix = np.array([[0.0, 1.0, 1.0], [1.0, h1, 0.0], [1.0, 0.0, h2]])
+    # the first correction is (0, cos, sin); the diagonal is chosen so that
+    # the second, r / (diag - theta), is orthogonal to r, the one direction
+    # the first two basis vectors miss
+    theta = np.linalg.eigvalsh([[0.0, cos + sin], [cos + sin, cos**2 * h1 + sin**2 * h2]])[0]
+    scale = theta / (cos + sin)
+    diagonal = np.array([0.0, scale / cos, scale / sin])
+    with np.errstate(all="raise"):
+        energy, vector, matvecs, residual_norm = fci._davidson_ground(
+            scipy.sparse.linalg.aslinearoperator(matrix), diagonal
+        )
+    assert energy == pytest.approx(np.linalg.eigvalsh(matrix)[0], abs=1e-12)
+    assert matvecs == 3
+    assert residual_norm < fci.DAVIDSON_TOLERANCE
+    np.testing.assert_allclose(matrix @ vector, energy * vector, rtol=0, atol=1e-12)
+
+
+def test_unconverged_davidson_raises_with_iterations_and_residual(monkeypatch):
+    active = random_active_hamiltonian(np.random.default_rng(57), 4)
+    monkeypatch.setattr(fci, "DAVIDSON_MAX_ITERATIONS", 1)
+    with pytest.raises(FciConvergenceError, match=r"after 1 iterations: residual norm \d\.\d+e"):
+        fci_solve(active, n_electrons=4, s_z=0.0, dense_limit=0)
+
+
+def test_h2o_10e7o_davidson_matvec_budget(h2o_integrals):
+    """H2O (10e,7o), 441 determinants: 13 matvecs when this budget was set,
+    against 91 for Lanczos from the same start."""
+    mf = solve_rhf(h2o_integrals)
+    active = reduce_integrals(h2o_integrals, mf, ActiveSpaceSpec(10, 7))
+    result = fci_solve(active)
+    assert result.basis_dimension == 441
+    assert 1 <= result.matvecs <= 20
+    assert result.residual_norm < fci.DAVIDSON_TOLERANCE
+    dense = fci_solve(active, dense_limit=441)
+    assert dense.matvecs == 0
+    assert dense.residual_norm < 1e-10
+    assert result.ground_energy == pytest.approx(dense.ground_energy, abs=1e-10)
+
+
+@pytest.mark.parametrize("molecule, spec", [("h2o", (10, 7)), ("h2o", (8, 6)), ("lih", (4, 6))])
+def test_davidson_matches_lanczos_on_fixture_spaces(request, molecule, spec):
+    integrals = request.getfixturevalue(f"{molecule}_integrals")
+    active = reduce_integrals(integrals, solve_rhf(integrals), ActiveSpaceSpec(*spec))
+    result = fci_solve(active, dense_limit=0)
+    space = fci._StringSpace(active.n_orbitals, result.alpha_strings, result.beta_strings)
+    oracle_energy, oracle_vector = reference_lanczos_ground(
+        fci._hamiltonian_operator(space, *fci._integrals(active))
+    )
+    assert result.ground_energy == pytest.approx(oracle_energy, abs=1e-12)
+    assert abs(oracle_vector @ result.ground_vector) >= 1 - 1e-12

@@ -16,6 +16,7 @@ from qcembed.integrals import (
 )
 
 from conftest import FIXTURE_DIR
+from oracles import reference_two_body_dense
 
 HEADER = " &FCI NORB=2,NELEC=2,MS2=0,\n  ORBSYM=1,1,\n  ISYM=1,\n &END\n"
 
@@ -232,3 +233,31 @@ def symmetric_integral_sets(draw):
 @settings(max_examples=60, deadline=None)
 def test_roundtrip_is_bitwise_identity_on_random_symmetric_sets(integrals):
     assert parse_fcidump(write_fcidump(integrals)) == integrals
+
+
+@st.composite
+def two_body_sets(draw):
+    """SymmetricTwoBody on n <= 6 orbitals, filled through ``set`` in any
+    of the 8 index orders, exact zeros and overwrites included."""
+    n = draw(st.integers(0, 6))
+    two = SymmetricTwoBody(n)
+    if n:
+        index = st.integers(0, n - 1)
+        for p, q, r, s, value in draw(st.lists(st.tuples(index, index, index, index, _INTEGRAL))):
+            two.set(p, q, r, s, value)
+    return two
+
+
+@given(two_body_sets())
+@settings(max_examples=80, deadline=None)
+def test_dense_is_bitwise_the_permutation_loop(two):
+    dense = two.dense()
+    expected = reference_two_body_dense(two)
+    assert dense.shape == expected.shape and dense.dtype == expected.dtype
+    assert dense.tobytes() == expected.tobytes()
+
+
+def test_dense_is_bitwise_the_permutation_loop_on_fixtures(golden):
+    for record in golden.values():
+        two = read_fcidump(FIXTURE_DIR / record["file"]).two_body
+        assert two.dense().tobytes() == reference_two_body_dense(two).tobytes()
