@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import compress
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -65,6 +66,17 @@ def canonical_classes(n_orbitals: int) -> list[tuple[int, int, int, int]]:
                 for s in range(q + 1 if r == p else r + 1):
                     classes.append((p, q, r, s))
     return classes
+
+
+@lru_cache(maxsize=16)
+def _canonical_gather(n_orbitals: int) -> tuple[tuple[np.ndarray, ...], tuple[tuple[int, int], ...]]:
+    """The (p, q, r, s) index arrays of :func:`canonical_classes` and the
+    matching (pq, rs) storage keys, in that order."""
+    classes = canonical_classes(n_orbitals)
+    table = np.array(classes, dtype=np.intp).reshape(-1, 4)
+    table.flags.writeable = False
+    keys = tuple((_pair_index(p, q), _pair_index(r, s)) for p, q, r, s in classes)
+    return tuple(table.T), keys
 
 
 class SymmetricTwoBody:
@@ -139,16 +151,15 @@ class SymmetricTwoBody:
 
     @classmethod
     def from_dense(cls, tensor: np.ndarray, tolerance: float = 0.0) -> "SymmetricTwoBody":
+        """Read ``tensor`` at the canonical representative of every class
+        (the other seven index orders are never read) and store each
+        nonzero value whose magnitude exceeds ``tolerance``."""
         n = tensor.shape[0]
+        indices, keys = _canonical_gather(n)
+        values = np.asarray(tensor[indices], dtype=float)
+        keep = (np.abs(values) > tolerance) & (values != 0.0)
         obj = cls(n)
-        for p in range(n):
-            for q in range(p + 1):
-                for r in range(p + 1):
-                    s_max = q if r == p else r
-                    for s in range(s_max + 1):
-                        value = float(tensor[p, q, r, s])
-                        if abs(value) > tolerance:
-                            obj.set(p, q, r, s, value)
+        obj._data = dict(zip(compress(keys, keep), values[keep].tolist()))
         return obj
 
     def __eq__(self, other) -> bool:

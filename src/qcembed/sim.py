@@ -31,7 +31,9 @@ is one diagonal D followed by that gather, ``(D * amps)[perm]``:
   :func:`expectation` reads it, into a (groups x 2^n) table of
   diagonals and gathers; op |amps> is then accumulated from zero as
   ``D * amps[gather]`` one group at a time, and the expectation is one
-  ``vdot`` with it.
+  ``vdot`` with it.  A single state forms the products of all groups
+  in one stacked call and sums them over the group axis, which adds
+  them in the same order.
 
 Both run on a block of states at once: ``_evolve_rows`` takes an
 (R x n_parameters) array of parameter vectors and returns their (R x 2^n)
@@ -238,16 +240,21 @@ def _expectation_rows(amps: np.ndarray, op: PauliSum) -> np.ndarray:
 
     op |a_r> is accumulated from zero one X-mask group at a time, then
     each row takes one ``vdot``; every row's imaginary residue must stay
-    below 1e-10 and is discarded.
+    below 1e-10 and is discarded.  A single row takes one stacked
+    product over all groups instead, whose sum over the group axis adds
+    the groups in the same order.
     """
     diagonals, gathers = _grouped_operator(op)
     columns = _columns(amps)
-    per_state = (slice(None),) + (None,) * (columns.ndim - 1)
-    applied = np.zeros(columns.shape, dtype=np.complex128)
-    for diagonal, gather in zip(diagonals, gathers):
-        applied += diagonal[per_state] * columns[gather]
-    rows, applied = np.ascontiguousarray(amps), np.ascontiguousarray(np.atleast_2d(applied.T))
-    values = np.array([np.vdot(row, out) for row, out in zip(rows, applied)], dtype=np.complex128)
+    if columns.ndim == 1:
+        row = np.ascontiguousarray(columns)
+        values = np.array([np.vdot(row, (diagonals * row[gathers]).sum(0))])
+    else:
+        applied = np.zeros(columns.shape, dtype=np.complex128)
+        for diagonal, gather in zip(diagonals, gathers):
+            applied += diagonal[:, None] * columns[gather]
+        rows, applied = np.ascontiguousarray(amps), np.ascontiguousarray(applied.T)
+        values = np.array([np.vdot(row, out) for row, out in zip(rows, applied)], dtype=np.complex128)
     residue = np.abs(values.imag)
     if np.any(residue > _IMAG_TOLERANCE):
         raise SimulationError(

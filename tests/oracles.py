@@ -170,6 +170,25 @@ def reference_two_body_dense(two_body) -> np.ndarray:
     return out
 
 
+def reference_from_dense(tensor: np.ndarray, tolerance: float = 0.0):
+    """``SymmetricTwoBody.from_dense`` as one ``set`` per canonical
+    (p, q, r, s) element of ``tensor`` whose magnitude exceeds
+    ``tolerance``; the other seven permutations are never read."""
+    from qcembed.integrals import SymmetricTwoBody
+
+    n = tensor.shape[0]
+    obj = SymmetricTwoBody(n)
+    for p in range(n):
+        for q in range(p + 1):
+            for r in range(p + 1):
+                s_max = q if r == p else r
+                for s in range(s_max + 1):
+                    value = float(tensor[p, q, r, s])
+                    if abs(value) > tolerance:
+                        obj.set(p, q, r, s, value)
+    return obj
+
+
 def random_active_hamiltonian(rng: np.random.Generator, n_orbitals: int, scale: float = 1.0):
     """Random symmetric one-body + 8-fold-symmetric two-body active Hamiltonian."""
     from qcembed.activespace import ActiveHamiltonian
@@ -247,6 +266,18 @@ def reference_expectation(amps: np.ndarray, op) -> complex:
     for string, coeff in op:
         value += coeff * np.vdot(amps, reference_pauli_action(amps, string))
     return value
+
+
+def reference_grouped_expectation(amps: np.ndarray, op) -> float:
+    """<amps| op |amps> from the package's X-mask table, with op |amps>
+    accumulated from zero one group at a time."""
+    from qcembed.sim import _grouped_operator
+
+    diagonals, gathers = _grouped_operator(op)
+    applied = np.zeros(amps.shape, dtype=np.complex128)
+    for diagonal, gather in zip(diagonals, gathers):
+        applied += diagonal * amps[gather]
+    return float(np.vdot(amps, applied).real)
 
 
 def reference_map_with_ladder(op, ladder):
@@ -607,4 +638,72 @@ def reference_minimize(hamiltonian, ansatz, config):
         iterate_energies.append(energy)
     return VqeResult(
         energy, parameters, tuple(trace), len(trace), converged, tuple(iterate_energies)
+    )
+
+
+def reference_fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
+    """Make the largest-magnitude component of each column positive, one
+    column at a time; ties go to the lower row index."""
+    out = vectors.copy()
+    for col in range(out.shape[1]):
+        pivot = int(np.argmax(np.abs(out[:, col])))
+        if out[pivot, col] < 0:
+            out[:, col] = -out[:, col]
+    return out
+
+
+def reference_solve_rhf(integrals, max_iter: int = 100, tol: float = 1e-10, mixing: float = 0.5):
+    """``meanfield.solve_rhf`` with a full ``scipy.linalg.eigh`` call and
+    the per-column sign loop on every Roothaan step."""
+    from qcembed.meanfield import MeanFieldResult, ScfError, _occupy, build_fock, electronic_energy
+
+    if integrals.n_electrons % 2 != 0:
+        raise ScfError(
+            f"restricted closed-shell solver requires an even electron count, got {integrals.n_electrons}"
+        )
+    if max_iter < 1:
+        raise ScfError(f"max_iter must be >= 1, got {max_iter}")
+    if not 0.0 < mixing <= 1.0:
+        raise ScfError(f"mixing must lie in (0, 1], got {mixing}")
+
+    n_occ = integrals.n_electrons // 2
+
+    eps, coeff = scipy.linalg.eigh(integrals.one_body)
+    coeff = reference_fix_eigenvector_signs(coeff)
+    density = _occupy(eps, coeff, n_occ)
+    fock = build_fock(integrals, density)
+    energy = electronic_energy(integrals, density, fock)
+
+    converged = False
+    iterations = 0
+    history: list[float] = []
+    for iteration in range(1, max_iter + 1):
+        iterations = iteration
+        eps, coeff = scipy.linalg.eigh(fock)
+        coeff = reference_fix_eigenvector_signs(coeff)
+        new_density = _occupy(eps, coeff, n_occ)
+        density = (1.0 - mixing) * density + mixing * new_density
+        fock = build_fock(integrals, density)
+        new_energy = electronic_energy(integrals, density, fock)
+        delta = abs(new_energy - energy)
+        energy = new_energy
+        history.append(energy)
+        if delta < tol:
+            converged = True
+            break
+
+    eps, coeff = scipy.linalg.eigh(fock)
+    coeff = reference_fix_eigenvector_signs(coeff)
+    density = _occupy(eps, coeff, n_occ)
+    fock = build_fock(integrals, density)
+    energy = electronic_energy(integrals, density, fock)
+
+    return MeanFieldResult(
+        energy=energy,
+        orbital_energies=eps,
+        orbital_coefficients=coeff,
+        density=density,
+        converged=converged,
+        iterations=iterations,
+        energy_history=tuple(history),
     )

@@ -16,7 +16,7 @@ from qcembed.integrals import (
 )
 
 from conftest import FIXTURE_DIR
-from oracles import reference_two_body_dense
+from oracles import reference_from_dense, reference_two_body_dense
 
 HEADER = " &FCI NORB=2,NELEC=2,MS2=0,\n  ORBSYM=1,1,\n  ISYM=1,\n &END\n"
 
@@ -261,3 +261,31 @@ def test_dense_is_bitwise_the_permutation_loop_on_fixtures(golden):
     for record in golden.values():
         two = read_fcidump(FIXTURE_DIR / record["file"]).two_body
         assert two.dense().tobytes() == reference_two_body_dense(two).tobytes()
+
+
+@given(
+    n=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+    zero_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+    tolerance=st.sampled_from([-1.0, 0.0, 1e-12, 0.5, 2.0]),
+)
+@settings(max_examples=80, deadline=None)
+def test_from_dense_is_the_class_loop_on_non_symmetric_tensors(n, seed, zero_fraction, tolerance):
+    rng = np.random.default_rng(seed)
+    tensor = rng.normal(size=(n,) * 4)
+    tensor[rng.random(tensor.shape) < zero_fraction] = 0.0
+    tensor[rng.random(tensor.shape) < 0.1] *= -0.0
+    two = SymmetricTwoBody.from_dense(tensor, tolerance)
+    expected = reference_from_dense(tensor, tolerance)
+    assert two == expected
+    # same keys in the same insertion order, values stored as Python floats
+    assert list(two._data.items()) == list(expected._data.items())
+    assert all(type(value) is float for value in two._data.values())
+
+
+def test_from_dense_is_the_class_loop_on_fixtures(golden):
+    for record in golden.values():
+        dense = read_fcidump(FIXTURE_DIR / record["file"]).two_body_dense
+        assert list(SymmetricTwoBody.from_dense(dense)._data.items()) == list(
+            reference_from_dense(dense)._data.items()
+        )

@@ -1,10 +1,72 @@
 """Restricted mean-field solver against closed forms and the fixture oracle."""
 
+from functools import lru_cache
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.lapack
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcembed.integrals import IntegralSet, SymmetricTwoBody
-from qcembed.meanfield import MeanFieldResult, ScfError, build_fock, solve_rhf
+from qcembed.integrals import IntegralSet, SymmetricTwoBody, read_fcidump
+from qcembed.meanfield import (
+    MeanFieldResult,
+    ScfError,
+    _fix_eigenvector_signs,
+    build_fock,
+    solve_rhf,
+)
+
+from oracles import reference_fix_eigenvector_signs, reference_solve_rhf
+
+FIXTURES = Path(__file__).parent / "fixtures"
+H8 = Path(__file__).parent.parent / "bench" / "data" / "h8_sto3g.fcidump"
+SYSTEMS = {
+    "h2_0735": FIXTURES / "h2_sto3g_0735.fcidump",
+    "h2_1100": FIXTURES / "h2_sto3g_1100.fcidump",
+    "h2_1500": FIXTURES / "h2_sto3g_1500.fcidump",
+    "lih": FIXTURES / "lih_sto3g.fcidump",
+    "h2o": FIXTURES / "h2o_sto3g.fcidump",
+    "h8": H8,
+}
+SOLVE_OPTIONS = {
+    "mixing-0.3": {"mixing": 0.3},
+    "mixing-0.5": {"mixing": 0.5},
+    "mixing-1.0": {"mixing": 1.0},
+    "max-iter-1": {"max_iter": 1},
+}
+
+
+@lru_cache(maxsize=None)
+def load(name: str) -> IntegralSet:
+    return read_fcidump(SYSTEMS[name])
+
+
+def assert_bitwise_array(actual: np.ndarray, expected: np.ndarray):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.strides == expected.strides
+    assert actual.tobytes() == expected.tobytes()
+
+
+def assert_bitwise_result(actual: MeanFieldResult, expected: MeanFieldResult):
+    assert_bitwise_array(actual.orbital_energies, expected.orbital_energies)
+    assert_bitwise_array(actual.orbital_coefficients, expected.orbital_coefficients)
+    assert_bitwise_array(actual.density, expected.density)
+    assert_bitwise_array(np.array(actual.energy), np.array(expected.energy))
+    assert_bitwise_array(np.array(actual.energy_history), np.array(expected.energy_history))
+    assert type(actual.energy) is type(expected.energy)
+    assert actual.converged is expected.converged
+    assert actual.iterations == expected.iterations
+
+
+def outcome(solve, integrals: IntegralSet, **options):
+    """The solver's result, or the text of the ``ScfError`` it raised."""
+    try:
+        return solve(integrals, **options)
+    except ScfError as exc:
+        return f"ScfError: {exc}"
 
 
 
@@ -109,3 +171,137 @@ def test_degenerate_homo_aborts_with_diagnostic():
 def test_dimension_mismatch_rejected(h2_integrals):
     with pytest.raises(ScfError, match="density shape"):
         build_fock(h2_integrals, np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("options", SOLVE_OPTIONS.values(), ids=SOLVE_OPTIONS.keys())
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_solve_rhf_is_bitwise_reference(name, options):
+    integrals = load(name)
+    assert_bitwise_result(solve_rhf(integrals, **options), reference_solve_rhf(integrals, **options))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["h2_0735", "h2_1500", "lih", "h2o"]),
+    seed=st.integers(0, 2**32 - 1),
+    noise=st.sampled_from([0.0, 1e-9, 1e-4, 1e-2]),
+    degenerate=st.booleans(),
+    mixing=st.sampled_from([0.5, 1.0]),
+)
+def test_solve_rhf_is_bitwise_reference_on_rotated_one_body(name, seed, noise, degenerate, mixing):
+    base = load(name)
+    n, n_occ = base.n_orbitals, base.n_electrons // 2
+    rng = np.random.default_rng(seed)
+    rotation, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    if degenerate:
+        # HOMO and LUMO of the core guess coincide; noise would split them.
+        levels = np.linalg.eigvalsh(base.one_body)
+        levels[n_occ] = levels[n_occ - 1]
+        one_body = rotation @ np.diag(levels) @ rotation.T
+    else:
+        perturbation = rng.normal(scale=noise, size=(n, n))
+        one_body = rotation @ base.one_body @ rotation.T + perturbation + perturbation.T
+    one_body = 0.5 * (one_body + one_body.T)
+    integrals = IntegralSet(n, base.n_electrons, base.spin_2ms, base.core_energy, one_body, base.two_body)
+
+    actual = outcome(solve_rhf, integrals, mixing=mixing)
+    expected = outcome(reference_solve_rhf, integrals, mixing=mixing)
+    if degenerate:
+        assert isinstance(expected, str) and "degenerate HOMO" in expected
+    if isinstance(expected, str):
+        assert actual == expected
+    else:
+        assert_bitwise_result(actual, expected)
+
+
+def test_solve_rhf_never_calls_the_eigh_wrappers(monkeypatch):
+    expected = reference_solve_rhf(load("h2o"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_rhf must call LAPACK syevr directly")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert_bitwise_result(solve_rhf(load("h2o")), expected)
+
+
+def spy_on_syevr(monkeypatch) -> list[np.ndarray]:
+    """Record every matrix handed to LAPACK syevr by ``solve_rhf``."""
+    seen = []
+    lookup = scipy.linalg.lapack.get_lapack_funcs
+
+    def get_lapack_funcs(names, arrays=()):
+        syevr, syevr_lwork = lookup(names, arrays)
+
+        def recording_syevr(a, *args, **kwargs):
+            seen.append(np.array(a))
+            return syevr(a, *args, **kwargs)
+
+        return recording_syevr, syevr_lwork
+
+    monkeypatch.setattr(scipy.linalg.lapack, "get_lapack_funcs", get_lapack_funcs)
+    return seen
+
+
+def test_syevr_is_called_once_per_roothaan_step(monkeypatch):
+    seen = spy_on_syevr(monkeypatch)
+    result = solve_rhf(load("lih"))
+    # core guess + one per Roothaan step + the final canonicalisation
+    assert len(seen) == result.iterations + 2
+
+
+def test_infinite_one_body_rejected_before_lapack(monkeypatch):
+    one_body = np.diag([-1.0, np.inf])
+    integrals = IntegralSet.from_arrays(one_body, np.zeros((2, 2, 2, 2)), 0.0, 2)
+    seen = spy_on_syevr(monkeypatch)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_rhf(integrals)
+    assert seen == []
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        reference_solve_rhf(integrals)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_fock_rejected_before_lapack(monkeypatch, bad):
+    two = SymmetricTwoBody(2)
+    two.set(1, 0, 1, 0, 0.2)
+    two.set(0, 0, 1, 1, bad)
+    integrals = IntegralSet(2, 2, 0, 0.0, np.diag([-1.0, -0.5]), two)
+    seen = spy_on_syevr(monkeypatch)
+    # inf times a zero density entry is NaN; numpy warns about it on the way
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_rhf(integrals)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            reference_solve_rhf(integrals)
+    # only the finite core guess reached LAPACK
+    assert len(seen) == 1 and np.isfinite(seen[0]).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 7),
+    cols=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+    fortran=st.booleans(),
+)
+def test_vectorised_sign_fix_matches_column_loop(rows, cols, seed, fortran):
+    rng = np.random.default_rng(seed)
+    # Few distinct magnitudes give exact ties in |v|, signed zeros included.
+    pool = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+    vectors = np.where(
+        rng.random((rows, cols)) < 0.7, rng.choice(pool, size=(rows, cols)), rng.normal(size=(rows, cols))
+    )
+    vectors[:, rng.random(cols) < 0.2] = 0.0
+    vectors[:, rng.random(cols) < 0.2] = -0.0
+    if fortran:
+        vectors = np.asfortranarray(vectors)
+    before = vectors.copy(order="K")
+    assert_bitwise_array(_fix_eigenvector_signs(vectors), reference_fix_eigenvector_signs(vectors))
+    assert_bitwise_array(vectors, before)
+
+
+def test_sign_fix_ties_go_to_the_lower_row():
+    vectors = np.array([[-0.5, 0.5, -0.0, 0.0], [0.5, -0.5, -0.0, -0.0]])
+    fixed = _fix_eigenvector_signs(vectors)
+    assert_bitwise_array(fixed, np.array([[0.5, 0.5, -0.0, 0.0], [-0.5, -0.5, -0.0, -0.0]]))

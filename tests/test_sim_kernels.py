@@ -15,6 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcembed import vqe
+from qcembed.activespace import ActiveSpaceSpec, reduce_integrals
+from qcembed.integrals import read_fcidump
+from qcembed.meanfield import solve_rhf
 from qcembed.pauli import PauliString, PauliSum
 from qcembed.sim import (
     SimulationError,
@@ -27,11 +31,14 @@ from qcembed.sim import (
     evolve_ansatz,
     expectation,
     lift_reduced_parity_state,
+    map_active_hamiltonian,
 )
 
+from conftest import FIXTURE_DIR
 from oracles import (
     reference_evolve,
     reference_expectation,
+    reference_grouped_expectation,
     reference_lift_reduced_parity_state,
     reference_pauli_action,
     reference_pauli_exponential,
@@ -226,3 +233,50 @@ def test_lift_reduced_parity_state_is_bitwise_reference(n_spatial, n_alpha, n_be
     lifted = lift_reduced_parity_state(Statevector(n_qubits, amps), n_spatial, n_alpha, n_beta)
     expected = reference_lift_reduced_parity_state(amps, n_spatial, n_alpha, n_beta)
     assert_bitwise(lifted.amplitudes, expected)
+
+
+# (fixture, active electrons, active orbitals): the VQE spaces of the benchmark
+VQE_PROBLEMS = {"lih-2e3o": ("lih_sto3g.fcidump", 2, 3), "h2o-4e4o": ("h2o_sto3g.fcidump", 4, 4)}
+
+
+@pytest.fixture(scope="module")
+def vqe_problems():
+    problems = {}
+    for key, (name, n_electrons, n_orbitals) in VQE_PROBLEMS.items():
+        integrals = read_fcidump(FIXTURE_DIR / name)
+        active = reduce_integrals(integrals, solve_rhf(integrals), ActiveSpaceSpec(n_electrons, n_orbitals))
+        ansatz = build_uccsd_ansatz(active.n_orbitals, active.n_electrons)
+        problems[key] = (map_active_hamiltonian(active), ansatz)
+    return problems
+
+
+@pytest.mark.parametrize("key", VQE_PROBLEMS)
+@pytest.mark.parametrize("seed", range(8))
+def test_one_row_expectation_is_bitwise_the_group_loop_on_fixtures(vqe_problems, key, seed):
+    hamiltonian, ansatz = vqe_problems[key]
+    rows = _evolve_rows(ansatz, random_parameter_rows(ansatz, seed, 5))
+    rows[0] = random_amplitudes(seed, ansatz.n_qubits)
+    block = _expectation_rows(rows, hamiltonian)
+    for amps, energy in zip(rows, block):
+        amps = np.ascontiguousarray(amps)
+        one_row = expectation(Statevector(ansatz.n_qubits, amps), hamiltonian)
+        assert_bitwise(np.array(one_row), np.array(energy))
+        assert_bitwise(np.array(one_row), np.array(reference_grouped_expectation(amps, hamiltonian)))
+        expected = reference_expectation(amps, hamiltonian).real
+        scale = sum(abs(coeff) for _, coeff in hamiltonian) * np.vdot(amps, amps).real
+        assert abs(one_row - expected) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("key", VQE_PROBLEMS)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_vqe_trace_is_bitwise_under_the_group_loop(vqe_problems, key, seed, monkeypatch):
+    hamiltonian, ansatz = vqe_problems[key]
+    config = vqe.VqeConfig(seed=seed)
+    result = vqe.minimize(hamiltonian, ansatz, config)
+    monkeypatch.setattr(
+        vqe, "expectation", lambda state, op: reference_grouped_expectation(state.amplitudes, op)
+    )
+    looped = vqe.minimize(hamiltonian, ansatz, config)
+    assert result.evaluations == looped.evaluations
+    assert_bitwise(np.array(result.trace), np.array(looped.trace))
+    assert_bitwise(result.parameters, looped.parameters)
