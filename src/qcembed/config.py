@@ -98,28 +98,33 @@ def load_config(path: str | Path) -> WorkbenchConfig:
         )
 
     if parser.has_section("vqe"):
+        vqe = cfg.vqe
         cfg.vqe = VqeConfig(
-            seed=_get(parser, "vqe", "seed", int, 0),
-            sigma=_get(parser, "vqe", "sigma", float, 0.001),
-            max_iterations=_get(parser, "vqe", "max_iterations", int, 50),
-            tolerance=_get(parser, "vqe", "tolerance", float, 1e-6),
-            gradient_step=_get(parser, "vqe", "gradient_step", float, 1e-6),
+            seed=_get(parser, "vqe", "seed", int, vqe.seed),
+            sigma=_get(parser, "vqe", "sigma", float, vqe.sigma),
+            max_iterations=_get(parser, "vqe", "max_iterations", int, vqe.max_iterations),
+            tolerance=_get(parser, "vqe", "tolerance", float, vqe.tolerance),
+            gradient_step=_get(parser, "vqe", "gradient_step", float, vqe.gradient_step),
         )
 
     if parser.has_section("embedding"):
+        embedding = cfg.embedding
         cfg.embedding = EmbeddingConfig(
-            threshold=_get(parser, "embedding", "threshold", float, 1e-7),
-            max_embedding_iterations=_get(parser, "embedding", "max_iterations", int, 20),
-            damping_floor=_get(parser, "embedding", "damping_floor", float, 0.05),
-            damping_scale=_get(parser, "embedding", "damping_scale", float, 0.2),
-            active_solver=_get(parser, "embedding", "active_solver", str, "vqe"),
+            threshold=_get(parser, "embedding", "threshold", float, embedding.threshold),
+            max_embedding_iterations=_get(
+                parser, "embedding", "max_iterations", int, embedding.max_embedding_iterations
+            ),
+            damping_floor=_get(parser, "embedding", "damping_floor", float, embedding.damping_floor),
+            damping_scale=_get(parser, "embedding", "damping_scale", float, embedding.damping_scale),
+            active_solver=_get(parser, "embedding", "active_solver", str, embedding.active_solver),
         )
 
     if parser.has_section("mu_scan"):
+        default = MuScanSpec()
         spec = MuScanSpec(
-            mu_start=_get(parser, "mu_scan", "mu_start", float, 0.5),
-            mu_end=_get(parser, "mu_scan", "mu_end", float, 10.0),
-            mu_step=_get(parser, "mu_scan", "mu_step", float, 0.25),
+            mu_start=_get(parser, "mu_scan", "mu_start", float, default.mu_start),
+            mu_end=_get(parser, "mu_scan", "mu_end", float, default.mu_end),
+            mu_step=_get(parser, "mu_scan", "mu_step", float, default.mu_step),
         )
         inputs: dict[float, Path] = {}
         pattern = _get(parser, "mu_scan", "inputs_pattern", str, None)

@@ -8,17 +8,20 @@ notation (pq|rs) and enjoy the full 8-fold permutational symmetry
 
     (pq|rs) = (qp|rs) = (pq|sr) = (qp|sr) = (rs|pq) = ...
 
-which this module exploits by storing one canonical representative per
-equivalence class.  FCIDUMP files are the package's sole molecular-data
-ingestion path; basis sets and geometries live upstream.
+which this module exploits by storing one value per equivalence class,
+in one vector ordered by :func:`canonical_classes`.  Full and active
+integrals share that layout: the compiled qubit map multiplies the
+vector, and the dense n^4 tensor is a gather from it.  FCIDUMP files
+are the package's sole molecular-data ingestion path; basis sets and
+geometries live upstream.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import compress
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -69,76 +72,60 @@ def canonical_classes(n_orbitals: int) -> list[tuple[int, int, int, int]]:
 
 
 @lru_cache(maxsize=16)
-def _canonical_gather(n_orbitals: int) -> tuple[tuple[np.ndarray, ...], tuple[tuple[int, int], ...]]:
-    """The (p, q, r, s) index arrays of :func:`canonical_classes` and the
-    matching (pq, rs) storage keys, in that order."""
-    classes = canonical_classes(n_orbitals)
-    table = np.array(classes, dtype=np.intp).reshape(-1, 4)
+def _canonical_gather(n_orbitals: int) -> tuple[np.ndarray, ...]:
+    """The (p, q, r, s) index arrays of :func:`canonical_classes`."""
+    table = np.array(canonical_classes(n_orbitals), dtype=np.intp).reshape(-1, 4)
     table.flags.writeable = False
-    keys = tuple((_pair_index(p, q), _pair_index(r, s)) for p, q, r, s in classes)
-    return tuple(table.T), keys
+    return tuple(table.T)
 
 
 class SymmetricTwoBody:
     """Two-electron integrals (pq|rs) stored under 8-fold permutational symmetry.
 
-    Keys are composite pair indices (pq, rs) with p >= q, r >= s and
-    pq >= rs; any of the 8 equivalent index orders resolves to the same
-    stored value.  Unset entries read as 0.
+    The storage is one float64 vector with one entry per class of
+    :func:`canonical_classes`: the class with composite pair indices
+    pq >= rs (p >= q, r >= s) sits at pq (pq + 1) / 2 + rs.  This is the
+    vector the compiled qubit map multiplies, and the dense n^4 tensor is
+    a gather from it.  Any of the 8 equivalent index orders resolves to
+    the same entry; unset entries read +0.0.
     """
 
-    __slots__ = ("n_orbitals", "_data")
+    __slots__ = ("n_orbitals", "_values")
 
-    def __init__(self, n_orbitals: int, data: dict[tuple[int, int], float] | None = None):
+    def __init__(self, n_orbitals: int):
         self.n_orbitals = int(n_orbitals)
-        self._data: dict[tuple[int, int], float] = {}
-        if data:
-            for (pq, rs), value in data.items():
-                if value != 0.0:
-                    self._data[(pq, rs) if pq >= rs else (rs, pq)] = float(value)
+        n_pairs = self.n_orbitals * (self.n_orbitals + 1) // 2
+        self._values = np.zeros(n_pairs * (n_pairs + 1) // 2)
 
-    def _key(self, p: int, q: int, r: int, s: int) -> tuple[int, int]:
+    def _index(self, p: int, q: int, r: int, s: int) -> int:
         n = self.n_orbitals
         if not all(0 <= i < n for i in (p, q, r, s)):
             raise IndexError(f"orbital index out of range for n_orbitals={n}: {(p, q, r, s)}")
         pq = _pair_index(p, q)
         rs = _pair_index(r, s)
-        return (pq, rs) if pq >= rs else (rs, pq)
+        if pq < rs:
+            pq, rs = rs, pq
+        return pq * (pq + 1) // 2 + rs
 
     def get(self, p: int, q: int, r: int, s: int) -> float:
-        return self._data.get(self._key(p, q, r, s), 0.0)
+        return float(self._values[self._index(p, q, r, s)])
 
     def set(self, p: int, q: int, r: int, s: int, value: float) -> None:
-        key = self._key(p, q, r, s)
-        if value == 0.0:
-            self._data.pop(key, None)
-        else:
-            self._data[key] = float(value)
+        # + 0.0 turns -0.0 into +0.0, the value of an unset entry
+        self._values[self._index(p, q, r, s)] = float(value) + 0.0
 
     def items_canonical(self) -> Iterator[tuple[tuple[int, int, int, int], float]]:
         """Yield ((p, q, r, s), value) for the canonical representative of
-        each stored class, sorted by index tuple.  Indices are 0-based with
+        each nonzero class, sorted by index tuple.  Indices are 0-based with
         p >= q, r >= s and (p, q) >= (r, s)."""
-        inverse = {}
-        for p in range(self.n_orbitals):
-            for q in range(p + 1):
-                inverse[_pair_index(p, q)] = (p, q)
-        entries = []
-        for (pq, rs), value in self._data.items():
-            p, q = inverse[pq]
-            r, s = inverse[rs]
-            entries.append(((p, q, r, s), value))
-        entries.sort(key=lambda e: e[0])
-        yield from entries
+        nonzero = np.flatnonzero(self._values)
+        p, q, r, s = (index[nonzero].tolist() for index in _canonical_gather(self.n_orbitals))
+        yield from zip(zip(p, q, r, s), self._values[nonzero].tolist())
 
     def canonical_vector(self) -> np.ndarray:
-        """The value of every class of :func:`canonical_classes`, in that
-        order, 0 where unset."""
-        n_pairs = self.n_orbitals * (self.n_orbitals + 1) // 2
-        values = np.zeros(n_pairs * (n_pairs + 1) // 2)
-        for (pq, rs), value in self._data.items():
-            values[pq * (pq + 1) // 2 + rs] = value
-        return values
+        """A copy of the value of every class of :func:`canonical_classes`,
+        in that order, 0 where unset."""
+        return self._values.copy()
 
     def dense(self) -> np.ndarray:
         """Expand to a full n^4 tensor (chemists' index order): element
@@ -147,28 +134,24 @@ class SymmetricTwoBody:
         high = np.maximum.outer(orbitals, orbitals)
         pair = high * (high + 1) // 2 + np.minimum.outer(orbitals, orbitals)
         high, low = np.maximum.outer(pair, pair), np.minimum.outer(pair, pair)
-        return self.canonical_vector()[high * (high + 1) // 2 + low]
+        return self._values[high * (high + 1) // 2 + low]
 
     @classmethod
-    def from_dense(cls, tensor: np.ndarray, tolerance: float = 0.0) -> "SymmetricTwoBody":
+    def from_dense(cls, tensor: np.ndarray) -> "SymmetricTwoBody":
         """Read ``tensor`` at the canonical representative of every class
-        (the other seven index orders are never read) and store each
-        nonzero value whose magnitude exceeds ``tolerance``."""
-        n = tensor.shape[0]
-        indices, keys = _canonical_gather(n)
-        values = np.asarray(tensor[indices], dtype=float)
-        keep = (np.abs(values) > tolerance) & (values != 0.0)
-        obj = cls(n)
-        obj._data = dict(zip(compress(keys, keep), values[keep].tolist()))
+        (the other seven index orders are never read); a -0.0 is stored as
+        +0.0, as by :meth:`set`."""
+        obj = cls(tensor.shape[0])
+        obj._values = np.asarray(tensor[_canonical_gather(obj.n_orbitals)], dtype=float) + 0.0
         return obj
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymmetricTwoBody):
             return NotImplemented
-        return self.n_orbitals == other.n_orbitals and self._data == other._data
+        return self.n_orbitals == other.n_orbitals and np.array_equal(self._values, other._values)
 
     def __len__(self) -> int:
-        return len(self._data)
+        return np.count_nonzero(self._values)
 
 
 @dataclass(frozen=True)
@@ -261,8 +244,9 @@ def parse_fcidump(source: str | IO[str]) -> IntegralSet:
     namelist terminator (``&END`` or ``/``): ``value i j k l`` with
     1-based indices, where ``i j 0 0`` is a one-body entry, all-zero
     indices carry the core energy, and ``i 0 0 0`` records (orbital
-    energies written by some emitters) are skipped.  Duplicate entries
-    overwrite, last wins.
+    energies written by some emitters) are skipped.  A kept record whose
+    value is not finite is refused.  Duplicate entries overwrite, last
+    wins.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -331,13 +315,15 @@ def parse_fcidump(source: str | IO[str]) -> IntegralSet:
             if idx < 0 or idx > n_orbitals:
                 raise FcidumpError(f"index {idx} outside [0, NORB={n_orbitals}]", lineno)
 
+        if j == k == l == 0 and i > 0:
+            continue  # orbital-energy record, not part of the Hamiltonian
+        if not math.isfinite(value):
+            raise FcidumpError(f"non-finite value {fields[0]!r}", lineno)
         if i == j == k == l == 0:
             core_energy = value
         elif k == l == 0 and i > 0 and j > 0:
             one_body[i - 1, j - 1] = value
             one_body[j - 1, i - 1] = value
-        elif j == k == l == 0 and i > 0:
-            continue  # orbital-energy record, not part of the Hamiltonian
         elif min(i, j, k, l) > 0:
             two_body.set(i - 1, j - 1, k - 1, l - 1, value)
         else:

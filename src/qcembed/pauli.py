@@ -153,10 +153,6 @@ class PauliSum:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, n_qubits: int) -> "PauliSum":
-        return cls(n_qubits)
-
-    @classmethod
     def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "PauliSum":
         return cls(n_qubits, {PauliString.identity(n_qubits): coeff})
 
@@ -238,9 +234,6 @@ class PauliSum:
                 exponent, s3 = s1.compose(s2)
                 acc[s3] = acc.get(s3, 0.0) + c1 * c2 * _PHASES[exponent]
         return PauliSum(self.n_qubits, acc)
-
-    def adjoint(self) -> "PauliSum":
-        return PauliSum(self.n_qubits, {s: c.conjugate() for s, c in self._terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliSum):

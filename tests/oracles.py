@@ -170,10 +170,10 @@ def reference_two_body_dense(two_body) -> np.ndarray:
     return out
 
 
-def reference_from_dense(tensor: np.ndarray, tolerance: float = 0.0):
+def reference_from_dense(tensor: np.ndarray):
     """``SymmetricTwoBody.from_dense`` as one ``set`` per canonical
-    (p, q, r, s) element of ``tensor`` whose magnitude exceeds
-    ``tolerance``; the other seven permutations are never read."""
+    (p, q, r, s) element of ``tensor``; the other seven permutations are
+    never read."""
     from qcembed.integrals import SymmetricTwoBody
 
     n = tensor.shape[0]
@@ -183,9 +183,7 @@ def reference_from_dense(tensor: np.ndarray, tolerance: float = 0.0):
             for r in range(p + 1):
                 s_max = q if r == p else r
                 for s in range(s_max + 1):
-                    value = float(tensor[p, q, r, s])
-                    if abs(value) > tolerance:
-                        obj.set(p, q, r, s, value)
+                    obj.set(p, q, r, s, float(tensor[p, q, r, s]))
     return obj
 
 

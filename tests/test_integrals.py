@@ -1,5 +1,8 @@
 """FCIDUMP parsing, symmetry storage, and canonical emission."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from qcembed.integrals import (
 from conftest import FIXTURE_DIR
 from oracles import reference_from_dense, reference_two_body_dense
 
+H8 = Path(__file__).parent.parent / "bench" / "data" / "h8_sto3g.fcidump"
 HEADER = " &FCI NORB=2,NELEC=2,MS2=0,\n  ORBSYM=1,1,\n  ISYM=1,\n &END\n"
 
 
@@ -64,8 +68,10 @@ def test_duplicate_entries_last_wins():
 
 
 def test_orbital_energy_records_ignored():
-    out = parse_fcidump(HEADER + "-0.5 1 0 0 0\n")
-    assert np.all(out.one_body == 0.0)
+    # skipped before the finite check, so a non-finite one is ignored too
+    for value in ("-0.5", "nan", "inf"):
+        out = parse_fcidump(HEADER + f"{value} 1 0 0 0\n")
+        assert np.all(out.one_body == 0.0) and out.core_energy == 0.0
 
 
 def test_whitespace_separated_header():
@@ -267,25 +273,80 @@ def test_dense_is_bitwise_the_permutation_loop_on_fixtures(golden):
     n=st.integers(0, 5),
     seed=st.integers(0, 2**32 - 1),
     zero_fraction=st.sampled_from([0.0, 0.3, 1.0]),
-    tolerance=st.sampled_from([-1.0, 0.0, 1e-12, 0.5, 2.0]),
+    non_finite=st.booleans(),
 )
 @settings(max_examples=80, deadline=None)
-def test_from_dense_is_the_class_loop_on_non_symmetric_tensors(n, seed, zero_fraction, tolerance):
+def test_from_dense_is_the_class_loop_on_non_symmetric_tensors(n, seed, zero_fraction, non_finite):
     rng = np.random.default_rng(seed)
     tensor = rng.normal(size=(n,) * 4)
     tensor[rng.random(tensor.shape) < zero_fraction] = 0.0
     tensor[rng.random(tensor.shape) < 0.1] *= -0.0
-    two = SymmetricTwoBody.from_dense(tensor, tolerance)
-    expected = reference_from_dense(tensor, tolerance)
-    assert two == expected
-    # same keys in the same insertion order, values stored as Python floats
-    assert list(two._data.items()) == list(expected._data.items())
-    assert all(type(value) is float for value in two._data.values())
+    if non_finite:
+        tensor[rng.random(tensor.shape) < 0.1] = rng.choice([np.nan, np.inf, -np.inf])
+    two = SymmetricTwoBody.from_dense(tensor)
+    expected = reference_from_dense(tensor)
+    assert two.canonical_vector().tobytes() == expected.canonical_vector().tobytes()
+    assert len(two) == len(expected)
+    items, expected_items = list(two.items_canonical()), list(expected.items_canonical())
+    assert [indices for indices, _ in items] == [indices for indices, _ in expected_items]
+    assert np.array([v for _, v in items]).tobytes() == np.array([v for _, v in expected_items]).tobytes()
+    assert (two == expected) == (not np.isnan(two.canonical_vector()).any())
 
 
 def test_from_dense_is_the_class_loop_on_fixtures(golden):
     for record in golden.values():
         dense = read_fcidump(FIXTURE_DIR / record["file"]).two_body_dense
-        assert list(SymmetricTwoBody.from_dense(dense)._data.items()) == list(
-            reference_from_dense(dense)._data.items()
-        )
+        two, expected = SymmetricTwoBody.from_dense(dense), reference_from_dense(dense)
+        assert two.canonical_vector().tobytes() == expected.canonical_vector().tobytes()
+        assert two == expected
+        assert len(two) == len(expected)
+
+
+def test_negative_zero_is_stored_as_positive_zero():
+    two = SymmetricTwoBody(2)
+    two.set(1, 0, 1, 0, 0.5)
+    two.set(1, 0, 1, 0, -0.0)
+    two.set(0, 0, 1, 1, -0.0)
+    tensor = np.full((2, 2, 2, 2), -0.0)
+    for stored in (two, SymmetricTwoBody.from_dense(tensor)):
+        assert stored.canonical_vector().tobytes() == SymmetricTwoBody(2).canonical_vector().tobytes()
+        assert stored.dense().tobytes() == np.zeros((2, 2, 2, 2)).tobytes()
+        assert len(stored) == 0 and list(stored.items_canonical()) == []
+
+
+def test_canonical_vector_is_a_copy():
+    two = SymmetricTwoBody(2)
+    two.set(1, 1, 0, 0, 0.25)
+    before = two.canonical_vector()
+    vector = two.canonical_vector()
+    vector[:] = 7.0
+    assert two.canonical_vector().tobytes() == before.tobytes()
+    assert two.get(0, 0, 1, 1) == 0.25 and len(two) == 1
+
+
+# SHA-1 of write_fcidump(read_fcidump(file)); a change of the two-body
+# storage must not move the emitted text.
+WRITTEN_SHA1 = {
+    "h2_sto3g_0735.fcidump": "5421cceaa41f37df56f532350fd263be912da0ff",
+    "h2_sto3g_1100.fcidump": "1c320d38377ce491d62e83c79cdbdd0e5db0088c",
+    "h2_sto3g_1500.fcidump": "0f735832f672dea66a0c41fc856b05610d43154b",
+    "h2o_sto3g.fcidump": "5b771bf3a2282ce3f30aff2ef56b1fa5d81c2a3c",
+    "lih_sto3g.fcidump": "0c61630ca0e42edc248609399c04ea9c7ba02ad0",
+    "h8_sto3g.fcidump": "8a8edfc5a63d9170e2e38fffd37541e1992aa9ef",
+}
+
+
+def test_written_text_is_fixed(golden):
+    paths = [FIXTURE_DIR / record["file"] for record in golden.values()] + [H8]
+    assert sorted(path.name for path in paths) == sorted(WRITTEN_SHA1)
+    for path in paths:
+        text = write_fcidump(read_fcidump(path))
+        assert hashlib.sha1(text.encode()).hexdigest() == WRITTEN_SHA1[path.name], path.name
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("indices", ["0 0 0 0", "1 2 0 0", "2 1 2 1"], ids=["core", "one-body", "two-body"])
+def test_non_finite_record_rejected(value, indices):
+    with pytest.raises(FcidumpError, match="non-finite") as err:
+        parse_fcidump(HEADER + "0.5 1 1 0 0\n" + f"{value} {indices}\n")
+    assert err.value.line_number == 6

@@ -261,12 +261,32 @@ def test_infinite_one_body_rejected_before_lapack(monkeypatch):
         reference_solve_rhf(integrals)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_fock_rejected_before_lapack(monkeypatch, bad):
+def _set_through_set(bad):
     two = SymmetricTwoBody(2)
     two.set(1, 0, 1, 0, 0.2)
     two.set(0, 0, 1, 1, bad)
-    integrals = IntegralSet(2, 2, 0, 0.0, np.diag([-1.0, -0.5]), two)
+    return IntegralSet(2, 2, 0, 0.0, np.diag([-1.0, -0.5]), two)
+
+
+def _set_through_from_arrays(bad):
+    eri = np.zeros((2, 2, 2, 2))
+    eri[0, 0, 1, 1] = eri[1, 1, 0, 0] = bad
+    integrals = IntegralSet.from_arrays(np.diag([-1.0, -0.5]), eri, 0.0, 2)
+    # the non-finite entry is kept, not dropped as a zero
+    assert len(integrals.two_body) == 1
+    return integrals
+
+
+@pytest.mark.parametrize(
+    "bad, build",
+    [
+        pytest.param(bad, build, id=f"{bad}{suffix}")
+        for build, suffix in ((_set_through_set, ""), (_set_through_from_arrays, "-from_arrays"))
+        for bad in (np.nan, np.inf, -np.inf)
+    ],
+)
+def test_non_finite_fock_rejected_before_lapack(monkeypatch, bad, build):
+    integrals = build(bad)
     seen = spy_on_syevr(monkeypatch)
     # inf times a zero density entry is NaN; numpy warns about it on the way
     with np.errstate(invalid="ignore"):

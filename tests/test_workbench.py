@@ -6,10 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from qcembed.activespace import ActiveSpaceSpec
+from qcembed.activespace import ActiveSpaceSpec, reduce_integrals
 from qcembed.config import ConfigError, load_config
 from qcembed.embedding import EmbeddingConfig
 from qcembed.integrals import save_fcidump, write_fcidump
+from qcembed.meanfield import solve_rhf
 from qcembed.report import (
     RecoveryReport,
     ReportError,
@@ -31,6 +32,7 @@ from qcembed.scan import (
     mu_scan,
     select_optimal_mu,
 )
+from qcembed.vqe import VqeConfig
 
 
 
@@ -337,6 +339,15 @@ def test_load_config_missing_file():
         load_config("/nonexistent/run.ini")
 
 
+def test_load_config_empty_sections_give_dataclass_defaults(tmp_path):
+    path = tmp_path / "empty.ini"
+    path.write_text("[vqe]\n[embedding]\n[mu_scan]\n")
+    cfg = load_config(path)
+    assert cfg.vqe == VqeConfig()
+    assert cfg.embedding == EmbeddingConfig()
+    assert cfg.mu_scan == MuScanSpec()
+
+
 def test_load_config_bad_value(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[vqe]\nseed = banana\n")
@@ -384,7 +395,7 @@ def test_mu_scan_builds_each_ansatz_shape_once(mu_inputs, monkeypatch):
 # -- tooling ------------------------------------------------------------------
 
 
-def test_traced_bench_patches_name_existing_attributes(monkeypatch):
+def test_traced_bench_patches_name_existing_attributes(monkeypatch, h2o_integrals):
     """The traced benchmark replaces package functions by module and name;
     a refactor that drops one of those names must fail here too."""
     import importlib
@@ -403,3 +414,7 @@ def test_traced_bench_patches_name_existing_attributes(monkeypatch):
         if not hasattr(module, attribute)
     ]
     assert not missing
+    # the solver counters fingerprint each active Hamiltonian they see
+    active = reduce_integrals(h2o_integrals, solve_rhf(h2o_integrals), ActiveSpaceSpec(4, 4))
+    fingerprint = layers._fingerprint(active)
+    assert fingerprint == layers._fingerprint(active) and len(fingerprint) == 32
