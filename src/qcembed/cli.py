@@ -199,6 +199,9 @@ def _cmd_mu_scan(args) -> int:
         }
         text = json.dumps(payload, indent=2) + "\n"
     _emit(text, args.out)
+    for row in rows:
+        if row.error:
+            print(f"mu {row.mu:g} failed: {row.error}", file=sys.stderr)
     print(f"mu_opt = {mu_opt:g}")
     return 0
 

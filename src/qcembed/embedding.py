@@ -48,7 +48,6 @@ __all__ = [
     "EmbeddingState",
     "damping_factor",
     "run_embedding",
-    "total_energy",
     "write_iteration_log_csv",
 ]
 
@@ -193,29 +192,6 @@ def _environment_density(density: np.ndarray, active: list[int]) -> np.ndarray:
         env[idx, :] = 0.0
         env[:, idx] = 0.0
     return env
-
-
-def total_energy(
-    h: np.ndarray,
-    eri: np.ndarray,
-    core_energy: float,
-    density: np.ndarray,
-    active: list[int],
-    active_energy: float,
-) -> float:
-    """Assemble the total energy for a damped density and an active solution.
-
-    The environment part of ``density`` (active rows/columns removed)
-    generates the bath Fock and the inactive energy; the active
-    electronic energy is added on top.  With an empty active list this
-    reduces to the mean-field energy of ``density``; with all orbitals
-    active it returns core + active_energy.
-    """
-    env = _environment_density(density, active)
-    reduced = reduce_in_orbital_basis(
-        h, eri, core_energy, inactive=[], active=active, n_active_electrons=0, env_density=env
-    )
-    return reduced.inactive_energy + active_energy
 
 
 def _check_resume(state: EmbeddingState, n: int, inactive: list[int], active: list[int]) -> None:

@@ -46,10 +46,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .activespace import ActiveHamiltonian
 
@@ -246,8 +246,8 @@ def _dense_hamiltonian(space: _StringSpace, k: np.ndarray, eri: np.ndarray) -> n
 
 def _hamiltonian_operator(
     space: _StringSpace, k: np.ndarray, eri: np.ndarray
-) -> scipy.sparse.linalg.LinearOperator:
-    """sigma = sum_pair (E+_pair G_pair + k_pair D+_pair), G = 1/2 (pq|rs) D+.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """c -> sigma = sum_pair (E+_pair G_pair + k_pair D+_pair), G = 1/2 (pq|rs) D+.
     E+ is symmetric, so (I, i) gathers s G[J, pair, i] over the entries
     E_pq|I> = s|J> of its alpha string and s G[I, pair, j] over those of
     its beta string."""
@@ -275,8 +275,7 @@ def _hamiltonian_operator(
         sigma += np.matmul(k, d)
         return sigma.ravel()
 
-    dim = space.dimension
-    return scipy.sparse.linalg.LinearOperator((dim, dim), matvec=matvec, dtype=np.float64)
+    return matvec
 
 
 def _diagonal(space: _StringSpace, k: np.ndarray, eri: np.ndarray) -> np.ndarray:
@@ -301,7 +300,7 @@ def _diagonal(space: _StringSpace, k: np.ndarray, eri: np.ndarray) -> np.ndarray
 
 
 def _davidson_ground(
-    operator: scipy.sparse.linalg.LinearOperator, diagonal: np.ndarray
+    matvec: Callable[[np.ndarray], np.ndarray], diagonal: np.ndarray
 ) -> tuple[float, np.ndarray, int, float]:
     """Lowest eigenpair by Davidson-Liu from basis vector 0 (the
     Hartree-Fock determinant).
@@ -318,7 +317,7 @@ def _davidson_ground(
     images = np.zeros((max_subspace, dimension))  # H applied to each basis row
     projected = np.zeros((max_subspace, max_subspace))
     basis[0, 0] = 1.0  # Hartree-Fock determinant
-    images[0] = operator.matvec(basis[0])
+    images[0] = matvec(basis[0])
     projected[0, 0] = images[0, 0]
     size, matvecs = 1, 1
 
@@ -350,7 +349,7 @@ def _davidson_ground(
         else:  # even the residual lies in the subspace: no new direction
             break
         basis[size] = candidate / norm
-        images[size] = operator.matvec(basis[size])
+        images[size] = matvec(basis[size])
         matvecs += 1
         projected[size, : size + 1] = basis[: size + 1] @ images[size]
         projected[: size + 1, size] = projected[size, : size + 1]
@@ -370,12 +369,15 @@ def fci_solve(
     dimension_cap: int = DEFAULT_DIMENSION_CAP,
     dense_limit: int = DENSE_DIMENSION_LIMIT,
 ) -> FciResult:
-    """Lowest eigenpair of the active Hamiltonian in a fixed (N, S_z) sector.
+    """Lowest eigenpair of the active Hamiltonian in a fixed (N, S_z) sector;
+    on the Davidson path with n_alpha == n_beta, the lowest state with a
+    spin-flip-symmetric C[I, i] (see the module docstring).
 
     Dense diagonalization is used for basis dimensions up to
     ``dense_limit`` (and always for a single determinant); beyond that a
     Davidson iteration from the Hartree-Fock determinant takes over and
-    raises :class:`FciConvergenceError` if it does not converge.
+    raises :class:`FciConvergenceError` if it does not converge; a ground
+    state with an antisymmetric C (odd total spin) is out of its reach.
     ``matvecs`` and ``residual_norm`` on the result say what the solve
     took (0 matvecs on the dense path).  Exceeding ``dimension_cap`` (or
     62 orbitals) raises :class:`FciCapacityError` before any string is

@@ -64,10 +64,6 @@ class PauliString:
                 raise ValueError(f"invalid Pauli character {ch!r} in {label!r}")
         return cls(len(label), x, z)
 
-    @classmethod
-    def single(cls, n_qubits: int, qubit: int, pauli: str) -> "PauliString":
-        return cls.from_label("I" * qubit + pauli + "I" * (n_qubits - qubit - 1))
-
     @property
     def label(self) -> str:
         chars = []
@@ -80,10 +76,6 @@ class PauliString:
     @property
     def is_identity(self) -> bool:
         return self.x_mask == 0 and self.z_mask == 0
-
-    @property
-    def weight(self) -> int:
-        return (self.x_mask | self.z_mask).bit_count()
 
     def commutes_with(self, other: "PauliString") -> bool:
         return ((self.x_mask & other.z_mask).bit_count() + (self.z_mask & other.x_mask).bit_count()) % 2 == 0
@@ -192,16 +184,6 @@ class PauliSum:
     def max_imaginary_part(self) -> float:
         return max((abs(c.imag) for c in self._terms.values()), default=0.0)
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return self.max_imaginary_part() <= tol
-
-    def real_coefficients(self, tol: float = 1e-10) -> "PauliSum":
-        """Drop imaginary residue after checking it is below ``tol``."""
-        residue = self.max_imaginary_part()
-        if residue > tol:
-            raise ValueError(f"imaginary coefficient residue {residue:.3e} exceeds {tol:.1e}")
-        return PauliSum(self.n_qubits, {s: complex(c.real) for s, c in self._terms.items()})
-
     # -- algebra -----------------------------------------------------------
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
@@ -248,36 +230,6 @@ class PauliSum:
 
     def __repr__(self) -> str:
         return f"PauliSum(n_qubits={self.n_qubits}, terms={len(self._terms)})"
-
-    # -- serialization -----------------------------------------------------
-
-    def to_text(self) -> str:
-        """One term per line, ``±c.cccccccccc LABEL`` (10 decimal places).
-
-        Intended for golden files and debugging; sub-1e-10 structure is
-        not preserved.  Coefficients must be real within 1e-10.
-        """
-        lines = []
-        for string, coeff in self.sorted_terms():
-            if abs(coeff.imag) > 1e-10:
-                raise ValueError("text serialization requires real coefficients")
-            lines.append(f"{coeff.real:+.10f} {string.label}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    @classmethod
-    def from_text(cls, text: str, n_qubits: int | None = None) -> "PauliSum":
-        terms: list[tuple[PauliString, complex]] = []
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            coeff_str, label = line.split()
-            terms.append((PauliString.from_label(label), complex(float(coeff_str))))
-        if n_qubits is None:
-            if not terms:
-                raise ValueError("cannot infer qubit count from empty text")
-            n_qubits = terms[0][0].n_qubits
-        return cls.from_terms(n_qubits, terms)
 
 
 def parity_of_masked_bits(values: np.ndarray, mask: int) -> np.ndarray:

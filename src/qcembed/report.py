@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import IO
@@ -71,7 +71,6 @@ class ResultRow:
     n_active_orbitals: int
     e_qdft: float
     mu: float | None = None
-    converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -102,10 +101,6 @@ class RecoveryReport:
     def above_threshold(self) -> bool:
         return self.recovery_percent >= RECOVERY_THRESHOLD_PERCENT
 
-    @property
-    def active_label(self) -> str:
-        return f"({self.n_active_electrons}e,{self.n_active_orbitals}o)"
-
 
 def load_reference_table(source: str | Path | IO[str]) -> dict[str, ReferenceRow]:
     """Read a reference-energy CSV with columns molecule, e_dft, e_ccsd
@@ -133,11 +128,7 @@ def packaged_reference_table() -> dict[str, ReferenceRow]:
     return load_reference_table(io.StringIO(text))
 
 
-def build_report(
-    results: list[ResultRow],
-    references: dict[str, ReferenceRow],
-    mu_opt: dict[str, float] | None = None,
-) -> list[RecoveryReport]:
+def build_report(results: list[ResultRow], references: dict[str, ReferenceRow]) -> list[RecoveryReport]:
     """Combine embedding results with reference energies.
 
     Flags the maximum-recovery active space per molecule; rows that tie
@@ -153,7 +144,7 @@ def build_report(
         raw.append(
             RecoveryReport(
                 molecule=row.molecule,
-                mu_opt=(mu_opt or {}).get(row.molecule, row.mu),
+                mu_opt=row.mu,
                 n_active_electrons=row.n_active_electrons,
                 n_active_orbitals=row.n_active_orbitals,
                 e_dft=ref.e_dft,
@@ -175,20 +166,7 @@ def build_report(
         for row in molecule_rows:
             is_best = row.recovery_percent == best
             on_plateau = plateau and round(row.recovery_percent, _PLATEAU_DECIMALS) == rounded_best
-            final.append(
-                RecoveryReport(
-                    molecule=row.molecule,
-                    mu_opt=row.mu_opt,
-                    n_active_electrons=row.n_active_electrons,
-                    n_active_orbitals=row.n_active_orbitals,
-                    e_dft=row.e_dft,
-                    e_qdft=row.e_qdft,
-                    e_ccsd=row.e_ccsd,
-                    recovery_percent=row.recovery_percent,
-                    best_for_molecule=is_best,
-                    plateau=on_plateau,
-                )
-            )
+            final.append(replace(row, best_for_molecule=is_best, plateau=on_plateau))
     return final
 
 

@@ -4,7 +4,8 @@ The engine itself is mu-agnostic: each grid point reads its own
 externally generated integral file (the per-mu physics lives in those
 integrals), runs the embedding cycle with identical active-space and
 solver settings, and the optimal mu is the converged point of lowest
-total energy.  Non-converged points never enter the argmin.
+total energy.  Non-converged points, and points whose input or
+embedding raised, never enter the argmin.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ _TIE_TOLERANCE = 1e-12
 
 
 class MuScanError(RuntimeError):
-    """No usable scan result (e.g. every grid point failed to converge)."""
+    """No usable scan result (every grid point failed or did not converge)."""
 
 
 class MuScanConfigError(ValueError):
@@ -50,7 +51,9 @@ class MuScanSpec:
 
 @dataclass(frozen=True)
 class MuScanRow:
-    """One scan point of the per-mu energy table."""
+    """One scan point of the per-mu energy table.  A point that raised is
+    not converged, has NaN energies and 0 iterations, and ``error`` holds
+    the exception's type and message (empty otherwise)."""
 
     mu: float
     e_hf: float
@@ -58,6 +61,7 @@ class MuScanRow:
     iterations: int
     converged: bool
     evaluations: int = 0
+    error: str = ""
 
 
 def mu_grid(spec: MuScanSpec) -> list[float]:
@@ -73,13 +77,14 @@ def _input_for(spec: MuScanSpec, mu: float) -> Path | None:
     return None
 
 
-def select_optimal_mu(rows: list[MuScanRow], tie_tolerance: float = _TIE_TOLERANCE) -> float:
+def select_optimal_mu(rows: list[MuScanRow]) -> float:
     """Argmin of the converged energies; ties go to the smaller mu."""
     converged = [row for row in rows if row.converged]
     if not converged:
-        raise MuScanError("no fully converged scan point; cannot select an optimal mu")
+        failures = "".join(f"; mu {row.mu:g} failed: {row.error}" for row in rows if row.error)
+        raise MuScanError("no fully converged scan point; cannot select an optimal mu" + failures)
     best = min(converged, key=lambda row: row.e_total)
-    candidates = [row.mu for row in converged if row.e_total <= best.e_total + tie_tolerance]
+    candidates = [row.mu for row in converged if row.e_total <= best.e_total + _TIE_TOLERANCE]
     return min(candidates)
 
 
@@ -93,8 +98,8 @@ def mu_scan(
 
     Every grid value must have an input file; all points share the same
     active space and solver configuration.  Points that fail to converge
-    are kept in the table (flagged) but excluded from the argmin.  The
-    points run one after another.
+    or raise are kept in the table (flagged) but excluded from the
+    argmin.  The points run one after another.
     """
     grid = mu_grid(spec)
     missing = [mu for mu in grid if _input_for(spec, mu) is None]
@@ -104,8 +109,11 @@ def mu_scan(
         )
 
     def run_point(mu: float) -> MuScanRow:
-        integrals = read_fcidump(_input_for(spec, mu))
-        state = run_embedding(integrals, active, embed_config, vqe_config)
+        try:
+            integrals = read_fcidump(_input_for(spec, mu))
+            state = run_embedding(integrals, active, embed_config, vqe_config)
+        except Exception as exc:  # noqa: BLE001 - one bad point must not end the scan
+            return MuScanRow(mu, math.nan, math.nan, 0, False, error=f"{type(exc).__name__}: {exc}")
         return MuScanRow(
             mu=mu,
             e_hf=state.mean_field_energy,

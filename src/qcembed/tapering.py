@@ -66,13 +66,6 @@ def _gf2_kernel(rows: list[int], width: int) -> list[int]:
     return basis
 
 
-def _gf2_in_span(vector: int, reduced_rows: list[int], pivots: list[int]) -> bool:
-    for row, pivot in zip(reduced_rows, pivots):
-        if (vector >> pivot) & 1:
-            vector ^= row
-    return vector == 0
-
-
 def _gf2_intersection(basis_a: list[int], basis_b: list[int], width: int) -> list[int]:
     """Basis of span(basis_a) intersect span(basis_b)."""
     reduced_a, pivots_a = _gf2_rref(list(basis_a), width)
@@ -195,10 +188,6 @@ class Z2Symmetries:
     @property
     def n_generators(self) -> int:
         return len(self.generators)
-
-    @property
-    def pivot_qubits(self) -> list[int]:
-        return list(self._pivot_qubits)
 
     def _rotate(self, op: PauliSum) -> PauliSum:
         """Conjugate by every U_i = (g_i + sigma_i)/sqrt(2).

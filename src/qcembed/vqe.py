@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import IO
 
 import numpy as np
-import scipy.optimize
 
 from .pauli import PauliSum
 from .sim import UccsdAnsatz, _evolve_rows, _expectation_rows, evolve_ansatz, expectation
@@ -110,6 +109,8 @@ class _Converged(Exception):
 
 def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | None = None) -> VqeResult:
     """Minimize theta -> <psi(theta)| H |psi(theta)> over the ansatz parameters."""
+    import scipy.optimize  # here: a quarter second that import qcembed and FCI runs skip
+
     if config is None:
         config = VqeConfig()
     if hamiltonian.n_qubits != ansatz.n_qubits:

@@ -303,12 +303,16 @@ def reference_map_active_hamiltonian(active, spin_2ms=0, mapping="parity", two_q
     expand every integral into ladder terms, map the operator, reduce it,
     then check and drop the imaginary residue."""
     from qcembed.fermion import spin_orbital_hamiltonian
+    from qcembed.pauli import PauliSum
     from qcembed.sim import _map_operator
 
     op = spin_orbital_hamiltonian(active)
     n_alpha = (active.n_electrons + spin_2ms) // 2
     mapped = _map_operator(op, mapping, two_qubit_reduced, active.n_electrons, n_alpha)
-    return mapped.real_coefficients(1e-10)
+    residue = mapped.max_imaginary_part()
+    if residue > 1e-10:
+        raise ValueError(f"imaginary coefficient residue {residue:.3e} exceeds {1e-10:.1e}")
+    return PauliSum(mapped.n_qubits, {s: complex(c.real) for s, c in mapped})
 
 
 def reference_lift_reduced_parity_state(amplitudes: np.ndarray, n_spatial: int, n_alpha: int, n_beta: int):
@@ -501,13 +505,15 @@ def reference_fci_matrix(active, n_alpha: int, n_beta: int) -> np.ndarray:
     return matrix
 
 
-def reference_lanczos_ground(operator) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair by ARPACK Lanczos (``eigsh``, machine-precision
-    tolerance) from the Hartree-Fock determinant, basis vector 0: the
-    iterative FCI solve the Davidson iteration replaced."""
+def reference_lanczos_ground(matvec, dimension: int) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of the symmetric operator ``matvec`` by ARPACK
+    Lanczos (``eigsh``, machine-precision tolerance) from the Hartree-Fock
+    determinant, basis vector 0: the iterative FCI solve the Davidson
+    iteration replaced."""
     import scipy.sparse.linalg
 
-    start = np.zeros(operator.shape[0])
+    operator = scipy.sparse.linalg.LinearOperator((dimension, dimension), matvec=matvec, dtype=np.float64)
+    start = np.zeros(dimension)
     start[0] = 1.0
     energies, vectors = scipy.sparse.linalg.eigsh(operator, k=1, which="SA", v0=start)
     return float(energies[0]), vectors[:, 0]

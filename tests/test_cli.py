@@ -147,6 +147,34 @@ def test_mu_scan_subcommand_with_config(capsys, tmp_path, h2_integrals):
     assert len(lines) == 3
 
 
+def test_mu_scan_subcommand_reports_a_failed_point(capsys, tmp_path, h2_integrals):
+    save_fcidump(h2_integrals, tmp_path / "mu_1.00.fcidump")
+    (tmp_path / "mu_1.50.fcidump").write_text("garbage\n")
+    config = tmp_path / "scan.ini"
+    config.write_text(
+        "[active_space]\nn_electrons = 2\nn_orbitals = 2\n\n"
+        "[embedding]\nactive_solver = fci\n\n"
+        "[mu_scan]\nmu_start = 1.0\nmu_end = 1.5\nmu_step = 0.5\n"
+        "inputs_pattern = mu_{mu:.2f}.fcidump\n"
+    )
+    code = main(["mu-scan", "--config", str(config), "--out", str(tmp_path / "table.csv")])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == "mu_opt = 1\n"
+    assert captured.err.splitlines() == [
+        "mu 1.5 failed: FcidumpError: line 1: missing namelist terminator (&END or /)"
+    ]
+    assert (tmp_path / "table.csv").read_text().splitlines()[2] == "system,1.5,2,2,nan,nan,0,false"
+    code = main(["mu-scan", "--config", str(config), "--format", "json"])
+    payload = json.loads(capsys.readouterr().out.split("mu_opt =")[0])
+    assert [row["error"] for row in payload["rows"]] == [
+        "", "FcidumpError: line 1: missing namelist terminator (&END or /)"
+    ]
+    assert list(payload["rows"][0]) == [
+        "mu", "e_hf", "e_total", "iterations", "converged", "evaluations", "error"
+    ]
+
+
 def test_cli_flag_overrides_config(capsys, tmp_path, h2_path):
     config = tmp_path / "run.ini"
     config.write_text("[active_space]\nn_electrons = 2\nn_orbitals = 1\n")

@@ -13,7 +13,6 @@ from qcembed.embedding import (
     EmbeddingError,
     damping_factor,
     run_embedding,
-    total_energy,
     write_iteration_log_csv,
 )
 from qcembed.integrals import SymmetricTwoBody
@@ -184,27 +183,6 @@ def test_solver_failure_is_annotated():
 
     with pytest.raises(EmbeddingError, match="iteration 1"):
         run_embedding(integrals, ActiveSpaceSpec(2, 2), EmbeddingConfig(active_solver=broken_solver))
-
-
-def test_total_energy_limits(h2_integrals, golden):
-    from qcembed.activespace import transform_to_mo_basis
-
-    mf = solve_rhf(h2_integrals)
-    h_mo, eri_mo = transform_to_mo_basis(h2_integrals, mf.orbital_coefficients)
-    core = h2_integrals.core_energy
-    n = h2_integrals.n_orbitals
-    density_mo = np.zeros((n, n))
-    for i in range(mf.n_occupied):
-        density_mo[i, i] = 2.0
-    # empty active list: mean-field energy of the reference density
-    assert total_energy(h_mo, eri_mo, core, density_mo, [], 0.0) == pytest.approx(
-        mf.energy, abs=1e-10
-    )
-    # all orbitals active: core plus whatever the active solver returned
-    active = list(range(n))
-    assert total_energy(h_mo, eri_mo, core, density_mo, active, -1.85) == pytest.approx(
-        core - 1.85, abs=1e-12
-    )
 
 
 def test_iteration_log_csv_schema(h2_integrals):

@@ -1,7 +1,6 @@
 """Pauli string/sum algebra against dense kron-product oracles."""
 
 import numpy as np
-import pytest
 
 from qcembed.pauli import PRUNE_TOLERANCE, PauliString, PauliSum
 
@@ -28,7 +27,6 @@ def test_mask_semantics():
     p = PauliString.from_label("XYZI")
     assert p.x_mask == 0b0011
     assert p.z_mask == 0b0110
-    assert p.weight == 3
 
 
 def test_single_qubit_composition_table():
@@ -92,32 +90,6 @@ def test_merge_cancellation_prunes():
     x = PauliString.from_label("X")
     op = PauliSum.from_terms(1, [(x, 1.0), (x, -1.0)])
     assert op.is_zero
-
-
-def test_hermiticity_check():
-    op = PauliSum.from_label_dict({"XZ": 0.5, "ZZ": -0.25})
-    assert op.is_hermitian()
-    bad = PauliSum.from_label_dict({"XZ": 0.5 + 1e-3j})
-    assert not bad.is_hermitian()
-    with pytest.raises(ValueError, match="imaginary"):
-        bad.real_coefficients()
-
-
-def test_text_serialization_format():
-    op = PauliSum.from_label_dict({"IZXI": 0.1721839326, "ZIII": -1.0})
-    text = op.to_text()
-    lines = text.splitlines()
-    assert lines[0] == "-1.0000000000 ZIII"
-    assert lines[1] == "+0.1721839326 IZXI"
-    parsed = PauliSum.from_text(text)
-    assert parsed.allclose(op, tol=1e-10)
-
-
-def test_text_serialization_sorted_deterministic():
-    rng = np.random.default_rng(10)
-    terms = {random_label(rng, 4): float(rng.normal()) for _ in range(12)}
-    op = PauliSum.from_label_dict(terms)
-    assert op.to_text() == PauliSum.from_label_dict(dict(reversed(list(terms.items())))).to_text()
 
 
 def test_prune_tolerance_constant():

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -133,6 +134,29 @@ def test_mu_scan_determinism(mu_inputs):
     second = mu_scan(spec, ActiveSpaceSpec(2, 2), EmbeddingConfig(active_solver="fci"))
     assert first[0] == second[0]
     assert [r.e_total for r in first[1]] == [r.e_total for r in second[1]]
+
+
+def test_mu_scan_keeps_going_past_a_corrupt_point(mu_inputs):
+    clean = MuScanSpec(mu_start=1.0, mu_end=2.0, mu_step=0.5, per_mu_inputs=mu_inputs)
+    _, clean_rows = mu_scan(clean, ActiveSpaceSpec(2, 2), EmbeddingConfig(active_solver="fci"))
+    mu_inputs[2.0].write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\nnot a record\n")
+    mu_opt, rows = mu_scan(clean, ActiveSpaceSpec(2, 2), EmbeddingConfig(active_solver="fci"))
+    assert mu_opt == 1.5
+    assert rows[:2] == clean_rows[:2]
+    failed = rows[2]
+    assert failed.mu == 2.0 and not failed.converged
+    assert math.isnan(failed.e_hf) and math.isnan(failed.e_total)
+    assert failed.iterations == 0 and failed.evaluations == 0
+    assert failed.error.startswith("FcidumpError: ")
+    assert all(row.error == "" for row in rows[:2])
+
+
+def test_mu_scan_with_every_point_failing_names_the_reasons(mu_inputs):
+    for path in mu_inputs.values():
+        path.write_text("garbage\n")
+    spec = MuScanSpec(mu_start=1.0, mu_end=2.0, mu_step=0.5, per_mu_inputs=mu_inputs)
+    with pytest.raises(MuScanError, match=r"mu 1 failed: FcidumpError: .*mu 2 failed: FcidumpError"):
+        mu_scan(spec, ActiveSpaceSpec(2, 2), EmbeddingConfig(active_solver="fci"))
 
 
 # -- recovery arithmetic ------------------------------------------------------
