@@ -23,6 +23,7 @@ from .integrals import parse_fcidump, read_fcidump, write_fcidump
 from .meanfield import solve_rhf
 from .report import (
     ResultRow,
+    _json_text,
     build_report,
     load_reference_table,
     packaged_reference_table,
@@ -197,7 +198,7 @@ def _cmd_mu_scan(args) -> int:
             "mu_opt": mu_opt,
             "rows": [dataclasses.asdict(r) for r in rows],
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload) + "\n"
     _emit(text, args.out)
     for row in rows:
         if row.error:

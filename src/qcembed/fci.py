@@ -20,22 +20,31 @@ electron and the determinant sign factorises into the per-spin signs.
 Every string has the same number L = k(n - k + 1) of entries for k
 electrons, so a table is a set of (m strings, L) arrays.
 
+* Spin flip: with n_alpha == n_beta the alpha and beta strings are one
+  set and share one table, and H, its determinant diagonal and the
+  Hartree-Fock determinant are unchanged by transposing C[I, i].  Such a
+  sector is solved on its spin-flip-even states C = C^T (Olsen et al.,
+  J. Chem. Phys. 89, 2185 (1988)), in the orthonormal basis
+  x = C[I, I], sqrt(2) C[I, i] for I < i: m(m + 1)/2 unknowns in place
+  of m^2.  Both paths return the lowest even state, which for a closed
+  shell is the singlet; a lower state with an antisymmetric C (odd total
+  spin) is out of the contract.  S_z != 0 sectors use the whole sector.
 * Davidson (above ``dense_limit``): Davidson-Liu (Davidson, J. Comput.
   Phys. 17, 87 (1975)) from the Hartree-Fock determinant on a matvec
   D = E c (stacked over pq), G = 1/2 (pq|rs) D,
   sigma = sum_pq E_pq G_pq + sum_pq k_pq D_pq.  The 8-fold symmetry of
   (pq|rs) folds pq and qp onto the pair p >= q, so the matvec runs over
   n(n+1)/2 operators E_pq + E_qp as gathers and one matrix product into
-  buffers allocated once per solve.  Each step corrects the Ritz pair
-  (theta, x) by (H_diag - theta)^-1 r, r = Hx - theta x, with the exact
-  determinant diagonal H_diag from the string occupations; it stops at
+  buffers allocated once per solve.  On the even states the beta half of
+  D and of sigma is the transposed alpha half, so the matvec gathers
+  alpha only.  Each step corrects the Ritz pair (theta, x) by
+  (H_diag - theta)^-1 r, r = Hx - theta x, with the exact determinant
+  diagonal H_diag from the string occupations; it stops at
   ||r|| < ``DAVIDSON_TOLERANCE`` and raises :class:`FciConvergenceError`
-  after ``DAVIDSON_MAX_ITERATIONS`` steps.  For n_alpha == n_beta, H and
-  H_diag commute with transposing C[I, i] and the start is symmetric, so
-  the iteration, like Lanczos from the same start, finds the lowest state
-  with a symmetric C; the dense path finds the lowest of the whole sector.
+  after ``DAVIDSON_MAX_ITERATIONS`` steps.
 * Dense: H = H_a (x) 1 + 1 (x) H_b + sum_pqrs (pq|rs) E^a_pq (x) E^b_rs,
-  each one-spin H_s assembled by chaining table entries E_pq E_rs.
+  each one-spin H_s assembled by chaining table entries E_pq E_rs, and
+  P^T H P for the packing isometry P on the even states.
 * The spin-summed 1-RDM is gamma_pq = c . (E_pq c), from the same D.  It
   is the package's one 1-RDM routine: ``fci_solve``, :func:`compute_1rdm`
   and the VQE density (``sim.spin_summed_one_rdm``) all read it.
@@ -50,6 +59,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .activespace import ActiveHamiltonian
 
@@ -176,13 +186,15 @@ class _StringSpace:
     C[I, i].  No two entries of one pair reach the same string, so D+ is
     two gathers: rows of [C; -C; 0] for alpha, columns of [C, -C, 0] for
     beta, where slots no entry reaches read the zero.  D+ is a buffer
-    owned by the space and is overwritten by the next call.
+    owned by the space and is overwritten by the next call.  Equal alpha
+    and beta string sets share one table.
     """
 
     def __init__(self, n: int, alpha_strings, beta_strings):
         self.n = n
         self.alpha = a = _ExcitationTable(alpha_strings, n)
-        self.beta = b = _ExcitationTable(beta_strings, n)
+        same = np.array_equal(alpha_strings, beta_strings)
+        self.beta = b = a if same else _ExcitationTable(beta_strings, n)
         m_a, m_b = self.shape = (len(alpha_strings), len(beta_strings))
         self.dimension = m_a * m_b
         p, q = np.divmod(np.arange(n * n), n)
@@ -198,16 +210,21 @@ class _StringSpace:
         self._d = np.empty((m_a, n_pairs, m_b))
         self._work = np.empty((m_a, n_pairs, m_b))
 
+    def alpha_excitations(self, c: np.ndarray) -> np.ndarray:
+        """D_a[I, pair, i] = (E^a+_pair C)[I, i] for C of ``shape``, in the
+        buffer ``excitations`` returns."""
+        rows = np.concatenate((c, -c, np.zeros((1, self.shape[1]))))
+        np.take(rows, self._alpha_rows, axis=0, out=self._d.reshape(-1, self.shape[1]), mode="clip")
+        return self._d
+
     def excitations(self, vector: np.ndarray) -> np.ndarray:
         """D+ with D+[I, pair, i] = (E+_pair c)[I, i]."""
         c = vector.reshape(self.shape)
-        m_a, m_b = self.shape
-        rows = np.concatenate((c, -c, np.zeros((1, m_b))))
-        np.take(rows, self._alpha_rows, axis=0, out=self._d.reshape(-1, m_b), mode="clip")
-        cols = np.concatenate((c, -c, np.zeros((m_a, 1))), axis=1)
-        np.take(cols, self._beta_cols, axis=1, out=self._work.reshape(m_a, -1), mode="clip")
-        self._d += self._work
-        return self._d
+        d = self.alpha_excitations(c)
+        cols = np.concatenate((c, -c, np.zeros((self.shape[0], 1))), axis=1)
+        np.take(cols, self._beta_cols, axis=1, out=self._work.reshape(self.shape[0], -1), mode="clip")
+        d += self._work
+        return d
 
     def one_rdm(self, vector: np.ndarray) -> np.ndarray:
         """Spin-summed gamma_pq = <c| E_pq |c> = <c| E+_pq |c> / 2 for p != q."""
@@ -215,6 +232,40 @@ class _StringSpace:
         paired = np.einsum("Ii,Iki->k", vector.reshape(self.shape), d)
         p, q = np.divmod(np.arange(self.n * self.n), self.n)
         return (paired[self.pair_of] * np.where(p == q, 1.0, 0.5)).reshape(self.n, self.n)
+
+
+class _SpinFlipEvenBasis:
+    """Orthonormal basis of the symmetric C = C^T of an m x m sector.
+
+    Coordinate x holds C[I, I] on the diagonal and sqrt(2) C[I, i] for
+    I < i, pairs (I, i) in row-major order, so x[0] is the Hartree-Fock
+    determinant.  ``unpack`` is the isometry P: x -> C (flattened) and
+    ``pack`` its transpose P^T, so pack(unpack(x)) == x and P^T H P is H
+    restricted to the spin-flip-even states.
+    """
+
+    def __init__(self, m: int):
+        rows, cols = np.triu_indices(m)
+        self.m = m
+        self.dimension = len(rows)
+        self.upper = rows * m + cols  # flat (I, i), I <= i
+        self.mirror = cols * m + rows  # flat (i, I)
+        diagonal = rows == cols
+        self._unpack_scale = np.where(diagonal, 1.0, math.sqrt(0.5))
+        self._pack_scale = np.where(diagonal, 0.5, math.sqrt(0.5))
+
+    def unpack(self, x: np.ndarray) -> np.ndarray:
+        """P x: the flattened symmetric C."""
+        c = np.empty(self.m * self.m)
+        values = x * self._unpack_scale
+        c[self.mirror] = values
+        c[self.upper] = values
+        return c
+
+    def pack(self, c: np.ndarray) -> np.ndarray:
+        """P^T c over the last axis of flattened C's (which need not be
+        symmetric)."""
+        return (c[..., self.upper] + c[..., self.mirror]) * self._pack_scale
 
 
 def _integrals(active: ActiveHamiltonian) -> tuple[np.ndarray, np.ndarray]:
@@ -244,36 +295,80 @@ def _dense_hamiltonian(space: _StringSpace, k: np.ndarray, eri: np.ndarray) -> n
     return matrix
 
 
+def _alpha_sigma_matrix(space: _StringSpace) -> scipy.sparse.csr_array:
+    """S with S[I, J * n_pairs + pair] = s for each alpha entry
+    E_pq|I> = s|J>.  E+ is symmetric, so the alpha half of
+    sum_pair E+_pair G_pair is S G for G viewed as (m_a * n_pairs, m_b)
+    rows."""
+    a = space.alpha
+    m_a, width = a.pq.shape
+    n_pairs = len(space.pairs)
+    columns = a.target * n_pairs + space.pair_of[a.pq]
+    return scipy.sparse.csr_array(
+        (a.sign.ravel(), columns.ravel(), np.arange(m_a + 1) * width),
+        shape=(m_a, m_a * n_pairs),
+    )
+
+
 def _hamiltonian_operator(
     space: _StringSpace, k: np.ndarray, eri: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
     """c -> sigma = sum_pair (E+_pair G_pair + k_pair D+_pair), G = 1/2 (pq|rs) D+.
     E+ is symmetric, so (I, i) gathers s G[J, pair, i] over the entries
-    E_pq|I> = s|J> of its alpha string and s G[I, pair, j] over those of
-    its beta string."""
+    E_pq|I> = s|J> of its alpha string (one sparse product, see
+    :func:`_alpha_sigma_matrix`) and s G[I, pair, j] over those of its
+    beta string."""
     m_a, m_b = space.shape
-    a, b = space.alpha, space.beta
+    b = space.beta
     n_pairs = len(space.pairs)
-    alpha_rows = a.target * n_pairs + space.pair_of[a.pq]  # rows of G as (m_a * n_pairs, m_b)
+    alpha_sigma = _alpha_sigma_matrix(space)
     beta_cols = (space.pair_of[b.pq] * m_b + b.target).T  # columns of G as (m_a, n_pairs * m_b)
-    alpha_sign, beta_sign = a.sign[:, :, None], b.sign.T
+    beta_sign = b.sign.T
     half_eri = 0.5 * eri[np.ix_(space.pairs, space.pairs)]
     k = k[space.pairs]
     g = np.empty((m_a, n_pairs, m_b))
-    alpha_terms = np.empty((m_a, a.pq.shape[1], m_b))
     beta_terms = np.empty((m_a, b.pq.shape[1], m_b))
 
     def matvec(vector: np.ndarray) -> np.ndarray:
         d = space.excitations(np.ravel(vector))
         np.matmul(half_eri, d, out=g)
-        np.take(g.reshape(-1, m_b), alpha_rows, axis=0, out=alpha_terms, mode="clip")
-        np.multiply(alpha_terms, alpha_sign, out=alpha_terms)
+        sigma = alpha_sigma @ g.reshape(-1, m_b)
         np.take(g.reshape(m_a, -1), beta_cols, axis=1, out=beta_terms, mode="clip")
         np.multiply(beta_terms, beta_sign, out=beta_terms)
-        sigma = alpha_terms.sum(axis=1)
         sigma += beta_terms.sum(axis=1)
         sigma += np.matmul(k, d)
         return sigma.ravel()
+
+    return matvec
+
+
+def _even_hamiltonian_operator(
+    space: _StringSpace, basis: _SpinFlipEvenBasis, k: np.ndarray, eri: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> P^T H P x on the spin-flip-even basis of an n_alpha == n_beta
+    sector.  For C = C^T on one string table the beta gather is the
+    transposed alpha gather, so D+ = D_a + D_a^T; G = 1/2 (pq|rs) D+ is
+    symmetric in (I, i) as well, and the general operator's sigma becomes
+    sigma_a + sigma_a^T + k D+ with sigma_a = S G its alpha half
+    (:func:`_alpha_sigma_matrix`).  P^T sigma_a^T = P^T sigma_a, so the
+    result is P^T (2 sigma_a + k D+)."""
+    m = basis.m
+    alpha_sigma = _alpha_sigma_matrix(space)
+    half_eri = 0.5 * eri[np.ix_(space.pairs, space.pairs)]
+    k = k[space.pairs]
+    d = space._work
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        d_alpha = space.alpha_excitations(basis.unpack(x).reshape(m, m))
+        # a transposed copy and a contiguous add beat one add with a
+        # transposed operand
+        np.copyto(d, d_alpha.transpose(2, 1, 0))
+        np.add(d, d_alpha, out=d)
+        g = np.matmul(half_eri, d, out=d_alpha)  # D_a is spent
+        sigma = alpha_sigma @ g.reshape(-1, m)  # sigma_a
+        sigma *= 2.0
+        sigma += np.matmul(k, d)
+        return basis.pack(sigma.ravel())
 
     return matvec
 
@@ -370,14 +465,16 @@ def fci_solve(
     dense_limit: int = DENSE_DIMENSION_LIMIT,
 ) -> FciResult:
     """Lowest eigenpair of the active Hamiltonian in a fixed (N, S_z) sector;
-    on the Davidson path with n_alpha == n_beta, the lowest state with a
-    spin-flip-symmetric C[I, i] (see the module docstring).
+    with n_alpha == n_beta, the lowest spin-flip-even state (symmetric
+    C[I, i]; for a closed shell, the singlet) on both paths, S_z != 0
+    sectors over the whole sector (see the module docstring).
 
     Dense diagonalization is used for basis dimensions up to
     ``dense_limit`` (and always for a single determinant); beyond that a
     Davidson iteration from the Hartree-Fock determinant takes over and
-    raises :class:`FciConvergenceError` if it does not converge; a ground
-    state with an antisymmetric C (odd total spin) is out of its reach.
+    raises :class:`FciConvergenceError` if it does not converge.
+    ``basis_dimension`` is the whole sector's determinant count and
+    ``ground_vector`` lives on it, whichever basis the solve used.
     ``matvecs`` and ``residual_norm`` on the result say what the solve
     took (0 matvecs on the dense path).  Exceeding ``dimension_cap`` (or
     62 orbitals) raises :class:`FciCapacityError` before any string is
@@ -414,16 +511,28 @@ def fci_solve(
     beta_strings = tuple(_bit_strings(n, n_beta))
     space = _StringSpace(n, alpha_strings, beta_strings)
     k, eri = _integrals(active)
+    # with as many alpha as beta electrons both paths solve P^T H P
+    even = _SpinFlipEvenBasis(len(alpha_strings)) if n_alpha == n_beta else None
 
     if dimension <= max(dense_limit, 1):  # one determinant is its own eigenvector
         matrix = _dense_hamiltonian(space, k, eri)
+        if even is not None:
+            matrix = even.pack(even.pack(matrix).T)
         energies, vectors = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
         energy, vector, matvecs = float(energies[0]), vectors[:, 0], 0
         residual_norm = float(np.linalg.norm(matrix @ vector - energy * vector))
-    else:
+    elif even is None:
         energy, vector, matvecs, residual_norm = _davidson_ground(
             _hamiltonian_operator(space, k, eri), _diagonal(space, k, eri)
         )
+    else:
+        # the determinant diagonal at x's pairs preconditions exactly as it
+        # does the symmetric C on the full sector
+        energy, vector, matvecs, residual_norm = _davidson_ground(
+            _even_hamiltonian_operator(space, even, k, eri), _diagonal(space, k, eri)[even.upper]
+        )
+    if even is not None:
+        vector = even.unpack(vector)
 
     # deterministic global sign: largest-magnitude component positive
     pivot = int(np.argmax(np.abs(vector)))

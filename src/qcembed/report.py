@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -226,7 +227,23 @@ def recovery_rows_to_json(rows: list[RecoveryReport]) -> str:
         }
         for row in rows
     ]
-    return json.dumps(payload, indent=2)
+    return _json_text(payload)
+
+
+def _json_text(payload) -> str:
+    """Indented RFC 8259 JSON.  JSON has no NaN or Infinity, so a
+    non-finite float (a failed scan point's energy) is written as null."""
+    return json.dumps(_finite_or_null(payload), indent=2, allow_nan=False)
+
+
+def _finite_or_null(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(item) for item in value]
+    return value
 
 
 def write_energy_table_csv(

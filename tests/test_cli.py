@@ -147,6 +147,11 @@ def test_mu_scan_subcommand_with_config(capsys, tmp_path, h2_integrals):
     assert len(lines) == 3
 
 
+def _refuse(constant):
+    """A ``json.loads`` hook: RFC 8259 JSON has no NaN or Infinity."""
+    raise ValueError(f"{constant} is not JSON")
+
+
 def test_mu_scan_subcommand_reports_a_failed_point(capsys, tmp_path, h2_integrals):
     save_fcidump(h2_integrals, tmp_path / "mu_1.00.fcidump")
     (tmp_path / "mu_1.50.fcidump").write_text("garbage\n")
@@ -166,10 +171,11 @@ def test_mu_scan_subcommand_reports_a_failed_point(capsys, tmp_path, h2_integral
     ]
     assert (tmp_path / "table.csv").read_text().splitlines()[2] == "system,1.5,2,2,nan,nan,0,false"
     code = main(["mu-scan", "--config", str(config), "--format", "json"])
-    payload = json.loads(capsys.readouterr().out.split("mu_opt =")[0])
+    payload = json.loads(capsys.readouterr().out.split("mu_opt =")[0], parse_constant=_refuse)
     assert [row["error"] for row in payload["rows"]] == [
         "", "FcidumpError: line 1: missing namelist terminator (&END or /)"
     ]
+    assert payload["rows"][1]["e_hf"] is None and payload["rows"][1]["e_total"] is None
     assert list(payload["rows"][0]) == [
         "mu", "e_hf", "e_total", "iterations", "converged", "evaluations", "error"
     ]

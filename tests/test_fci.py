@@ -1,15 +1,19 @@
 """Exact diagonalization against brute-force Fock-space oracles, the
 Slater-Condon determinant oracle and goldens."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import qcembed.embedding as embedding
 import qcembed.fci as fci
 from qcembed.activespace import ActiveHamiltonian, ActiveSpaceSpec, reduce_integrals
 from qcembed.fci import FciCapacityError, FciConvergenceError, FciError, compute_1rdm, fci_solve
-from qcembed.integrals import SymmetricTwoBody
+from qcembed.integrals import SymmetricTwoBody, read_fcidump
 from qcembed.meanfield import solve_rhf
 
 from oracles import (
@@ -22,6 +26,8 @@ from oracles import (
     reference_lanczos_ground,
 )
 from conftest import FIXTURE_DIR
+
+BENCH_DATA = Path(__file__).resolve().parent.parent / "bench" / "data"
 
 
 def _single_orbital(h11=-0.9, v=0.55):
@@ -242,34 +248,43 @@ def test_diagonal_matches_dense_matrix(case):
     np.testing.assert_allclose(fci._diagonal(space, k, eri), expected, rtol=0, atol=1e-12)
 
 
-def _check_davidson_ground(active, n_alpha, n_beta) -> bool:
-    """Davidson against dense eigh and the Lanczos oracle on one sector.
+def _check_davidson_ground(active, n_alpha, n_beta) -> None:
+    """Davidson against dense eigh, the dense path and the Lanczos oracle
+    on one sector.
 
-    Both iterative solves start from the Hartree-Fock determinant and
-    cannot reach a ground state it has no weight in (an antisymmetric
-    C[I, i] when n_alpha == n_beta).  Returns False, checking nothing,
-    for such a sector.
+    With n_alpha == n_beta both paths return the lowest spin-flip-even
+    state, so the reference spectrum and the oracle's operator are P^T H P
+    over the packed symmetric C (a ground state with an antisymmetric C
+    is out of the contract, not missed).
     """
     n = active.n_orbitals
     space = fci._StringSpace(n, fci._bit_strings(n, n_alpha), fci._bit_strings(n, n_beta))
     k, eri = fci._integrals(active)
-    energies, vectors = np.linalg.eigh(fci._dense_hamiltonian(space, k, eri))
-    ground = energies - energies[0] < 1e-8
-    if np.sum(vectors[0, ground] ** 2) < 1e-8:
-        return False
-    result = fci_solve(
-        active, n_electrons=n_alpha + n_beta, s_z=(n_alpha - n_beta) / 2, dense_limit=0
-    )
-    lanczos_energy, _ = reference_lanczos_ground(
-        fci._hamiltonian_operator(space, k, eri), space.dimension
-    )
+    general = fci._hamiltonian_operator(space, k, eri)
+    matrix = fci._dense_hamiltonian(space, k, eri)
+    to_basis, operator, dimension = np.asarray, general, space.dimension
+    if n_alpha == n_beta:
+        basis = fci._SpinFlipEvenBasis(space.shape[0])
+        matrix = basis.pack(basis.pack(matrix).T)
+        to_basis, dimension = basis.pack, basis.dimension
+
+        def operator(x):
+            return basis.pack(general(basis.unpack(x)))
+
+    energies, vectors = np.linalg.eigh(matrix)
+    sector = dict(n_electrons=n_alpha + n_beta, s_z=(n_alpha - n_beta) / 2)
+    result = fci_solve(active, **sector, dense_limit=0)
+    dense = fci_solve(active, **sector, dense_limit=space.dimension)
+    lanczos_energy, _ = reference_lanczos_ground(operator, dimension)
     assert 1 <= result.matvecs <= fci.DAVIDSON_MAX_ITERATIONS
     assert result.residual_norm < fci.DAVIDSON_TOLERANCE
+    assert result.basis_dimension == dense.basis_dimension == space.dimension
     assert result.ground_energy == pytest.approx(energies[0], abs=1e-10)
+    assert dense.ground_energy == pytest.approx(energies[0], abs=1e-10)
     assert result.ground_energy == pytest.approx(lanczos_energy, abs=1e-10)
-    if ground.sum() == 1 and energies[1] - energies[0] > 1e-3:
-        assert abs(vectors[:, 0] @ result.ground_vector) >= 1 - 1e-8
-    return True
+    if energies[1] - energies[0] > 1e-3:
+        assert abs(vectors[:, 0] @ to_basis(result.ground_vector)) >= 1 - 1e-8
+        assert abs(vectors[:, 0] @ to_basis(dense.ground_vector)) >= 1 - 1e-8
 
 
 @given(sectors())
@@ -277,7 +292,7 @@ def _check_davidson_ground(active, n_alpha, n_beta) -> bool:
 def test_davidson_matches_dense_and_lanczos(case):
     active, n_alpha, n_beta, space, _ = case
     assume(space.dimension >= 2)
-    assume(_check_davidson_ground(active, n_alpha, n_beta))
+    _check_davidson_ground(active, n_alpha, n_beta)
 
 
 @pytest.mark.parametrize(
@@ -286,7 +301,79 @@ def test_davidson_matches_dense_and_lanczos(case):
 )
 def test_davidson_on_empty_full_and_open_shell_sectors(n, n_alpha, n_beta):
     active = random_active_hamiltonian(np.random.default_rng(60 + n), n)
-    assert _check_davidson_ground(active, n_alpha, n_beta)
+    _check_davidson_ground(active, n_alpha, n_beta)
+
+
+def test_both_paths_return_the_spin_flip_even_ground_state():
+    """The second Hamiltonian of rng(3) on five orbitals has an
+    antisymmetric (odd total spin) ground state at -8.80484 Ha in sector
+    (2, 2); the dense path used to return it while Davidson returned the
+    lowest even state, -8.680028 Ha.  Both now return the even state."""
+    rng = np.random.default_rng(3)
+    random_active_hamiltonian(rng, 5)
+    active = random_active_hamiltonian(rng, 5)
+    space = fci._StringSpace(5, fci._bit_strings(5, 2), fci._bit_strings(5, 2))
+    whole_sector = np.linalg.eigvalsh(fci._dense_hamiltonian(space, *fci._integrals(active)))
+    assert whole_sector[0] == pytest.approx(-8.80484, abs=1e-5)
+    for dense_limit in (fci.DENSE_DIMENSION_LIMIT, 0):
+        result = fci_solve(active, n_electrons=4, s_z=0.0, dense_limit=dense_limit)
+        assert result.ground_energy == pytest.approx(-8.680028, abs=1e-6)
+        assert result.ground_energy == pytest.approx(whole_sector[1], abs=1e-10)
+        c = result.ground_vector.reshape(space.shape)
+        np.testing.assert_array_equal(c, c.T)
+
+
+@st.composite
+def even_sectors(draw):
+    """A random Hamiltonian on n <= 6 orbitals, one of its n_alpha ==
+    n_beta sectors and a random unit vector in its spin-flip-even basis."""
+    n = draw(st.integers(1, 6))
+    strings = fci._bit_strings(n, draw(st.integers(0, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    active = random_active_hamiltonian(rng, n)
+    space = fci._StringSpace(n, strings, strings)
+    basis = fci._SpinFlipEvenBasis(len(strings))
+    x = rng.normal(size=basis.dimension)
+    return active, space, basis, x / np.linalg.norm(x)
+
+
+@given(even_sectors())
+@settings(max_examples=60, deadline=None)
+def test_even_matvec_matches_packed_general_matvec(case):
+    active, space, basis, x = case
+    k, eri = fci._integrals(active)
+    expected = basis.pack(fci._hamiltonian_operator(space, k, eri)(basis.unpack(x)))
+    even = fci._even_hamiltonian_operator(space, basis, k, eri)
+    np.testing.assert_allclose(even(x), expected, rtol=0, atol=1e-12)
+
+
+@given(even_sectors())
+@settings(max_examples=60, deadline=None)
+def test_spin_flip_even_packing_is_an_isometry(case):
+    _, space, basis, x = case
+    m = space.shape[0]
+    assert basis.dimension == m * (m + 1) // 2
+    c = basis.unpack(x)
+    np.testing.assert_array_equal(c.reshape(m, m), c.reshape(m, m).T)
+    assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-14)
+    np.testing.assert_allclose(basis.pack(c), x, rtol=0, atol=1e-15)
+    isometry = np.stack([basis.unpack(column) for column in np.eye(basis.dimension)], axis=1)
+    np.testing.assert_allclose(isometry.T @ isometry, np.eye(basis.dimension), rtol=0, atol=1e-15)
+    y = np.random.default_rng(m).normal(size=m * m)  # pack is P^T on any vector
+    np.testing.assert_allclose(basis.pack(y), isometry.T @ y, rtol=0, atol=1e-14)
+
+
+def test_even_sector_shares_one_table_and_its_one_rdm_matches_the_oracle():
+    active = random_active_hamiltonian(np.random.default_rng(58), 4)
+    result = fci_solve(active, n_electrons=4, s_z=0.0, dense_limit=0)
+    space = fci._StringSpace(4, result.alpha_strings, result.beta_strings)
+    assert space.beta is space.alpha
+    np.testing.assert_allclose(
+        result.one_rdm,
+        reference_fci_one_rdm(4, 2, 2, result.ground_vector),
+        rtol=0,
+        atol=1e-12,
+    )
 
 
 def test_davidson_replaces_a_correction_already_in_the_subspace():
@@ -331,6 +418,29 @@ def test_h2o_10e7o_davidson_matvec_budget(h2o_integrals):
     assert dense.matvecs == 0
     assert dense.residual_norm < 1e-10
     assert result.ground_energy == pytest.approx(dense.ground_energy, abs=1e-10)
+
+
+def test_h8_8e8o_embedding_matches_reference_within_matvec_budget(monkeypatch):
+    """H8 (8e,8o), 4900 determinants: the FCI embedding's one solve took 23
+    matvecs when this budget was set, on the spin-flip-even half."""
+    reference = json.loads((BENCH_DATA / "references.json").read_text())["h8_8e8o"]
+    results = []
+
+    def recording_solve(active):
+        results.append(fci_solve(active))
+        return results[-1]
+
+    monkeypatch.setattr(embedding, "fci_solve", recording_solve)
+    state = embedding.run_embedding(
+        read_fcidump(BENCH_DATA / reference["file"]),
+        ActiveSpaceSpec(*reference["active"]),
+        embedding.EmbeddingConfig(active_solver="fci"),
+    )
+    assert state.converged
+    assert state.final_energy == pytest.approx(reference["e_total"], abs=1e-8)
+    assert [result.basis_dimension for result in results] == [reference["fci_dimension"]]
+    assert 1 <= results[0].matvecs <= 23
+    assert results[0].residual_norm < fci.DAVIDSON_TOLERANCE
 
 
 @pytest.mark.parametrize("molecule, spec", [("h2o", (10, 7)), ("h2o", (8, 6)), ("lih", (4, 6))])

@@ -273,6 +273,19 @@ def test_recovery_json_round_trip():
     assert payload[0]["recovery_percent"] == pytest.approx(62.0879, abs=1e-3)
 
 
+def test_recovery_json_writes_a_non_finite_energy_as_null():
+    """A NaN energy passes the row's consistency check (NaN compares false),
+    so the JSON writer must not let it through as a bare NaN token."""
+    row = RecoveryReport("water", None, 6, 6, -75.841, float("nan"), -76.205, float("nan"))
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    payload = json.loads(recovery_rows_to_json([row]), parse_constant=refuse)
+    assert payload[0]["e_qdft"] is None and payload[0]["recovery_percent"] is None
+    assert payload[0]["e_dft"] == -75.841
+
+
 def test_energy_table_csv_schema():
     rows = [MuScanRow(mu=0.5, e_hf=-1.1, e_total=-1.13, iterations=2, converged=True)]
     buffer = io.StringIO()
