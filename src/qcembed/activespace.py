@@ -144,24 +144,20 @@ def reduce_in_orbital_basis(
     inactive: list[int],
     active: list[int],
     n_active_electrons: int,
-    env_density: np.ndarray | None = None,
 ) -> ActiveHamiltonian:
     """Frozen-core reduction with integrals already in the working basis.
 
-    ``env_density`` is the spin-summed density generating the bath
-    potential; by default it doubly occupies the inactive orbitals.
-    The embedding cycle passes the current damped density (with the
-    active block removed) here, so the bath Fock refreshes every
-    iteration.
+    The bath density D_env doubly occupies the inactive orbitals.  The
+    embedding cycle reduces once per run: its damped density keeps
+    exactly these occupations outside the active window, so the bath
+    Fock operator never changes between iterations.
 
         h_eff = h + J[D_env] - K[D_env]/2
         inactive_energy = core + Tr[D_env (h + h_eff)] / 2
     """
     n = h.shape[0]
-    if env_density is None:
-        env_density = np.zeros((n, n))
-        for i in inactive:
-            env_density[i, i] = 2.0
+    env_density = np.zeros((n, n))
+    env_density[inactive, inactive] = 2.0
 
     coulomb, exchange = coulomb_exchange(eri, env_density)
     h_eff = h + coulomb - 0.5 * exchange

@@ -1,17 +1,23 @@
 """Self-consistent quantum-in-mean-field embedding with adaptive damping.
 
-Each cycle reduces the integrals against the current damped total
-density, hands the active window to a quantum solver (statevector
-UCCSD-VQE or the in-package FCI oracle), embeds the returned
-one-particle density back into the full orbital space, and mixes
+The integrals are reduced once per run to the active window, with the
+frozen orbitals doubly occupied; a quantum solver (statevector
+UCCSD-VQE or the in-package FCI oracle) returns the window's
+one-particle density, which is embedded back into the full orbital
+space and mixed as
 
     D_i = (1 - alpha_i) D_{i-1} + alpha_i D_new,
     alpha_i = max(damping_floor, damping_scale / sqrt(i)),
 
 declaring convergence once the total energy moves by less than the
 threshold between consecutive iterations.  The orbital basis of the
-initial mean-field solution stays fixed; only occupations and the bath
-Fock operator are refreshed.
+initial mean-field solution stays fixed, and every mixed density keeps
+the inactive occupations bitwise outside the window, so the active
+Hamiltonian is the same in every iteration.  The built-in solvers
+therefore solve once per run and iteration 2 confirms with a delta of
+exactly 0; a callable solver is called in every iteration with that
+same Hamiltonian.  A resumed state whose density outside the window is
+not the inactive occupation would need another bath and is refused.
 """
 
 from __future__ import annotations
@@ -144,32 +150,21 @@ def _make_vqe_solver(vqe_config: VqeConfig) -> ActiveSolver:
     return solver
 
 
-def _same_active_hamiltonian(a: ActiveHamiltonian, b: ActiveHamiltonian) -> bool:
-    return (
-        a.n_orbitals == b.n_orbitals
-        and a.n_electrons == b.n_electrons
-        and a.inactive_energy == b.inactive_energy
-        and np.array_equal(a.one_body_eff, b.one_body_eff)
-        and a.two_body == b.two_body
-    )
-
-
-def _reuse_unchanged(solve: ActiveSolver) -> ActiveSolver:
+def _solve_once(solve: ActiveSolver) -> ActiveSolver:
     """Wrap a solver that is a pure function of its active Hamiltonian.
 
-    A call on a Hamiltonian equal by value to the previous call's returns
-    that call's energy and a copy of its 1-RDM, with 0 evaluations.  In
-    the fixed orbital basis the environment density often stops changing,
-    so this skips re-solving an identical active problem.
+    An embedding run passes the same Hamiltonian in every iteration, so
+    the first call solves and every later call returns that energy and a
+    copy of its 1-RDM, with 0 evaluations.
     """
-    last: tuple[ActiveHamiltonian, float, np.ndarray] | None = None
+    first: tuple[float, np.ndarray] | None = None
 
     def solver(active: ActiveHamiltonian, iteration: int) -> tuple[float, np.ndarray, int]:
-        nonlocal last
-        if last is not None and _same_active_hamiltonian(last[0], active):
-            return last[1], last[2].copy(), 0
+        nonlocal first
+        if first is not None:
+            return first[0], first[1].copy(), 0
         energy, gamma, evaluations = solve(active, iteration)
-        last = (active, energy, gamma.copy())
+        first = (energy, gamma.copy())
         return energy, gamma, evaluations
 
     return solver
@@ -177,26 +172,22 @@ def _reuse_unchanged(solve: ActiveSolver) -> ActiveSolver:
 
 def _resolve_solver(config: EmbeddingConfig, vqe_config: VqeConfig | None) -> ActiveSolver:
     # callables may depend on the iteration, so only the built-in solvers,
-    # both pure functions of the active Hamiltonian, reuse a previous solve
+    # both pure functions of the active Hamiltonian, reuse the first solve
     if callable(config.active_solver):
         return config.active_solver
     if config.active_solver == "fci":
-        return _reuse_unchanged(_solve_active_fci)
-    return _reuse_unchanged(_make_vqe_solver(vqe_config or VqeConfig()))
+        return _solve_once(_solve_active_fci)
+    return _solve_once(_make_vqe_solver(vqe_config or VqeConfig()))
 
 
-def _environment_density(density: np.ndarray, active: list[int]) -> np.ndarray:
-    env = density.copy()
-    if active:
-        idx = np.asarray(active, dtype=int)
-        env[idx, :] = 0.0
-        env[:, idx] = 0.0
-    return env
-
-
-def _check_resume(state: EmbeddingState, n: int, inactive: list[int], active: list[int]) -> None:
+def _check_resume(
+    state: EmbeddingState, inactive_density: np.ndarray, inactive: list[int], active: list[int]
+) -> None:
     """Refuse a state whose density or recorded orbital split does not fit
-    the integrals and active-space selection of the run resuming it."""
+    the integrals and active-space selection of the run resuming it, or
+    whose environment density (outside the active window) is not the
+    inactive occupation the run reduces against."""
+    n = len(inactive_density)
     if state.damped_density.shape != (n, n):
         raise EmbeddingError(
             f"resume state density has shape {state.damped_density.shape}, "
@@ -211,6 +202,14 @@ def _check_resume(state: EmbeddingState, n: int, inactive: list[int], active: li
                 f"resume state {name} orbitals {tuple(recorded)} differ from the "
                 f"current selection {tuple(current)}"
             )
+    environment = np.ones(n, dtype=bool)
+    environment[active] = False
+    block = np.ix_(environment, environment)
+    if not np.array_equal(state.damped_density[block], inactive_density[block]):
+        raise EmbeddingError(
+            "resume state environment density outside the active window "
+            f"{tuple(active)} differs from the inactive occupation"
+        )
 
 
 def run_embedding(
@@ -226,8 +225,9 @@ def run_embedding(
     exception) when the energy has not stabilized within
     ``max_embedding_iterations``.  Passing a previous state as
     ``resume_from`` continues the iteration count, histories and
-    densities of that run; a state whose density shape or recorded
-    orbital split does not match this run raises :class:`EmbeddingError`.
+    densities of that run; a state whose density shape, recorded
+    orbital split or environment density does not match this run raises
+    :class:`EmbeddingError`.
     """
     if config is None:
         config = EmbeddingConfig()
@@ -237,13 +237,17 @@ def run_embedding(
 
     inactive, active = select_orbitals(mf, spec)
     h_mo, eri_mo = transform_to_mo_basis(integrals, mf.orbital_coefficients)
+    active_h = reduce_in_orbital_basis(
+        h_mo, eri_mo, integrals.core_energy, inactive, active, spec.n_active_electrons
+    )
     solver = _resolve_solver(config, vqe_config)
 
     n = integrals.n_orbitals
-    occupied = list(range(mf.n_occupied))
+    inactive_density = np.zeros((n, n))
+    inactive_density[inactive, inactive] = 2.0
 
     if resume_from is not None:
-        _check_resume(resume_from, n, inactive, active)
+        _check_resume(resume_from, inactive_density, inactive, active)
         density = resume_from.damped_density.copy()
         energies = list(resume_from.energy_history)
         alphas = list(resume_from.alpha_history)
@@ -252,9 +256,9 @@ def run_embedding(
         start = resume_from.iteration + 1
         previous_energy = energies[-1] if energies else None
     else:
+        occupied = np.arange(mf.n_occupied)
         density = np.zeros((n, n))
-        for i in occupied:
-            density[i, i] = 2.0
+        density[occupied, occupied] = 2.0
         energies, alphas, deltas, evaluations = [], [], [], []
         start = 1
         previous_energy = None
@@ -263,17 +267,6 @@ def run_embedding(
     iteration = start - 1
     for iteration in range(start, start + config.max_embedding_iterations):
         alpha = damping_factor(iteration, config)
-        env = _environment_density(density, active)
-        active_h = reduce_in_orbital_basis(
-            h_mo,
-            eri_mo,
-            integrals.core_energy,
-            inactive,
-            active,
-            spec.n_active_electrons,
-            env_density=env,
-        )
-
         if spec.is_empty:
             active_energy, gamma, n_evals = 0.0, np.zeros((0, 0)), 0
         else:
@@ -286,9 +279,7 @@ def run_embedding(
 
         energy = active_h.inactive_energy + active_energy
 
-        new_density = np.zeros((n, n))
-        for i in inactive:
-            new_density[i, i] = 2.0
+        new_density = inactive_density.copy()
         if active:
             idx = np.asarray(active, dtype=int)
             new_density[np.ix_(idx, idx)] = gamma

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcembed.activespace import ActiveSpaceSpec
 from qcembed.embedding import (
@@ -15,7 +17,6 @@ from qcembed.embedding import (
     run_embedding,
     write_iteration_log_csv,
 )
-from qcembed.integrals import SymmetricTwoBody
 from qcembed.meanfield import solve_rhf
 from qcembed.vqe import VqeConfig
 
@@ -63,15 +64,36 @@ def test_empty_active_space_equals_rhf_exactly(h2o_integrals):
     assert state.final_energy == pytest.approx(mf.energy, abs=1e-12)
 
 
-def test_h2o_small_window_converges_within_three(golden, h2o_integrals):
-    state = run_embedding(
-        h2o_integrals, ActiveSpaceSpec(2, 2), EmbeddingConfig(active_solver="fci")
-    )
-    assert state.converged
-    assert state.iteration <= 3
-    # golden iteration count for this fixture
-    assert state.iteration == 2
-    assert state.final_energy == pytest.approx(golden["h2o"]["e_casci_2_2"], abs=1e-8)
+FIXTURE_SPACES = {
+    "h2": [(2, 1), (2, 2)],
+    "lih": [(2, 2), (2, 3), (2, 4), (4, 4)],
+    "h2o": [(2, 2), (4, 4), (6, 5)],
+}
+
+
+def test_fixture_spaces_converge_within_two(golden, request):
+    """The paper's two-iteration convergence: the built-in solvers solve
+    once, and iteration 2 confirms with a delta of exactly 0."""
+    for solver_name in ("fci", "vqe"):
+        for molecule, specs in FIXTURE_SPACES.items():
+            integrals = request.getfixturevalue(f"{molecule}_integrals")
+            for spec in specs:
+                state = run_embedding(
+                    integrals,
+                    ActiveSpaceSpec(*spec),
+                    EmbeddingConfig(active_solver=solver_name),
+                    VqeConfig(seed=0),
+                )
+                label = f"{solver_name} {molecule} {spec}"
+                assert state.converged, label
+                assert state.iteration == 2, label
+                assert state.delta_history[1] == 0.0, label
+                assert state.solver_evaluations[1] == 0, label
+                if (solver_name, molecule, spec) == ("fci", "h2o", (2, 2)):
+                    # golden energy for this fixture
+                    assert state.final_energy == pytest.approx(
+                        golden["h2o"]["e_casci_2_2"], abs=1e-8
+                    )
 
 
 def test_damping_disabled_reaches_same_fixed_point(h2_integrals):
@@ -160,6 +182,16 @@ def test_resume_refuses_different_orbital_selection(h2o_integrals):
     unrecorded = dataclasses.replace(state, active_orbitals=(), inactive_orbitals=())
     resumed = run_embedding(h2o_integrals, ActiveSpaceSpec(4, 4), config, resume_from=unrecorded)
     assert resumed.iteration == state.iteration + 1
+
+
+def test_resume_refuses_foreign_environment_density(h2o_integrals):
+    """A (4e,4o) density leaks outside the (2e,2o) window, so its bath is
+    not the inactive occupation the resuming run reduces against."""
+    config = EmbeddingConfig(active_solver="fci", max_embedding_iterations=1)
+    state = run_embedding(h2o_integrals, ActiveSpaceSpec(4, 4), config)
+    unrecorded = dataclasses.replace(state, active_orbitals=(), inactive_orbitals=())
+    with pytest.raises(EmbeddingError, match="environment density"):
+        run_embedding(h2o_integrals, ActiveSpaceSpec(2, 2), config, resume_from=unrecorded)
 
 
 def test_vqe_energy_dominates_fci_energy(h2o_integrals):
@@ -266,54 +298,52 @@ def test_builtin_solver_reuses_unchanged_hamiltonian(
     assert state.solver_evaluations == (reference.solver_evaluations[0], 0)
 
 
-def _perturb_one_body(active):
-    h = active.one_body_eff.copy()
-    h[0, 1] += 1e-12
-    h[1, 0] = h[0, 1]
-    return dataclasses.replace(active, one_body_eff=h)
+@pytest.mark.parametrize("molecule, spec", [("h2", (2, 2)), ("h2o", (4, 4))])
+def test_one_reduction_and_one_builtin_solve_per_run(monkeypatch, request, molecule, spec):
+    integrals = request.getfixturevalue(f"{molecule}_integrals")
+    reductions = _count_calls(monkeypatch, "reduce_in_orbital_basis")
+    for solver_name, entry in (("fci", "fci_solve"), ("vqe", "minimize")):
+        solves = _count_calls(monkeypatch, entry)
+        config = EmbeddingConfig(active_solver=solver_name)
+        first = run_embedding(integrals, ActiveSpaceSpec(*spec), config, VqeConfig(seed=7))
+        assert len(solves) == 1
+        resumed = run_embedding(
+            integrals, ActiveSpaceSpec(*spec), config, VqeConfig(seed=7), resume_from=first
+        )
+        assert len(solves) == 2
+        n = first.solver_evaluations[0]
+        assert n > 0
+        assert first.solver_evaluations == (n, 0)
+        assert resumed.solver_evaluations == (n, 0, n)
+    assert len(reductions) == 4
+
+    # a callable solver is called in every iteration, always with the same Hamiltonian
+    seen = []
+
+    def solver(active, iteration):
+        seen.append(active)
+        return -float(iteration), np.eye(active.n_orbitals), 1
+
+    config = EmbeddingConfig(active_solver=solver, max_embedding_iterations=3)
+    run_embedding(integrals, ActiveSpaceSpec(*spec), config)
+    assert len(seen) == 3 and all(active is seen[0] for active in seen)
+    assert len(reductions) == 5
 
 
-def _perturb_two_body(active):
-    two = SymmetricTwoBody.from_dense(active.two_body_dense())
-    two.set(1, 0, 0, 0, two.get(1, 0, 0, 0) + 1e-12)
-    return dataclasses.replace(active, two_body=two)
-
-
-def _shift_inactive_energy(active):
-    return dataclasses.replace(active, inactive_energy=active.inactive_energy + 1e-12)
-
-
-@pytest.mark.parametrize(
-    "perturb", [_perturb_one_body, _perturb_two_body, _shift_inactive_energy]
-)
-def test_builtin_solver_resolves_changed_hamiltonian(monkeypatch, perturb):
+def test_builtin_solver_repeats_return_a_private_one_rdm():
     from oracles import random_active_hamiltonian
 
     import qcembed.embedding as emb
 
-    calls = _count_calls(monkeypatch, "fci_solve")
     solver = emb._resolve_solver(EmbeddingConfig(active_solver="fci"), None)
     active = random_active_hamiltonian(np.random.default_rng(61), 3)
-
     energy, gamma, evaluations = solver(active, 1)
-    assert (len(calls), evaluations) == (1, 1)
-
-    # equal by value, not the same objects: reused, with a private 1-RDM copy
-    copy = dataclasses.replace(
-        active,
-        one_body_eff=active.one_body_eff.copy(),
-        two_body=SymmetricTwoBody.from_dense(active.two_body_dense()),
-    )
-    reused_energy, reused_gamma, reused_evaluations = solver(copy, 2)
-    assert (len(calls), reused_evaluations) == (1, 0)
-    assert reused_energy == energy
-    assert np.array_equal(reused_gamma, gamma) and reused_gamma is not gamma
-    reused_gamma[0, 0] = np.nan
-    assert np.array_equal(solver(copy, 3)[1], gamma)
-
-    changed = perturb(active)
-    assert solver(changed, 4)[2] == 1
-    assert len(calls) == 2
+    repeat_energy, repeat_gamma, repeat_evaluations = solver(active, 2)
+    assert (evaluations, repeat_evaluations) == (1, 0) and repeat_energy == energy
+    assert np.array_equal(repeat_gamma, gamma) and repeat_gamma is not gamma
+    # neither returned 1-RDM aliases the one kept for later iterations
+    gamma[0, 0] = repeat_gamma[0, 0] = np.nan
+    assert np.isfinite(solver(active, 3)[1]).all()
 
 
 @pytest.mark.parametrize(
@@ -325,24 +355,39 @@ def test_builtin_solver_resolves_changed_hamiltonian(monkeypatch, perturb):
     ],
 )
 def test_active_hamiltonian_is_fixed_across_iterations(request, molecule, specs):
-    """In the fixed orbital basis the environment density outside the
-    window keeps its Hartree-Fock values, so every iteration reduces to
-    the same active Hamiltonian bitwise, whatever the solver returns."""
+    """Whatever the damping schedule and whatever symmetric 1-RDM the
+    solver returns, every mixed density keeps the inactive occupations
+    bitwise outside the active window, so the reduction done once per run
+    is the one every iteration would give."""
     integrals = request.getfixturevalue(f"{molecule}_integrals")
-    for n_electrons, n_orbitals in specs:
-        seen = []
+    unit = st.floats(0.0, 1.0, exclude_min=True)
+    for spec in specs:
 
-        def solver(active, iteration):
-            seen.append(active)
-            rng = np.random.default_rng(iteration)
-            gamma = rng.normal(size=(n_orbitals, n_orbitals))
-            return -0.01 * iteration, gamma + gamma.T, 1
+        @given(
+            damping=st.tuples(unit, unit).map(sorted),
+            max_iterations=st.integers(1, 6),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        @settings(max_examples=25, deadline=None)
+        def check(damping, max_iterations, seed):
+            rng = np.random.default_rng(seed)
 
-        config = EmbeddingConfig(active_solver=solver, max_embedding_iterations=5)
-        state = run_embedding(integrals, ActiveSpaceSpec(n_electrons, n_orbitals), config)
-        assert len(seen) == 5 and not state.converged
-        first = seen[0]
-        for active in seen[1:]:
-            assert active.inactive_energy == first.inactive_energy
-            assert np.array_equal(active.one_body_eff, first.one_body_eff)
-            assert active.two_body == first.two_body
+            def solver(active, iteration):
+                gamma = rng.normal(size=(active.n_orbitals, active.n_orbitals))
+                return rng.normal(), gamma + gamma.T, 1
+
+            floor, scale = damping
+            config = EmbeddingConfig(
+                active_solver=solver,
+                max_embedding_iterations=max_iterations,
+                damping_floor=floor,
+                damping_scale=scale,
+            )
+            state = run_embedding(integrals, ActiveSpaceSpec(*spec), config)
+            active = list(state.active_orbitals)
+            occupation = np.zeros(integrals.n_orbitals)
+            occupation[list(state.inactive_orbitals)] = 2.0
+            environment = np.delete(np.delete(state.damped_density, active, 0), active, 1)
+            assert np.array_equal(environment, np.diag(np.delete(occupation, active)))
+
+        check()
