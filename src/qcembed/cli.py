@@ -24,6 +24,7 @@ from .meanfield import solve_rhf
 from .report import (
     ResultRow,
     _json_text,
+    _require_columns,
     build_report,
     load_reference_table,
     packaged_reference_table,
@@ -213,7 +214,9 @@ def _cmd_report(args) -> int:
     )
     rows = []
     with open(args.results, newline="") as handle:
-        for record in csv.DictReader(handle):
+        reader = csv.DictReader(handle)
+        _require_columns(reader.fieldnames, ("molecule", "ne", "no", "e_qdft"), args.results)
+        for record in reader:
             if record.get("converged", "true").strip().lower() in ("false", "0", "no"):
                 continue
             rows.append(

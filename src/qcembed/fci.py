@@ -26,11 +26,12 @@ electrons, so a table is a set of (m strings, L) arrays.
   sector is solved on its spin-flip-even states C = C^T (Olsen et al.,
   J. Chem. Phys. 89, 2185 (1988)), in the orthonormal basis
   x = C[I, I], sqrt(2) C[I, i] for I < i: m(m + 1)/2 unknowns in place
-  of m^2.  Both paths return the lowest even state, which for a closed
+  of m^2.  The solve returns the lowest even state, which for a closed
   shell is the singlet; a lower state with an antisymmetric C (odd total
   spin) is out of the contract.  S_z != 0 sectors use the whole sector.
-* Davidson (above ``dense_limit``): Davidson-Liu (Davidson, J. Comput.
-  Phys. 17, 87 (1975)) from the Hartree-Fock determinant on a matvec
+* Davidson, the one eigensolver, on every sector: Davidson-Liu
+  (Davidson, J. Comput. Phys. 17, 87 (1975)) from the Hartree-Fock
+  determinant on a matvec
   D = E c (stacked over pq), G = 1/2 (pq|rs) D,
   sigma = sum_pq E_pq G_pq + sum_pq k_pq D_pq.  The 8-fold symmetry of
   (pq|rs) folds pq and qp onto the pair p >= q, so the matvec runs over
@@ -41,10 +42,8 @@ electrons, so a table is a set of (m strings, L) arrays.
   (H_diag - theta)^-1 r, r = Hx - theta x, with the exact determinant
   diagonal H_diag from the string occupations; it stops at
   ||r|| < ``DAVIDSON_TOLERANCE`` and raises :class:`FciConvergenceError`
-  after ``DAVIDSON_MAX_ITERATIONS`` steps.
-* Dense: H = H_a (x) 1 + 1 (x) H_b + sum_pqrs (pq|rs) E^a_pq (x) E^b_rs,
-  each one-spin H_s assembled by chaining table entries E_pq E_rs, and
-  P^T H P for the packing isometry P on the even states.
+  after ``DAVIDSON_MAX_ITERATIONS`` steps.  A one-determinant sector
+  converges on the first Ritz step, after one matvec.
 * The spin-summed 1-RDM is gamma_pq = c . (E_pq c), from the same D.  It
   is the package's one 1-RDM routine: ``fci_solve``, :func:`compute_1rdm`
   and the VQE density (``sim.spin_summed_one_rdm``) all read it.
@@ -58,7 +57,6 @@ from itertools import combinations
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .activespace import ActiveHamiltonian
@@ -73,13 +71,6 @@ __all__ = [
 ]
 
 DEFAULT_DIMENSION_CAP = 40_000
-# Dense eigh and Davidson break even near 225 determinants on molecular
-# sectors (H2O, LiH, H8 STO-3G spaces, whole fci_solve, best of 9, 2-vCPU
-# VM): 49 dense 2.8 ms vs Davidson 4.1 ms, 147 4.4 vs 5.2 ms, 224-225
-# 5.6-9.2 vs 2.3-11.5 ms (11-27 matvecs), 245 9.9 vs 6.0 ms, 400 18.4
-# vs 4.6 ms.  Random Hamiltonians favour dense further up (441: 16 vs
-# 25 ms): the diagonal preconditions them poorly.
-DENSE_DIMENSION_LIMIT = 250
 # Davidson stops once ||H x - theta x|| < DAVIDSON_TOLERANCE and raises
 # FciConvergenceError after DAVIDSON_MAX_ITERATIONS Ritz steps; it keeps
 # at most DAVIDSON_MAX_SUBSPACE basis vectors and their images.
@@ -116,8 +107,9 @@ class FciResult:
     """Ground eigenpair plus the spin-summed one-particle density matrix.
 
     ``ground_energy`` excludes the inactive energy offset; callers add
-    it when reporting totals.  ``matvecs`` counts the Davidson matvecs (0
-    on the dense path) and ``residual_norm`` is ||H c - E c||.
+    it when reporting totals.  ``matvecs`` counts the Davidson matvecs, at
+    least 1 for every solve (0 only for an empty active space, which needs
+    none), and ``residual_norm`` is ||H c - E c||.
     """
 
     ground_energy: float
@@ -156,26 +148,6 @@ class _ExcitationTable:
         self.pq = (p * n + q).reshape(shape)
         self.target = np.searchsorted(masks, moved).reshape(shape)
         self.sign = (1.0 - 2.0 * parity).reshape(shape)
-
-    def one_spin_matrix(self, k: np.ndarray, half_eri: np.ndarray) -> np.ndarray:
-        """Dense sum_pq k_pq E_pq + sum_pqrs half_eri[pq, rs] E_pq E_rs over
-        this spin's strings, chaining E_rs|J> = t|K> with E_pq|K> = s|I>."""
-        m = len(self.pq)
-        source = np.arange(m)[:, None]
-        one = np.bincount(
-            (self.target * m + source).ravel(),
-            weights=(k[self.pq] * self.sign).ravel(),
-            minlength=m * m,
-        )
-        middle = self.target  # K for each (J, rs) entry
-        values = half_eri[self.pq[middle], self.pq[:, :, None]]
-        values *= self.sign[middle] * self.sign[:, :, None]
-        two = np.bincount(
-            (self.target[middle] * m + source[:, :, None]).ravel(),
-            weights=values.ravel(),
-            minlength=m * m,
-        )
-        return (one + two).reshape(m, m)
 
 
 class _StringSpace:
@@ -263,9 +235,8 @@ class _SpinFlipEvenBasis:
         return c
 
     def pack(self, c: np.ndarray) -> np.ndarray:
-        """P^T c over the last axis of flattened C's (which need not be
-        symmetric)."""
-        return (c[..., self.upper] + c[..., self.mirror]) * self._pack_scale
+        """P^T c for a flattened C, which need not be symmetric."""
+        return (c[self.upper] + c[self.mirror]) * self._pack_scale
 
 
 def _integrals(active: ActiveHamiltonian) -> tuple[np.ndarray, np.ndarray]:
@@ -274,25 +245,6 @@ def _integrals(active: ActiveHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     eri = active.two_body_dense()
     k = np.asarray(active.one_body_eff) - 0.5 * np.einsum("prrq->pq", eri)
     return k.ravel(), eri.reshape(n * n, n * n)
-
-
-def _dense_hamiltonian(space: _StringSpace, k: np.ndarray, eri: np.ndarray) -> np.ndarray:
-    m_a, m_b = space.shape
-    alpha, beta = space.alpha, space.beta
-    # cross term sum (pq|rs) E^a_pq (x) E^b_rs, one weight per entry pair
-    a_src = np.repeat(np.arange(m_a), alpha.pq.shape[1])
-    b_src = np.repeat(np.arange(m_b), beta.pq.shape[1])
-    rows = alpha.target.reshape(-1, 1) * m_b + beta.target.reshape(1, -1)
-    cols = a_src[:, None] * m_b + b_src[None, :]
-    values = eri[alpha.pq.reshape(-1, 1), beta.pq.reshape(1, -1)]
-    values *= alpha.sign.reshape(-1, 1) * beta.sign.reshape(1, -1)
-    dim = space.dimension
-    cross = np.bincount((rows * dim + cols).ravel(), weights=values.ravel(), minlength=dim * dim)
-    half_eri = 0.5 * eri
-    matrix = np.kron(alpha.one_spin_matrix(k, half_eri), np.eye(m_b))
-    matrix += np.kron(np.eye(m_a), beta.one_spin_matrix(k, half_eri))
-    matrix += cross.reshape(dim, dim)
-    return matrix
 
 
 def _alpha_sigma_matrix(space: _StringSpace) -> scipy.sparse.csr_array:
@@ -417,7 +369,7 @@ def _davidson_ground(
     size, matvecs = 1, 1
 
     for iteration in range(1, DAVIDSON_MAX_ITERATIONS + 1):
-        thetas, ritz = scipy.linalg.eigh(projected[:size, :size], subset_by_index=[0, 0])
+        thetas, ritz = np.linalg.eigh(projected[:size, :size])
         theta, coefficients = float(thetas[0]), ritz[:, 0]
         vector = coefficients @ basis[:size]
         residual = coefficients @ images[:size] - theta * vector
@@ -462,23 +414,21 @@ def fci_solve(
     n_electrons: int | None = None,
     s_z: float = 0.0,
     dimension_cap: int = DEFAULT_DIMENSION_CAP,
-    dense_limit: int = DENSE_DIMENSION_LIMIT,
 ) -> FciResult:
     """Lowest eigenpair of the active Hamiltonian in a fixed (N, S_z) sector;
     with n_alpha == n_beta, the lowest spin-flip-even state (symmetric
-    C[I, i]; for a closed shell, the singlet) on both paths, S_z != 0
-    sectors over the whole sector (see the module docstring).
+    C[I, i]; for a closed shell, the singlet), S_z != 0 sectors over the
+    whole sector (see the module docstring).
 
-    Dense diagonalization is used for basis dimensions up to
-    ``dense_limit`` (and always for a single determinant); beyond that a
-    Davidson iteration from the Hartree-Fock determinant takes over and
-    raises :class:`FciConvergenceError` if it does not converge.
+    Every sector, a single determinant included, is solved by one
+    Davidson iteration from the Hartree-Fock determinant, which raises
+    :class:`FciConvergenceError` if it does not converge.
     ``basis_dimension`` is the whole sector's determinant count and
     ``ground_vector`` lives on it, whichever basis the solve used.
-    ``matvecs`` and ``residual_norm`` on the result say what the solve
-    took (0 matvecs on the dense path).  Exceeding ``dimension_cap`` (or
-    62 orbitals) raises :class:`FciCapacityError` before any string is
-    enumerated.
+    ``matvecs`` (at least 1) and ``residual_norm`` (below
+    ``DAVIDSON_TOLERANCE``) on the result say what the solve took.
+    Exceeding ``dimension_cap`` (or 62 orbitals) raises
+    :class:`FciCapacityError` before any string is enumerated.
     """
     if n_electrons is None:
         n_electrons = active.n_electrons
@@ -511,28 +461,19 @@ def fci_solve(
     beta_strings = tuple(_bit_strings(n, n_beta))
     space = _StringSpace(n, alpha_strings, beta_strings)
     k, eri = _integrals(active)
-    # with as many alpha as beta electrons both paths solve P^T H P
-    even = _SpinFlipEvenBasis(len(alpha_strings)) if n_alpha == n_beta else None
-
-    if dimension <= max(dense_limit, 1):  # one determinant is its own eigenvector
-        matrix = _dense_hamiltonian(space, k, eri)
-        if even is not None:
-            matrix = even.pack(even.pack(matrix).T)
-        energies, vectors = scipy.linalg.eigh(matrix, subset_by_index=[0, 0])
-        energy, vector, matvecs = float(energies[0]), vectors[:, 0], 0
-        residual_norm = float(np.linalg.norm(matrix @ vector - energy * vector))
-    elif even is None:
-        energy, vector, matvecs, residual_norm = _davidson_ground(
-            _hamiltonian_operator(space, k, eri), _diagonal(space, k, eri)
-        )
-    else:
+    diagonal = _diagonal(space, k, eri)
+    if n_alpha == n_beta:
+        even = _SpinFlipEvenBasis(len(alpha_strings))
         # the determinant diagonal at x's pairs preconditions exactly as it
         # does the symmetric C on the full sector
         energy, vector, matvecs, residual_norm = _davidson_ground(
-            _even_hamiltonian_operator(space, even, k, eri), _diagonal(space, k, eri)[even.upper]
+            _even_hamiltonian_operator(space, even, k, eri), diagonal[even.upper]
         )
-    if even is not None:
         vector = even.unpack(vector)
+    else:
+        energy, vector, matvecs, residual_norm = _davidson_ground(
+            _hamiltonian_operator(space, k, eri), diagonal
+        )
 
     # deterministic global sign: largest-magnitude component positive
     pivot = int(np.argmax(np.abs(vector)))

@@ -103,16 +103,29 @@ class RecoveryReport:
         return self.recovery_percent >= RECOVERY_THRESHOLD_PERCENT
 
 
+def _require_columns(fieldnames, required: tuple[str, ...], source) -> None:
+    """Raise :class:`ReportError` naming ``source`` and the ``required``
+    columns its CSV header lacks."""
+    missing = [name for name in required if name not in (fieldnames or ())]
+    if missing:
+        raise ReportError(f"{source}: missing column(s) {', '.join(missing)}")
+
+
 def load_reference_table(source: str | Path | IO[str]) -> dict[str, ReferenceRow]:
     """Read a reference-energy CSV with columns molecule, e_dft, e_ccsd
-    (optionally e_hf); '#' lines are comments."""
+    (optionally e_hf); '#' lines are comments.  A missing column raises
+    :class:`ReportError`."""
     if hasattr(source, "read"):
+        name = getattr(source, "name", "reference table")
         lines = source.read().splitlines()
     else:
+        name = source
         lines = Path(source).read_text().splitlines()
     rows = [line for line in lines if line.strip() and not line.lstrip().startswith("#")]
+    reader = csv.DictReader(rows)
+    _require_columns(reader.fieldnames, ("molecule", "e_dft", "e_ccsd"), name)
     table: dict[str, ReferenceRow] = {}
-    for record in csv.DictReader(rows):
+    for record in reader:
         molecule = record["molecule"].strip()
         table[molecule] = ReferenceRow(
             molecule=molecule,

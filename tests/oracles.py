@@ -512,6 +512,8 @@ def reference_lanczos_ground(matvec, dimension: int) -> tuple[float, np.ndarray]
     iteration replaced."""
     import scipy.sparse.linalg
 
+    if dimension == 1:  # ARPACK needs k < N; a 1 x 1 operator is its own eigenpair
+        return float(matvec(np.ones(1))[0]), np.ones(1)
     operator = scipy.sparse.linalg.LinearOperator((dimension, dimension), matvec=matvec, dtype=np.float64)
     start = np.zeros(dimension)
     start[0] = 1.0

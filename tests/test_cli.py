@@ -124,6 +124,25 @@ def test_report_with_explicit_references(capsys, tmp_path):
     assert payload[0]["recovery_percent"] == pytest.approx(62.0879, abs=1e-3)
 
 
+@pytest.mark.parametrize(
+    "kind, header, missing",
+    [("references", "molecule,e_dft", "e_ccsd"), ("results", "molecule,mu,no,e_hf", "ne, e_qdft")],
+)
+def test_report_names_the_file_and_its_missing_columns(capsys, tmp_path, kind, header, missing):
+    files = {
+        "references": "molecule,e_dft,e_ccsd\nwater,-75.841,-76.205\n",
+        "results": "molecule,mu,ne,no,e_hf,e_qdft\nwater,7.25,6,6,-76.008,-76.067\n",
+    }
+    files[kind] = header + "\n"
+    paths = {name: tmp_path / f"{name}.csv" for name in files}
+    for name, text in files.items():
+        paths[name].write_text(text)
+    code = main(["report", "--references", str(paths["references"]), "--results", str(paths["results"])])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error [report.ReportError]: {paths[kind]}: missing column(s) {missing}" in err
+
+
 def test_mu_scan_subcommand_with_config(capsys, tmp_path, h2_integrals):
     import dataclasses
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcembed.embedding as embedding
@@ -72,11 +72,13 @@ def test_full_spectrum_matches_brute_force():
 
 
 def test_dense_and_iterative_paths_agree(h2o_integrals):
+    """H2O (10e,7o), 441 determinants: the Davidson solve against dense
+    eigh of the Slater-Condon matrix, whose lowest state is the singlet."""
     mf = solve_rhf(h2o_integrals)
     active = reduce_integrals(h2o_integrals, mf, ActiveSpaceSpec(10, 7))
-    dense = fci_solve(active, dense_limit=2000)
-    iterative = fci_solve(active, dense_limit=10)
-    assert iterative.ground_energy == pytest.approx(dense.ground_energy, abs=1e-9)
+    dense = np.linalg.eigvalsh(reference_fci_matrix(active, 5, 5))[0]
+    iterative = fci_solve(active)
+    assert iterative.ground_energy == pytest.approx(dense, abs=1e-10)
 
 
 def test_lih_full_fci_matches_golden(golden, lih_integrals):
@@ -97,7 +99,12 @@ def test_eigenpair_residual():
 
 
 def test_one_rdm_single_determinant():
+    """A one-determinant sector converges on Davidson's first Ritz step."""
     result = fci_solve(_single_orbital())
+    assert result.basis_dimension == 1
+    assert result.ground_energy == pytest.approx(2 * -0.9 + 0.55, abs=1e-14)
+    assert result.matvecs == 1
+    assert result.residual_norm < fci.DAVIDSON_TOLERANCE
     assert np.allclose(result.one_rdm, [[2.0]], atol=1e-14)
     assert np.allclose(compute_1rdm(result), result.one_rdm, atol=0)
 
@@ -156,13 +163,6 @@ def test_capacity_checked_before_enumerating_strings(monkeypatch, n, n_electrons
         fci_solve(active, s_z=s_z)
 
 
-def test_single_determinant_takes_dense_path_at_zero_dense_limit():
-    result = fci_solve(_single_orbital(), dense_limit=0)
-    assert result.basis_dimension == 1
-    assert result.ground_energy == pytest.approx(2 * -0.9 + 0.55, abs=1e-14)
-    assert np.allclose(result.one_rdm, [[2.0]], atol=1e-14)
-
-
 def test_inconsistent_spin_specification():
     with pytest.raises(FciError, match="inconsistent"):
         fci_solve(_single_orbital(), n_electrons=2, s_z=0.5)
@@ -216,14 +216,6 @@ def sectors(draw):
 
 @given(sectors())
 @settings(max_examples=60, deadline=None)
-def test_dense_matrix_matches_slater_condon(case):
-    active, n_alpha, n_beta, space, _ = case
-    matrix = fci._dense_hamiltonian(space, *fci._integrals(active))
-    np.testing.assert_allclose(matrix, reference_fci_matrix(active, n_alpha, n_beta), rtol=0, atol=1e-12)
-
-
-@given(sectors())
-@settings(max_examples=60, deadline=None)
 def test_matvec_matches_slater_condon(case):
     active, n_alpha, n_beta, space, vector = case
     operator = fci._hamiltonian_operator(space, *fci._integrals(active))
@@ -242,30 +234,35 @@ def test_one_rdm_matches_slater_condon(case):
 @given(sectors())
 @settings(max_examples=60, deadline=None)
 def test_diagonal_matches_dense_matrix(case):
-    active, _, _, space, _ = case
+    active, n_alpha, n_beta, space, _ = case
     k, eri = fci._integrals(active)
-    expected = np.diag(fci._dense_hamiltonian(space, k, eri))
+    expected = np.diag(reference_fci_matrix(active, n_alpha, n_beta))
     np.testing.assert_allclose(fci._diagonal(space, k, eri), expected, rtol=0, atol=1e-12)
 
 
-def _check_davidson_ground(active, n_alpha, n_beta) -> None:
-    """Davidson against dense eigh, the dense path and the Lanczos oracle
-    on one sector.
+def _even_isometry(basis) -> np.ndarray:
+    """The packing isometry P of a spin-flip-even basis as a dense matrix."""
+    return np.stack([basis.unpack(column) for column in np.eye(basis.dimension)], axis=1)
 
-    With n_alpha == n_beta both paths return the lowest spin-flip-even
+
+def _check_davidson_ground(active, n_alpha, n_beta) -> None:
+    """Davidson against dense eigh of the Slater-Condon matrix and the
+    Lanczos oracle on one sector.
+
+    With n_alpha == n_beta the solve returns the lowest spin-flip-even
     state, so the reference spectrum and the oracle's operator are P^T H P
     over the packed symmetric C (a ground state with an antisymmetric C
     is out of the contract, not missed).
     """
     n = active.n_orbitals
     space = fci._StringSpace(n, fci._bit_strings(n, n_alpha), fci._bit_strings(n, n_beta))
-    k, eri = fci._integrals(active)
-    general = fci._hamiltonian_operator(space, k, eri)
-    matrix = fci._dense_hamiltonian(space, k, eri)
+    general = fci._hamiltonian_operator(space, *fci._integrals(active))
+    matrix = reference_fci_matrix(active, n_alpha, n_beta)
     to_basis, operator, dimension = np.asarray, general, space.dimension
     if n_alpha == n_beta:
         basis = fci._SpinFlipEvenBasis(space.shape[0])
-        matrix = basis.pack(basis.pack(matrix).T)
+        isometry = _even_isometry(basis)
+        matrix = isometry.T @ matrix @ isometry
         to_basis, dimension = basis.pack, basis.dimension
 
         def operator(x):
@@ -273,25 +270,21 @@ def _check_davidson_ground(active, n_alpha, n_beta) -> None:
 
     energies, vectors = np.linalg.eigh(matrix)
     sector = dict(n_electrons=n_alpha + n_beta, s_z=(n_alpha - n_beta) / 2)
-    result = fci_solve(active, **sector, dense_limit=0)
-    dense = fci_solve(active, **sector, dense_limit=space.dimension)
+    result = fci_solve(active, **sector)
     lanczos_energy, _ = reference_lanczos_ground(operator, dimension)
     assert 1 <= result.matvecs <= fci.DAVIDSON_MAX_ITERATIONS
     assert result.residual_norm < fci.DAVIDSON_TOLERANCE
-    assert result.basis_dimension == dense.basis_dimension == space.dimension
+    assert result.basis_dimension == space.dimension
     assert result.ground_energy == pytest.approx(energies[0], abs=1e-10)
-    assert dense.ground_energy == pytest.approx(energies[0], abs=1e-10)
     assert result.ground_energy == pytest.approx(lanczos_energy, abs=1e-10)
-    if energies[1] - energies[0] > 1e-3:
+    if dimension == 1 or energies[1] - energies[0] > 1e-3:
         assert abs(vectors[:, 0] @ to_basis(result.ground_vector)) >= 1 - 1e-8
-        assert abs(vectors[:, 0] @ to_basis(dense.ground_vector)) >= 1 - 1e-8
 
 
 @given(sectors())
 @settings(max_examples=60, deadline=None)
 def test_davidson_matches_dense_and_lanczos(case):
-    active, n_alpha, n_beta, space, _ = case
-    assume(space.dimension >= 2)
+    active, n_alpha, n_beta, _, _ = case
     _check_davidson_ground(active, n_alpha, n_beta)
 
 
@@ -307,20 +300,23 @@ def test_davidson_on_empty_full_and_open_shell_sectors(n, n_alpha, n_beta):
 def test_both_paths_return_the_spin_flip_even_ground_state():
     """The second Hamiltonian of rng(3) on five orbitals has an
     antisymmetric (odd total spin) ground state at -8.80484 Ha in sector
-    (2, 2); the dense path used to return it while Davidson returned the
-    lowest even state, -8.680028 Ha.  Both now return the even state."""
+    (2, 2); a dense eigensolver over the whole sector returns it.  The
+    Davidson solve and the dense Slater-Condon matrix restricted to the
+    spin-flip-even states both give the lowest even state, -8.680028 Ha."""
     rng = np.random.default_rng(3)
     random_active_hamiltonian(rng, 5)
     active = random_active_hamiltonian(rng, 5)
-    space = fci._StringSpace(5, fci._bit_strings(5, 2), fci._bit_strings(5, 2))
-    whole_sector = np.linalg.eigvalsh(fci._dense_hamiltonian(space, *fci._integrals(active)))
+    matrix = reference_fci_matrix(active, 2, 2)
+    whole_sector = np.linalg.eigvalsh(matrix)
     assert whole_sector[0] == pytest.approx(-8.80484, abs=1e-5)
-    for dense_limit in (fci.DENSE_DIMENSION_LIMIT, 0):
-        result = fci_solve(active, n_electrons=4, s_z=0.0, dense_limit=dense_limit)
-        assert result.ground_energy == pytest.approx(-8.680028, abs=1e-6)
-        assert result.ground_energy == pytest.approx(whole_sector[1], abs=1e-10)
-        c = result.ground_vector.reshape(space.shape)
-        np.testing.assert_array_equal(c, c.T)
+    isometry = _even_isometry(fci._SpinFlipEvenBasis(10))
+    even_sector = np.linalg.eigvalsh(isometry.T @ matrix @ isometry)
+    assert even_sector[0] == pytest.approx(whole_sector[1], abs=1e-10)
+    result = fci_solve(active, n_electrons=4, s_z=0.0)
+    assert result.ground_energy == pytest.approx(-8.680028, abs=1e-6)
+    assert result.ground_energy == pytest.approx(even_sector[0], abs=1e-10)
+    c = result.ground_vector.reshape(10, 10)
+    np.testing.assert_array_equal(c, c.T)
 
 
 @st.composite
@@ -357,7 +353,7 @@ def test_spin_flip_even_packing_is_an_isometry(case):
     np.testing.assert_array_equal(c.reshape(m, m), c.reshape(m, m).T)
     assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-14)
     np.testing.assert_allclose(basis.pack(c), x, rtol=0, atol=1e-15)
-    isometry = np.stack([basis.unpack(column) for column in np.eye(basis.dimension)], axis=1)
+    isometry = _even_isometry(basis)
     np.testing.assert_allclose(isometry.T @ isometry, np.eye(basis.dimension), rtol=0, atol=1e-15)
     y = np.random.default_rng(m).normal(size=m * m)  # pack is P^T on any vector
     np.testing.assert_allclose(basis.pack(y), isometry.T @ y, rtol=0, atol=1e-14)
@@ -365,7 +361,7 @@ def test_spin_flip_even_packing_is_an_isometry(case):
 
 def test_even_sector_shares_one_table_and_its_one_rdm_matches_the_oracle():
     active = random_active_hamiltonian(np.random.default_rng(58), 4)
-    result = fci_solve(active, n_electrons=4, s_z=0.0, dense_limit=0)
+    result = fci_solve(active, n_electrons=4, s_z=0.0)
     space = fci._StringSpace(4, result.alpha_strings, result.beta_strings)
     assert space.beta is space.alpha
     np.testing.assert_allclose(
@@ -402,7 +398,7 @@ def test_unconverged_davidson_raises_with_iterations_and_residual(monkeypatch):
     active = random_active_hamiltonian(np.random.default_rng(57), 4)
     monkeypatch.setattr(fci, "DAVIDSON_MAX_ITERATIONS", 1)
     with pytest.raises(FciConvergenceError, match=r"after 1 iterations: residual norm \d\.\d+e"):
-        fci_solve(active, n_electrons=4, s_z=0.0, dense_limit=0)
+        fci_solve(active, n_electrons=4, s_z=0.0)
 
 
 def test_h2o_10e7o_davidson_matvec_budget(h2o_integrals):
@@ -414,10 +410,6 @@ def test_h2o_10e7o_davidson_matvec_budget(h2o_integrals):
     assert result.basis_dimension == 441
     assert 1 <= result.matvecs <= 20
     assert result.residual_norm < fci.DAVIDSON_TOLERANCE
-    dense = fci_solve(active, dense_limit=441)
-    assert dense.matvecs == 0
-    assert dense.residual_norm < 1e-10
-    assert result.ground_energy == pytest.approx(dense.ground_energy, abs=1e-10)
 
 
 def test_h8_8e8o_embedding_matches_reference_within_matvec_budget(monkeypatch):
@@ -447,7 +439,7 @@ def test_h8_8e8o_embedding_matches_reference_within_matvec_budget(monkeypatch):
 def test_davidson_matches_lanczos_on_fixture_spaces(request, molecule, spec):
     integrals = request.getfixturevalue(f"{molecule}_integrals")
     active = reduce_integrals(integrals, solve_rhf(integrals), ActiveSpaceSpec(*spec))
-    result = fci_solve(active, dense_limit=0)
+    result = fci_solve(active)
     space = fci._StringSpace(active.n_orbitals, result.alpha_strings, result.beta_strings)
     oracle_energy, oracle_vector = reference_lanczos_ground(
         fci._hamiltonian_operator(space, *fci._integrals(active)), space.dimension

@@ -46,7 +46,6 @@ stages = {"import": loaded()}
 integrals = read_fcidump(sys.argv[1])
 active = reduce_integrals(integrals, solve_rhf(integrals), ActiveSpaceSpec(2, 2))
 fci_solve(active)
-fci_solve(active, dense_limit=0)
 stages["fci"] = loaded()
 minimize(map_active_hamiltonian(active), build_uccsd_ansatz(2, 2))
 stages["vqe"] = loaded()
@@ -55,7 +54,7 @@ print(json.dumps(stages))
 
 
 def test_cold_path_loads_no_optimizer_or_sparse_linalg(golden):
-    """``import qcembed`` and FCI solves (dense and Davidson) load neither
+    """``import qcembed`` and an FCI solve load neither
     ``scipy.optimize`` nor ``scipy.sparse.linalg``; the first VQE
     minimization loads the optimizer."""
     source_root = str(Path(qcembed.__file__).resolve().parents[1])

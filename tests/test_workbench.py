@@ -209,6 +209,11 @@ def test_packaged_reference_table_complete():
     assert table["benzene"].e_hf == -230.701
 
 
+def test_reference_table_without_a_column_names_it():
+    with pytest.raises(ReportError, match=r"^reference table: missing column\(s\) e_dft, e_ccsd$"):
+        load_reference_table(io.StringIO("molecule,e_hf\nwater,-76.008\n"))
+
+
 def test_build_report_best_flag_and_threshold():
     results = [
         ResultRow("water", 2, 6, -76.0656), ResultRow("water", 4, 6, -76.0598),
