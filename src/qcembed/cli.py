@@ -23,8 +23,9 @@ from .integrals import parse_fcidump, read_fcidump, write_fcidump
 from .meanfield import solve_rhf
 from .report import (
     ResultRow,
+    _csv_records,
+    _field,
     _json_text,
-    _require_columns,
     build_report,
     load_reference_table,
     packaged_reference_table,
@@ -215,17 +216,16 @@ def _cmd_report(args) -> int:
     rows = []
     with open(args.results, newline="") as handle:
         reader = csv.DictReader(handle)
-        _require_columns(reader.fieldnames, ("molecule", "ne", "no", "e_qdft"), args.results)
-        for record in reader:
+        for record, where in _csv_records(reader, ("molecule", "ne", "no", "e_qdft"), args.results):
             if record.get("converged", "true").strip().lower() in ("false", "0", "no"):
                 continue
             rows.append(
                 ResultRow(
                     molecule=record["molecule"].strip(),
-                    n_active_electrons=int(record["ne"]),
-                    n_active_orbitals=int(record["no"]),
-                    e_qdft=float(record["e_qdft"]),
-                    mu=float(record["mu"]) if record.get("mu") not in (None, "") else None,
+                    n_active_electrons=_field(record, "ne", where, int),
+                    n_active_orbitals=_field(record, "no", where, int),
+                    e_qdft=_field(record, "e_qdft", where),
+                    mu=_field(record, "mu", where) if record.get("mu") not in (None, "") else None,
                 )
             )
     report_rows = build_report(rows, references)

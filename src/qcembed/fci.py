@@ -57,7 +57,6 @@ from itertools import combinations
 from typing import Callable
 
 import numpy as np
-import scipy.sparse
 
 from .activespace import ActiveHamiltonian
 
@@ -247,19 +246,24 @@ def _integrals(active: ActiveHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     return k.ravel(), eri.reshape(n * n, n * n)
 
 
-def _alpha_sigma_matrix(space: _StringSpace) -> scipy.sparse.csr_array:
-    """S with S[I, J * n_pairs + pair] = s for each alpha entry
-    E_pq|I> = s|J>.  E+ is symmetric, so the alpha half of
-    sum_pair E+_pair G_pair is S G for G viewed as (m_a * n_pairs, m_b)
-    rows."""
+def _alpha_sigma(space: _StringSpace) -> Callable[[np.ndarray], np.ndarray]:
+    """G -> S G with S[I, J * n_pairs + pair] = s for each alpha entry
+    E_pq|I> = s|J>, for G of shape (m_a, n_pairs, m_b).  E+ is
+    symmetric, so S G is the alpha half of sum_pair E+_pair G_pair.
+    Every string has the same L entries, so S G is one gather of the L
+    rows G[J, pair] that string I reaches, into a buffer allocated once,
+    and their signed sum."""
     a = space.alpha
     m_a, width = a.pq.shape
-    n_pairs = len(space.pairs)
-    columns = a.target * n_pairs + space.pair_of[a.pq]
-    return scipy.sparse.csr_array(
-        (a.sign.ravel(), columns.ravel(), np.arange(m_a + 1) * width),
-        shape=(m_a, m_a * n_pairs),
-    )
+    m_b = space.shape[1]
+    rows = (a.target * len(space.pairs) + space.pair_of[a.pq]).ravel()
+    gathered = np.empty((m_a, width, m_b))
+
+    def product(g: np.ndarray) -> np.ndarray:
+        np.take(g.reshape(-1, m_b), rows, axis=0, out=gathered.reshape(-1, m_b), mode="clip")
+        return np.einsum("Iw,Iwi->Ii", a.sign, gathered)
+
+    return product
 
 
 def _hamiltonian_operator(
@@ -267,13 +271,12 @@ def _hamiltonian_operator(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """c -> sigma = sum_pair (E+_pair G_pair + k_pair D+_pair), G = 1/2 (pq|rs) D+.
     E+ is symmetric, so (I, i) gathers s G[J, pair, i] over the entries
-    E_pq|I> = s|J> of its alpha string (one sparse product, see
-    :func:`_alpha_sigma_matrix`) and s G[I, pair, j] over those of its
-    beta string."""
+    E_pq|I> = s|J> of its alpha string (:func:`_alpha_sigma`) and
+    s G[I, pair, j] over those of its beta string."""
     m_a, m_b = space.shape
     b = space.beta
     n_pairs = len(space.pairs)
-    alpha_sigma = _alpha_sigma_matrix(space)
+    alpha_sigma = _alpha_sigma(space)
     beta_cols = (space.pair_of[b.pq] * m_b + b.target).T  # columns of G as (m_a, n_pairs * m_b)
     beta_sign = b.sign.T
     half_eri = 0.5 * eri[np.ix_(space.pairs, space.pairs)]
@@ -284,7 +287,7 @@ def _hamiltonian_operator(
     def matvec(vector: np.ndarray) -> np.ndarray:
         d = space.excitations(np.ravel(vector))
         np.matmul(half_eri, d, out=g)
-        sigma = alpha_sigma @ g.reshape(-1, m_b)
+        sigma = alpha_sigma(g)
         np.take(g.reshape(m_a, -1), beta_cols, axis=1, out=beta_terms, mode="clip")
         np.multiply(beta_terms, beta_sign, out=beta_terms)
         sigma += beta_terms.sum(axis=1)
@@ -302,10 +305,10 @@ def _even_hamiltonian_operator(
     transposed alpha gather, so D+ = D_a + D_a^T; G = 1/2 (pq|rs) D+ is
     symmetric in (I, i) as well, and the general operator's sigma becomes
     sigma_a + sigma_a^T + k D+ with sigma_a = S G its alpha half
-    (:func:`_alpha_sigma_matrix`).  P^T sigma_a^T = P^T sigma_a, so the
+    (:func:`_alpha_sigma`).  P^T sigma_a^T = P^T sigma_a, so the
     result is P^T (2 sigma_a + k D+)."""
     m = basis.m
-    alpha_sigma = _alpha_sigma_matrix(space)
+    alpha_sigma = _alpha_sigma(space)
     half_eri = 0.5 * eri[np.ix_(space.pairs, space.pairs)]
     k = k[space.pairs]
     d = space._work
@@ -317,7 +320,7 @@ def _even_hamiltonian_operator(
         np.copyto(d, d_alpha.transpose(2, 1, 0))
         np.add(d, d_alpha, out=d)
         g = np.matmul(half_eri, d, out=d_alpha)  # D_a is spent
-        sigma = alpha_sigma @ g.reshape(-1, m)  # sigma_a
+        sigma = alpha_sigma(g)  # sigma_a
         sigma *= 2.0
         sigma += np.matmul(k, d)
         return basis.pack(sigma.ravel())

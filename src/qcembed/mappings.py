@@ -26,13 +26,15 @@ Both compose the same ladder products.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from .fermion import FermionOperator, FermionTerm
 from .pauli import _PHASES, PRUNE_TOLERANCE, PauliString, PauliSum
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "ReductionError",
@@ -249,6 +251,8 @@ def compile_linear_map(
     turn, as the map of the summed operator orders its terms; W stores
     no zeros and no empty rows.
     """
+    import scipy.sparse  # here: only the qubit map needs scipy
+
     if mapping not in _LADDERS:
         raise ValueError(f"unknown mapping {mapping!r}")
     if sector is not None:

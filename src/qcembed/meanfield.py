@@ -6,12 +6,9 @@ Roothaan step is an ordinary symmetric eigenproblem.  The converged
 result provides the bath reference, densities and canonical orbitals
 consumed by the active-space reduction and the embedding cycle.
 
-Each solve looks up LAPACK ``dsyevr`` and queries its workspace once,
-then makes one direct call per Roothaan step with the arguments
-``scipy.linalg.eigh`` passes (lower triangle, full spectrum, the same
-workspace sizes), after the same finite-input check.  The spectra and
-orbitals are therefore bitwise those of ``scipy.linalg.eigh`` without
-its per-call driver lookup, workspace query and input validation.
+Each Roothaan step is one ``np.linalg.eigh`` call (lower triangle, full
+spectrum) after a finite-input check, so a non-finite Fock matrix raises
+``ValueError`` before it reaches LAPACK.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg.lapack
 
 from .integrals import IntegralSet
 
@@ -87,27 +83,12 @@ def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     return np.negative(out, out=out, where=flip)
 
 
-def _roothaan_eigensolver(integrals: IntegralSet):
-    """A function from a symmetric n x n matrix to its (eigenvalues,
-    sign-fixed eigenvectors) through one ``dsyevr`` call; the driver and
-    its workspace are looked up once, here."""
-    syevr, syevr_lwork = scipy.linalg.lapack.get_lapack_funcs(
-        ("syevr", "syevr_lwork"), (integrals.one_body,)
-    )
-    lwork, liwork, info = syevr_lwork(integrals.n_orbitals, lower=1)
-    if info != 0:
-        raise ScfError(f"LAPACK syevr workspace query failed with info={info}")
-    workspace = {"lwork": int(lwork), "liwork": int(liwork)}
-
-    def solve(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if not np.isfinite(matrix).all():
-            raise ValueError("array must not contain infs or NaNs")
-        eps, coeff, _, _, info = syevr(matrix, compute_v=1, lower=1, **workspace)
-        if info != 0:
-            raise ScfError(f"LAPACK syevr failed with info={info}")
-        return eps, _fix_eigenvector_signs(coeff)
-
-    return solve
+def _diagonalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, sign-fixed eigenvectors) of a symmetric matrix."""
+    if not np.isfinite(matrix).all():
+        raise ValueError("array must not contain infs or NaNs")
+    eps, coeff = np.linalg.eigh(matrix)
+    return eps, _fix_eigenvector_signs(coeff)
 
 
 def _occupy(orbital_energies: np.ndarray, coefficients: np.ndarray, n_occ: int) -> np.ndarray:
@@ -161,10 +142,9 @@ def solve_rhf(
         raise ScfError(f"mixing must lie in (0, 1], got {mixing}")
 
     n_occ = integrals.n_electrons // 2
-    diagonalize = _roothaan_eigensolver(integrals)
 
     # Core guess: occupy the lowest eigenvectors of h.
-    eps, coeff = diagonalize(integrals.one_body)
+    eps, coeff = _diagonalize(integrals.one_body)
     density = _occupy(eps, coeff, n_occ)
     fock = build_fock(integrals, density)
     energy = electronic_energy(integrals, density, fock)
@@ -174,7 +154,7 @@ def solve_rhf(
     history: list[float] = []
     for iteration in range(1, max_iter + 1):
         iterations = iteration
-        eps, coeff = diagonalize(fock)
+        eps, coeff = _diagonalize(fock)
         new_density = _occupy(eps, coeff, n_occ)
         density = (1.0 - mixing) * density + mixing * new_density
         fock = build_fock(integrals, density)
@@ -187,7 +167,7 @@ def solve_rhf(
             break
 
     # Canonical orbitals and idempotent density from the final Fock.
-    eps, coeff = diagonalize(fock)
+    eps, coeff = _diagonalize(fock)
     density = _occupy(eps, coeff, n_occ)
     fock = build_fock(integrals, density)
     energy = electronic_energy(integrals, density, fock)

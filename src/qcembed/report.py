@@ -103,35 +103,50 @@ class RecoveryReport:
         return self.recovery_percent >= RECOVERY_THRESHOLD_PERCENT
 
 
-def _require_columns(fieldnames, required: tuple[str, ...], source) -> None:
-    """Raise :class:`ReportError` naming ``source`` and the ``required``
-    columns its CSV header lacks."""
-    missing = [name for name in required if name not in (fieldnames or ())]
+def _csv_records(reader: csv.DictReader, required: tuple[str, ...], source, line_numbers=None):
+    """Yield (record, "source:line") per row of ``reader``; the reader's
+    line k is the file's line ``line_numbers[k - 1]`` (default: k).  A
+    header without a ``required`` column or a row shorter than it raises
+    :class:`ReportError`."""
+    missing = [name for name in required if name not in (reader.fieldnames or ())]
     if missing:
         raise ReportError(f"{source}: missing column(s) {', '.join(missing)}")
+    for record in reader:
+        line = line_numbers[reader.line_num - 1] if line_numbers else reader.line_num
+        where = f"{source}:{line}"
+        if None in record.values():
+            raise ReportError(f"{where}: fewer fields than the header")
+        yield record, where
+
+
+def _field(record: dict, column: str, where: str, convert=float):
+    """``convert(record[column])``, or :class:`ReportError` naming ``where``."""
+    try:
+        return convert(record[column])
+    except ValueError:
+        raise ReportError(f"{where}: cannot read {column} {record[column]!r} as {convert.__name__}") from None
 
 
 def load_reference_table(source: str | Path | IO[str]) -> dict[str, ReferenceRow]:
     """Read a reference-energy CSV with columns molecule, e_dft, e_ccsd
-    (optionally e_hf); '#' lines are comments.  A missing column raises
-    :class:`ReportError`."""
+    (optionally e_hf); '#' lines are comments.  A missing column, a short
+    row or a non-numeric energy raises :class:`ReportError`."""
     if hasattr(source, "read"):
         name = getattr(source, "name", "reference table")
         lines = source.read().splitlines()
     else:
         name = source
         lines = Path(source).read_text().splitlines()
-    rows = [line for line in lines if line.strip() and not line.lstrip().startswith("#")]
-    reader = csv.DictReader(rows)
-    _require_columns(reader.fieldnames, ("molecule", "e_dft", "e_ccsd"), name)
+    kept = [k for k, line in enumerate(lines, 1) if line.strip() and not line.lstrip().startswith("#")]
+    reader = csv.DictReader(lines[k - 1] for k in kept)
     table: dict[str, ReferenceRow] = {}
-    for record in reader:
+    for record, where in _csv_records(reader, ("molecule", "e_dft", "e_ccsd"), name, kept):
         molecule = record["molecule"].strip()
         table[molecule] = ReferenceRow(
             molecule=molecule,
-            e_dft=float(record["e_dft"]),
-            e_ccsd=float(record["e_ccsd"]),
-            e_hf=float(record["e_hf"]) if record.get("e_hf") not in (None, "") else None,
+            e_dft=_field(record, "e_dft", where),
+            e_ccsd=_field(record, "e_ccsd", where),
+            e_hf=_field(record, "e_hf", where) if record.get("e_hf") not in (None, "") else None,
         )
     return table
 
@@ -188,59 +203,38 @@ def _fmt(value: float) -> str:
     return format(value, ".10g")
 
 
+def _csv_cell(value):
+    """Floats as 10 significant digits, booleans lower case, None empty."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return _fmt(value)
+    return "" if value is None else value
+
+
+_RECOVERY_COLUMNS = (
+    "molecule", "ne", "no", "e_dft", "e_qdft", "e_ccsd", "recovery_percent",
+    "above_60_threshold", "best_for_molecule", "plateau", "mu_opt",
+)
+
+
+def _recovery_values(row: RecoveryReport) -> tuple:
+    """The fields of one report row, in ``_RECOVERY_COLUMNS`` order."""
+    return (
+        row.molecule, row.n_active_electrons, row.n_active_orbitals, row.e_dft, row.e_qdft,
+        row.e_ccsd, row.recovery_percent, bool(row.above_threshold), bool(row.best_for_molecule),
+        bool(row.plateau), row.mu_opt,
+    )
+
+
 def write_recovery_csv(rows: list[RecoveryReport], stream: IO[str]) -> None:
     writer = csv.writer(stream)
-    writer.writerow(
-        [
-            "molecule",
-            "ne",
-            "no",
-            "e_dft",
-            "e_qdft",
-            "e_ccsd",
-            "recovery_percent",
-            "above_60_threshold",
-            "best_for_molecule",
-            "plateau",
-            "mu_opt",
-        ]
-    )
-    for row in rows:
-        writer.writerow(
-            [
-                row.molecule,
-                row.n_active_electrons,
-                row.n_active_orbitals,
-                _fmt(row.e_dft),
-                _fmt(row.e_qdft),
-                _fmt(row.e_ccsd),
-                _fmt(row.recovery_percent),
-                str(row.above_threshold).lower(),
-                str(row.best_for_molecule).lower(),
-                str(row.plateau).lower(),
-                "" if row.mu_opt is None else _fmt(row.mu_opt),
-            ]
-        )
+    writer.writerow(_RECOVERY_COLUMNS)
+    writer.writerows([_csv_cell(value) for value in _recovery_values(row)] for row in rows)
 
 
 def recovery_rows_to_json(rows: list[RecoveryReport]) -> str:
-    payload = [
-        {
-            "molecule": row.molecule,
-            "ne": row.n_active_electrons,
-            "no": row.n_active_orbitals,
-            "e_dft": row.e_dft,
-            "e_qdft": row.e_qdft,
-            "e_ccsd": row.e_ccsd,
-            "recovery_percent": row.recovery_percent,
-            "above_60_threshold": row.above_threshold,
-            "best_for_molecule": row.best_for_molecule,
-            "plateau": row.plateau,
-            "mu_opt": row.mu_opt,
-        }
-        for row in rows
-    ]
-    return _json_text(payload)
+    return _json_text([dict(zip(_RECOVERY_COLUMNS, _recovery_values(row))) for row in rows])
 
 
 def _json_text(payload) -> str:

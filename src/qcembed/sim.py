@@ -67,10 +67,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse
 
 from .activespace import ActiveHamiltonian
 from .fci import _StringSpace, _bit_strings
@@ -94,6 +93,9 @@ from .mappings import (
     two_qubit_reduction,
 )
 from .pauli import PauliSum, PauliString, parity_of_masked_bits
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "SimulationError",

@@ -109,7 +109,7 @@ class _Converged(Exception):
 
 def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | None = None) -> VqeResult:
     """Minimize theta -> <psi(theta)| H |psi(theta)> over the ansatz parameters."""
-    import scipy.optimize  # here: a quarter second that import qcembed and FCI runs skip
+    import scipy.optimize  # here: import qcembed and FCI runs load no scipy at all
 
     if config is None:
         config = VqeConfig()

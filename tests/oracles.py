@@ -521,6 +521,24 @@ def reference_lanczos_ground(matvec, dimension: int) -> tuple[float, np.ndarray]
     return float(energies[0]), vectors[:, 0]
 
 
+def reference_alpha_sigma_matrix(space):
+    """The alpha product of the FCI matvec as a scipy CSR matrix S, with
+    S[I, J * n_pairs + pair] = s for each alpha entry E_pq|I> = s|J> of
+    the package's excitation table (``fci._StringSpace``): the operator
+    the numpy gather-and-sum replaced.  S @ G.reshape(-1, m_b) is the
+    alpha half of sum_pair E+_pair G_pair."""
+    import scipy.sparse
+
+    a = space.alpha
+    m_a, width = a.pq.shape
+    n_pairs = len(space.pairs)
+    columns = a.target * n_pairs + space.pair_of[a.pq]
+    return scipy.sparse.csr_array(
+        (a.sign.ravel(), columns.ravel(), np.arange(m_a + 1) * width),
+        shape=(m_a, m_a * n_pairs),
+    )
+
+
 def reference_fci_one_rdm(n: int, n_alpha: int, n_beta: int, vector: np.ndarray) -> np.ndarray:
     """Spin-summed gamma_pq = <c| E_pq |c>, one determinant and one
     substitution at a time."""
@@ -658,9 +676,19 @@ def reference_fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def reference_solve_rhf(integrals, max_iter: int = 100, tol: float = 1e-10, mixing: float = 0.5):
-    """``meanfield.solve_rhf`` with a full ``scipy.linalg.eigh`` call and
-    the per-column sign loop on every Roothaan step."""
+def finite_eigh(matrix: np.ndarray):
+    """``np.linalg.eigh`` after the finite-input check of ``scipy.linalg.eigh``."""
+    if not np.isfinite(matrix).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return np.linalg.eigh(matrix)
+
+
+def reference_solve_rhf(
+    integrals, max_iter: int = 100, tol: float = 1e-10, mixing: float = 0.5, eigh=finite_eigh
+):
+    """``meanfield.solve_rhf`` with the per-column sign loop on every
+    Roothaan step, diagonalizing with ``eigh`` (default: ``np.linalg.eigh``
+    after a finite-input check, as the package does)."""
     from qcembed.meanfield import MeanFieldResult, ScfError, _occupy, build_fock, electronic_energy
 
     if integrals.n_electrons % 2 != 0:
@@ -674,7 +702,7 @@ def reference_solve_rhf(integrals, max_iter: int = 100, tol: float = 1e-10, mixi
 
     n_occ = integrals.n_electrons // 2
 
-    eps, coeff = scipy.linalg.eigh(integrals.one_body)
+    eps, coeff = eigh(integrals.one_body)
     coeff = reference_fix_eigenvector_signs(coeff)
     density = _occupy(eps, coeff, n_occ)
     fock = build_fock(integrals, density)
@@ -685,7 +713,7 @@ def reference_solve_rhf(integrals, max_iter: int = 100, tol: float = 1e-10, mixi
     history: list[float] = []
     for iteration in range(1, max_iter + 1):
         iterations = iteration
-        eps, coeff = scipy.linalg.eigh(fock)
+        eps, coeff = eigh(fock)
         coeff = reference_fix_eigenvector_signs(coeff)
         new_density = _occupy(eps, coeff, n_occ)
         density = (1.0 - mixing) * density + mixing * new_density
@@ -698,7 +726,7 @@ def reference_solve_rhf(integrals, max_iter: int = 100, tol: float = 1e-10, mixi
             converged = True
             break
 
-    eps, coeff = scipy.linalg.eigh(fock)
+    eps, coeff = eigh(fock)
     coeff = reference_fix_eigenvector_signs(coeff)
     density = _occupy(eps, coeff, n_occ)
     fock = build_fock(integrals, density)

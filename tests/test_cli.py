@@ -143,6 +143,32 @@ def test_report_names_the_file_and_its_missing_columns(capsys, tmp_path, kind, h
     assert f"error [report.ReportError]: {paths[kind]}: missing column(s) {missing}" in err
 
 
+@pytest.mark.parametrize(
+    "kind, rows, message",
+    [
+        ("references", "# comment\nwater,-75.841,-76.205\nethanol,-154.0\n", "4: fewer fields than the header"),
+        ("references", "water,-75.841,n/a\n", "2: cannot read e_ccsd 'n/a' as float"),
+        ("results", "water,7.25,6,6,-76.008\n", "2: fewer fields than the header"),
+        ("results", "water,7.25,6,6,-76.008,-76.067\nwater,7.5,6.5,6,-76.0,-76.1\n", "3: cannot read ne '6.5' as int"),
+    ],
+    ids=["references-short-row", "references-not-a-number", "results-short-row", "results-not-an-int"],
+)
+def test_report_names_the_file_and_line_of_a_bad_row(capsys, tmp_path, kind, rows, message):
+    headers = {"references": "molecule,e_dft,e_ccsd\n", "results": "molecule,mu,ne,no,e_hf,e_qdft\n"}
+    files = {
+        "references": headers["references"] + "water,-75.841,-76.205\n",
+        "results": headers["results"] + "water,7.25,6,6,-76.008,-76.067\n",
+    }
+    files[kind] = headers[kind] + rows
+    paths = {name: tmp_path / f"{name}.csv" for name in files}
+    for name, text in files.items():
+        paths[name].write_text(text)
+    code = main(["report", "--references", str(paths["references"]), "--results", str(paths["results"])])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error [report.ReportError]: {paths[kind]}:{message}" in err
+
+
 def test_mu_scan_subcommand_with_config(capsys, tmp_path, h2_integrals):
     import dataclasses
 
