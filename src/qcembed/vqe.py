@@ -14,12 +14,23 @@ they are the rows of one (2n x n) matrix, simulated in blocks of at most
 forms, and their energies enter the trace in the order a serial loop
 would evaluate them (+theta_0, -theta_0, +theta_1, ...), each counted as
 one evaluation.
+
+The optimizer's own linear algebra runs with scipy's bundled OpenBLAS
+held to one thread: L-BFGS-B solves its small BFGS matrices with LAPACK
+``dtrtrs``, whose calls there OpenBLAS hands to its thread pool, and the
+woken worker then spins between the optimizer's ``setulb`` calls for the
+whole minimization, burning a second core for no speed.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import IO
 
 import numpy as np
@@ -107,6 +118,55 @@ class _Converged(Exception):
     pass
 
 
+@functools.cache
+def _scipy_openblas() -> ctypes.CDLL | None:
+    """scipy's bundled OpenBLAS (``scipy.libs/libscipy_openblas*.so``
+    beside the scipy package), or None when scipy uses another BLAS or
+    the library lacks ``openblas_set_num_threads_local``."""
+    import scipy
+
+    paths = sorted(Path(scipy.__file__).parents[1].glob("scipy.libs/libscipy_openblas*.so"))
+    if not paths:
+        return None
+    try:
+        library = ctypes.CDLL(str(paths[0]))
+        set_threads = library.openblas_set_num_threads_local
+    except (OSError, AttributeError):
+        return None
+    set_threads.argtypes = [ctypes.c_int]
+    set_threads.restype = ctypes.c_int  # the previous thread count
+    return library
+
+
+# In scipy's pthreads OpenBLAS the thread count is one process-wide value,
+# so overlapping minimizations share one pin: the first to enter saves the
+# count, the last to leave restores it.
+_pin_lock = threading.Lock()
+_pin = {"depth": 0, "saved": 1}
+
+
+@contextmanager
+def _blas_on_calling_thread():
+    """Hold scipy's OpenBLAS to the calling thread for the duration and
+    restore the previous thread count on every exit; without scipy's
+    bundled OpenBLAS this does nothing."""
+    library = _scipy_openblas()
+    if library is None:
+        yield
+        return
+    with _pin_lock:
+        if _pin["depth"] == 0:
+            _pin["saved"] = library.openblas_set_num_threads_local(1)
+        _pin["depth"] += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin["depth"] -= 1
+            if _pin["depth"] == 0:
+                library.openblas_set_num_threads_local(_pin["saved"])
+
+
 def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | None = None) -> VqeResult:
     """Minimize theta -> <psi(theta)| H |psi(theta)> over the ansatz parameters."""
     import scipy.optimize  # here: import qcembed and FCI runs load no scipy at all
@@ -185,19 +245,20 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
 
     converged = False
     try:
-        result = scipy.optimize.minimize(
-            objective,
-            x0,
-            jac=gradient,
-            method="L-BFGS-B",
-            bounds=[(-_PARAMETER_BOUND, _PARAMETER_BOUND)] * n,
-            callback=callback,
-            options={
-                "maxiter": config.max_iterations,
-                "ftol": 0.0,
-                "gtol": 1e-12,
-            },
-        )
+        with _blas_on_calling_thread():
+            result = scipy.optimize.minimize(
+                objective,
+                x0,
+                jac=gradient,
+                method="L-BFGS-B",
+                bounds=[(-_PARAMETER_BOUND, _PARAMETER_BOUND)] * n,
+                callback=callback,
+                options={
+                    "maxiter": config.max_iterations,
+                    "ftol": 0.0,
+                    "gtol": 1e-12,
+                },
+            )
         parameters = np.array(result.x, dtype=float)
         energy = float(result.fun)
         message = str(result.message)

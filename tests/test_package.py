@@ -68,3 +68,66 @@ def test_cold_path_loads_no_scipy(golden):
     assert stages["import"] == []
     assert stages["fci"] == []
     assert "scipy.optimize" in stages["vqe"]
+
+
+_BLAS_WORKER_SCRIPT = """
+import json
+import os
+import sys
+import time
+
+from qcembed import (
+    ActiveSpaceSpec, build_uccsd_ansatz, map_active_hamiltonian, minimize, read_fcidump,
+    reduce_integrals, solve_rhf,
+)
+from qcembed.vqe import VqeConfig
+
+
+def cpu_ticks():
+    ticks = {}
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except FileNotFoundError:  # the thread exited
+            continue
+        ticks[int(tid)] = int(fields[11]) + int(fields[12])  # utime + stime
+    return ticks
+
+
+integrals = read_fcidump(sys.argv[1])
+active = reduce_integrals(integrals, solve_rhf(integrals), ActiveSpaceSpec(2, 3))
+hamiltonian = map_active_hamiltonian(active)
+ansatz = build_uccsd_ansatz(active.n_orbitals, active.n_electrons)
+minimize(hamiltonian, ansatz)  # loads scipy, which starts its BLAS pool
+time.sleep(0.5)  # a new pool's workers spin for their timeout once, whatever runs
+before = cpu_ticks()
+for seed in range(50):
+    minimize(hamiltonian, ansatz, VqeConfig(seed=seed))
+after = cpu_ticks()
+main = os.getpid()
+print(json.dumps({
+    "main": after[main] - before[main],
+    "other": sum(t - before.get(tid, 0) for tid, t in after.items() if tid != main),
+}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+def test_vqe_leaves_no_blas_worker_spinning(golden):
+    """A VQE keeps its CPU time on the calling thread: no BLAS worker
+    thread spins beside the optimizer (it used to match the main
+    thread's CPU time, tick for tick)."""
+    source_root = str(Path(qcembed.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", _BLAS_WORKER_SCRIPT, str(FIXTURE_DIR / golden["lih"]["file"])],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    ticks = json.loads(completed.stdout)
+    assert ticks["main"] > 0
+    assert ticks["other"] <= 0.25 * ticks["main"], ticks

@@ -1,7 +1,11 @@
 """VQE driver: initialization determinism, convergence, trace contract,
-and the batched gradient sweep against the serial reference."""
+the batched gradient sweep against the serial reference, and the
+optimizer's BLAS thread pin."""
 
+import ctypes
 import io
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -70,7 +74,9 @@ def test_zero_parameter_ansatz_returns_hf_energy():
     ansatz = build_uccsd_ansatz(1, 2)  # no virtuals: 0 parameters
     assert ansatz.n_parameters == 0
     hamiltonian = PauliSum.identity(ansatz.n_qubits, -0.75)
-    result = minimize(hamiltonian, ansatz, VqeConfig(seed=0))
+    with mock.patch.object(vqe, "_scipy_openblas") as lookup:
+        result = minimize(hamiltonian, ansatz, VqeConfig(seed=0))
+    lookup.assert_not_called()  # no optimizer runs, so the BLAS pool is left alone
     assert result.energy == pytest.approx(-0.75)
     assert result.evaluations == 1
     assert result.converged
@@ -265,3 +271,114 @@ def test_non_finite_shifted_row_raises_with_reference_trace(problems, block_rows
         minimize(hamiltonian, ansatz, config)
     assert err.value.trace == expected.value.trace
     assert str(err.value) == str(expected.value)
+
+
+# -- scipy's OpenBLAS held to the calling thread during the optimizer ----------
+
+
+@pytest.fixture
+def blas_threads():
+    """Reads the thread count of scipy's OpenBLAS pool, which is set to 2
+    for the test (so a restore is told apart from the pin) and put back
+    after it."""
+    import scipy.optimize  # noqa: F401  (loads scipy's OpenBLAS)
+
+    library = vqe._scipy_openblas()
+    if library is None:
+        pytest.skip("scipy has no bundled OpenBLAS exporting openblas_set_num_threads_local")
+    try:
+        get_threads = library.scipy_openblas_get_num_threads
+    except AttributeError:
+        pytest.skip("scipy's OpenBLAS exports no scipy_openblas_get_num_threads")
+    get_threads.argtypes = []
+    get_threads.restype = ctypes.c_int
+    previous = library.openblas_set_num_threads_local(2)
+    try:
+        yield get_threads
+    finally:
+        library.openblas_set_num_threads_local(previous)
+
+
+def spy_on_energies(read):
+    """Patch the objective's and the gradient's energy kernels to record
+    ``read()`` on every call."""
+    seen = {"expectation": [], "_expectation_rows": []}
+
+    def spy(name):
+        function = getattr(vqe, name)
+
+        def wrapper(*args, **kwargs):
+            seen[name].append(read())
+            return function(*args, **kwargs)
+
+        return mock.patch.object(vqe, name, wrapper)
+
+    return seen, spy("expectation"), spy("_expectation_rows")
+
+
+STOPS = {
+    "tolerance": (VqeConfig(seed=0), "energy change between iterates below tolerance"),
+    "iteration cap": (VqeConfig(seed=0, max_iterations=1), "ITERATIONS REACHED LIMIT"),
+    "non-finite energy": (VqeConfig(seed=0), "non-finite energy"),
+}
+
+
+@pytest.mark.parametrize("stop", STOPS)
+def test_blas_thread_count_restored_on_every_stop(h2_problem, blas_threads, stop):
+    _, hamiltonian, ansatz = h2_problem
+    config, message = STOPS[stop]
+    if stop == "non-finite energy":
+        hamiltonian = PauliSum.identity(ansatz.n_qubits, float("nan"))
+    seen, spy_objective, spy_gradient = spy_on_energies(blas_threads)
+    with spy_objective, spy_gradient:
+        try:
+            result = minimize(hamiltonian, ansatz, config)
+        except VqeError as error:
+            result = error
+    assert message in (str(result) if stop == "non-finite energy" else result.message)
+    assert set(seen["expectation"]) | set(seen["_expectation_rows"]) == {1}
+    assert blas_threads() == 2
+
+
+def test_overlapping_minimizations_share_one_pin(problems, blas_threads):
+    """The pool's thread count is process-wide: a thread that finishes
+    first must not restore it under another that is still optimizing,
+    and the last to finish restores it."""
+    hamiltonian, ansatz = problems[1]
+    seen, spy_objective, spy_gradient = spy_on_energies(blas_threads)
+    failures = []
+
+    def worker(seed):
+        try:
+            for offset in range(3):
+                minimize(hamiltonian, ansatz, VqeConfig(seed=seed + offset))
+        except Exception as error:  # reported by the assertion below
+            failures.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with spy_objective, spy_gradient:
+            threads = [threading.Thread(target=worker, args=(10 * i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert set(seen["expectation"]) | set(seen["_expectation_rows"]) == {1}
+    assert blas_threads() == 2
+
+
+@pytest.mark.parametrize("which", range(len(PROBLEMS)))
+def test_run_without_scipy_openblas_is_bitwise_pinned_run(problems, which):
+    hamiltonian, ansatz = problems[which]
+    config = VqeConfig(seed=5)
+    pinned = minimize(hamiltonian, ansatz, config)
+    with mock.patch.object(vqe, "_scipy_openblas", return_value=None):
+        unpinned = minimize(hamiltonian, ansatz, config)
+    assert_same_run(unpinned, pinned)
+    assert unpinned.message == pinned.message
+    assert unpinned.gradient_norm == pinned.gradient_norm
