@@ -36,7 +36,8 @@ dataclasses:
     0.75 = inputs/b.fcidump
 
 Explicit [mu_inputs] entries override the pattern.  CLI flags override
-file values.
+file values.  A key that its section does not list above is an error,
+unless it is inherited from [DEFAULT].
 """
 
 from __future__ import annotations
@@ -67,14 +68,40 @@ class WorkbenchConfig:
     mu_scan: MuScanSpec | None = None
 
 
-def _get(parser: configparser.ConfigParser, section: str, key: str, cast, default):
-    if parser.has_option(section, key):
+# the keys each section may hold, with their types
+_KEYS = {
+    "system": {"fcidump": str, "molecule": str},
+    "active_space": {"n_electrons": int, "n_orbitals": int},
+    "vqe": {"seed": int, "sigma": float, "max_iterations": int, "tolerance": float, "gradient_step": float},
+    "embedding": {
+        "threshold": float, "max_iterations": int, "damping_floor": float,
+        "damping_scale": float, "active_solver": str,
+    },
+    "mu_scan": {"mu_start": float, "mu_end": float, "mu_step": float, "inputs_pattern": str},
+}
+
+
+def _read_section(parser: configparser.ConfigParser, section: str) -> dict:
+    """The values a section sets, cast to their types.  A key the section
+    may not hold is an error unless it is inherited from [DEFAULT]."""
+    known = _KEYS[section]
+    values = {}
+    for key in parser.options(section):
+        if key not in known:
+            if key in parser.defaults():
+                continue
+            raise ConfigError(f"[{section}] unknown key {key!r}; expected one of {', '.join(known)}")
         raw = parser.get(section, key)
         try:
-            return cast(raw)
+            values[key] = known[key](raw)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-    return default
+    return values
+
+
+def _resolve(base: Path, raw: str) -> Path:
+    path = Path(raw)
+    return path if path.is_absolute() else base / path
 
 
 def load_config(path: str | Path) -> WorkbenchConfig:
@@ -84,68 +111,42 @@ def load_config(path: str | Path) -> WorkbenchConfig:
         raise ConfigError(f"cannot read config file {path}")
     base = Path(path).parent
     cfg = WorkbenchConfig()
+    sections = {name: _read_section(parser, name) for name in _KEYS if parser.has_section(name)}
 
-    if parser.has_section("system"):
-        raw = _get(parser, "system", "fcidump", str, None)
+    if "system" in sections:
+        system = sections["system"]
+        raw = system.get("fcidump")
         if raw:
             cfg.fcidump = (base / raw).resolve() if not Path(raw).is_absolute() else Path(raw)
-        cfg.molecule = _get(parser, "system", "molecule", str, "")
+        cfg.molecule = system.get("molecule", "")
 
-    if parser.has_section("active_space"):
-        cfg.active_spec = ActiveSpaceSpec(
-            n_active_electrons=_get(parser, "active_space", "n_electrons", int, 0),
-            n_active_orbitals=_get(parser, "active_space", "n_orbitals", int, 0),
-        )
+    if "active_space" in sections:
+        active = sections["active_space"]
+        cfg.active_spec = ActiveSpaceSpec(active.get("n_electrons", 0), active.get("n_orbitals", 0))
 
-    if parser.has_section("vqe"):
-        vqe = cfg.vqe
-        cfg.vqe = VqeConfig(
-            seed=_get(parser, "vqe", "seed", int, vqe.seed),
-            sigma=_get(parser, "vqe", "sigma", float, vqe.sigma),
-            max_iterations=_get(parser, "vqe", "max_iterations", int, vqe.max_iterations),
-            tolerance=_get(parser, "vqe", "tolerance", float, vqe.tolerance),
-            gradient_step=_get(parser, "vqe", "gradient_step", float, vqe.gradient_step),
-        )
+    if "vqe" in sections:
+        cfg.vqe = VqeConfig(**sections["vqe"])
 
-    if parser.has_section("embedding"):
-        embedding = cfg.embedding
-        cfg.embedding = EmbeddingConfig(
-            threshold=_get(parser, "embedding", "threshold", float, embedding.threshold),
-            max_embedding_iterations=_get(
-                parser, "embedding", "max_iterations", int, embedding.max_embedding_iterations
-            ),
-            damping_floor=_get(parser, "embedding", "damping_floor", float, embedding.damping_floor),
-            damping_scale=_get(parser, "embedding", "damping_scale", float, embedding.damping_scale),
-            active_solver=_get(parser, "embedding", "active_solver", str, embedding.active_solver),
-        )
+    if "embedding" in sections:
+        embedding = sections["embedding"]
+        if "max_iterations" in embedding:
+            embedding["max_embedding_iterations"] = embedding.pop("max_iterations")
+        cfg.embedding = EmbeddingConfig(**embedding)
 
-    if parser.has_section("mu_scan"):
-        default = MuScanSpec()
-        spec = MuScanSpec(
-            mu_start=_get(parser, "mu_scan", "mu_start", float, default.mu_start),
-            mu_end=_get(parser, "mu_scan", "mu_end", float, default.mu_end),
-            mu_step=_get(parser, "mu_scan", "mu_step", float, default.mu_step),
-        )
+    if "mu_scan" in sections:
+        values = sections["mu_scan"]
+        pattern = values.pop("inputs_pattern", None)
         inputs: dict[float, Path] = {}
-        pattern = _get(parser, "mu_scan", "inputs_pattern", str, None)
         if pattern:
-            for mu in mu_grid(spec):
-                candidate = Path(pattern.format(mu=mu))
-                if not candidate.is_absolute():
-                    candidate = base / candidate
-                inputs[mu] = candidate
+            for mu in mu_grid(MuScanSpec(**values)):
+                inputs[mu] = _resolve(base, pattern.format(mu=mu))
         if parser.has_section("mu_inputs"):
             for key, value in parser.items("mu_inputs"):
                 try:
                     mu = float(key)
                 except ValueError as exc:
                     raise ConfigError(f"[mu_inputs] key {key!r} is not a mu value") from exc
-                candidate = Path(value)
-                if not candidate.is_absolute():
-                    candidate = base / candidate
-                inputs[mu] = candidate
-        cfg.mu_scan = MuScanSpec(
-            mu_start=spec.mu_start, mu_end=spec.mu_end, mu_step=spec.mu_step, per_mu_inputs=inputs
-        )
+                inputs[mu] = _resolve(base, value)
+        cfg.mu_scan = MuScanSpec(**values, per_mu_inputs=inputs)
 
     return cfg

@@ -10,30 +10,22 @@ Pauli strings act through bitmask traversal: for masks (x, z),
 
 which costs O(2^n) per term and never materializes a matrix.
 
-Kernels are compiled once and kept by the object that owns the strings.
-A compiled string is a pair (factors, perm): ``factors[b]`` is
-i^{|x & z|} (-1)^{|z & b|} and ``perm[b]`` is b ^ x (None when x = 0), so
-P acting on amplitudes is the gather ``(factors * amps)[perm]``; the
-permutation is an involution, so the gather equals the scatter
-``out[b ^ x] = factors[b] * amps[b]``.  :func:`apply_pauli` and
-:func:`apply_pauli_exponential` use it one string at a time.
-
+One routine, :func:`_grouped_operator`, compiles every Pauli operator.
 Strings with one X-mask x share the gather ``b ^ x``, so a sum of them
-is one diagonal D followed by that gather, ``(D * amps)[perm]``:
+is one diagonal D followed by that gather, ``D * amps[b ^ x]``, and a
+:class:`PauliSum` compiles into a (groups x 2^n) table of such diagonals
+and gathers, one row per X-mask, built on first use and kept on the sum:
 
+* :func:`apply_pauli` and :func:`apply_pauli_exponential` apply the
+  one-row table of a single string, built per call.
 * A :class:`UccsdAnsatz` compiles each generator G when it is
   constructed.  The terms of a UCCSD generator share one X-mask and G^2
   is diagonal with entries 0 or -1, so exp(theta G) = 1 + sin(theta) G
   + (1 - cos(theta)) G^2 is the identity off G's support and
   cos(theta) + sin(theta) G on it: one rotation of the connected
-  amplitudes per generator.
-* A :class:`PauliSum` is grouped by X-mask the first time
-  :func:`expectation` reads it, into a (groups x 2^n) table of
-  diagonals and gathers; op |amps> is then accumulated from zero as
-  ``D * amps[gather]`` one group at a time, and the expectation is one
-  ``vdot`` with it.  A single state forms the products of all groups
-  in one stacked call and sums them over the group axis, which adds
-  them in the same order.
+  amplitudes per generator, read off G's one-row table.
+* :func:`expectation` sums ``D * amps[gather]`` over the groups of the
+  operator's table in group order and takes one ``vdot`` with the sum.
 
 Both run on a block of states at once: ``_evolve_rows`` takes an
 (R x n_parameters) array of parameter vectors and returns their (R x 2^n)
@@ -172,26 +164,6 @@ def hf_state(n_qubits: int, occupation_bits: str | int) -> Statevector:
     return Statevector(n_qubits, amps)
 
 
-# (factors, perm): P @ amps == (factors * amps)[perm], perm None when x = 0
-_Kernel = tuple[np.ndarray, "np.ndarray | None"]
-
-
-def _compile_pauli(pauli: PauliString) -> _Kernel:
-    indices = np.arange(2**pauli.n_qubits, dtype=np.uint64)
-    signs = 1.0 - 2.0 * parity_of_masked_bits(indices, pauli.z_mask).astype(np.float64)
-    phase = 1j ** ((pauli.x_mask & pauli.z_mask).bit_count() % 4)
-    factors = phase * signs
-    if pauli.x_mask == 0:
-        return factors, None
-    return factors, (indices ^ np.uint64(pauli.x_mask)).astype(np.intp)
-
-
-def _pauli_action(amps: np.ndarray, kernel: _Kernel) -> np.ndarray:
-    factors, perm = kernel
-    values = factors * amps
-    return values if perm is None else values[perm]
-
-
 # (diagonals, gathers), both (groups, 2^n): op @ amps is the column sum
 # of diagonals * amps[gathers], one row per X-mask x with gather b ^ x
 _GroupedOperator = tuple[np.ndarray, np.ndarray]
@@ -200,12 +172,15 @@ _GroupedOperator = tuple[np.ndarray, np.ndarray]
 def _grouped_operator(op: PauliSum) -> _GroupedOperator:
     """The X-mask table of ``op``, built on first use and kept on ``op``."""
     if op._kernels is None:
+        indices = np.arange(2**op.n_qubits, dtype=np.uint64)
         groups: dict[int, np.ndarray] = {}
         for string, coeff in op:
-            factors, _ = _compile_pauli(string)
+            # factors[b] = i^{|x & z|} (-1)^{|z & b|}
+            signs = 1.0 - 2.0 * parity_of_masked_bits(indices, string.z_mask).astype(np.float64)
+            factors = 1j ** ((string.x_mask & string.z_mask).bit_count() % 4) * signs
             groups[string.x_mask] = groups.get(string.x_mask, 0.0) + coeff * factors
         x_masks = np.fromiter(groups, dtype=np.intp, count=len(groups))
-        gathers = np.arange(2**op.n_qubits, dtype=np.intp)[None, :] ^ x_masks[:, None]
+        gathers = indices.astype(np.intp)[None, :] ^ x_masks[:, None]
         diagonals = np.empty(gathers.shape, dtype=np.complex128)
         for row, diagonal in enumerate(groups.values()):
             diagonals[row] = diagonal[gathers[row]]
@@ -213,10 +188,17 @@ def _grouped_operator(op: PauliSum) -> _GroupedOperator:
     return op._kernels
 
 
+def _apply_operator(amps: np.ndarray, op: PauliSum) -> np.ndarray:
+    """op |amps> for one state: the products of all X-mask groups in one
+    stacked call, summed over the group axis in group order."""
+    diagonals, gathers = _grouped_operator(op)
+    return (diagonals * amps[gathers]).sum(0)
+
+
 def apply_pauli(state: Statevector, pauli: PauliString) -> Statevector:
     if pauli.n_qubits != state.n_qubits:
         raise SimulationError("qubit count mismatch")
-    return Statevector(state.n_qubits, _pauli_action(state.amplitudes, _compile_pauli(pauli)))
+    return Statevector(state.n_qubits, _apply_operator(state.amplitudes, PauliSum(pauli.n_qubits, {pauli: 1.0})))
 
 
 def apply_pauli_exponential(state: Statevector, pauli: PauliString, angle: float) -> Statevector:
@@ -225,7 +207,8 @@ def apply_pauli_exponential(state: Statevector, pauli: PauliString, angle: float
         raise SimulationError("qubit count mismatch")
     amps = state.amplitudes
     if angle != 0.0:
-        amps = np.cos(angle) * amps + 1j * np.sin(angle) * _pauli_action(amps, _compile_pauli(pauli))
+        applied = _apply_operator(amps, PauliSum(pauli.n_qubits, {pauli: 1.0}))
+        amps = np.cos(angle) * amps + 1j * np.sin(angle) * applied
     return Statevector(state.n_qubits, amps)
 
 
@@ -246,12 +229,12 @@ def _expectation_rows(amps: np.ndarray, op: PauliSum) -> np.ndarray:
     product over all groups instead, whose sum over the group axis adds
     the groups in the same order.
     """
-    diagonals, gathers = _grouped_operator(op)
     columns = _columns(amps)
     if columns.ndim == 1:
         row = np.ascontiguousarray(columns)
-        values = np.array([np.vdot(row, (diagonals * row[gathers]).sum(0))])
+        values = np.array([np.vdot(row, _apply_operator(row, op))])
     else:
+        diagonals, gathers = _grouped_operator(op)
         applied = np.zeros(columns.shape, dtype=np.complex128)
         for diagonal, gather in zip(diagonals, gathers):
             applied += diagonal[:, None] * columns[gather]
@@ -319,17 +302,14 @@ _Rotation = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _compile_generator(generator: PauliSum) -> _Rotation:
-    terms = generator.sorted_terms()
-    x_mask = terms[0][0].x_mask if terms else 0
-    diagonal = np.zeros(2**generator.n_qubits, dtype=np.complex128)
-    for string, coeff in terms:
-        if abs(coeff.real) > _IMAG_TOLERANCE:
-            raise SimulationError("excitation generator is not anti-Hermitian")
-        if string.x_mask != x_mask:
-            raise SimulationError("excitation generator terms do not share one X-mask")
-        diagonal += 1j * coeff.imag * _compile_pauli(string)[0]
-    source = np.arange(2**generator.n_qubits, dtype=np.intp) ^ x_mask
-    factors = diagonal[source]  # (G amps)[b] = factors[b] * amps[b ^ x]
+    if any(abs(coeff.real) > _IMAG_TOLERANCE for _, coeff in generator):
+        raise SimulationError("excitation generator is not anti-Hermitian")
+    # a copy's table, so the generator keeps none: the rotation is a quarter of its size
+    diagonals, gathers = _grouped_operator(PauliSum(generator.n_qubits, generator.terms()))
+    if len(diagonals) != 1:
+        raise SimulationError("excitation generator terms do not share one X-mask")
+    # (G amps)[b] = factors[b] * amps[source[b]] with source[b] = b ^ x
+    factors, source = diagonals[0], gathers[0]
     square = factors * factors[source]  # the diagonal of G^2
     projector = np.abs(square + 1.0) <= _IMAG_TOLERANCE
     if not np.all(projector | (np.abs(square) <= _IMAG_TOLERANCE)):
@@ -508,25 +488,15 @@ def _evolve_rows(ansatz: UccsdAnsatz, thetas: np.ndarray) -> np.ndarray:
     """(R, 2^n) amplitudes of the circuit at each row of an (R, n_parameters)
     parameter array.
 
-    Generator k rotates the amplitudes it connects in every row whose
-    theta_k is nonzero, with that row's cos and sin; rows with theta_k
-    == 0.0 are left alone.
+    Generator k rotates the amplitudes it connects in every row, with
+    that row's cos and sin.
     """
     cos, sin = _columns(np.cos(thetas)), _columns(np.sin(thetas))
-    nonzero = thetas != 0.0
-    every_row = nonzero.all(axis=0).tolist()
     amps = np.zeros((2**ansatz.n_qubits,) + cos.shape[1:], dtype=np.complex128)
     amps[ansatz.reference_index] = 1.0
     per_state = (slice(None),) + (None,) * (amps.ndim - 1)
-    for k, (connected, source, factors) in enumerate(ansatz._rotations):
-        if every_row[k]:
-            to, frm, c, s = connected, source, cos[k], sin[k]
-        else:
-            rows = np.flatnonzero(nonzero[:, k])
-            if not rows.size:
-                continue
-            to, frm, c, s = np.ix_(connected, rows), np.ix_(source, rows), cos[k, rows], sin[k, rows]
-        amps[to] = c * amps[to] + s * (factors[per_state] * amps[frm])
+    for (connected, source, factors), c, s in zip(ansatz._rotations, cos, sin):
+        amps[connected] = c * amps[connected] + s * (factors[per_state] * amps[source])
     return np.atleast_2d(amps.T)
 
 

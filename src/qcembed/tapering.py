@@ -3,9 +3,11 @@
 Every Pauli term of an operator maps to a length-2n GF(2) vector
 (x-part | z-part).  Let S be the span of the term vectors and S-perp its
 symplectic complement, i.e. all Pauli strings commuting with every term.
-The generators used here form a basis of the radical S intersect S-perp:
-they commute with every Hamiltonian term *and* with each other by
-construction, and each is itself a product of Hamiltonian terms.
+The generators used here form a basis of the radical S intersect S-perp,
+the kernel of the symplectic Gram matrix of a basis of S: they commute
+with every Hamiltonian term *and* with each other by construction, and
+each is itself a product of Hamiltonian terms (Bravyi et al.,
+arXiv:1701.08213).
 
 Tapering conjugates the operator by one Clifford per generator,
 U_i = (g_i + sigma_i) / sqrt(2), where sigma_i is a single-qubit Pauli
@@ -66,42 +68,6 @@ def _gf2_kernel(rows: list[int], width: int) -> list[int]:
     return basis
 
 
-def _gf2_intersection(basis_a: list[int], basis_b: list[int], width: int) -> list[int]:
-    """Basis of span(basis_a) intersect span(basis_b)."""
-    reduced_a, pivots_a = _gf2_rref(list(basis_a), width)
-    # Residue of each b-vector after elimination against A; combinations of
-    # b-vectors with zero residue lie in span(A).
-    residues = []
-    for vec in basis_b:
-        r = vec
-        for row, pivot in zip(reduced_a, pivots_a):
-            if (r >> pivot) & 1:
-                r ^= row
-        residues.append(r)
-    # Solve sum_i c_i residues[i] = 0 over GF(2): kernel of the residue
-    # matrix read column-wise (coefficient space has dimension len(basis_b)).
-    m = len(basis_b)
-    coeff_rows = []
-    for col in range(width):
-        row = 0
-        for i, r in enumerate(residues):
-            if (r >> col) & 1:
-                row |= 1 << i
-        if row:
-            coeff_rows.append(row)
-    combos = _gf2_kernel(coeff_rows, m)
-    out = []
-    for combo in combos:
-        vec = 0
-        for i in range(m):
-            if (combo >> i) & 1:
-                vec ^= basis_b[i]
-        if vec:
-            out.append(vec)
-    reduced, _ = _gf2_rref(out, width)
-    return reduced
-
-
 # -- symplectic encoding -----------------------------------------------------
 
 
@@ -125,6 +91,25 @@ def _symplectic_product(v1: int, v2: int, n: int) -> int:
     return (_symplectic_partner(v1, n) & v2).bit_count() % 2
 
 
+def _symmetry_radical(term_vectors: list[int], n: int) -> list[int]:
+    """Reduced row echelon basis of the radical S intersect S-perp.
+
+    A combination sum_i c_i s_i of the basis s_i of S lies in S-perp
+    when it commutes with every s_j, so the radical is the GF(2) kernel
+    of the basis's symplectic Gram matrix, mapped back through the basis.
+    """
+    basis, _ = _gf2_rref(term_vectors, 2 * n)
+    gram = [sum(_symplectic_product(a, b, n) << j for j, b in enumerate(basis)) for a in basis]
+    radical = []
+    for combo in _gf2_kernel(gram, len(basis)):
+        vector = 0
+        for i, b in enumerate(basis):
+            if (combo >> i) & 1:
+                vector ^= b
+        radical.append(vector)
+    return _gf2_rref(radical, 2 * n)[0]
+
+
 @dataclass(frozen=True)
 class TaperingResult:
     """Tapered operator for one symmetry sector."""
@@ -144,11 +129,7 @@ class Z2Symmetries:
         self.n_qubits = n
 
         term_vectors = [_to_vector(s, n) for s, _ in operator if not s.is_identity]
-        span_basis, _ = _gf2_rref(list(term_vectors), 2 * n)
-        commute_rows = [_symplectic_partner(v, n) for v in term_vectors]
-        perp_basis = _gf2_kernel(commute_rows, 2 * n)
-        radical = _gf2_intersection(span_basis, perp_basis, 2 * n)
-        vectors, _ = _gf2_rref(radical, 2 * n)
+        vectors = _symmetry_radical(term_vectors, n)
 
         # Assign each generator a dedicated qubit plus a single-qubit Pauli
         # that anticommutes with it alone.  Multiplying the other generators

@@ -179,17 +179,15 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
         )
 
     trace: list[tuple[int, float]] = []
-    last_eval: dict[str, tuple[np.ndarray, float] | None] = {"value": None}
 
-    def record(theta: np.ndarray, energy: float) -> float:
+    def record(energy: float) -> float:
         if not np.isfinite(energy):
             raise VqeError(f"non-finite energy {energy} during optimization", list(trace))
         trace.append((len(trace), energy))
-        last_eval["value"] = (np.array(theta, dtype=float), energy)
         return energy
 
     def objective(theta: np.ndarray) -> float:
-        return record(theta, expectation(evolve_ansatz(ansatz, theta), hamiltonian))
+        return record(expectation(evolve_ansatz(ansatz, theta), hamiltonian))
 
     n = ansatz.n_parameters
     x0 = initialize_parameters(n, config)
@@ -222,8 +220,7 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
         for start in range(0, 2 * n, block_rows):
             rows = shifted[start : start + block_rows]
             values = _expectation_rows(_evolve_rows(ansatz, rows), hamiltonian).tolist()
-            for offset, energy in enumerate(values):
-                energies[start + offset] = record(rows[offset], energy)
+            energies[start : start + len(values)] = [record(energy) for energy in values]
         grad = (energies[0::2] - energies[1::2]) / (2.0 * h)
         last_gradient["norm"] = float(np.max(np.abs(grad)))
         return grad
@@ -232,11 +229,9 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
     best: dict[str, tuple[np.ndarray, float] | None] = {"value": None}
 
     def callback(xk: np.ndarray) -> None:
-        cached = last_eval["value"]
-        if cached is not None and np.array_equal(cached[0], xk):
-            energy = cached[1]
-        else:
-            energy = objective(xk)
+        # the evaluation before a callback is the last shifted row of the
+        # gradient at x_k, never x_k itself, so x_k is evaluated afresh
+        energy = objective(xk)
         previous = iterate_energies[-1] if iterate_energies else None
         iterate_energies.append(energy)
         best["value"] = (np.array(xk, dtype=float), energy)

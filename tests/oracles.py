@@ -315,6 +315,38 @@ def reference_map_active_hamiltonian(active, spin_2ms=0, mapping="parity", two_q
     return PauliSum(mapped.n_qubits, {s: complex(c.real) for s, c in mapped})
 
 
+def reference_symmetry_radical(term_vectors: list[int], n: int) -> list[int]:
+    """Reduced row echelon basis of S intersect S-perp, intersecting the
+    span S of the term vectors with S-perp, the GF(2) kernel of the
+    terms' commutation rows: the combinations of S-perp's basis whose
+    residue after elimination against S is zero lie in S."""
+    from qcembed.tapering import _gf2_kernel, _gf2_rref, _symplectic_partner
+
+    width = 2 * n
+    span_rows, span_pivots = _gf2_rref(list(term_vectors), width)
+    perp_basis = _gf2_kernel([_symplectic_partner(v, n) for v in term_vectors], width)
+    residues = []
+    for vector in perp_basis:
+        for row, pivot in zip(span_rows, span_pivots):
+            if (vector >> pivot) & 1:
+                vector ^= row
+        residues.append(vector)
+    # sum_i c_i residues[i] = 0: the residue matrix read column-wise
+    coefficient_rows = []
+    for col in range(width):
+        row = sum(((r >> col) & 1) << i for i, r in enumerate(residues))
+        if row:
+            coefficient_rows.append(row)
+    radical = []
+    for combo in _gf2_kernel(coefficient_rows, len(perp_basis)):
+        vector = 0
+        for i, b in enumerate(perp_basis):
+            if (combo >> i) & 1:
+                vector ^= b
+        radical.append(vector)
+    return _gf2_rref(radical, width)[0]
+
+
 def reference_lift_reduced_parity_state(amplitudes: np.ndarray, n_spatial: int, n_alpha: int, n_beta: int):
     """Occupation-basis amplitudes behind a two-qubit-reduced parity state,
     one nonzero amplitude at a time."""

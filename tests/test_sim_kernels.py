@@ -30,6 +30,7 @@ from qcembed.sim import (
     build_uccsd_ansatz,
     evolve_ansatz,
     expectation,
+    hf_state,
     lift_reduced_parity_state,
     map_active_hamiltonian,
 )
@@ -187,6 +188,34 @@ def test_row_kernels_are_bitwise_one_row_calls(ansatze, which, seed, n_rows):
         assert energy == expectation(state, op)
     # a row-major block of states gives the same energies
     assert_bitwise(_expectation_rows(np.ascontiguousarray(rows), op), energies)
+
+
+# (n_spatial, n_electrons) of the H2 (2e,2o), LiH (2e,3o) and H2O (4e,4o) ansatze
+FIXTURE_ANSATZ_SHAPES = {"h2": (2, 2), "lih": (3, 2), "h2o": (4, 4)}
+
+
+@pytest.mark.parametrize("molecule", FIXTURE_ANSATZ_SHAPES)
+def test_zero_parameters_give_the_reference_state_bitwise(molecule):
+    ansatz = build_uccsd_ansatz(*FIXTURE_ANSATZ_SHAPES[molecule])
+    state = evolve_ansatz(ansatz, np.zeros(ansatz.n_parameters))
+    # tobytes also tells +0.0 from -0.0
+    assert_bitwise(state.amplitudes, hf_state(ansatz.n_qubits, ansatz.reference_index).amplitudes)
+
+
+@pytest.mark.parametrize("molecule", FIXTURE_ANSATZ_SHAPES)
+def test_rows_mixing_zero_and_nonzero_angles_are_bitwise_one_row_calls(molecule):
+    ansatz = build_uccsd_ansatz(*FIXTURE_ANSATZ_SHAPES[molecule])
+    rng = np.random.default_rng(3)
+    thetas = rng.uniform(-np.pi, np.pi, size=(5, ansatz.n_parameters))
+    thetas[0] = 0.0  # every angle zero
+    thetas[2, ::2] = 0.0  # every other angle zero
+    thetas[3, 1:] = 0.0  # only the first angle nonzero
+    thetas[:, -1] = 0.0  # one generator idle in every row
+    rows = _evolve_rows(ansatz, thetas)
+    for theta, amps in zip(thetas, rows):
+        assert_bitwise(np.ascontiguousarray(amps), evolve_ansatz(ansatz, theta).amplitudes)
+    reference = hf_state(ansatz.n_qubits, ansatz.reference_index).amplitudes
+    assert_bitwise(np.ascontiguousarray(rows[0]), reference)
 
 
 def test_expectation_rows_checks_every_row():

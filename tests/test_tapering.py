@@ -1,10 +1,13 @@
 """Z2 symmetry detection and sector tapering soundness."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcembed import tapering
 from qcembed.activespace import ActiveHamiltonian
 from qcembed.fermion import spin_orbital_hamiltonian
 from qcembed.integrals import SymmetricTwoBody
@@ -13,7 +16,7 @@ from qcembed.pauli import PauliString, PauliSum
 from qcembed.sim import map_active_hamiltonian
 from qcembed.tapering import find_z2_symmetries, taper_all_sectors
 
-from oracles import pauli_sum_matrix
+from oracles import pauli_sum_matrix, reference_symmetry_radical
 from test_hamiltonian_map import random_symmetric_active
 
 
@@ -150,6 +153,33 @@ def test_union_of_sector_spectra_is_full_spectrum_of_random_active_hamiltonians(
     union = union_of_sector_spectra(op)
     assert len(union) == 2**op.n_qubits
     assert np.allclose(union, sorted_spectrum(op), rtol=0, atol=1e-10)
+
+
+@st.composite
+def operators_with_planted_symmetry(draw):
+    """Random Pauli sums; half of them commute with a planted Z-string."""
+    n = draw(st.integers(1, 6))
+    full = 2**n - 1
+    planted = draw(st.one_of(st.just(0), st.integers(1, full)))
+    terms = {}
+    for x, z in draw(st.lists(st.tuples(st.integers(0, full), st.integers(0, full)), max_size=12)):
+        if (x & planted).bit_count() % 2:
+            x ^= planted & -planted  # flip the X on the planted string's lowest qubit
+        terms[PauliString(n, x, z)] = draw(st.floats(0.1, 2.0))
+    return PauliSum(n, terms)
+
+
+@given(operators_with_planted_symmetry())
+@settings(max_examples=300, deadline=None)
+def test_generators_and_pivots_match_the_intersection_route(op):
+    syms = find_z2_symmetries(op)
+    with mock.patch.object(tapering, "_symmetry_radical", reference_symmetry_radical):
+        reference = find_z2_symmetries(op)
+    assert syms.generators == reference.generators
+    assert syms._pivot_qubits == reference._pivot_qubits
+    assert syms._pivot_paulis == reference._pivot_paulis
+    for sector, tapered in syms.all_sectors():
+        assert tapered == reference.taper(sector)
 
 
 def test_empty_generator_set_is_valid():

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,6 +398,67 @@ def test_load_config_bad_value(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("system", "fcidumps"),
+        ("active_space", "n_electron"),
+        ("vqe", "seeed"),
+        ("embedding", "max_iteration"),
+        ("mu_scan", "mu_stop"),
+    ],
+)
+def test_load_config_rejects_unknown_key(tmp_path, section, key):
+    path = tmp_path / "typo.ini"
+    path.write_text(f"[{section}]\n{key} = 3\n")
+    with pytest.raises(ConfigError, match=rf"\[{section}\] unknown key '{key}'"):
+        load_config(path)
+
+
+def test_load_config_ignores_unknown_keys_inherited_from_default(tmp_path):
+    path = tmp_path / "defaults.ini"
+    path.write_text("[DEFAULT]\nowner = me\nseed = 3\n\n[vqe]\n\n[embedding]\n")
+    cfg = load_config(path)
+    assert cfg.vqe == VqeConfig(seed=3)
+    assert cfg.embedding == EmbeddingConfig()
+
+
+def test_load_config_mu_inputs_keys_stay_mu_values(tmp_path):
+    path = tmp_path / "scan.ini"
+    path.write_text("[mu_scan]\n\n[mu_inputs]\nseed = a.fcidump\n")
+    with pytest.raises(ConfigError, match="not a mu value"):
+        load_config(path)
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(example)
+    cfg = load_config(path)
+    assert cfg.molecule == "h2" and cfg.active_spec == ActiveSpaceSpec(2, 2)
+    assert cfg.vqe == VqeConfig(seed=7)
+    assert cfg.embedding == EmbeddingConfig()
+    assert cfg.mu_scan.per_mu_inputs[0.5] == tmp_path / "inputs/special.fcidump"
+    assert cfg.mu_scan.per_mu_inputs[10.0] == tmp_path / "inputs/run_mu10.00.fcidump"
+
+
+def test_benchmark_scan_config_loads(tmp_path, monkeypatch):
+    import importlib
+    import sys
+
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    workloads = importlib.import_module("workloads")
+
+    inputs = workloads.WORKLOADS["mu-scan-lih"].setup(tmp_path, 5)
+    cfg = load_config(inputs.config)
+    assert cfg.molecule == "lih" and cfg.active_spec == ActiveSpaceSpec(2, 3)
+    assert cfg.vqe == VqeConfig(seed=5)
+    assert list(cfg.mu_scan.per_mu_inputs.values()) == inputs.files
+
+
 def test_load_reference_table_from_csv(tmp_path):
     path = tmp_path / "refs.csv"
     path.write_text("# comment\nmolecule,e_dft,e_ccsd\nwater,-75.841,-76.205\n")
@@ -439,10 +501,10 @@ def test_mu_scan_builds_each_ansatz_shape_once(mu_inputs, monkeypatch):
 
 def test_traced_bench_patches_name_existing_attributes(monkeypatch, h2o_integrals):
     """The traced benchmark replaces package functions by module and name;
-    a refactor that drops one of those names must fail here too."""
+    a refactor that drops one of those names, or binds it to something
+    that is not a function, must fail here too."""
     import importlib
     import sys
-    from pathlib import Path
 
     bench = Path(__file__).parent.parent / "bench"
     monkeypatch.syspath_prepend(str(bench))
@@ -453,7 +515,7 @@ def test_traced_bench_patches_name_existing_attributes(monkeypatch, h2o_integral
     missing = [
         f"{module.__name__}.{attribute}"
         for module, attribute, *_ in layers.PATCHES
-        if not hasattr(module, attribute)
+        if not callable(getattr(module, attribute, None))
     ]
     assert not missing
     # the solver counters fingerprint each active Hamiltonian they see
