@@ -36,8 +36,9 @@ dataclasses:
     0.75 = inputs/b.fcidump
 
 Explicit [mu_inputs] entries override the pattern.  CLI flags override
-file values.  A key that its section does not list above is an error,
-unless it is inherited from [DEFAULT].
+file values.  A section not listed above is an error, as is a key that
+its section does not list, unless it is inherited from [DEFAULT].
+Numbers must be finite: nan and inf are refused.
 """
 
 from __future__ import annotations
@@ -79,6 +80,8 @@ _KEYS = {
     },
     "mu_scan": {"mu_start": float, "mu_end": float, "mu_step": float, "inputs_pattern": str},
 }
+# [mu_inputs] maps mu values to files, so its keys are not fixed
+_SECTIONS = (*_KEYS, "mu_inputs")
 
 
 def _read_section(parser: configparser.ConfigParser, section: str) -> dict:
@@ -109,6 +112,9 @@ def load_config(path: str | Path) -> WorkbenchConfig:
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}]; expected one of {', '.join(_SECTIONS)}")
     base = Path(path).parent
     cfg = WorkbenchConfig()
     sections = {name: _read_section(parser, name) for name in _KEYS if parser.has_section(name)}

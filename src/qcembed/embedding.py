@@ -82,6 +82,8 @@ class EmbeddingConfig:
     active_solver: str | ActiveSolver = "vqe"
 
     def __post_init__(self):
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold}")
         if self.threshold <= 0:
             raise ValueError(f"threshold must be positive, got {self.threshold}")
         if not 0 < self.damping_floor <= self.damping_scale <= 1:

@@ -43,6 +43,9 @@ class MuScanSpec:
     per_mu_inputs: dict[float, Path] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("mu_start", "mu_end", "mu_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise MuScanConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mu_step <= 0:
             raise MuScanConfigError(f"mu_step must be positive, got {self.mu_step}")
         if self.mu_end < self.mu_start:

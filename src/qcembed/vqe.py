@@ -8,12 +8,17 @@ gradients.  Every objective evaluation is recorded in an ordered trace;
 the optimizer stops when the energy change between accepted iterates
 drops below the tolerance or the iteration cap is reached.
 
-A gradient's 2n shifted parameter vectors are evaluated as one sweep:
-they are the rows of one (2n x n) matrix, simulated in blocks of at most
-``_BLOCK_AMPLITUDES`` amplitudes with the statevector kernels' row
-forms, and their energies enter the trace in the order a serial loop
-would evaluate them (+theta_0, -theta_0, +theta_1, ...), each counted as
-one evaluation.
+Each point theta the optimizer evaluates is simulated once, with the 2n
+shifted points of its gradient, in one sweep: the rows theta,
+theta + h e_0, theta - h e_0, theta + h e_1, ... of a ((2n+1) x n)
+matrix, simulated in blocks of at most ``_BLOCK_AMPLITUDES`` amplitudes
+with the statevector kernels' row forms.  The trace is that of a
+serial loop: theta's energy when the optimizer asks for it, the shifted
+energies (+theta_0, -theta_0, +theta_1, ...) when it asks for the
+gradient at theta, each one evaluation.  An accepted iterate's callback
+entry is the energy of the last swept point, which is that iterate.  A
+gradient or an iterate at any other point is swept afresh, so every
+energy comes from the same row kernels.
 
 The optimizer's own linear algebra runs with scipy's bundled OpenBLAS
 held to one thread: L-BFGS-B solves its small BFGS matrices with LAPACK
@@ -27,6 +32,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import functools
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -36,6 +42,8 @@ from typing import IO
 import numpy as np
 
 from .pauli import PauliSum
+# evolve_ansatz and expectation are not called here but stay importable
+# from this module: bench/layers.py wraps them by name
 from .sim import UccsdAnsatz, _evolve_rows, _expectation_rows, evolve_ansatz, expectation
 
 __all__ = ["VqeConfig", "VqeResult", "VqeError", "initialize_parameters", "minimize", "write_trace_csv"]
@@ -71,6 +79,9 @@ class VqeConfig:
     gradient_step: float = 1e-6
 
     def __post_init__(self):
+        for name in ("sigma", "tolerance", "gradient_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         if self.max_iterations < 1:
@@ -181,19 +192,41 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
     trace: list[tuple[int, float]] = []
 
     def record(energy: float) -> float:
-        if not np.isfinite(energy):
+        if not math.isfinite(energy):
             raise VqeError(f"non-finite energy {energy} during optimization", list(trace))
         trace.append((len(trace), energy))
         return energy
 
-    def objective(theta: np.ndarray) -> float:
-        return record(expectation(evolve_ansatz(ansatz, theta), hamiltonian))
-
     n = ansatz.n_parameters
     x0 = initialize_parameters(n, config)
+    block_rows = max(1, _BLOCK_AMPLITUDES // 2**ansatz.n_qubits)
+    k = np.arange(n)
+    # the last swept point and its 2n+1 energies, in trace order
+    swept: dict[str, np.ndarray | list[float] | None] = {"theta": None, "energies": None}
+    last_gradient = {"norm": float("nan")}
+
+    def sweep(theta: np.ndarray) -> list[float]:
+        h = config.gradient_step
+        theta = np.array(theta, dtype=float)
+        rows = np.repeat(theta[None, :], 2 * n + 1, axis=0)
+        rows[2 * k + 1, k] = theta + h
+        rows[2 * k + 2, k] = theta - h
+        energies = np.concatenate([
+            _expectation_rows(_evolve_rows(ansatz, rows[start : start + block_rows]), hamiltonian)
+            for start in range(0, 2 * n + 1, block_rows)
+        ]).tolist()
+        swept["theta"], swept["energies"] = theta, energies
+        return energies
+
+    def energies_at(theta: np.ndarray) -> list[float]:
+        # scipy asks for the gradient at the point it has just evaluated and
+        # reports that point as the iterate; any other point is swept afresh
+        if swept["theta"] is not None and np.array_equal(swept["theta"], theta):
+            return swept["energies"]  # type: ignore[return-value]
+        return sweep(theta)
 
     if n == 0:
-        energy = objective(x0)
+        energy = record(sweep(x0)[0])
         return VqeResult(
             energy=energy,
             parameters=x0,
@@ -205,23 +238,12 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
             gradient_norm=0.0,
         )
 
-    block_rows = max(1, _BLOCK_AMPLITUDES // 2**ansatz.n_qubits)
-    last_gradient = {"norm": float("nan")}
+    def objective(theta: np.ndarray) -> float:
+        return record(sweep(theta)[0])
 
     def gradient(theta: np.ndarray) -> np.ndarray:
-        # rows +0, -0, +1, -1, ...: the order the trace records them in
-        h = config.gradient_step
-        theta = np.array(theta, dtype=float)
-        k = np.arange(n)
-        shifted = np.repeat(theta[None, :], 2 * n, axis=0)
-        shifted[2 * k, k] = theta + h
-        shifted[2 * k + 1, k] = theta - h
-        energies = np.empty(2 * n)
-        for start in range(0, 2 * n, block_rows):
-            rows = shifted[start : start + block_rows]
-            values = _expectation_rows(_evolve_rows(ansatz, rows), hamiltonian).tolist()
-            energies[start : start + len(values)] = [record(energy) for energy in values]
-        grad = (energies[0::2] - energies[1::2]) / (2.0 * h)
+        shifted = np.array([record(energy) for energy in energies_at(theta)[1:]])
+        grad = (shifted[0::2] - shifted[1::2]) / (2.0 * config.gradient_step)
         last_gradient["norm"] = float(np.max(np.abs(grad)))
         return grad
 
@@ -229,9 +251,7 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
     best: dict[str, tuple[np.ndarray, float] | None] = {"value": None}
 
     def callback(xk: np.ndarray) -> None:
-        # the evaluation before a callback is the last shifted row of the
-        # gradient at x_k, never x_k itself, so x_k is evaluated afresh
-        energy = objective(xk)
+        energy = record(energies_at(xk)[0])
         previous = iterate_energies[-1] if iterate_energies else None
         iterate_energies.append(energy)
         best["value"] = (np.array(xk, dtype=float), energy)

@@ -44,6 +44,12 @@ def test_config_validation():
     EmbeddingConfig(damping_floor=1.0, damping_scale=1.0)  # damping disabled is legal
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_refuses_non_finite_threshold(value):
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        EmbeddingConfig(threshold=value)
+
+
 def test_full_active_space_equals_fci_and_converges_at_two(golden, h2_integrals):
     state = run_embedding(
         h2_integrals, ActiveSpaceSpec(2, 2), EmbeddingConfig(active_solver="fci")

@@ -302,10 +302,16 @@ def test_vqe_trace_is_bitwise_under_the_group_loop(vqe_problems, key, seed, monk
     hamiltonian, ansatz = vqe_problems[key]
     config = vqe.VqeConfig(seed=seed)
     result = vqe.minimize(hamiltonian, ansatz, config)
-    monkeypatch.setattr(
-        vqe, "expectation", lambda state, op: reference_grouped_expectation(state.amplitudes, op)
-    )
+    looped_rows = []
+
+    def group_loop_rows(amps, op):
+        # every swept row goes through the group loop, one row at a time
+        looped_rows.extend(amps)
+        return np.array([reference_grouped_expectation(np.ascontiguousarray(row), op) for row in amps])
+
+    monkeypatch.setattr(vqe, "_expectation_rows", group_loop_rows)
     looped = vqe.minimize(hamiltonian, ansatz, config)
+    assert len(looped_rows) == looped.evaluations - looped.iterations
     assert result.evaluations == looped.evaluations
     assert_bitwise(np.array(result.trace), np.array(looped.trace))
     assert_bitwise(result.parameters, looped.parameters)

@@ -70,6 +70,13 @@ def test_config_validation():
         VqeConfig(tolerance=0.0)
 
 
+@pytest.mark.parametrize("name", ["sigma", "tolerance", "gradient_step"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_refuses_non_finite_numbers(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        VqeConfig(**{name: value})
+
+
 def test_zero_parameter_ansatz_returns_hf_energy():
     ansatz = build_uccsd_ansatz(1, 2)  # no virtuals: 0 parameters
     assert ansatz.n_parameters == 0
@@ -234,11 +241,90 @@ def assert_same_run(actual, expected):
 def test_sweep_is_bitwise_reference(problems, which, seed, sigma, max_iterations, block_rows):
     hamiltonian, ansatz = problems[which]
     config = VqeConfig(seed=seed, sigma=sigma, max_iterations=max_iterations)
-    # 2n rows in blocks of 3 or 5 leave a partial last block on every problem
+    # 2n+1 rows in blocks of 3 or 5 leave a partial last block on every problem
     block = vqe._BLOCK_AMPLITUDES if block_rows is None else block_rows * 2**ansatz.n_qubits
     with mock.patch.object(vqe, "_BLOCK_AMPLITUDES", block):
         result = minimize(hamiltonian, ansatz, config)
     assert_same_run(result, reference_minimize(hamiltonian, ansatz, config))
+
+
+def sweep_rows(theta, h):
+    """theta, theta + h e_0, theta - h e_0, theta + h e_1, ...: the rows of
+    one point's sweep, in trace order."""
+    rows = [theta]
+    for k in range(len(theta)):
+        for step in (h, -h):
+            shifted = theta.copy()
+            shifted[k] = theta[k] + step
+            rows.append(shifted)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("which", range(len(PROBLEMS)))
+@pytest.mark.parametrize("seed", [0, 7, 31])
+@pytest.mark.parametrize("block_rows", [None, 3])
+def test_each_point_is_simulated_once(problems, which, seed, block_rows):
+    hamiltonian, ansatz = problems[which]
+    n = ansatz.n_parameters
+    config = VqeConfig(seed=seed)
+    blocks = []
+    evolve_rows = vqe._evolve_rows
+
+    def spy_rows(ansatz, thetas):
+        blocks.append(np.array(thetas))
+        return evolve_rows(ansatz, thetas)
+
+    block = vqe._BLOCK_AMPLITUDES if block_rows is None else block_rows * 2**ansatz.n_qubits
+    with (
+        mock.patch.object(vqe, "_BLOCK_AMPLITUDES", block),
+        mock.patch.object(vqe, "_evolve_rows", spy_rows),
+        mock.patch.object(vqe, "evolve_ansatz", side_effect=vqe.evolve_ansatz) as single,
+    ):
+        result = minimize(hamiltonian, ansatz, config)
+    assert n > 0 and single.call_count == 0
+    # the blocks tile whole sweeps: none straddles two points
+    starts = np.cumsum([0] + [len(rows) for rows in blocks[:-1]])
+    assert all(start % (2 * n + 1) + len(rows) <= 2 * n + 1 for start, rows in zip(starts, blocks))
+    swept = np.concatenate(blocks)
+    assert len(swept) % (2 * n + 1) == 0
+    for sweep in swept.reshape(-1, 2 * n + 1, n):
+        assert sweep.tobytes() == sweep_rows(sweep[0], config.gradient_step).tobytes()
+    # every accepted iterate reuses its point's energy
+    assert len(swept) == result.evaluations - result.iterations
+
+
+@pytest.mark.parametrize("which", range(len(PROBLEMS)))
+def test_gradient_and_iterate_away_from_the_swept_point_are_simulated(problems, which):
+    """An optimizer that asks for the gradient at a point it never passed
+    to the objective, and reports an iterate that was never swept, gets
+    the energies of the public kernels in the order it asked for them."""
+    import scipy.optimize
+
+    from qcembed.sim import evolve_ansatz, expectation
+
+    hamiltonian, ansatz = problems[which]
+    config = VqeConfig(seed=3, sigma=0.1, tolerance=1e-15)
+    x0 = initialize_parameters(ansatz.n_parameters, config)
+    x1, x2 = x0 + 0.01, x0 - 0.02
+
+    def fake_minimize(fun, x, jac, callback, **kwargs):
+        fun(x)
+        jac(x1)
+        callback(x2)
+        callback(x1)  # swept by the gradient, never passed to the objective
+        return scipy.optimize.OptimizeResult(x=x2, fun=-1.0, message="fake")
+
+    with mock.patch("scipy.optimize.minimize", fake_minimize):
+        result = minimize(hamiltonian, ansatz, config)
+
+    def energy(theta):
+        return expectation(evolve_ansatz(ansatz, theta), hamiltonian)
+
+    expected = [energy(x0)] + [energy(row) for row in sweep_rows(x1, config.gradient_step)[1:]]
+    expected += [energy(x2), energy(x1)]
+    assert [value for _, value in result.trace] == expected
+    assert [index for index, _ in result.trace] == list(range(len(expected)))
+    assert result.iterate_energies == (energy(x2), energy(x1))
 
 
 def overflow_hamiltonian(ansatz, k):
@@ -270,6 +356,25 @@ def test_non_finite_shifted_row_raises_with_reference_trace(problems, block_rows
     with mock.patch.object(vqe, "_BLOCK_AMPLITUDES", block), pytest.raises(VqeError) as err:
         minimize(hamiltonian, ansatz, config)
     assert err.value.trace == expected.value.trace
+    assert str(err.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(("which", "k", "seed"), [(1, 0, 0), (2, 3, 0)])
+@pytest.mark.parametrize("block_rows", [None, 1])
+@np.errstate(over="ignore", invalid="ignore")  # the overflow is the point of the test
+def test_non_finite_start_point_raises_with_reference_trace(problems, which, k, seed, block_rows):
+    """E(x0) itself overflows: the error comes before anything is recorded,
+    although the start point's whole sweep was simulated first."""
+    _, ansatz = problems[which]
+    hamiltonian = overflow_hamiltonian(ansatz, k)
+    config = VqeConfig(seed=seed, sigma=0.3)
+    with pytest.raises(VqeError) as expected:
+        reference_minimize(hamiltonian, ansatz, config)
+    assert expected.value.trace == []
+    block = vqe._BLOCK_AMPLITUDES if block_rows is None else block_rows * 2**ansatz.n_qubits
+    with mock.patch.object(vqe, "_BLOCK_AMPLITUDES", block), pytest.raises(VqeError) as err:
+        minimize(hamiltonian, ansatz, config)
+    assert err.value.trace == []
     assert str(err.value) == str(expected.value)
 
 

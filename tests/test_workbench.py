@@ -415,6 +415,29 @@ def test_load_config_rejects_unknown_key(tmp_path, section, key):
         load_config(path)
 
 
+@pytest.mark.parametrize("section", ["embeding", "VQE", "mu-scan"])
+def test_load_config_rejects_unknown_section(tmp_path, section):
+    path = tmp_path / "typo.ini"
+    path.write_text(f"[{section}]\nmax_iterations = 3\n")
+    expected = "system, active_space, vqe, embedding, mu_scan, mu_inputs"
+    with pytest.raises(ConfigError, match=rf"unknown section \[{section}\]; expected one of {expected}"):
+        load_config(path)
+
+
+def test_load_config_refuses_non_finite_tolerance(tmp_path):
+    path = tmp_path / "nan.ini"
+    path.write_text("[vqe]\ntolerance = nan\n")
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("name", ["mu_start", "mu_end", "mu_step"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_mu_scan_spec_refuses_non_finite_numbers(name, value):
+    with pytest.raises(MuScanConfigError, match=f"{name} must be finite"):
+        MuScanSpec(**{name: value})
+
+
 def test_load_config_ignores_unknown_keys_inherited_from_default(tmp_path):
     path = tmp_path / "defaults.ini"
     path.write_text("[DEFAULT]\nowner = me\nseed = 3\n\n[vqe]\n\n[embedding]\n")
