@@ -38,7 +38,9 @@ dataclasses:
 Explicit [mu_inputs] entries override the pattern.  CLI flags override
 file values.  A section not listed above is an error, as is a key that
 its section does not list, unless it is inherited from [DEFAULT].
-Numbers must be finite: nan and inf are refused.
+Numbers must be finite: nan and inf are refused.  A value that a
+section's dataclass refuses raises ``ConfigError`` naming the file and
+the section.
 """
 
 from __future__ import annotations
@@ -102,6 +104,15 @@ def _read_section(parser: configparser.ConfigParser, section: str) -> dict:
     return values
 
 
+def _build(path: str | Path, section: str, factory, *args, **values):
+    """``factory(*args, **values)``, a value it refuses reported as a
+    ``ConfigError`` that names the file and the section."""
+    try:
+        return factory(*args, **values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: [{section}] {exc}") from exc
+
+
 def _resolve(base: Path, raw: str) -> Path:
     path = Path(raw)
     return path if path.is_absolute() else base / path
@@ -128,23 +139,25 @@ def load_config(path: str | Path) -> WorkbenchConfig:
 
     if "active_space" in sections:
         active = sections["active_space"]
-        cfg.active_spec = ActiveSpaceSpec(active.get("n_electrons", 0), active.get("n_orbitals", 0))
+        cfg.active_spec = _build(
+            path, "active_space", ActiveSpaceSpec, active.get("n_electrons", 0), active.get("n_orbitals", 0)
+        )
 
     if "vqe" in sections:
-        cfg.vqe = VqeConfig(**sections["vqe"])
+        cfg.vqe = _build(path, "vqe", VqeConfig, **sections["vqe"])
 
     if "embedding" in sections:
         embedding = sections["embedding"]
         if "max_iterations" in embedding:
             embedding["max_embedding_iterations"] = embedding.pop("max_iterations")
-        cfg.embedding = EmbeddingConfig(**embedding)
+        cfg.embedding = _build(path, "embedding", EmbeddingConfig, **embedding)
 
     if "mu_scan" in sections:
         values = sections["mu_scan"]
         pattern = values.pop("inputs_pattern", None)
         inputs: dict[float, Path] = {}
         if pattern:
-            for mu in mu_grid(MuScanSpec(**values)):
+            for mu in mu_grid(_build(path, "mu_scan", MuScanSpec, **values)):
                 inputs[mu] = _resolve(base, pattern.format(mu=mu))
         if parser.has_section("mu_inputs"):
             for key, value in parser.items("mu_inputs"):
@@ -153,6 +166,6 @@ def load_config(path: str | Path) -> WorkbenchConfig:
                 except ValueError as exc:
                     raise ConfigError(f"[mu_inputs] key {key!r} is not a mu value") from exc
                 inputs[mu] = _resolve(base, value)
-        cfg.mu_scan = MuScanSpec(**values, per_mu_inputs=inputs)
+        cfg.mu_scan = _build(path, "mu_scan", MuScanSpec, **values, per_mu_inputs=inputs)
 
     return cfg

@@ -8,7 +8,9 @@ consumed by the active-space reduction and the embedding cycle.
 
 Each Roothaan step is one ``np.linalg.eigh`` call (lower triangle, full
 spectrum) after a finite-input check, so a non-finite Fock matrix raises
-``ValueError`` before it reaches LAPACK.  The module needs numpy only.
+``ValueError`` before it reaches LAPACK.  The density 2 C_occ C_occ^T
+does not depend on the eigenvectors' signs, so the signs are fixed once,
+on the canonical orbitals returned.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -84,11 +86,10 @@ def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def _diagonalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, sign-fixed eigenvectors) of a symmetric matrix."""
+    """(eigenvalues, eigenvectors) of a symmetric matrix, signs unfixed."""
     if not np.isfinite(matrix).all():
         raise ValueError("array must not contain infs or NaNs")
-    eps, coeff = np.linalg.eigh(matrix)
-    return eps, _fix_eigenvector_signs(coeff)
+    return np.linalg.eigh(matrix)
 
 
 def _occupy(orbital_energies: np.ndarray, coefficients: np.ndarray, n_occ: int) -> np.ndarray:
@@ -166,8 +167,9 @@ def solve_rhf(
             converged = True
             break
 
-    # Canonical orbitals and idempotent density from the final Fock.
+    # Sign-fixed canonical orbitals and idempotent density from the final Fock.
     eps, coeff = _diagonalize(fock)
+    coeff = _fix_eigenvector_signs(coeff)
     density = _occupy(eps, coeff, n_occ)
     fock = build_fock(integrals, density)
     energy = electronic_energy(integrals, density, fock)

@@ -14,7 +14,9 @@ One routine, :func:`_grouped_operator`, compiles every Pauli operator.
 Strings with one X-mask x share the gather ``b ^ x``, so a sum of them
 is one diagonal D followed by that gather, ``D * amps[b ^ x]``, and a
 :class:`PauliSum` compiles into a (groups x 2^n) table of such diagonals
-and gathers, one row per X-mask, built on first use and kept on the sum:
+and gathers, one row per X-mask.  The table is built on first use, one
+X-mask group at a time with each group summed in term order from +0,
+and kept on the sum:
 
 * :func:`apply_pauli` and :func:`apply_pauli_exponential` apply the
   one-row table of a single string, built per call.
@@ -170,20 +172,23 @@ _GroupedOperator = tuple[np.ndarray, np.ndarray]
 
 
 def _grouped_operator(op: PauliSum) -> _GroupedOperator:
-    """The X-mask table of ``op``, built on first use and kept on ``op``."""
+    """The X-mask table of ``op``, built on first use and kept on ``op``:
+    one row per X-mask in order of first appearance, each a few numpy
+    calls that sum the group's terms in the order of ``op`` from +0."""
     if op._kernels is None:
-        indices = np.arange(2**op.n_qubits, dtype=np.uint64)
-        groups: dict[int, np.ndarray] = {}
+        groups: dict[int, list[tuple[int, complex, complex]]] = {}
         for string, coeff in op:
-            # factors[b] = i^{|x & z|} (-1)^{|z & b|}
-            signs = 1.0 - 2.0 * parity_of_masked_bits(indices, string.z_mask).astype(np.float64)
-            factors = 1j ** ((string.x_mask & string.z_mask).bit_count() % 4) * signs
-            groups[string.x_mask] = groups.get(string.x_mask, 0.0) + coeff * factors
+            x, z = string.x_mask, string.z_mask
+            groups.setdefault(x, []).append((z, 1j ** ((x & z).bit_count() % 4), coeff))
         x_masks = np.fromiter(groups, dtype=np.intp, count=len(groups))
-        gathers = indices.astype(np.intp)[None, :] ^ x_masks[:, None]
+        gathers = np.arange(2**op.n_qubits, dtype=np.intp)[None, :] ^ x_masks[:, None]
         diagonals = np.empty(gathers.shape, dtype=np.complex128)
-        for row, diagonal in enumerate(groups.values()):
-            diagonals[row] = diagonal[gathers[row]]
+        for gather, diagonal, terms in zip(gathers, diagonals, groups.values()):
+            z_masks, phases, coeffs = (np.array(column) for column in zip(*terms))
+            # factors[s, b] = i^{|x & z_s|} (-1)^{|z_s & (b ^ x)|}, read at the gathered b ^ x
+            signs = 1.0 - 2.0 * parity_of_masked_bits(gather, z_masks[:, None]).astype(np.float64)
+            factors = phases[:, None] * signs
+            np.add.reduce(coeffs[:, None] * factors, axis=0, initial=0.0, out=diagonal)
         op._kernels = (diagonals, gathers)
     return op._kernels
 
@@ -496,7 +501,14 @@ def _evolve_rows(ansatz: UccsdAnsatz, thetas: np.ndarray) -> np.ndarray:
     amps[ansatz.reference_index] = 1.0
     per_state = (slice(None),) + (None,) * (amps.ndim - 1)
     for (connected, source, factors), c, s in zip(ansatz._rotations, cos, sin):
-        amps[connected] = c * amps[connected] + s * (factors[per_state] * amps[source])
+        # c * amps[connected] + s * (factors * amps[source]), in place on the gathered copies
+        rotated = amps[source]
+        rotated *= factors[per_state]
+        rotated *= s
+        kept = amps[connected]
+        kept *= c
+        kept += rotated
+        amps[connected] = kept
     return np.atleast_2d(amps.T)
 
 

@@ -266,6 +266,40 @@ def reference_expectation(amps: np.ndarray, op) -> complex:
     return value
 
 
+def reference_grouped_operator(op):
+    """The X-mask table of ``op`` built one term at a time: each term's
+    sign vector over every basis index is added to a running sum per
+    X-mask, and each sum is read at the gathered indices at the end."""
+    from qcembed.pauli import parity_of_masked_bits
+
+    indices = np.arange(2**op.n_qubits, dtype=np.uint64)
+    groups = {}
+    for string, coeff in op:
+        signs = 1.0 - 2.0 * parity_of_masked_bits(indices, string.z_mask).astype(np.float64)
+        factors = 1j ** ((string.x_mask & string.z_mask).bit_count() % 4) * signs
+        groups[string.x_mask] = groups.get(string.x_mask, 0.0) + coeff * factors
+    x_masks = np.fromiter(groups, dtype=np.intp, count=len(groups))
+    gathers = indices.astype(np.intp)[None, :] ^ x_masks[:, None]
+    diagonals = np.empty(gathers.shape, dtype=np.complex128)
+    for row, diagonal in enumerate(groups.values()):
+        diagonals[row] = diagonal[gathers[row]]
+    return diagonals, gathers
+
+
+def reference_evolve_rows(ansatz, thetas: np.ndarray) -> np.ndarray:
+    """``sim._evolve_rows`` with each rotation written as one expression
+    that allocates a new array per operation."""
+    from qcembed.sim import _columns
+
+    cos, sin = _columns(np.cos(thetas)), _columns(np.sin(thetas))
+    amps = np.zeros((2**ansatz.n_qubits,) + cos.shape[1:], dtype=np.complex128)
+    amps[ansatz.reference_index] = 1.0
+    per_state = (slice(None),) + (None,) * (amps.ndim - 1)
+    for (connected, source, factors), c, s in zip(ansatz._rotations, cos, sin):
+        amps[connected] = c * amps[connected] + s * (factors[per_state] * amps[source])
+    return np.atleast_2d(amps.T)
+
+
 def reference_grouped_expectation(amps: np.ndarray, op) -> float:
     """<amps| op |amps> from the package's X-mask table, with op |amps>
     accumulated from zero one group at a time."""
@@ -719,7 +753,8 @@ def reference_solve_rhf(
     integrals, max_iter: int = 100, tol: float = 1e-10, mixing: float = 0.5, eigh=finite_eigh
 ):
     """``meanfield.solve_rhf`` with the per-column sign loop on every
-    Roothaan step, diagonalizing with ``eigh`` (default: ``np.linalg.eigh``
+    Roothaan step, where the package fixes signs only on the returned
+    orbitals, diagonalizing with ``eigh`` (default: ``np.linalg.eigh``
     after a finite-input check, as the package does)."""
     from qcembed.meanfield import MeanFieldResult, ScfError, _occupy, build_fock, electronic_energy
 

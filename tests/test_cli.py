@@ -239,3 +239,12 @@ def test_cli_flag_overrides_config(capsys, tmp_path, h2_path):
 def test_bad_active_flag(capsys, h2_path):
     with pytest.raises(SystemExit):
         main(["vqe", "--fcidump", h2_path, "--active", "two,two"])
+
+
+def test_config_value_refused_by_its_section_names_the_file(capsys, tmp_path):
+    path = tmp_path / "nan.ini"
+    path.write_text("[vqe]\ntolerance = nan\n")
+    code = main(["vqe", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error [config.ConfigError]: {path}: [vqe] tolerance must be finite, got nan" in err

@@ -9,6 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcembed import meanfield
 from qcembed.integrals import IntegralSet, SymmetricTwoBody, read_fcidump
 from qcembed.meanfield import (
     MeanFieldResult,
@@ -250,6 +251,22 @@ def test_eigh_is_called_once_per_roothaan_step(monkeypatch):
     result = solve_rhf(load("lih"))
     # core guess + one per Roothaan step + the final canonicalisation
     assert len(seen) == result.iterations + 2
+
+
+@pytest.mark.parametrize("options", SOLVE_OPTIONS.values(), ids=SOLVE_OPTIONS.keys())
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_signs_are_fixed_once_on_the_returned_orbitals(monkeypatch, name, options):
+    calls = []
+    fix = meanfield._fix_eigenvector_signs
+
+    def counting_fix(vectors):
+        calls.append(fix(vectors))
+        return calls[-1]
+
+    monkeypatch.setattr(meanfield, "_fix_eigenvector_signs", counting_fix)
+    result = solve_rhf(load(name), **options)
+    assert len(calls) == 1
+    assert result.orbital_coefficients is calls[0]
 
 
 def test_infinite_one_body_rejected_before_lapack(monkeypatch):

@@ -1,7 +1,9 @@
 """Compiled Pauli kernels against the per-call bitmask reference.
 
 A single compiled string reproduces the reference arithmetic exactly,
-so those comparisons are bitwise.  The fused kernels change the order
+so those comparisons are bitwise, as are the X-mask table against the
+term-by-term loop and the in-place rotation against the one-expression
+rotation.  The fused kernels change the order
 of the arithmetic by design: an ansatz applies each generator as one
 closed-form rotation instead of one exponential per string, and
 ``expectation`` sums a Pauli sum grouped by X-mask instead of term by
@@ -12,7 +14,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcembed import vqe
@@ -25,6 +27,7 @@ from qcembed.sim import (
     Statevector,
     _evolve_rows,
     _expectation_rows,
+    _grouped_operator,
     apply_pauli,
     apply_pauli_exponential,
     build_uccsd_ansatz,
@@ -38,8 +41,10 @@ from qcembed.sim import (
 from conftest import FIXTURE_DIR
 from oracles import (
     reference_evolve,
+    reference_evolve_rows,
     reference_expectation,
     reference_grouped_expectation,
+    reference_grouped_operator,
     reference_lift_reduced_parity_state,
     reference_pauli_action,
     reference_pauli_exponential,
@@ -108,6 +113,78 @@ def test_grouped_expectation_matches_reference(case):
     assert abs(expectation(state, op) - expected) <= 1e-12 * max(scale, 1.0)
     # the second call reads the table the first one built
     assert expectation(state, op) == expectation(state, op)
+
+
+def assert_same_table(op: PauliSum):
+    """The package's X-mask table of ``op`` is bitwise the term-by-term
+    oracle's: diagonals compared as uint64 (signed zeros and NaN bits
+    included), gathers exactly."""
+    expected_diagonals, expected_gathers = reference_grouped_operator(op)
+    diagonals, gathers = _grouped_operator(op)
+    assert diagonals.dtype == expected_diagonals.dtype == np.complex128
+    assert diagonals.shape == expected_diagonals.shape == (len({s.x_mask for s, _ in op}), 2**op.n_qubits)
+    assert diagonals.view(np.uint64).tobytes() == expected_diagonals.view(np.uint64).tobytes()
+    assert gathers.dtype == expected_gathers.dtype
+    assert np.array_equal(gathers, expected_gathers)
+
+
+# exact zeros and values below the prune tolerance are dropped by PauliSum;
+# a NaN is kept so that contract checks fire
+COEFFICIENTS = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1e-13, 1.0, -1.0, 1j, float("nan")]),
+)
+
+
+@st.composite
+def pauli_sums(draw):
+    """Up to 16 terms on 1-8 qubits over at most 4 X-masks, so masks repeat
+    and one group mixes terms of different phases; equal strings merge,
+    and a pair of opposite coefficients cancels to a pruned zero."""
+    n = draw(st.integers(1, 8))
+    full = 2**n - 1
+    x_masks = draw(st.lists(st.integers(0, full), min_size=1, max_size=4))
+    terms = []
+    for _ in range(draw(st.integers(0, 16))):
+        string = PauliString(n, draw(st.sampled_from(x_masks)), draw(st.integers(0, full)))
+        coeff = draw(COEFFICIENTS)
+        terms.append((string, coeff))
+        if draw(st.booleans()):
+            terms.append((string, -coeff))
+    return PauliSum.from_terms(n, terms)
+
+
+# i^{|x & z|} takes all four phases in one X-mask group
+EVERY_PHASE = PauliSum(
+    4, {PauliString(4, 0b1111, z): c for z, c in ((0b0, 0.3), (0b1, -1.1), (0b11, 0.7), (0b111, 2.0))}
+)
+
+
+@given(pauli_sums())
+@example(PauliSum(3))  # the empty sum
+@example(PauliSum.from_label_dict({"XZY": 0.25}))  # a single string
+@example(EVERY_PHASE)
+@example(EVERY_PHASE + PauliSum(4, {PauliString(4, 0b1111, 0b1111): float("nan")}))
+@settings(max_examples=200, deadline=None)
+def test_grouped_operator_is_bitwise_the_term_loop(op):
+    assert_same_table(op)
+
+
+TABLE_SPACES = {
+    "h2-2e2o": (FIXTURE_DIR / "h2_sto3g_0735.fcidump", 2, 2),
+    "lih-2e3o": (FIXTURE_DIR / "lih_sto3g.fcidump", 2, 3),
+    "h2o-4e4o": (FIXTURE_DIR / "h2o_sto3g.fcidump", 4, 4),
+    "h8-4e6o": (FIXTURE_DIR.parent.parent / "bench" / "data" / "h8_sto3g.fcidump", 4, 6),
+}
+
+
+@pytest.mark.parametrize("space", TABLE_SPACES)
+def test_grouped_operator_is_bitwise_the_term_loop_on_mapped_hamiltonians(space):
+    path, n_electrons, n_orbitals = TABLE_SPACES[space]
+    integrals = read_fcidump(path)
+    active = reduce_integrals(integrals, solve_rhf(integrals), ActiveSpaceSpec(n_electrons, n_orbitals))
+    assert_same_table(map_active_hamiltonian(active))
 
 
 ANSATZ_SHAPES = (
@@ -216,6 +293,16 @@ def test_rows_mixing_zero_and_nonzero_angles_are_bitwise_one_row_calls(molecule)
         assert_bitwise(np.ascontiguousarray(amps), evolve_ansatz(ansatz, theta).amplitudes)
     reference = hf_state(ansatz.n_qubits, ansatz.reference_index).amplitudes
     assert_bitwise(np.ascontiguousarray(rows[0]), reference)
+
+
+@pytest.mark.parametrize("molecule", FIXTURE_ANSATZ_SHAPES)
+@pytest.mark.parametrize("n_rows", [1, 2, 7, 17])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_in_place_rotation_is_bitwise_the_one_expression_rotation(molecule, n_rows, seed):
+    ansatz = build_uccsd_ansatz(*FIXTURE_ANSATZ_SHAPES[molecule])
+    thetas = random_parameter_rows(ansatz, seed, n_rows)
+    thetas[0] = 0.0  # a row with every angle zero
+    assert_bitwise(_evolve_rows(ansatz, thetas), reference_evolve_rows(ansatz, thetas))
 
 
 def test_expectation_rows_checks_every_row():

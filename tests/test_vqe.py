@@ -135,11 +135,16 @@ def test_sigma_zero_and_default_reach_same_minimum(h2_problem):
 
 
 def test_non_finite_energy_raises_with_trace(h2_problem):
+    """Every row of the start point's sweep is NaN: E(x0) is refused before
+    anything is recorded, with the serial reference's trace and message."""
     _, _, ansatz = h2_problem
     bad = PauliSum.identity(ansatz.n_qubits, float("nan"))
+    with pytest.raises(VqeError) as expected:
+        reference_minimize(bad, ansatz, VqeConfig(seed=0))
     with pytest.raises(VqeError) as err:
         minimize(bad, ansatz, VqeConfig(seed=0))
-    assert hasattr(err.value, "trace")
+    assert err.value.trace == expected.value.trace == []
+    assert str(err.value) == str(expected.value)
 
 
 def test_qubit_count_mismatch_rejected(h2_problem):

@@ -427,8 +427,28 @@ def test_load_config_rejects_unknown_section(tmp_path, section):
 def test_load_config_refuses_non_finite_tolerance(tmp_path):
     path = tmp_path / "nan.ini"
     path.write_text("[vqe]\ntolerance = nan\n")
-    with pytest.raises(ValueError, match="tolerance must be finite"):
+    with pytest.raises(ConfigError) as err:
         load_config(path)
+    assert str(err.value) == f"{path}: [vqe] tolerance must be finite, got nan"
+
+
+@pytest.mark.parametrize(
+    "section, lines, message",
+    [
+        ("vqe", "sigma = -1", "sigma must be >= 0, got -1.0"),
+        ("embedding", "damping_floor = 2", "damping parameters must satisfy 0 < floor <= scale <= 1"),
+        ("active_space", "n_electrons = 3\nn_orbitals = 4", "n_active_electrons must be even, got 3"),
+        ("mu_scan", "mu_step = 0", "mu_step must be positive, got 0.0"),
+        ("mu_scan", "mu_end = 0\ninputs_pattern = mu{mu}.fcidump", "mu_end must be >= mu_start"),
+    ],
+)
+def test_load_config_names_the_file_and_section_of_a_refused_value(tmp_path, section, lines, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n{lines}\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value).startswith(f"{path}: [{section}] {message}")
+    assert isinstance(err.value.__cause__, ValueError)
 
 
 @pytest.mark.parametrize("name", ["mu_start", "mu_end", "mu_step"])
