@@ -56,6 +56,12 @@ def _pair_index(p: int, q: int) -> int:
     return p * (p + 1) // 2 + q
 
 
+def _pair_indices(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """:func:`_pair_index` of every broadcast pair of index arrays."""
+    high, low = np.maximum(p, q), np.minimum(p, q)
+    return high * (high + 1) // 2 + low
+
+
 def canonical_classes(n_orbitals: int) -> list[tuple[int, int, int, int]]:
     """The canonical representative (p, q, r, s) of every (pq|rs) class:
     p >= q, r >= s and (p, q) >= (r, s), sorted by index tuple.  This is
@@ -114,6 +120,24 @@ class SymmetricTwoBody:
         # + 0.0 turns -0.0 into +0.0, the value of an unset entry
         self._values[self._index(p, q, r, s)] = float(value) + 0.0
 
+    def set_many(self, indices: np.ndarray, values: np.ndarray | list[float]) -> None:
+        """:meth:`set` at each row (p, q, r, s) of the (m, 4) ``indices``
+        with the matching ``values``, in row order: where rows share a
+        class, the last one wins."""
+        indices = np.asarray(indices, dtype=np.intp).reshape(-1, 4)
+        outside = np.any((indices < 0) | (indices >= self.n_orbitals), axis=1)
+        if outside.any():
+            raise IndexError(
+                f"orbital index out of range for n_orbitals={self.n_orbitals}: "
+                f"{tuple(indices[outside][0].tolist())}"
+            )
+        p, q, r, s = indices.T
+        classes = _pair_indices(_pair_indices(p, q), _pair_indices(r, s))
+        # numpy leaves the winner of repeated fancy-index writes undefined,
+        # so each class is written once, from the last row a dict keeps
+        last = dict(zip(classes.tolist(), range(len(classes))))
+        self._values[list(last)] = np.asarray(values, dtype=float)[list(last.values())] + 0.0
+
     def items_canonical(self) -> Iterator[tuple[tuple[int, int, int, int], float]]:
         """Yield ((p, q, r, s), value) for the canonical representative of
         each nonzero class, sorted by index tuple.  Indices are 0-based with
@@ -131,10 +155,8 @@ class SymmetricTwoBody:
         """Expand to a full n^4 tensor (chemists' index order): element
         (p, q, r, s) reads the canonical vector at its class index."""
         orbitals = np.arange(self.n_orbitals)
-        high = np.maximum.outer(orbitals, orbitals)
-        pair = high * (high + 1) // 2 + np.minimum.outer(orbitals, orbitals)
-        high, low = np.maximum.outer(pair, pair), np.minimum.outer(pair, pair)
-        return self._values[high * (high + 1) // 2 + low]
+        pair = _pair_indices(orbitals[:, None], orbitals[None, :])
+        return self._values[_pair_indices(pair[:, :, None, None], pair[None, None, :, :])]
 
     @classmethod
     def from_dense(cls, tensor: np.ndarray) -> "SymmetricTwoBody":
@@ -293,7 +315,8 @@ def parse_fcidump(source: str | IO[str]) -> IntegralSet:
         raise FcidumpError(f"NORB must be positive, got {n_orbitals}", 1)
 
     one_body = np.zeros((n_orbitals, n_orbitals))
-    two_body = SymmetricTwoBody(n_orbitals)
+    two_body_indices: list[tuple[int, int, int, int]] = []
+    two_body_values: list[float] = []
     core_energy = 0.0
 
     for lineno in range(data_start + 1, len(lines) + 1):
@@ -325,10 +348,14 @@ def parse_fcidump(source: str | IO[str]) -> IntegralSet:
             one_body[i - 1, j - 1] = value
             one_body[j - 1, i - 1] = value
         elif min(i, j, k, l) > 0:
-            two_body.set(i - 1, j - 1, k - 1, l - 1, value)
+            two_body_indices.append((i, j, k, l))
+            two_body_values.append(value)
         else:
             raise FcidumpError(f"unrecognized index pattern {(i, j, k, l)}", lineno)
 
+    # every record in one numpy step, with the last of a class winning as above
+    two_body = SymmetricTwoBody(n_orbitals)
+    two_body.set_many(np.array(two_body_indices, dtype=np.intp).reshape(-1, 4) - 1, two_body_values)
     return IntegralSet(n_orbitals, n_electrons, spin_2ms, core_energy, one_body, two_body)
 
 

@@ -38,6 +38,15 @@ so a gather moves R contiguous values per index.  :func:`evolve_ansatz`
 and :func:`expectation` are the one-row calls of the same kernels, and
 every row of a block is bitwise equal to its one-row call.
 
+The UCCSD state is real: real integrals map to a table whose imaginary
+parts are all exactly 0, and each generator's factors are real.  So a
+table is kept as float64 when that holds, which is checked once as it
+is built, a rotation's factors are float64, and ``_evolve_rows`` runs
+on float64 amplitudes.  ``_expectation_rows`` works in the common type
+of table and block and ends in one complex ``vdot`` per row, whose sum
+is that of the complex kernels the traces were pinned on.  The public
+:class:`Statevector` and the functions that return one stay complex.
+
 The qubit Hamiltonian is compiled as well.  It is linear in the
 integrals, so :func:`map_active_hamiltonian` compiles each active-space
 shape (orbital count, mapping and reduction sector) once into a sparse
@@ -174,7 +183,12 @@ _GroupedOperator = tuple[np.ndarray, np.ndarray]
 def _grouped_operator(op: PauliSum) -> _GroupedOperator:
     """The X-mask table of ``op``, built on first use and kept on ``op``:
     one row per X-mask in order of first appearance, each a few numpy
-    calls that sum the group's terms in the order of ``op`` from +0."""
+    calls that sum the group's terms in the order of ``op`` from +0.
+
+    The diagonals are float64, the real parts of the complex sums, when
+    every imaginary part is exactly 0, as for a mapped Hamiltonian or a
+    UCCSD generator; any other operator keeps its complex table.
+    """
     if op._kernels is None:
         groups: dict[int, list[tuple[int, complex, complex]]] = {}
         for string, coeff in op:
@@ -189,6 +203,8 @@ def _grouped_operator(op: PauliSum) -> _GroupedOperator:
             signs = 1.0 - 2.0 * parity_of_masked_bits(gather, z_masks[:, None]).astype(np.float64)
             factors = phases[:, None] * signs
             np.add.reduce(coeffs[:, None] * factors, axis=0, initial=0.0, out=diagonal)
+        if not diagonals.imag.any():
+            diagonals = np.ascontiguousarray(diagonals.real)
         op._kernels = (diagonals, gathers)
     return op._kernels
 
@@ -228,23 +244,28 @@ def _columns(rows: np.ndarray) -> np.ndarray:
 def _expectation_rows(amps: np.ndarray, op: PauliSum) -> np.ndarray:
     """<a_r| op |a_r> for every row a_r of an (R, 2^n) amplitude block.
 
-    op |a_r> is accumulated from zero one X-mask group at a time, then
-    each row takes one ``vdot``; every row's imaginary residue must stay
-    below 1e-10 and is discarded.  A single row takes one stacked
-    product over all groups instead, whose sum over the group axis adds
-    the groups in the same order.
+    op |a_r> is accumulated from zero one X-mask group at a time, in the
+    common type of the table and the block: float64 for real states under
+    a real table.  A single row takes one stacked product over all groups
+    instead, whose sum over the group axis adds the groups in the same
+    order.  Either way each row then takes one complex ``vdot`` of
+    complex128 copies: BLAS's complex dot adds the products in another
+    order than its real one, and the complex dot of real vectors is the
+    energy every earlier trace holds.  Every row's imaginary residue must
+    stay below 1e-10 and is discarded.
     """
     columns = _columns(amps)
     if columns.ndim == 1:
-        row = np.ascontiguousarray(columns)
-        values = np.array([np.vdot(row, _apply_operator(row, op))])
+        applied = _apply_operator(columns, op)[None, :]
     else:
         diagonals, gathers = _grouped_operator(op)
-        applied = np.zeros(columns.shape, dtype=np.complex128)
+        applied = np.zeros(columns.shape, dtype=np.result_type(diagonals, columns))
         for diagonal, gather in zip(diagonals, gathers):
             applied += diagonal[:, None] * columns[gather]
-        rows, applied = np.ascontiguousarray(amps), np.ascontiguousarray(applied.T)
-        values = np.array([np.vdot(row, out) for row, out in zip(rows, applied)], dtype=np.complex128)
+        applied = applied.T
+    rows = np.ascontiguousarray(amps, dtype=np.complex128)
+    applied = np.ascontiguousarray(applied, dtype=np.complex128)
+    values = np.array([np.vdot(row, out) for row, out in zip(rows, applied)], dtype=np.complex128)
     residue = np.abs(values.imag)
     if np.any(residue > _IMAG_TOLERANCE):
         raise SimulationError(
@@ -315,6 +336,10 @@ def _compile_generator(generator: PauliSum) -> _Rotation:
         raise SimulationError("excitation generator terms do not share one X-mask")
     # (G amps)[b] = factors[b] * amps[source[b]] with source[b] = b ^ x
     factors, source = diagonals[0], gathers[0]
+    residue = np.abs(factors.imag).max(initial=0.0)
+    if residue > _IMAG_TOLERANCE:
+        raise SimulationError(f"excitation generator has a factor with imaginary part {residue:.3e}")
+    factors = factors.real  # the rotation runs on real amplitudes
     square = factors * factors[source]  # the diagonal of G^2
     projector = np.abs(square + 1.0) <= _IMAG_TOLERANCE
     if not np.all(projector | (np.abs(square) <= _IMAG_TOLERANCE)):
@@ -490,14 +515,17 @@ def map_active_hamiltonian(
 
 
 def _evolve_rows(ansatz: UccsdAnsatz, thetas: np.ndarray) -> np.ndarray:
-    """(R, 2^n) amplitudes of the circuit at each row of an (R, n_parameters)
-    parameter array.
+    """(R, 2^n) float64 amplitudes of the circuit at each row of an
+    (R, n_parameters) parameter array.
 
     Generator k rotates the amplitudes it connects in every row, with
-    that row's cos and sin.
+    that row's cos and sin and the generator's real factors.  Each value
+    is the real part of the same arithmetic in complex128, whose
+    imaginary part is exactly 0; at most the sign of a zero differs,
+    where numpy's complex product adds a -0 cross term.
     """
     cos, sin = _columns(np.cos(thetas)), _columns(np.sin(thetas))
-    amps = np.zeros((2**ansatz.n_qubits,) + cos.shape[1:], dtype=np.complex128)
+    amps = np.zeros((2**ansatz.n_qubits,) + cos.shape[1:])
     amps[ansatz.reference_index] = 1.0
     per_state = (slice(None),) + (None,) * (amps.ndim - 1)
     for (connected, source, factors), c, s in zip(ansatz._rotations, cos, sin):
@@ -566,7 +594,8 @@ def spin_summed_one_rdm(state: Statevector, n_spatial: int) -> np.ndarray:
     occupation-basis statevector on 2 * n_spatial blocked modes.
 
     Index b holds alpha string b & (2^M - 1) and beta string b >> M.
-    E_pq is real, so <c|E|c> = <a|E|a> + <b|E|b> for c = a + ib.
+    E_pq is real, so <c|E|c> = <a|E|a> + <b|E|b> for c = a + ib; the
+    pass over b is skipped when b is exactly 0, as for every VQE state.
     """
     if state.n_qubits != 2 * n_spatial:
         raise SimulationError("state does not match 2 * n_spatial modes")
@@ -582,5 +611,6 @@ def spin_summed_one_rdm(state: Statevector, n_spatial: int) -> np.ndarray:
         vector = amps[alpha[:, None] | (beta[None, :] << n_spatial)].ravel()
         space = _StringSpace(n_spatial, alpha, beta)
         gamma += space.one_rdm(vector.real)
-        gamma += space.one_rdm(vector.imag)
+        if vector.imag.any():
+            gamma += space.one_rdm(vector.imag)
     return gamma

@@ -286,13 +286,15 @@ def reference_grouped_operator(op):
     return diagonals, gathers
 
 
-def reference_evolve_rows(ansatz, thetas: np.ndarray) -> np.ndarray:
+def reference_evolve_rows(ansatz, thetas: np.ndarray, dtype=np.complex128) -> np.ndarray:
     """``sim._evolve_rows`` with each rotation written as one expression
-    that allocates a new array per operation."""
+    that allocates a new array per operation, on amplitudes of ``dtype``:
+    complex128 by default, as every statevector of the package was before
+    the row kernels ran on real amplitudes."""
     from qcembed.sim import _columns
 
     cos, sin = _columns(np.cos(thetas)), _columns(np.sin(thetas))
-    amps = np.zeros((2**ansatz.n_qubits,) + cos.shape[1:], dtype=np.complex128)
+    amps = np.zeros((2**ansatz.n_qubits,) + cos.shape[1:], dtype=dtype)
     amps[ansatz.reference_index] = 1.0
     per_state = (slice(None),) + (None,) * (amps.ndim - 1)
     for (connected, source, factors), c, s in zip(ansatz._rotations, cos, sin):
@@ -435,6 +437,27 @@ def reference_spin_summed_one_rdm(amps: np.ndarray, n_spatial: int) -> np.ndarra
                 )
                 contribution = np.conj(amps[target]) * sign_q * sign_p * amps[source]
                 gamma[p, q] += float(np.real(np.sum(contribution)))
+    return gamma
+
+
+def reference_two_pass_one_rdm(amps: np.ndarray, n_spatial: int) -> np.ndarray:
+    """``sim.spin_summed_one_rdm`` as it read every state before it learnt
+    to skip a zero imaginary part: both the real and the imaginary pass in
+    every (N_alpha, N_beta) sector."""
+    from qcembed.fci import _bit_strings, _StringSpace
+
+    nonzero = np.flatnonzero(amps)
+    sectors = np.bitwise_count(nonzero & ((1 << n_spatial) - 1)) * (n_spatial + 1)
+    sectors += np.bitwise_count(nonzero >> n_spatial)
+    gamma = np.zeros((n_spatial, n_spatial))
+    for sector in np.unique(sectors).tolist():
+        n_alpha, n_beta = divmod(sector, n_spatial + 1)
+        alpha = np.array(_bit_strings(n_spatial, n_alpha), dtype=np.int64)
+        beta = np.array(_bit_strings(n_spatial, n_beta), dtype=np.int64)
+        vector = amps[alpha[:, None] | (beta[None, :] << n_spatial)].ravel()
+        space = _StringSpace(n_spatial, alpha, beta)
+        gamma += space.one_rdm(vector.real)
+        gamma += space.one_rdm(vector.imag)
     return gamma
 
 

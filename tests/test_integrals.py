@@ -67,6 +67,52 @@ def test_duplicate_entries_last_wins():
     assert out.two_body.get(0, 0, 0, 0) == 2.0
 
 
+def symmetric_orders(p, q, r, s):
+    """The 8 index orders of (pq|rs) under real-orbital permutational symmetry."""
+    return [(a, b, c, d) for x, y in (((p, q), (r, s)), ((r, s), (p, q)))
+            for a, b in (x, x[::-1]) for c, d in (y, y[::-1])]
+
+
+@st.composite
+def two_body_records(draw):
+    """Records over at most 3 classes of up to 3 orbitals, each written in
+    any of its 8 index orders, so one class repeats in different orders."""
+    n = draw(st.integers(1, 3))
+    index = st.integers(0, n - 1)
+    classes = draw(st.lists(st.tuples(index, index, index, index), min_size=1, max_size=3))
+    value = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 0.5]))
+    records = []
+    for _ in range(draw(st.integers(0, 12))):
+        order = draw(st.sampled_from(symmetric_orders(*draw(st.sampled_from(classes)))))
+        records.append((order, draw(value)))
+    return n, records
+
+
+@given(two_body_records())
+@settings(max_examples=200, deadline=None)
+def test_repeated_classes_in_any_order_are_the_record_by_record_sets(case):
+    n, records = case
+    header = f" &FCI NORB={n},NELEC=2,MS2=0,\n &END\n"
+    text = header + "".join(f"{value!r} {p + 1} {q + 1} {r + 1} {s + 1}\n" for (p, q, r, s), value in records)
+    expected = SymmetricTwoBody(n)
+    for (p, q, r, s), value in records:
+        expected.set(p, q, r, s, value)
+    parsed = parse_fcidump(text).two_body
+    assert parsed.canonical_vector().tobytes() == expected.canonical_vector().tobytes()
+
+
+def test_negative_zero_record_overwrites_to_positive_zero():
+    out = parse_fcidump(HEADER + "0.5 2 1 2 1\n-0.0 1 2 1 2\n-0.0 1 1 2 2\n0.25 2 2 1 1\n-0.0 1 1 2 2\n")
+    assert out.two_body.canonical_vector().tobytes() == np.zeros(6).tobytes()
+    assert len(out.two_body) == 0
+    assert write_fcidump(out) == write_fcidump(parse_fcidump(HEADER))
+
+
+def test_set_many_refuses_an_index_out_of_range():
+    with pytest.raises(IndexError, match=r"\(0, 0, 2, 0\)"):
+        SymmetricTwoBody(2).set_many(np.array([[0, 0, 0, 0], [0, 0, 2, 0]]), [1.0, 2.0])
+
+
 def test_orbital_energy_records_ignored():
     # skipped before the finite check, so a non-finite one is ignored too
     for value in ("-0.5", "nan", "inf"):

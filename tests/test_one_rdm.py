@@ -5,7 +5,9 @@ ladder-matrix oracle.
 ``spin_summed_one_rdm`` splits a state into its (N_alpha, N_beta)
 sectors and its real and imaginary parts, so the random states here mix
 sectors, carry complex amplitudes and exact zeros, and are not
-normalised.
+normalised.  A state whose imaginary part is exactly 0, as every VQE
+state is, skips the imaginary pass; its gamma is bitwise that of both
+passes.
 """
 
 from pathlib import Path
@@ -26,7 +28,7 @@ from qcembed.sim import (
     spin_summed_one_rdm,
 )
 
-from oracles import brute_force_one_rdm, reference_spin_summed_one_rdm
+from oracles import brute_force_one_rdm, reference_spin_summed_one_rdm, reference_two_pass_one_rdm
 
 FIXTURES = Path(__file__).parent / "fixtures"
 H8 = Path(__file__).parent.parent / "bench" / "data" / "h8_sto3g.fcidump"
@@ -61,6 +63,28 @@ def test_string_space_one_rdm_matches_references_on_random_states(
         np.testing.assert_allclose(gamma, expected, rtol=0, atol=bound)
 
 
+@given(
+    n_spatial=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+    zero_fraction=st.sampled_from([0.0, 0.5, 1.0]),
+    real=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_one_rdm_is_bitwise_both_passes_on_real_and_complex_states(
+    n_spatial, seed, zero_fraction, real
+):
+    amps = random_state(seed, n_spatial, zero_fraction)
+    if real:
+        amps = amps.real.astype(np.complex128)  # imaginary parts exactly +0
+    gamma = spin_summed_one_rdm(Statevector(2 * n_spatial, amps), n_spatial)
+    expected = reference_two_pass_one_rdm(amps, n_spatial)
+    assert gamma.dtype == expected.dtype and gamma.tobytes() == expected.tobytes()
+    bound = 1e-12 * max(1.0, float(np.vdot(amps, amps).real))
+    np.testing.assert_allclose(
+        gamma, reference_spin_summed_one_rdm(amps, n_spatial), rtol=0, atol=bound
+    )
+
+
 VQE_SPACES = [
     pytest.param(path, n_electrons, n_orbitals, id=f"{label}-{n_electrons}e{n_orbitals}o")
     for label, path, n_electrons, n_orbitals in (
@@ -87,6 +111,9 @@ def test_vqe_state_one_rdm_matches_reference(path, n_electrons, n_orbitals):
             evolve_ansatz(ansatz, parameters), active.n_orbitals, ansatz.n_alpha, ansatz.n_beta
         )
         gamma = spin_summed_one_rdm(lifted, active.n_orbitals)
+        assert not lifted.amplitudes.imag.any()  # so the imaginary pass is skipped
+        two_pass = reference_two_pass_one_rdm(lifted.amplitudes, active.n_orbitals)
+        assert gamma.tobytes() == two_pass.tobytes()
         expected = reference_spin_summed_one_rdm(lifted.amplitudes, active.n_orbitals)
         np.testing.assert_allclose(gamma, expected, rtol=0, atol=1e-12)
         assert np.trace(gamma) == pytest.approx(active.n_electrons, abs=1e-12)

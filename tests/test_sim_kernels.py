@@ -3,7 +3,11 @@
 A single compiled string reproduces the reference arithmetic exactly,
 so those comparisons are bitwise, as are the X-mask table against the
 term-by-term loop and the in-place rotation against the one-expression
-rotation.  The fused kernels change the order
+rotation.  The row kernels run on float64 amplitudes and, where every
+imaginary part is 0, float64 tables; they are compared bitwise with the
+real part of the same arithmetic in complex128, whose imaginary part
+must be exactly 0, up to the sign of a zero where numpy's complex
+product differs from the real one.  The fused kernels change the order
 of the arithmetic by design: an ansatz applies each generator as one
 closed-form rotation instead of one exponential per string, and
 ``expectation`` sums a Pauli sum grouped by X-mask instead of term by
@@ -56,6 +60,29 @@ SEEDS = st.integers(0, 2**32 - 1)
 def assert_bitwise(actual: np.ndarray, expected: np.ndarray):
     assert actual.dtype == expected.dtype and actual.shape == expected.shape
     assert actual.tobytes() == expected.tobytes()
+
+
+def assert_bitwise_real(actual: np.ndarray, expected: np.ndarray):
+    """Float64 ``actual`` is bitwise the real part of the complex
+    ``expected``, whose imaginary part is exactly 0."""
+    assert actual.dtype == np.float64 and expected.dtype == np.complex128
+    assert not expected.imag.any()
+    assert_bitwise(actual, expected.real)
+
+
+def assert_real_part_of_complex_arithmetic(actual: np.ndarray, expected: np.ndarray):
+    """Float64 ``actual`` is the real part of ``expected``, the same
+    arithmetic run in complex128, whose imaginary part is exactly 0:
+    bitwise at every nonzero entry and equal at the zeros.  numpy
+    multiplies a complex by a real c as (a + ib)(c + i0), whose real part
+    a c - b 0 turns a real -0 into +0 when b is -0, so only there does
+    the sign of a zero tell the two apart."""
+    assert actual.dtype == np.float64 and expected.dtype == np.complex128
+    assert actual.shape == expected.shape
+    assert not expected.imag.any()
+    assert np.array_equal(actual, expected.real)
+    nonzero = expected.real != 0
+    assert actual[nonzero].tobytes() == expected.real[nonzero].tobytes()
 
 
 def random_amplitudes(seed: int, n_qubits: int) -> np.ndarray:
@@ -118,10 +145,16 @@ def test_grouped_expectation_matches_reference(case):
 def assert_same_table(op: PauliSum):
     """The package's X-mask table of ``op`` is bitwise the term-by-term
     oracle's: diagonals compared as uint64 (signed zeros and NaN bits
-    included), gathers exactly."""
+    included), gathers exactly.  The package keeps the real part alone
+    exactly when every imaginary part of the oracle's is 0."""
     expected_diagonals, expected_gathers = reference_grouped_operator(op)
     diagonals, gathers = _grouped_operator(op)
-    assert diagonals.dtype == expected_diagonals.dtype == np.complex128
+    assert expected_diagonals.dtype == np.complex128
+    if expected_diagonals.imag.any():
+        assert diagonals.dtype == np.complex128
+    else:
+        assert diagonals.dtype == np.float64
+        expected_diagonals = np.ascontiguousarray(expected_diagonals.real)
     assert diagonals.shape == expected_diagonals.shape == (len({s.x_mask for s, _ in op}), 2**op.n_qubits)
     assert diagonals.view(np.uint64).tobytes() == expected_diagonals.view(np.uint64).tobytes()
     assert gathers.dtype == expected_gathers.dtype
@@ -184,7 +217,24 @@ def test_grouped_operator_is_bitwise_the_term_loop_on_mapped_hamiltonians(space)
     path, n_electrons, n_orbitals = TABLE_SPACES[space]
     integrals = read_fcidump(path)
     active = reduce_integrals(integrals, solve_rhf(integrals), ActiveSpaceSpec(n_electrons, n_orbitals))
-    assert_same_table(map_active_hamiltonian(active))
+    hamiltonian = map_active_hamiltonian(active)
+    assert_same_table(hamiltonian)
+    diagonals, _ = _grouped_operator(hamiltonian)
+    assert diagonals.dtype == np.float64 and diagonals.flags.c_contiguous
+
+
+def test_real_coefficient_y_string_keeps_a_complex_table():
+    # XY = i X Z: a Hermitian string whose table entries are +-i
+    op = PauliSum.from_label_dict({"ZZ": 0.5, "XY": 0.25})
+    diagonals, _ = _grouped_operator(op)
+    assert diagonals.dtype == np.complex128
+    ansatz = build_uccsd_ansatz(2, 2)
+    thetas = np.random.default_rng(5).uniform(-np.pi, np.pi, size=(3, ansatz.n_parameters))
+    thetas[0] = 0.0
+    rows = _evolve_rows(ansatz, thetas)
+    energies = _expectation_rows(rows, op)
+    for theta, energy in zip(thetas, energies):
+        assert energy == expectation(evolve_ansatz(ansatz, theta), op)
 
 
 ANSATZ_SHAPES = (
@@ -261,7 +311,7 @@ def test_row_kernels_are_bitwise_one_row_calls(ansatze, which, seed, n_rows):
     assert rows.shape == (n_rows, 2**ansatz.n_qubits) and energies.shape == (n_rows,)
     for theta, amps, energy in zip(thetas, rows, energies):
         state = evolve_ansatz(ansatz, theta)
-        assert_bitwise(np.ascontiguousarray(amps), state.amplitudes)
+        assert_bitwise_real(np.ascontiguousarray(amps), state.amplitudes)
         assert energy == expectation(state, op)
     # a row-major block of states gives the same energies
     assert_bitwise(_expectation_rows(np.ascontiguousarray(rows), op), energies)
@@ -290,9 +340,9 @@ def test_rows_mixing_zero_and_nonzero_angles_are_bitwise_one_row_calls(molecule)
     thetas[:, -1] = 0.0  # one generator idle in every row
     rows = _evolve_rows(ansatz, thetas)
     for theta, amps in zip(thetas, rows):
-        assert_bitwise(np.ascontiguousarray(amps), evolve_ansatz(ansatz, theta).amplitudes)
+        assert_bitwise_real(np.ascontiguousarray(amps), evolve_ansatz(ansatz, theta).amplitudes)
     reference = hf_state(ansatz.n_qubits, ansatz.reference_index).amplitudes
-    assert_bitwise(np.ascontiguousarray(rows[0]), reference)
+    assert_bitwise_real(np.ascontiguousarray(rows[0]), reference)
 
 
 @pytest.mark.parametrize("molecule", FIXTURE_ANSATZ_SHAPES)
@@ -302,7 +352,37 @@ def test_in_place_rotation_is_bitwise_the_one_expression_rotation(molecule, n_ro
     ansatz = build_uccsd_ansatz(*FIXTURE_ANSATZ_SHAPES[molecule])
     thetas = random_parameter_rows(ansatz, seed, n_rows)
     thetas[0] = 0.0  # a row with every angle zero
-    assert_bitwise(_evolve_rows(ansatz, thetas), reference_evolve_rows(ansatz, thetas))
+    rows = _evolve_rows(ansatz, thetas)
+    assert_bitwise(rows, reference_evolve_rows(ansatz, thetas, np.float64))
+    assert_real_part_of_complex_arithmetic(rows, reference_evolve_rows(ansatz, thetas))
+
+
+@given(
+    molecule=st.sampled_from(sorted(FIXTURE_ANSATZ_SHAPES)),
+    seed=SEEDS,
+    n_rows=st.sampled_from((1, 17)),
+    zero_fraction=st.sampled_from((0.0, 0.3, 1.0)),
+)
+@settings(max_examples=60, deadline=None)
+def test_real_rows_are_the_complex_rotation_arithmetic(molecule, seed, n_rows, zero_fraction):
+    ansatz = build_uccsd_ansatz(*FIXTURE_ANSATZ_SHAPES[molecule])
+    rng = np.random.default_rng(seed)
+    thetas = rng.uniform(-np.pi, np.pi, size=(n_rows, ansatz.n_parameters))
+    thetas[rng.random(thetas.shape) < zero_fraction] = 0.0
+    rows = _evolve_rows(ansatz, thetas)
+    assert rows.dtype == np.float64
+    assert_real_part_of_complex_arithmetic(rows, reference_evolve_rows(ansatz, thetas))
+
+
+@given(which=st.integers(0, len(ANSATZ_SHAPES) - 1), seed=SEEDS)
+@settings(max_examples=40, deadline=None)
+def test_single_real_row_is_bitwise_the_complex_path(ansatze, which, seed):
+    ansatz = ansatze[which]
+    row = _evolve_rows(ansatz, random_parameters(ansatz, seed, 0.3)[None, :])
+    op = random_hermitian_sum(seed, ansatz.n_qubits)
+    assert row.dtype == np.float64 and row.shape == (1, 2**ansatz.n_qubits)
+    energy = _expectation_rows(row, op)
+    assert_bitwise(energy, _expectation_rows(row.astype(np.complex128), op))
 
 
 def test_expectation_rows_checks_every_row():
@@ -328,6 +408,15 @@ def test_generator_with_mixed_x_masks_is_rejected():
     mixed = PauliSum.from_label_dict({"XY": 0.5j, "XZ": -0.5j})
     with pytest.raises(SimulationError, match="X-mask"):
         dataclasses.replace(base, generators=(mixed,) + base.generators[1:])
+
+
+def test_generator_factor_with_imaginary_part_above_tolerance_is_rejected():
+    base = build_uccsd_ansatz(2, 2)
+    # each real residue passes the anti-Hermitian check, but on half the
+    # basis the two add to a factor with imaginary part 1.6e-10
+    summed = PauliSum.from_label_dict({"XY": 0.5j + 8e-11, "YX": -0.5j - 8e-11})
+    with pytest.raises(SimulationError, match="imaginary part 1.600e-10"):
+        dataclasses.replace(base, generators=(summed,) + base.generators[1:])
 
 
 def test_generator_whose_square_is_not_a_projector_is_rejected():
@@ -371,12 +460,13 @@ def vqe_problems():
 def test_one_row_expectation_is_bitwise_the_group_loop_on_fixtures(vqe_problems, key, seed):
     hamiltonian, ansatz = vqe_problems[key]
     rows = _evolve_rows(ansatz, random_parameter_rows(ansatz, seed, 5))
-    rows[0] = random_amplitudes(seed, ansatz.n_qubits)
     block = _expectation_rows(rows, hamiltonian)
-    for amps, energy in zip(rows, block):
-        amps = np.ascontiguousarray(amps)
+    # the real rows of the block, then a complex state through the public path alone
+    states = [amps.astype(np.complex128) for amps in rows] + [random_amplitudes(seed, ansatz.n_qubits)]
+    for amps, energy in zip(states, list(block) + [None]):
         one_row = expectation(Statevector(ansatz.n_qubits, amps), hamiltonian)
-        assert_bitwise(np.array(one_row), np.array(energy))
+        if energy is not None:
+            assert_bitwise(np.array(one_row), np.array(energy))
         assert_bitwise(np.array(one_row), np.array(reference_grouped_expectation(amps, hamiltonian)))
         expected = reference_expectation(amps, hamiltonian).real
         scale = sum(abs(coeff) for _, coeff in hamiltonian) * np.vdot(amps, amps).real
