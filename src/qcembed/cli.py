@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .activespace import ActiveSpaceSpec, reduce_integrals
 from .config import WorkbenchConfig, load_config
-from .embedding import run_embedding, write_iteration_log_csv
+from .embedding import iteration_log_records, run_embedding, write_iteration_log_csv
 from .fci import fci_solve
 from .integrals import parse_fcidump, read_fcidump, write_fcidump
 from .meanfield import solve_rhf
@@ -157,7 +157,11 @@ def _cmd_vqe(args) -> int:
     total = result.energy + active.inactive_energy
     print(f"qubits: {ansatz.n_qubits}, parameters: {ansatz.n_parameters}")
     print(f"VQE total energy: {total:.10f} Ha ({result.evaluations} evaluations)")
-    if args.out:
+    if args.out and args.format == "json":
+        trace = [{"evaluation_index": index, "energy": energy} for index, energy in result.trace]
+        payload = {"trace": trace, "total_energy": total, "converged": result.converged}
+        args.out.write_text(_json_text(payload) + "\n")
+    elif args.out:
         with open(args.out, "w", newline="") as handle:
             write_trace_csv(result.trace, handle)
     return 0
@@ -168,13 +172,22 @@ def _cmd_embed(args) -> int:
     integrals = _require_fcidump(cfg, "embed")
     spec = _require_active(cfg, "embed")
     state = run_embedding(integrals, spec, cfg.embedding, cfg.vqe)
-    buffer = io.StringIO()
-    write_iteration_log_csv(state, buffer)
-    print(buffer.getvalue(), end="")
-    print(f"final energy: {state.final_energy:.10f} Ha (converged: {state.converged})")
+    if args.format == "json":
+        payload = {
+            "iterations": iteration_log_records(state),
+            "final_energy": state.final_energy,
+            "converged": state.converged,
+        }
+        text = _json_text(payload) + "\n"
+    else:
+        buffer = io.StringIO()
+        write_iteration_log_csv(state, buffer)
+        text = buffer.getvalue()
+    print(text, end="")
+    if args.format == "csv":
+        print(f"final energy: {state.final_energy:.10f} Ha (converged: {state.converged})")
     if args.out:
-        with open(args.out, "w", newline="") as handle:
-            write_iteration_log_csv(state, handle)
+        args.out.write_text(text, newline="")
     if not state.converged:
         return 3
     return 0

@@ -53,9 +53,12 @@ __all__ = [
     "EmbeddingConfig",
     "EmbeddingState",
     "damping_factor",
+    "iteration_log_records",
     "run_embedding",
     "write_iteration_log_csv",
 ]
+
+_LOG_COLUMNS = ("iteration", "alpha", "energy", "delta_energy", "solver_evaluations")
 
 # A pluggable active-space solver maps (active_hamiltonian, iteration) to
 # (electronic energy, spin-summed active 1-RDM, objective evaluations).
@@ -315,20 +318,19 @@ def run_embedding(
     )
 
 
+def iteration_log_records(state: EmbeddingState) -> list[dict]:
+    """The iteration log, one dict per logged iteration with the keys
+    iteration, alpha, energy, delta_energy and solver_evaluations.  The
+    first delta is NaN (no predecessor)."""
+    first = state.iteration - len(state.energy_history) + 1
+    rows = zip(state.alpha_history, state.energy_history, state.delta_history, state.solver_evaluations)
+    return [dict(zip(_LOG_COLUMNS, (first + k, *row))) for k, row in enumerate(rows)]
+
+
 def write_iteration_log_csv(state: EmbeddingState, stream: IO[str]) -> None:
-    """Emit the iteration log: iteration, alpha, energy, delta_energy,
-    solver_evaluations.  The first delta is empty (no predecessor)."""
+    """Emit :func:`iteration_log_records` as CSV, the first delta empty."""
     writer = csv.writer(stream)
-    writer.writerow(["iteration", "alpha", "energy", "delta_energy", "solver_evaluations"])
-    offset = state.iteration - len(state.energy_history)
-    for k in range(len(state.energy_history)):
-        delta = state.delta_history[k]
-        writer.writerow(
-            [
-                offset + k + 1,
-                format(state.alpha_history[k], ".10g"),
-                format(state.energy_history[k], ".10g"),
-                "" if math.isnan(delta) else format(delta, ".10g"),
-                state.solver_evaluations[k],
-            ]
-        )
+    writer.writerow(_LOG_COLUMNS)
+    for iteration, alpha, energy, delta, evaluations in map(dict.values, iteration_log_records(state)):
+        delta = "" if math.isnan(delta) else format(delta, ".10g")
+        writer.writerow([iteration, format(alpha, ".10g"), format(energy, ".10g"), delta, evaluations])

@@ -49,15 +49,9 @@ class FcidumpError(ValueError):
         self.line_number = line_number
 
 
-def _pair_index(p: int, q: int) -> int:
-    """Composite index for an ordered pair p >= q (0-based)."""
-    if p < q:
-        p, q = q, p
-    return p * (p + 1) // 2 + q
-
-
 def _pair_indices(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """:func:`_pair_index` of every broadcast pair of index arrays."""
+    """Composite index p (p + 1) / 2 + q of every broadcast pair of
+    (0-based) indices, taken in the order p >= q."""
     high, low = np.maximum(p, q), np.minimum(p, q)
     return high * (high + 1) // 2 + low
 
@@ -107,23 +101,19 @@ class SymmetricTwoBody:
         n = self.n_orbitals
         if not all(0 <= i < n for i in (p, q, r, s)):
             raise IndexError(f"orbital index out of range for n_orbitals={n}: {(p, q, r, s)}")
-        pq = _pair_index(p, q)
-        rs = _pair_index(r, s)
-        if pq < rs:
-            pq, rs = rs, pq
-        return pq * (pq + 1) // 2 + rs
+        return _pair_indices(_pair_indices(p, q), _pair_indices(r, s))
 
     def get(self, p: int, q: int, r: int, s: int) -> float:
         return float(self._values[self._index(p, q, r, s)])
 
     def set(self, p: int, q: int, r: int, s: int, value: float) -> None:
-        # + 0.0 turns -0.0 into +0.0, the value of an unset entry
-        self._values[self._index(p, q, r, s)] = float(value) + 0.0
+        self.set_many([(p, q, r, s)], [value])
 
     def set_many(self, indices: np.ndarray, values: np.ndarray | list[float]) -> None:
-        """:meth:`set` at each row (p, q, r, s) of the (m, 4) ``indices``
-        with the matching ``values``, in row order: where rows share a
-        class, the last one wins."""
+        """Set the class of each row (p, q, r, s) of the (m, 4) ``indices``
+        to the matching ``values``, in row order: where rows share a
+        class, the last one wins.  A -0.0 is stored as +0.0, the value of
+        an unset entry."""
         indices = np.asarray(indices, dtype=np.intp).reshape(-1, 4)
         outside = np.any((indices < 0) | (indices >= self.n_orbitals), axis=1)
         if outside.any():

@@ -12,13 +12,13 @@ Each point theta the optimizer evaluates is simulated once, with the 2n
 shifted points of its gradient, in one sweep: the rows theta,
 theta + h e_0, theta - h e_0, theta + h e_1, ... of a ((2n+1) x n)
 matrix, simulated in blocks of at most ``_BLOCK_AMPLITUDES`` amplitudes
-with the statevector kernels' row forms.  The trace is that of a
-serial loop: theta's energy when the optimizer asks for it, the shifted
-energies (+theta_0, -theta_0, +theta_1, ...) when it asks for the
-gradient at theta, each one evaluation.  An accepted iterate's callback
-entry is the energy of the last swept point, which is that iterate.  A
-gradient or an iterate at any other point is swept afresh, so every
-energy comes from the same row kernels.
+with the statevector kernels' row forms.  L-BFGS-B takes energy and
+gradient from that one call (``jac=True``), which records theta's
+energy and then the shifted ones (+theta_0, -theta_0, +theta_1, ...),
+each one evaluation, as a serial loop would.  An accepted iterate's
+callback entry is the energy scipy hands over in
+``intermediate_result``: the one just returned for that point.  The
+callback ends the run with ``StopIteration`` on the energy-change stop.
 
 The optimizer's own linear algebra runs with scipy's bundled OpenBLAS
 held to one thread: L-BFGS-B solves its small BFGS matrices with LAPACK
@@ -128,10 +128,6 @@ def initialize_parameters(n: int, config: VqeConfig) -> np.ndarray:
     return rng.normal(0.0, config.sigma, size=n)
 
 
-class _Converged(Exception):
-    pass
-
-
 @functools.cache
 def _scipy_openblas() -> ctypes.CDLL | None:
     """scipy's bundled OpenBLAS (``scipy.libs/libscipy_openblas*.so``
@@ -204,9 +200,6 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
     x0 = initialize_parameters(n, config)
     block_rows = max(1, _BLOCK_AMPLITUDES // 2**ansatz.n_qubits)
     k = np.arange(n)
-    # the last swept point and its 2n+1 energies, in trace order
-    swept: dict[str, np.ndarray | list[float] | None] = {"theta": None, "energies": None}
-    last_gradient = {"norm": float("nan")}
 
     def sweep(theta: np.ndarray) -> list[float]:
         h = config.gradient_step
@@ -214,19 +207,10 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
         rows = np.repeat(theta[None, :], 2 * n + 1, axis=0)
         rows[2 * k + 1, k] = theta + h
         rows[2 * k + 2, k] = theta - h
-        energies = np.concatenate([
+        return np.concatenate([
             _expectation_rows(_evolve_rows(ansatz, rows[start : start + block_rows]), hamiltonian)
             for start in range(0, 2 * n + 1, block_rows)
         ]).tolist()
-        swept["theta"], swept["energies"] = theta, energies
-        return energies
-
-    def energies_at(theta: np.ndarray) -> list[float]:
-        # scipy asks for the gradient at the point it has just evaluated and
-        # reports that point as the iterate; any other point is swept afresh
-        if swept["theta"] is not None and np.array_equal(swept["theta"], theta):
-            return swept["energies"]  # type: ignore[return-value]
-        return sweep(theta)
 
     if n == 0:
         energy = record(sweep(x0)[0])
@@ -241,51 +225,45 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
             gradient_norm=0.0,
         )
 
-    def objective(theta: np.ndarray) -> float:
-        return record(sweep(theta)[0])
+    gradient_norm = float("nan")
 
-    def gradient(theta: np.ndarray) -> np.ndarray:
-        shifted = np.array([record(energy) for energy in energies_at(theta)[1:]])
-        grad = (shifted[0::2] - shifted[1::2]) / (2.0 * config.gradient_step)
-        last_gradient["norm"] = float(np.max(np.abs(grad)))
-        return grad
+    def energy_and_gradient(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal gradient_norm
+        energies = sweep(theta)
+        energy = record(energies[0])
+        shifted = np.array([record(value) for value in energies[1:]])
+        gradient = (shifted[0::2] - shifted[1::2]) / (2.0 * config.gradient_step)
+        gradient_norm = float(np.max(np.abs(gradient)))
+        return energy, gradient
 
     iterate_energies: list[float] = []
-    best: dict[str, tuple[np.ndarray, float] | None] = {"value": None}
 
-    def callback(xk: np.ndarray) -> None:
-        energy = record(energies_at(xk)[0])
-        previous = iterate_energies[-1] if iterate_energies else None
-        iterate_energies.append(energy)
-        best["value"] = (np.array(xk, dtype=float), energy)
-        if previous is not None and abs(energy - previous) < config.tolerance:
-            raise _Converged
+    def settled() -> bool:
+        last = iterate_energies[-2:]
+        return len(last) == 2 and abs(last[1] - last[0]) < config.tolerance
 
-    converged = False
-    try:
-        with _blas_on_calling_thread():
-            result = scipy.optimize.minimize(
-                objective,
-                x0,
-                jac=gradient,
-                method="L-BFGS-B",
-                bounds=[(-_PARAMETER_BOUND, _PARAMETER_BOUND)] * n,
-                callback=callback,
-                options={
-                    "maxiter": config.max_iterations,
-                    "ftol": 0.0,
-                    "gtol": 1e-12,
-                },
-            )
-        parameters = np.array(result.x, dtype=float)
-        energy = float(result.fun)
-        message = str(result.message)
-        if len(iterate_energies) >= 2:
-            converged = abs(iterate_energies[-1] - iterate_energies[-2]) < config.tolerance
-    except _Converged:
-        parameters, energy = best["value"]  # type: ignore[misc]
-        converged = True
+    def callback(intermediate_result: scipy.optimize.OptimizeResult) -> None:
+        iterate_energies.append(record(float(intermediate_result.fun)))
+        if settled():
+            raise StopIteration
+
+    with _blas_on_calling_thread():
+        result = scipy.optimize.minimize(
+            energy_and_gradient,
+            x0,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=[(-_PARAMETER_BOUND, _PARAMETER_BOUND)] * n,
+            callback=callback,
+            options={"maxiter": config.max_iterations, "ftol": 0.0, "gtol": 1e-12},
+        )
+    energy = float(result.fun)
+    converged = settled()  # true exactly when the callback stopped the run
+    if converged:
+        # scipy's message for this stop only says that the callback raised StopIteration
         message = f"energy change between iterates below tolerance {config.tolerance:g}"
+    else:
+        message = str(result.message)
 
     iterations = len(iterate_energies)
     if not iterate_energies:
@@ -293,14 +271,14 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
 
     return VqeResult(
         energy=energy,
-        parameters=parameters,
+        parameters=np.array(result.x, dtype=float),
         trace=tuple(trace),
         evaluations=len(trace),
         converged=converged,
         iterate_energies=tuple(iterate_energies),
         iterations=iterations,
         message=message,
-        gradient_norm=last_gradient["norm"],
+        gradient_norm=gradient_norm,
     )
 
 

@@ -290,16 +290,15 @@ def reference_evolve_rows(ansatz, thetas: np.ndarray, dtype=np.complex128) -> np
     """``sim._evolve_rows`` with each rotation written as one expression
     that allocates a new array per operation, on amplitudes of ``dtype``:
     complex128 by default, as every statevector of the package was before
-    the row kernels ran on real amplitudes."""
-    from qcembed.sim import _columns
-
-    cos, sin = _columns(np.cos(thetas)), _columns(np.sin(thetas))
-    amps = np.zeros((2**ansatz.n_qubits,) + cos.shape[1:], dtype=dtype)
+    the row kernels ran on real amplitudes.  Every input, one row
+    included, is one (2^n, R) block with a column per row: each value is
+    an elementwise product or sum, the same in any layout."""
+    thetas = np.atleast_2d(thetas)
+    amps = np.zeros((2**ansatz.n_qubits, len(thetas)), dtype=dtype)
     amps[ansatz.reference_index] = 1.0
-    per_state = (slice(None),) + (None,) * (amps.ndim - 1)
-    for (connected, source, factors), c, s in zip(ansatz._rotations, cos, sin):
-        amps[connected] = c * amps[connected] + s * (factors[per_state] * amps[source])
-    return np.atleast_2d(amps.T)
+    for (connected, source, factors), c, s in zip(ansatz._rotations, np.cos(thetas).T, np.sin(thetas).T):
+        amps[connected] = c * amps[connected] + s * (factors[:, None] * amps[source])
+    return amps.T
 
 
 def reference_grouped_expectation(amps: np.ndarray, op) -> float:

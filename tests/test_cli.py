@@ -24,6 +24,36 @@ def test_embed_smoke(capsys, h2_path):
     assert "converged: True" in out
 
 
+@pytest.mark.parametrize("max_iterations", [20, 1])
+def test_embed_json_carries_the_csv_log(capsys, tmp_path, h2_path, max_iterations):
+    config = tmp_path / "run.ini"
+    config.write_text(f"[embedding]\nmax_iterations = {max_iterations}\nactive_solver = fci\n")
+    flags = ["embed", "--fcidump", h2_path, "--active", "2,2", "--config", str(config)]
+    csv_path, json_path = tmp_path / "log.csv", tmp_path / "log.json"
+    csv_code = main(flags + ["--out", str(csv_path)])
+    csv_out = capsys.readouterr().out
+    json_code = main(flags + ["--format", "json", "--out", str(json_path)])
+    json_out = capsys.readouterr().out
+    # one iteration cannot converge: exit code 3 in either format
+    assert csv_code == json_code == (0 if max_iterations > 1 else 3)
+    assert csv_out.startswith(csv_path.read_bytes().decode())
+    assert json_out == json_path.read_text()
+    payload = json.loads(json_out)
+    assert set(payload) == {"iterations", "final_energy", "converged"}
+    assert payload["converged"] is (json_code == 0)
+    header, *rows = csv_path.read_text().splitlines()
+    assert len(payload["iterations"]) == len(rows) >= 1
+    assert payload["iterations"][0]["delta_energy"] is None
+    for row, record in zip(rows, payload["iterations"]):
+        assert list(record) == header.split(",")
+        cells = row.split(",")
+        assert cells[0] == str(record["iteration"]) and cells[4] == str(record["solver_evaluations"])
+        for cell, column in zip(cells[1:4], ("alpha", "energy", "delta_energy")):
+            assert cell == ("" if record[column] is None else format(record[column], ".10g"))
+    assert payload["final_energy"] == payload["iterations"][-1]["energy"]
+    assert f"final energy: {payload['final_energy']:.10f} Ha" in csv_out
+
+
 def test_embed_with_fci_solver(capsys, h2_path, golden):
     code = main(["embed", "--fcidump", h2_path, "--active", "2,2", "--solver", "fci"])
     out = capsys.readouterr().out
@@ -75,6 +105,21 @@ def test_vqe_subcommand_with_trace_out(capsys, tmp_path, h2_path, golden):
     lines = trace_path.read_text().splitlines()
     assert lines[0] == "evaluation_index,energy"
     assert len(lines) > 2
+
+
+def test_vqe_json_trace_out_carries_the_csv_trace(capsys, tmp_path, h2_path):
+    csv_path, json_path = tmp_path / "trace.csv", tmp_path / "trace.json"
+    flags = ["vqe", "--fcidump", h2_path, "--active", "2,2", "--seed", "1"]
+    assert main(flags + ["--out", str(csv_path)]) == 0
+    assert main(flags + ["--format", "json", "--out", str(json_path)]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(json_path.read_text())
+    assert set(payload) == {"trace", "total_energy", "converged"}
+    assert payload["converged"] is True
+    assert f"VQE total energy: {payload['total_energy']:.10f} Ha" in out
+    header, *rows = csv_path.read_text().splitlines()
+    assert [list(record) for record in payload["trace"]] == [header.split(",")] * len(rows)
+    assert [f"{r['evaluation_index']},{r['energy']:.10g}" for r in payload["trace"]] == rows
 
 
 def test_contract_violation_reports_module_and_fails(capsys, tmp_path):

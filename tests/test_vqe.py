@@ -197,6 +197,17 @@ def test_run_records_on_tolerance_stop(h2_problem):
     assert result.evaluations == len(result.trace)  # the records cost no evaluation
 
 
+def test_tolerance_stop_on_the_last_allowed_iterate_is_converged(h2_problem):
+    """A StopIteration on the capped iterate, where scipy's iteration
+    limit is also reached, is the same tolerance stop as without a cap."""
+    _, hamiltonian, ansatz = h2_problem
+    free = minimize(hamiltonian, ansatz, VqeConfig(seed=0))
+    capped = minimize(hamiltonian, ansatz, VqeConfig(seed=0, max_iterations=free.iterations))
+    assert free.converged
+    assert_same_run(capped, free)
+    assert capped.message == free.message
+
+
 def test_run_records_on_iteration_cap(h2_problem):
     _, hamiltonian, ansatz = h2_problem
     result = minimize(hamiltonian, ansatz, VqeConfig(seed=0, max_iterations=1))
@@ -299,37 +310,59 @@ def test_each_point_is_simulated_once(problems, which, seed, block_rows):
 
 
 @pytest.mark.parametrize("which", range(len(PROBLEMS)))
-def test_gradient_and_iterate_away_from_the_swept_point_are_simulated(problems, which):
-    """An optimizer that asks for the gradient at a point it never passed
-    to the objective, and reports an iterate that was never swept, gets
-    the energies of the public kernels in the order it asked for them."""
+def test_one_objective_and_iterate_energies_from_scipy(problems, which):
+    """scipy gets energy and gradient from one callable (jac=True), each
+    callback entry is the ``fun`` scipy hands over in
+    ``intermediate_result``, and a StopIteration from the callback ends
+    the run at that iterate, converged."""
+    import inspect
+
     import scipy.optimize
 
     from qcembed.sim import evolve_ansatz, expectation
 
     hamiltonian, ansatz = problems[which]
-    config = VqeConfig(seed=3, sigma=0.1, tolerance=1e-15)
-    x0 = initialize_parameters(ansatz.n_parameters, config)
-    x1, x2 = x0 + 0.01, x0 - 0.02
+    n = ansatz.n_parameters
+    config = VqeConfig(seed=3, sigma=0.1)
+    x0 = initialize_parameters(n, config)
+    # energies no simulation produces: the entries can only come from scipy
+    handed = [-123.25, -123.5, -123.5 + 0.5 * config.tolerance]
+    seen = {}
 
     def fake_minimize(fun, x, jac, callback, **kwargs):
-        fun(x)
-        jac(x1)
-        callback(x2)
-        callback(x1)  # swept by the gradient, never passed to the objective
-        return scipy.optimize.OptimizeResult(x=x2, fun=-1.0, message="fake")
+        seen["jac"] = jac
+        seen["parameters"] = set(inspect.signature(callback).parameters)
+        seen["start"] = fun(x)
+        for step, energy in enumerate(handed, start=1):
+            point = x + 0.01 * step
+            try:
+                callback(intermediate_result=scipy.optimize.OptimizeResult(x=point, fun=energy))
+            except StopIteration:
+                seen["stopped"] = step
+                return scipy.optimize.OptimizeResult(x=point, fun=energy, message="STOP: fake")
+        return scipy.optimize.OptimizeResult(x=x, fun=-1.0, message="fake")
 
     with mock.patch("scipy.optimize.minimize", fake_minimize):
         result = minimize(hamiltonian, ansatz, config)
 
-    def energy(theta):
-        return expectation(evolve_ansatz(ansatz, theta), hamiltonian)
-
-    expected = [energy(x0)] + [energy(row) for row in sweep_rows(x1, config.gradient_step)[1:]]
-    expected += [energy(x2), energy(x1)]
-    assert [value for _, value in result.trace] == expected
-    assert [index for index, _ in result.trace] == list(range(len(expected)))
-    assert result.iterate_energies == (energy(x2), energy(x1))
+    assert seen["jac"] is True
+    assert seen["parameters"] == {"intermediate_result"}
+    energy, gradient = seen["start"]
+    assert gradient.shape == (n,)
+    rows = sweep_rows(x0, config.gradient_step)
+    swept = [expectation(evolve_ansatz(ansatz, row), hamiltonian) for row in rows]
+    assert [value for _, value in result.trace[: 2 * n + 1]] == swept
+    assert energy == swept[0]
+    assert [value for _, value in result.trace[2 * n + 1 :]] == handed
+    assert [index for index, _ in result.trace] == list(range(2 * n + 1 + len(handed)))
+    assert seen["stopped"] == len(handed)
+    assert result.converged
+    assert result.message == "energy change between iterates below tolerance 1e-06"
+    assert result.iterate_energies == tuple(handed)
+    assert result.iterations == len(handed)
+    assert result.energy == handed[-1]
+    assert result.parameters.tobytes() == (x0 + 0.01 * len(handed)).tobytes()
+    assert result.gradient_norm == np.max(np.abs(gradient))
 
 
 def overflow_hamiltonian(ansatz, k):
