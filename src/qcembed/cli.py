@@ -8,7 +8,6 @@ Global flags (--fcidump, --active NE,NO, --seed, --config, --out,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import io
 import json
@@ -22,12 +21,10 @@ from .fci import fci_solve
 from .integrals import parse_fcidump, read_fcidump, write_fcidump
 from .meanfield import solve_rhf
 from .report import (
-    ResultRow,
-    _csv_records,
-    _field,
     _json_text,
     build_report,
     load_reference_table,
+    load_results,
     packaged_reference_table,
     recovery_rows_to_json,
     write_energy_table_csv,
@@ -218,7 +215,8 @@ def _cmd_mu_scan(args) -> int:
     for row in rows:
         if row.error:
             print(f"mu {row.mu:g} failed: {row.error}", file=sys.stderr)
-    print(f"mu_opt = {mu_opt:g}")
+    if args.format == "csv" or args.out:  # a JSON table on stdout already holds mu_opt
+        print(f"mu_opt = {mu_opt:g}")
     return 0
 
 
@@ -226,22 +224,7 @@ def _cmd_report(args) -> int:
     references = (
         load_reference_table(args.references) if args.references else packaged_reference_table()
     )
-    rows = []
-    with open(args.results, newline="") as handle:
-        reader = csv.DictReader(handle)
-        for record, where in _csv_records(reader, ("molecule", "ne", "no", "e_qdft"), args.results):
-            if record.get("converged", "true").strip().lower() in ("false", "0", "no"):
-                continue
-            rows.append(
-                ResultRow(
-                    molecule=record["molecule"].strip(),
-                    n_active_electrons=_field(record, "ne", where, int),
-                    n_active_orbitals=_field(record, "no", where, int),
-                    e_qdft=_field(record, "e_qdft", where),
-                    mu=_field(record, "mu", where) if record.get("mu") not in (None, "") else None,
-                )
-            )
-    report_rows = build_report(rows, references)
+    report_rows = build_report(load_results(args.results), references)
     if args.format == "json":
         text = recovery_rows_to_json(report_rows) + "\n"
     else:

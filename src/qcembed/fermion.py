@@ -21,6 +21,7 @@ __all__ = [
     "hamiltonian_columns",
     "integral_vector",
     "spin_orbital_hamiltonian",
+    "excitation_term",
     "excitation_generator",
 ]
 
@@ -143,18 +144,19 @@ def spin_orbital_hamiltonian(active: ActiveHamiltonian) -> FermionOperator:
     return FermionOperator(2 * active.n_orbitals, terms)
 
 
-def excitation_generator(excitation: tuple[int, ...], n_modes: int) -> FermionOperator:
-    """Anti-Hermitian generator T - T^dagger for a single or double excitation.
-
-    ``excitation`` is (i, a) for a+_a a_i or (i, j, a, b) for
-    a+_a a+_b a_j a_i, in spin-orbital indices.
-    """
+def excitation_term(excitation: tuple[int, ...]) -> FermionTerm:
+    """The ladder product T of an excitation, in spin-orbital indices:
+    a+_a a_i for (i, a), a+_a a+_b a_j a_i for (i, j, a, b)."""
     if len(excitation) == 2:
         i, a = excitation
-        t = FermionOperator(n_modes, {((a, True), (i, False)): 1.0})
-    elif len(excitation) == 4:
+        return ((a, True), (i, False))
+    if len(excitation) == 4:
         i, j, a, b = excitation
-        t = FermionOperator(n_modes, {((a, True), (b, True), (j, False), (i, False)): 1.0})
-    else:
-        raise ValueError(f"excitation must have 2 or 4 indices, got {excitation}")
+        return ((a, True), (b, True), (j, False), (i, False))
+    raise ValueError(f"excitation must have 2 or 4 indices, got {excitation}")
+
+
+def excitation_generator(excitation: tuple[int, ...], n_modes: int) -> FermionOperator:
+    """Anti-Hermitian generator T - T^dagger of :func:`excitation_term`."""
+    t = FermionOperator(n_modes, {excitation_term(excitation): 1.0})
     return t - t.hermitian_conjugate()

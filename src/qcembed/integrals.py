@@ -199,7 +199,7 @@ class IntegralSet:
             raise ValueError(
                 f"{self.n_electrons} electrons do not fit in {self.n_orbitals} orbitals"
             )
-        h = np.asarray(self.one_body, dtype=float)
+        h = np.array(self.one_body, dtype=float)  # a copy: the caller's array stays its own
         if h.shape != (self.n_orbitals, self.n_orbitals):
             raise ValueError(f"one_body shape {h.shape} does not match n_orbitals={self.n_orbitals}")
         if not np.array_equal(h, h.T):
@@ -229,7 +229,7 @@ class IntegralSet:
         n = np.asarray(one_body).shape[0]
         if not isinstance(two_body, SymmetricTwoBody):
             two_body = SymmetricTwoBody.from_dense(np.asarray(two_body, dtype=float))
-        return cls(n, n_electrons, spin_2ms, float(core_energy), np.array(one_body, dtype=float), two_body)
+        return cls(n, n_electrons, spin_2ms, float(core_energy), one_body, two_body)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntegralSet):

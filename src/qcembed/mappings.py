@@ -16,12 +16,14 @@ parity, M spatial orbitals) and 2M-1 (total parity) are conserved for
 particle-number eigenstates, so both can be replaced by their +-1
 eigenvalues and removed.
 
-:func:`map_jordan_wigner` and :func:`map_parity` map one operator term
-by term.  :func:`compile_linear_map` maps a family of operators once:
-given one column of ladder terms per coefficient it returns the sparse
-matrix whose product with the coefficients is the image, which is how
-the active-space Hamiltonian is mapped (``sim.map_active_hamiltonian``).
-Both compose the same ladder products.
+:func:`compile_linear_map` maps a family of operators once: given one
+column of ladder terms per coefficient it returns the sparse matrix
+whose product with the coefficients is the image.  It is how the package
+maps the active-space Hamiltonian and the UCCSD generators
+(``sim.map_active_hamiltonian`` and ``sim.build_uccsd_ansatz``).
+:func:`map_jordan_wigner` and :func:`map_parity`, with
+:func:`two_qubit_reduction`, map one operator term by term, composing
+the same ladder products; the tests check the compiled map against them.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ __all__ = [
     "RecoveryReport",
     "recovery",
     "load_reference_table",
+    "load_results",
     "packaged_reference_table",
     "build_report",
     "write_recovery_csv",
@@ -127,16 +128,18 @@ def _field(record: dict, column: str, where: str, convert=float):
         raise ReportError(f"{where}: cannot read {column} {record[column]!r} as {convert.__name__}") from None
 
 
+def _source_lines(source: str | Path | IO[str], default_name: str) -> tuple[object, list[str]]:
+    """(name for messages, lines) of a path or an open text stream."""
+    if hasattr(source, "read"):
+        return getattr(source, "name", default_name), source.read().splitlines()
+    return source, Path(source).read_text().splitlines()
+
+
 def load_reference_table(source: str | Path | IO[str]) -> dict[str, ReferenceRow]:
     """Read a reference-energy CSV with columns molecule, e_dft, e_ccsd
     (optionally e_hf); '#' lines are comments.  A missing column, a short
     row or a non-numeric energy raises :class:`ReportError`."""
-    if hasattr(source, "read"):
-        name = getattr(source, "name", "reference table")
-        lines = source.read().splitlines()
-    else:
-        name = source
-        lines = Path(source).read_text().splitlines()
+    name, lines = _source_lines(source, "reference table")
     kept = [k for k, line in enumerate(lines, 1) if line.strip() and not line.lstrip().startswith("#")]
     reader = csv.DictReader(lines[k - 1] for k in kept)
     table: dict[str, ReferenceRow] = {}
@@ -149,6 +152,28 @@ def load_reference_table(source: str | Path | IO[str]) -> dict[str, ReferenceRow
             e_hf=_field(record, "e_hf", where) if record.get("e_hf") not in (None, "") else None,
         )
     return table
+
+
+def load_results(source: str | Path | IO[str]) -> list[ResultRow]:
+    """Read an embedding results CSV as :func:`write_energy_table_csv`
+    writes it: columns molecule, ne, no, e_qdft and optionally mu; a row
+    whose ``converged`` reads false, 0 or no is skipped.  A missing
+    column, a short row or a non-numeric field raises :class:`ReportError`."""
+    name, lines = _source_lines(source, "results table")
+    rows = []
+    for record, where in _csv_records(csv.DictReader(lines), ("molecule", "ne", "no", "e_qdft"), name):
+        if record.get("converged", "true").strip().lower() in ("false", "0", "no"):
+            continue
+        rows.append(
+            ResultRow(
+                molecule=record["molecule"].strip(),
+                n_active_electrons=_field(record, "ne", where, int),
+                n_active_orbitals=_field(record, "no", where, int),
+                e_qdft=_field(record, "e_qdft", where),
+                mu=_field(record, "mu", where) if record.get("mu") not in (None, "") else None,
+            )
+        )
+    return rows
 
 
 def packaged_reference_table() -> dict[str, ReferenceRow]:

@@ -47,15 +47,19 @@ of table and block and ends in one complex ``vdot`` per row, whose sum
 is that of the complex kernels the traces were pinned on.  The public
 :class:`Statevector` and the functions that return one stay complex.
 
-The qubit Hamiltonian is compiled as well.  It is linear in the
-integrals, so :func:`map_active_hamiltonian` compiles each active-space
-shape (orbital count, mapping and reduction sector) once into a sparse
-(candidate strings x integrals) matrix W with the two-qubit reduction
-applied, and maps a Hamiltonian as W times its integral vector; every
-embedding iteration and mu-scan point of a shape shares one W, while a
-single embed pays one compile, which costs more than one term-by-term
-map.  Expanding the fermion operator and mapping it term by term, the
-test oracle, gives the same terms within 1e-12, and in the same order
+Every fermion operator reaches the qubits through one route,
+:func:`~qcembed.mappings.compile_linear_map`, with the two-qubit
+reduction applied in the same pass.  The qubit Hamiltonian is linear in
+the integrals, so :func:`map_active_hamiltonian` compiles each
+active-space shape (orbital count, mapping and reduction sector) once
+into a sparse (candidate strings x integrals) matrix W and maps a
+Hamiltonian as W times its integral vector; every embedding iteration
+and mu-scan point of a shape shares one W, while a single embed pays one
+compile, which costs more than one term-by-term map.  The ansatz maps
+one column per excitation, the ladder product T, and reads generator
+T - T^dagger off it as 2i Im(image(T)).  Mapping the fermion operator
+term by term, the test oracle for both, gives the same generators
+bitwise and the same Hamiltonian terms within 1e-12, in the same order
 when no integral is exactly zero.  The oracle prunes each term's ladder
 product below 1e-12 after every factor, so integrals below about 1e-11
 can lose terms there that W keeps; W prunes only the final sums.
@@ -77,25 +81,14 @@ import numpy as np
 from .activespace import ActiveHamiltonian
 from .fci import _StringSpace, _bit_strings
 
-# spin_orbital_hamiltonian is not called here; bench/layers.py traces the
-# fermion expansion under this module's name for it
-from .fermion import (  # noqa: F401
-    excitation_generator,
-    hamiltonian_columns,
-    integral_vector,
-    spin_orbital_hamiltonian,
-)
-from .mappings import (
-    ReductionError,
-    compile_linear_map,
-    drop_qubit_positions,
-    map_jordan_wigner,
-    map_parity,
-    occupation_to_parity_bits,
-    reduction_sector,
-    two_qubit_reduction,
-)
+from .fermion import excitation_term, hamiltonian_columns, integral_vector
+from .mappings import compile_linear_map, drop_qubit_positions, occupation_to_parity_bits, reduction_sector
 from .pauli import PauliSum, PauliString, parity_of_masked_bits
+
+# not called here: bench/layers.py traces the fermion expansion and the
+# term-by-term maps under this module's names
+from .fermion import spin_orbital_hamiltonian  # noqa: F401
+from .mappings import map_parity, two_qubit_reduction  # noqa: F401
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -383,19 +376,14 @@ class UccsdAnsatz:
         return len(self.excitations)
 
 
-def _map_operator(
-    op, mapping: str, two_qubit_reduced: bool, n_electrons: int, n_alpha: int
-) -> PauliSum:
-    if mapping == "parity":
-        mapped = map_parity(op)
-        if two_qubit_reduced:
-            mapped = two_qubit_reduction(mapped, n_electrons, n_alpha)
-        return mapped
-    if mapping == "jordan-wigner":
-        if two_qubit_reduced:
-            raise ReductionError("two-qubit reduction requires the parity mapping")
-        return map_jordan_wigner(op)
-    raise ValueError(f"unknown mapping {mapping!r}")
+def _sector(n_electrons: int, n_alpha: int, two_qubit_reduced: bool) -> tuple[int, int] | None:
+    """The :func:`reduction_sector` of a two-qubit-reduced map, else None."""
+    return reduction_sector(n_electrons, n_alpha) if two_qubit_reduced else None
+
+
+def _n_qubits(n_orbitals: int, sector: tuple[int, int] | None) -> int:
+    """Qubits of a map on 2 * n_orbitals modes: the reduction drops two."""
+    return 2 * n_orbitals - 2 if sector is not None else 2 * n_orbitals
 
 
 def build_uccsd_ansatz(
@@ -429,28 +417,27 @@ def _build_uccsd_ansatz(
         )
 
     n_modes = 2 * n_spatial
+    sector = _sector(n_electrons, n_alpha, two_qubit_reduced)
+    n_qubits = _n_qubits(n_spatial, sector)
     excitations = uccsd_excitations(n_spatial, n_alpha, n_beta)
+    strings, matrix = compile_linear_map(
+        [(1.0, (excitation_term(exc),)) for exc in excitations], n_modes, mapping, sector
+    )
+    # every Pauli string is Hermitian, so image(T^dagger) = conj(image(T)) and G maps to
+    # 2i Im(image(T)); complex(0.0, .) keeps the +0 real part (2j * x has -0 for x < 0)
+    columns = matrix.tocsc()
+    bounds, rows, values = columns.indptr.tolist(), columns.indices.tolist(), columns.data.imag.tolist()
     generators = tuple(
-        _map_operator(
-            excitation_generator(exc, n_modes), mapping, two_qubit_reduced, n_electrons, n_alpha
-        )
-        for exc in excitations
+        PauliSum(n_qubits, {strings[r]: complex(0.0, 2.0 * v) for r, v in zip(rows[a:b], values[a:b])})
+        for a, b in zip(bounds, bounds[1:])
     )
 
-    occupation = 0
-    for k in range(n_alpha):
-        occupation |= 1 << k
-    for k in range(n_beta):
-        occupation |= 1 << (n_spatial + k)
+    # the lowest n_alpha alpha and n_beta beta modes occupied
+    reference = ((1 << n_alpha) - 1) | (((1 << n_beta) - 1) << n_spatial)
     if mapping == "parity":
-        reference = occupation_to_parity_bits(occupation, n_modes)
-        n_qubits = n_modes
-        if two_qubit_reduced:
-            reference = drop_qubit_positions(reference, [n_spatial - 1, n_modes - 1])
-            n_qubits = n_modes - 2
-    else:
-        reference = occupation
-        n_qubits = n_modes
+        reference = occupation_to_parity_bits(reference, n_modes)
+    if sector is not None:
+        reference = drop_qubit_positions(reference, [n_spatial - 1, n_modes - 1])
 
     return UccsdAnsatz(
         n_spatial=n_spatial,
@@ -480,8 +467,7 @@ def _compile_hamiltonian(
     )
     for array in (matrix.data, matrix.indices, matrix.indptr):
         array.flags.writeable = False  # shared by every Hamiltonian of the shape
-    n_qubits = 2 * n_orbitals - 2 if sector is not None else 2 * n_orbitals
-    return _HamiltonianMap(n_qubits, tuple(strings), matrix)
+    return _HamiltonianMap(_n_qubits(n_orbitals, sector), tuple(strings), matrix)
 
 
 def map_active_hamiltonian(
@@ -500,9 +486,7 @@ def map_active_hamiltonian(
     residue must stay below 1e-10 and is discarded, and the real parts
     are pruned as every ``PauliSum`` is.
     """
-    sector = None
-    if two_qubit_reduced:
-        sector = reduction_sector(active.n_electrons, (active.n_electrons + spin_2ms) // 2)
+    sector = _sector(active.n_electrons, (active.n_electrons + spin_2ms) // 2, two_qubit_reduced)
     compiled = _compile_hamiltonian(active.n_orbitals, mapping, sector)
     values = compiled.matrix @ integral_vector(active)
     # a value PauliSum would prune cannot carry a residue above 1e-10

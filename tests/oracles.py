@@ -333,17 +333,34 @@ def reference_map_with_ladder(op, ladder):
     return PauliSum(n, acc)
 
 
+def reference_map_operator(op, mapping, two_qubit_reduced, n_electrons, n_alpha):
+    """Qubit image of a fermion operator mapped term by term with
+    ``map_parity`` and then ``two_qubit_reduction``, or with
+    ``map_jordan_wigner``: the route the compiled linear map replaces."""
+    from qcembed.mappings import ReductionError, map_jordan_wigner, map_parity, two_qubit_reduction
+
+    if mapping == "parity":
+        mapped = map_parity(op)
+        if two_qubit_reduced:
+            mapped = two_qubit_reduction(mapped, n_electrons, n_alpha)
+        return mapped
+    if mapping == "jordan-wigner":
+        if two_qubit_reduced:
+            raise ReductionError("two-qubit reduction requires the parity mapping")
+        return map_jordan_wigner(op)
+    raise ValueError(f"unknown mapping {mapping!r}")
+
+
 def reference_map_active_hamiltonian(active, spin_2ms=0, mapping="parity", two_qubit_reduced=True):
     """Qubit image of an active Hamiltonian through its fermion operator:
     expand every integral into ladder terms, map the operator, reduce it,
     then check and drop the imaginary residue."""
     from qcembed.fermion import spin_orbital_hamiltonian
     from qcembed.pauli import PauliSum
-    from qcembed.sim import _map_operator
 
     op = spin_orbital_hamiltonian(active)
     n_alpha = (active.n_electrons + spin_2ms) // 2
-    mapped = _map_operator(op, mapping, two_qubit_reduced, active.n_electrons, n_alpha)
+    mapped = reference_map_operator(op, mapping, two_qubit_reduced, active.n_electrons, n_alpha)
     residue = mapped.max_imaginary_part()
     if residue > 1e-10:
         raise ValueError(f"imaginary coefficient residue {residue:.3e} exceeds {1e-10:.1e}")

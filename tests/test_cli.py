@@ -261,7 +261,12 @@ def test_mu_scan_subcommand_reports_a_failed_point(capsys, tmp_path, h2_integral
     ]
     assert (tmp_path / "table.csv").read_text().splitlines()[2] == "system,1.5,2,2,nan,nan,0,false"
     code = main(["mu-scan", "--config", str(config), "--format", "json"])
-    payload = json.loads(capsys.readouterr().out.split("mu_opt =")[0], parse_constant=_refuse)
+    # the whole of stdout is the JSON document
+    payload = json.loads(capsys.readouterr().out, parse_constant=_refuse)
+    assert payload["mu_opt"] == 1.0
+    # with the table in --out, stdout keeps the mu_opt line in either format
+    code = main(["mu-scan", "--config", str(config), "--format", "json", "--out", str(tmp_path / "t.json")])
+    assert code == 0 and capsys.readouterr().out == "mu_opt = 1\n"
     assert [row["error"] for row in payload["rows"]] == [
         "", "FcidumpError: line 1: missing namelist terminator (&END or /)"
     ]

@@ -1,9 +1,14 @@
-"""The compiled qubit Hamiltonian against its fermion-operator oracle.
+"""The compiled qubit Hamiltonian and UCCSD generators against their
+fermion-operator oracle.
 
 ``map_active_hamiltonian`` multiplies a per-shape sparse matrix by the
 integral vector; ``reference_map_active_hamiltonian`` expands the
-fermion operator and maps it term by term.
+fermion operator and maps it term by term.  ``build_uccsd_ansatz`` reads
+each generator off one compiled column per excitation;
+``reference_map_operator`` maps each T - T^dagger term by term.
 """
+
+import struct
 
 from pathlib import Path
 
@@ -15,19 +20,25 @@ from hypothesis import strategies as st
 import qcembed.sim as sim
 from qcembed.activespace import ActiveHamiltonian, ActiveSpaceSpec, reduce_integrals
 from qcembed.embedding import EmbeddingConfig
-from qcembed.fermion import hamiltonian_columns, integral_vector, spin_orbital_hamiltonian
+from qcembed.fermion import (
+    excitation_generator,
+    hamiltonian_columns,
+    integral_vector,
+    spin_orbital_hamiltonian,
+)
 from qcembed.integrals import SymmetricTwoBody, canonical_classes, read_fcidump, save_fcidump
 from qcembed.mappings import ReductionError, reduction_sector
 from qcembed.meanfield import solve_rhf
 from qcembed.pauli import PRUNE_TOLERANCE
 from qcembed.scan import MuScanSpec, mu_scan
-from qcembed.sim import map_active_hamiltonian
+from qcembed.sim import _compile_generator, build_uccsd_ansatz, map_active_hamiltonian
 
 from oracles import (
     annihilation_matrix,
     fermion_operator_matrix,
     pauli_sum_matrix,
     reference_map_active_hamiltonian,
+    reference_map_operator,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -243,7 +254,7 @@ def test_compiled_matrix_is_the_complex_fermion_image(mapping, reduced):
     active = random_symmetric_active(rng, 3, 2, zero_fraction=0.2, h=h)
     compiled = sim._compile_hamiltonian(3, mapping, reduction_sector(2, 1) if reduced else None)
     image = dict(zip(compiled.strings, compiled.matrix @ integral_vector(active)))
-    reference = sim._map_operator(spin_orbital_hamiltonian(active), mapping, reduced, 2, 1)
+    reference = reference_map_operator(spin_orbital_hamiltonian(active), mapping, reduced, 2, 1)
     assert reference.max_imaginary_part() > 1e-3
     for string in set(image) | set(reference.terms()):
         assert abs(image.get(string, 0.0) - reference.coefficient(string)) <= 1e-12
@@ -323,3 +334,46 @@ def test_electron_counts_of_one_sector_share_a_compile():
     active = random_symmetric_active(rng, 3, 4)
     map_active_hamiltonian(active)
     assert sim._compile_hamiltonian.cache_info().misses == len(MAPPINGS) + 1
+
+
+# (n_spatial, n_electrons, MS2), up to the paper's (4e,6o) and beyond
+ANSATZ_SHAPES = [
+    pytest.param(m, ne, ms2, id=f"{ne}e{m}o-ms{ms2}")
+    for m, ne, ms2 in (
+        (2, 2, 0), (3, 2, 0), (5, 2, 0), (4, 4, 0), (6, 4, 0), (6, 6, 0), (6, 8, 0), (4, 2, 2)
+    )
+]
+
+
+def _term_bytes(op):
+    return [(string, struct.pack("<dd", coeff.real, coeff.imag)) for string, coeff in op]
+
+
+@pytest.mark.parametrize("mapping, reduced", MAPPINGS)
+@pytest.mark.parametrize("n_spatial, n_electrons, spin_2ms", ANSATZ_SHAPES)
+def test_ansatz_generators_are_bitwise_the_term_by_term_map(
+    n_spatial, n_electrons, spin_2ms, mapping, reduced
+):
+    ansatz = build_uccsd_ansatz(n_spatial, n_electrons, spin_2ms, mapping, reduced)
+    assert ansatz.n_parameters == len(ansatz.generators) > 0
+    for excitation, generator, rotation in zip(
+        ansatz.excitations, ansatz.generators, ansatz._rotations
+    ):
+        reference = reference_map_operator(
+            excitation_generator(excitation, 2 * n_spatial), mapping, reduced,
+            n_electrons, ansatz.n_alpha,
+        )
+        assert generator.n_qubits == reference.n_qubits == ansatz.n_qubits
+        # strings in the oracle's order, coefficient bytes (and signs of zero) included
+        assert _term_bytes(generator) == _term_bytes(reference)
+        for array, expected in zip(rotation, _compile_generator(reference)):
+            assert array.dtype == expected.dtype
+            assert array.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n_electrons", [2, 4])  # 4 in 2 orbitals: no parameters
+def test_ansatz_mapping_errors(n_electrons):
+    with pytest.raises(ValueError, match="unknown mapping"):
+        build_uccsd_ansatz(2, n_electrons, mapping="bravyi-kitaev")
+    with pytest.raises(ReductionError, match="parity mapping"):
+        build_uccsd_ansatz(2, n_electrons, mapping="jordan-wigner", two_qubit_reduced=True)

@@ -230,6 +230,20 @@ def test_electron_capacity_invariant():
         IntegralSet.from_arrays(np.zeros((1, 1)), np.zeros((1, 1, 1, 1)), 0.0, n_electrons=3)
 
 
+@pytest.mark.parametrize("build", ["constructor", "from_arrays"])
+def test_one_body_is_a_read_only_copy_of_the_callers_array(build):
+    h = np.eye(2)
+    if build == "constructor":
+        integrals = IntegralSet(2, 2, 0, 0.0, h, SymmetricTwoBody(2))
+    else:
+        integrals = IntegralSet.from_arrays(h, np.zeros((2, 2, 2, 2)), n_electrons=2)
+    assert integrals.one_body is not h
+    assert h.flags.writeable
+    h[0, 0] = 5.0
+    assert integrals.one_body[0, 0] == 1.0
+    assert not integrals.one_body.flags.writeable
+
+
 def test_unrecognized_index_pattern():
     with pytest.raises(FcidumpError, match="unrecognized"):
         parse_fcidump(HEADER + "1.0 1 1 1 0\n")

@@ -1,5 +1,7 @@
-"""Package surface: every export resolves, and the cold import path stays light."""
+"""Package surface: every export resolves, no module imports a name it
+does not use, and the cold import path stays light."""
 
+import ast
 import importlib
 import json
 import os
@@ -23,6 +25,41 @@ def test_module_exports_resolve(name):
     package itself re-exports with from-imports, which fail at import."""
     module = importlib.import_module(f"qcembed.{name}")
     assert [export for export in module.__all__ if not hasattr(module, export)] == []
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    """Names the module's import statements bind, anywhere in it."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def _bench_patches(monkeypatch) -> set[tuple[str, str]]:
+    """(module, attribute) of every function the traced benchmark wraps."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    for name in ("layers", "tracing"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    layers = importlib.import_module("layers")
+    return {(module.__name__, attribute) for module, attribute, *_ in layers.PATCHES}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_uses_every_name_it_imports(name, monkeypatch):
+    """An imported name is read by the module, exported in its
+    ``__all__`` or looked up there by a function the traced benchmark
+    wraps (``bench/layers.PATCHES``).  The package ``__init__`` imports
+    only to re-export."""
+    module = importlib.import_module(f"qcembed.{name}")
+    tree = ast.parse(Path(module.__file__).read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = _imported_names(tree) - used - set(module.__all__)
+    patched = _bench_patches(monkeypatch)
+    assert sorted(n for n in unused if (module.__name__, n) not in patched) == []
 
 
 _COLD_PATH_SCRIPT = """

@@ -19,6 +19,7 @@ from qcembed.report import (
     ResultRow,
     build_report,
     load_reference_table,
+    load_results,
     packaged_reference_table,
     recovery,
     recovery_rows_to_json,
@@ -299,6 +300,21 @@ def test_energy_table_csv_schema():
     lines = buffer.getvalue().splitlines()
     assert lines[0] == "molecule,mu,ne,no,e_hf,e_qdft,iterations,converged"
     assert lines[1] == "h2,0.5,2,2,-1.1,-1.13,2,true"
+
+
+def test_energy_table_round_trips_through_load_results(tmp_path):
+    nan = float("nan")
+    rows = [
+        MuScanRow(mu=0.5, e_hf=-1.1, e_total=-1.13, iterations=2, converged=True),
+        MuScanRow(mu=1.0, e_hf=nan, e_total=nan, iterations=0, converged=False, error="boom"),
+        MuScanRow(mu=1.5, e_hf=-1.2, e_total=-1.25, iterations=3, converged=True),
+    ]
+    path = tmp_path / "table.csv"
+    with open(path, "w", newline="") as handle:
+        write_energy_table_csv("h2", rows, 2, 2, handle)
+    expected = [ResultRow("h2", 2, 2, -1.13, 0.5), ResultRow("h2", 2, 2, -1.25, 1.5)]
+    assert load_results(path) == expected
+    assert load_results(io.StringIO(path.read_text())) == expected
 
 
 def test_report_row_recomputation_invariant():
