@@ -8,6 +8,7 @@ Global flags (--fcidump, --active NE,NO, --seed, --config, --out,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import io
 import json
@@ -21,6 +22,7 @@ from .fci import fci_solve
 from .integrals import parse_fcidump, read_fcidump, write_fcidump
 from .meanfield import solve_rhf
 from .report import (
+    _csv_cell,
     _json_text,
     build_report,
     load_reference_table,
@@ -107,6 +109,17 @@ def _emit(text: str, out: Path | None) -> None:
         out.write_text(text)
 
 
+def _write_csv_record(payload: dict, out: Path) -> None:
+    """One record as CSV: a header of its fields and one row, a list field
+    as its items joined by spaces."""
+    cells = [
+        " ".join(str(_csv_cell(item)) for item in value) if isinstance(value, list) else _csv_cell(value)
+        for value in payload.values()
+    ]
+    with open(out, "w", newline="") as handle:
+        csv.writer(handle).writerows([list(payload), cells])
+
+
 def _cmd_hf(args) -> int:
     cfg = _load_workbench_config(args)
     integrals = _require_fcidump(cfg, "hf")
@@ -123,7 +136,7 @@ def _cmd_hf(args) -> int:
         print(f"mean-field energy: {mf.energy:.10f} Ha")
         print(f"converged: {mf.converged} after {mf.iterations} iterations")
         if args.out:
-            args.out.write_text(json.dumps(payload, indent=2) + "\n")
+            _write_csv_record(payload, args.out)
     return 0
 
 
@@ -137,8 +150,11 @@ def _cmd_fci(args) -> int:
     total = result.ground_energy + active.inactive_energy
     print(f"active space: {spec.label}, determinant basis {result.basis_dimension}")
     print(f"total energy: {total:.10f} Ha")
-    if args.out:
-        args.out.write_text(json.dumps({"energy": total, "basis_dimension": result.basis_dimension}) + "\n")
+    payload = {"energy": total, "basis_dimension": result.basis_dimension}
+    if args.out and args.format == "json":
+        args.out.write_text(json.dumps(payload) + "\n")
+    elif args.out:
+        _write_csv_record(payload, args.out)
     return 0
 
 

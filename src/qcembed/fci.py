@@ -35,10 +35,16 @@ electrons, so a table is a set of (m strings, L) arrays.
   D = E c (stacked over pq), G = 1/2 (pq|rs) D,
   sigma = sum_pq E_pq G_pq + sum_pq k_pq D_pq.  The 8-fold symmetry of
   (pq|rs) folds pq and qp onto the pair p >= q, so the matvec runs over
-  n(n+1)/2 operators E_pq + E_qp as gathers and one matrix product into
-  buffers allocated once per solve.  On the even states the beta half of
-  D and of sigma is the transposed alpha half, so the matvec gathers
-  alpha only.  Each step corrects the Ritz pair (theta, x) by
+  the n(n+1)/2 operators E_pq + E_qp.  Over a whole sector it is a
+  gather per spin for D, one matrix product for G and a gathered signed
+  sum per spin for sigma.  On the even states D and G are symmetric in
+  (I, i) and are kept on the packed triangle I <= i alone, as
+  (m(m+1)/2, n_pairs) arrays: D is two gathers of the packed vector, G
+  one pair-space product run in batches small enough for OpenBLAS to
+  keep on the calling thread, and sigma one gather of G and a signed
+  sum.  Their index tables depend only on (n, n_alpha) and are compiled
+  once per shape into a small read-only cache; every buffer is
+  allocated once per solve.  Each step corrects the Ritz pair (theta, x) by
   (H_diag - theta)^-1 r, r = Hx - theta x, with the exact determinant
   diagonal H_diag from the string occupations; it stops at
   ||r|| < ``DAVIDSON_TOLERANCE`` and raises :class:`FciConvergenceError`
@@ -51,10 +57,11 @@ electrons, so a table is a set of (m strings, L) arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,6 +86,13 @@ DAVIDSON_MAX_SUBSPACE = 16
 # clamp on |diag - theta|, and the fraction of its norm a correction must
 # keep after orthogonalization to count as a new direction
 _SMALL = 1e-8
+# The spin-flip-even pair-space product runs in batches of at most this
+# m * n * k, OpenBLAS's single-thread threshold (65536 times its default
+# GEMM_MULTITHREAD_THRESHOLD of 4): a larger product wakes a BLAS worker
+# that costs more CPU than it saves at these sizes.
+_SINGLE_THREAD_GEMM_SIZE = 4 * 65536
+# distinct (n, n_alpha = n_beta) shapes whose spin-flip-even tables are kept
+_EVEN_TABLE_CACHE_SIZE = 8
 
 
 class FciError(ValueError):
@@ -158,7 +172,9 @@ class _StringSpace:
     two gathers: rows of [C; -C; 0] for alpha, columns of [C, -C, 0] for
     beta, where slots no entry reaches read the zero.  D+ is a buffer
     owned by the space and is overwritten by the next call.  Equal alpha
-    and beta string sets share one table.
+    and beta string sets share one table.  The whole-sector matvec and
+    the 1-RDM read D+ here; the spin-flip-even matvec compiles its packed
+    triangle tables from the alpha table (:func:`_even_tables`).
     """
 
     def __init__(self, n: int, alpha_strings, beta_strings):
@@ -181,21 +197,16 @@ class _StringSpace:
         self._d = np.empty((m_a, n_pairs, m_b))
         self._work = np.empty((m_a, n_pairs, m_b))
 
-    def alpha_excitations(self, c: np.ndarray) -> np.ndarray:
-        """D_a[I, pair, i] = (E^a+_pair C)[I, i] for C of ``shape``, in the
-        buffer ``excitations`` returns."""
-        rows = np.concatenate((c, -c, np.zeros((1, self.shape[1]))))
-        np.take(rows, self._alpha_rows, axis=0, out=self._d.reshape(-1, self.shape[1]), mode="clip")
-        return self._d
-
     def excitations(self, vector: np.ndarray) -> np.ndarray:
         """D+ with D+[I, pair, i] = (E+_pair c)[I, i]."""
+        m_a, m_b = self.shape
         c = vector.reshape(self.shape)
-        d = self.alpha_excitations(c)
-        cols = np.concatenate((c, -c, np.zeros((self.shape[0], 1))), axis=1)
-        np.take(cols, self._beta_cols, axis=1, out=self._work.reshape(self.shape[0], -1), mode="clip")
-        d += self._work
-        return d
+        rows = np.concatenate((c, -c, np.zeros((1, m_b))))
+        np.take(rows, self._alpha_rows, axis=0, out=self._d.reshape(-1, m_b), mode="clip")
+        cols = np.concatenate((c, -c, np.zeros((m_a, 1))), axis=1)
+        np.take(cols, self._beta_cols, axis=1, out=self._work.reshape(m_a, -1), mode="clip")
+        self._d += self._work
+        return self._d
 
     def one_rdm(self, vector: np.ndarray) -> np.ndarray:
         """Spin-summed gamma_pq = <c| E_pq |c> = <c| E+_pq |c> / 2 for p != q."""
@@ -297,33 +308,118 @@ def _hamiltonian_operator(
     return matvec
 
 
+class _EvenTables(NamedTuple):
+    """The spin-flip-even matvec's index tables for one (n, n_alpha =
+    n_beta) shape, read-only and shared by every solve of the shape.
+
+    Row t of the packed triangle is the pair (I, i), I <= i, of
+    ``basis``; its slots in x~ = [x s; -x s; 0] (s the unpack scale, so
+    x~[t] = C[I, i] = C[i, I]) are ``first[t, pair]`` for D_a[I, pair, i]
+    and ``second[t, pair]`` for D_a[i, pair, I].  ``sigma_index[I, w, i]``
+    is the flat index into G (width n_pairs + 1) of G[tri(J, i), pair]
+    for the w-th alpha entry E_pq|I> = ``sign[I, w]`` |J>.  The three
+    index tables are int32; the triangle is padded to ``batches`` x
+    ``rows`` rows for the pair-space product.
+    """
+
+    basis: _SpinFlipEvenBasis
+    pairs: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    sigma_index: np.ndarray
+    sign: np.ndarray
+    batches: int
+    rows: int
+
+
+@functools.lru_cache(maxsize=_EVEN_TABLE_CACHE_SIZE)
+def _even_tables(n: int, n_occupied: int) -> _EvenTables:
+    strings = _bit_strings(n, n_occupied)
+    space = _StringSpace(n, strings, strings)
+    basis = _SpinFlipEvenBasis(len(strings))
+    m, size, n_pairs = basis.m, basis.dimension, len(space.pairs)
+    width = n_pairs + 1
+    upper_rows, upper_cols = np.divmod(basis.upper, m)
+    tri = np.empty(m * m, dtype=np.int32)  # (I, i) -> its triangle row, either order
+    tri[basis.upper] = tri[basis.mirror] = np.arange(size)
+    tri = tri.reshape(m, m)
+    # slot[v, i]: the x~ slot that alpha gather entry v (a source string,
+    # m + one read with a minus sign, or 2m for none) reads at column i
+    slot = np.concatenate((tri, tri + size, np.full((1, m), 2 * size, dtype=np.int32)))
+    alpha_rows = space._alpha_rows.reshape(m, n_pairs)
+    a = space.alpha
+    rows = _SINGLE_THREAD_GEMM_SIZE // (n_pairs * width) or size
+    batches = -(-size // rows)
+    tables = _EvenTables(
+        basis=basis,
+        pairs=space.pairs,
+        first=slot[alpha_rows[upper_rows], upper_cols[:, None]],
+        second=slot[alpha_rows[upper_cols], upper_rows[:, None]],
+        sigma_index=tri[a.target[:, :, None], np.arange(m)] * np.int32(width)
+        + space.pair_of[a.pq][:, :, None].astype(np.int32),
+        sign=a.sign,
+        batches=batches,
+        rows=-(-size // batches),
+    )
+    for array in (
+        basis.upper, basis.mirror, basis._unpack_scale, basis._pack_scale,
+        tables.pairs, tables.first, tables.second, tables.sigma_index, tables.sign,
+    ):
+        array.flags.writeable = False  # shared by every solve of the shape
+    return tables
+
+
 def _even_hamiltonian_operator(
-    space: _StringSpace, basis: _SpinFlipEvenBasis, k: np.ndarray, eri: np.ndarray
+    tables: _EvenTables, k: np.ndarray, eri: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
     """x -> P^T H P x on the spin-flip-even basis of an n_alpha == n_beta
     sector.  For C = C^T on one string table the beta gather is the
-    transposed alpha gather, so D+ = D_a + D_a^T; G = 1/2 (pq|rs) D+ is
-    symmetric in (I, i) as well, and the general operator's sigma becomes
-    sigma_a + sigma_a^T + k D+ with sigma_a = S G its alpha half
-    (:func:`_alpha_sigma`).  P^T sigma_a^T = P^T sigma_a, so the
-    result is P^T (2 sigma_a + k D+)."""
-    m = basis.m
-    alpha_sigma = _alpha_sigma(space)
-    half_eri = 0.5 * eri[np.ix_(space.pairs, space.pairs)]
-    k = k[space.pairs]
-    d = space._work
+    transposed alpha gather, so D+[I, pair, i] = D_a[I, pair, i] +
+    D_a[i, pair, I] is symmetric in (I, i) and lives on the packed
+    triangle: two gathers of x~ (:class:`_EvenTables`).  G = 1/2 D+ (pq|rs)
+    is symmetric as well, and the general operator's sigma becomes
+    sigma_a + sigma_a^T + k D+ with sigma_a = S G its alpha half.  P^T
+    maps that to 2 p (sigma_a[I, i] + sigma_a[i, I] + (k D+)[I, i]), p the
+    pack scale.  k rides as one more column of the pair-space product,
+    which runs in batches small enough for OpenBLAS to keep on the
+    calling thread.
+
+    Every buffer is allocated here, once per solve, and so are intp
+    copies of the index tables: ``np.take`` copies an index array that
+    is not a writeable intp array on every call, and a fresh gather
+    result would fault its pages in on every call."""
+    basis, pairs = tables.basis, tables.pairs
+    first, second, sigma_index = (
+        table.astype(np.intp) for table in (tables.first, tables.second, tables.sigma_index)
+    )
+    size, n_pairs = first.shape
+    width = n_pairs + 1
+    weights = np.empty((n_pairs, width))
+    weights[:, :n_pairs] = 0.5 * eri[np.ix_(pairs, pairs)]
+    weights[:, n_pairs] = k[pairs]
+    signed = np.zeros(2 * size + 1)  # x~ = [x s; -x s; 0]
+    padded = tables.batches * tables.rows
+    # D+ on the padded triangle; once the product has read it, the sigma gather
+    d = np.zeros(max(padded * n_pairs, sigma_index.size))
+    d_rows = d[: padded * n_pairs].reshape(tables.batches, tables.rows, n_pairs)
+    d_upper = d[: size * n_pairs].reshape(size, n_pairs)
+    gathered = d[: sigma_index.size].reshape(sigma_index.shape)
+    g = np.zeros((tables.batches, tables.rows, width))
+    d_second = g.reshape(-1)[: size * n_pairs].reshape(size, n_pairs)  # until the product
+    k_d = g.reshape(-1, width)[:size, n_pairs]
+    scale = 2.0 * basis._pack_scale
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        d_alpha = space.alpha_excitations(basis.unpack(x).reshape(m, m))
-        # a transposed copy and a contiguous add beat one add with a
-        # transposed operand
-        np.copyto(d, d_alpha.transpose(2, 1, 0))
-        np.add(d, d_alpha, out=d)
-        g = np.matmul(half_eri, d, out=d_alpha)  # D_a is spent
-        sigma = alpha_sigma(g)  # sigma_a
-        sigma *= 2.0
-        sigma += np.matmul(k, d)
-        return basis.pack(sigma.ravel())
+        np.multiply(x, basis._unpack_scale, out=signed[:size])
+        np.negative(signed[:size], out=signed[size:-1])
+        # mode="raise" would buffer each gather's output
+        np.take(signed, first, out=d_upper, mode="clip")
+        np.take(signed, second, out=d_second, mode="clip")
+        np.add(d_upper, d_second, out=d_upper)
+        np.matmul(d_rows, weights, out=g)
+        np.take(g.reshape(-1), sigma_index, out=gathered, mode="clip")
+        sigma = np.einsum("Iw,Iwi->Ii", tables.sign, gathered).ravel()
+        return (sigma[basis.upper] + sigma[basis.mirror] + k_d) * scale
 
     return matvec
 
@@ -466,11 +562,12 @@ def fci_solve(
     k, eri = _integrals(active)
     diagonal = _diagonal(space, k, eri)
     if n_alpha == n_beta:
-        even = _SpinFlipEvenBasis(len(alpha_strings))
+        tables = _even_tables(n, n_alpha)
+        even = tables.basis
         # the determinant diagonal at x's pairs preconditions exactly as it
         # does the symmetric C on the full sector
         energy, vector, matvecs, residual_norm = _davidson_ground(
-            _even_hamiltonian_operator(space, even, k, eri), diagonal[even.upper]
+            _even_hamiltonian_operator(tables, k, eri), diagonal[even.upper]
         )
         vector = even.unpack(vector)
     else:

@@ -644,6 +644,42 @@ def reference_alpha_sigma_matrix(space):
     )
 
 
+def reference_even_hamiltonian_operator(space, basis, k: np.ndarray, eri: np.ndarray):
+    """x -> P^T H P x on the spin-flip-even basis of an n_alpha == n_beta
+    sector over the whole (m, n_pairs, m) D_a: the operator the packed
+    triangle replaced (``fci._StringSpace`` and ``fci._SpinFlipEvenBasis``
+    give the tables and the basis).  For C = C^T on one string table the
+    beta gather is the transposed alpha gather, so D+ = D_a + D_a^T;
+    G = 1/2 (pq|rs) D+ is symmetric in (I, i) as well, and the general
+    operator's sigma becomes sigma_a + sigma_a^T + k D+ with sigma_a = S G
+    its alpha half (``fci._alpha_sigma``).  P^T sigma_a^T = P^T sigma_a,
+    so the result is P^T (2 sigma_a + k D+)."""
+    from qcembed.fci import _alpha_sigma
+
+    m = basis.m
+    alpha_sigma = _alpha_sigma(space)
+    half_eri = 0.5 * eri[np.ix_(space.pairs, space.pairs)]
+    k = k[space.pairs]
+    d = space._work
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        c = basis.unpack(x).reshape(m, m)
+        rows = np.concatenate((c, -c, np.zeros((1, m))))
+        d_alpha = space._d
+        np.take(rows, space._alpha_rows, axis=0, out=d_alpha.reshape(-1, m), mode="clip")
+        # a transposed copy and a contiguous add beat one add with a
+        # transposed operand
+        np.copyto(d, d_alpha.transpose(2, 1, 0))
+        np.add(d, d_alpha, out=d)
+        g = np.matmul(half_eri, d, out=d_alpha)  # D_a is spent
+        sigma = alpha_sigma(g)  # sigma_a
+        sigma *= 2.0
+        sigma += np.matmul(k, d)
+        return basis.pack(sigma.ravel())
+
+    return matvec
+
+
 def reference_fci_one_rdm(n: int, n_alpha: int, n_beta: int, vector: np.ndarray) -> np.ndarray:
     """Spin-summed gamma_pq = <c| E_pq |c>, one determinant and one
     substitution at a time."""

@@ -96,6 +96,30 @@ def test_fci_subcommand(capsys, h2_path, golden):
     assert printed == pytest.approx(golden["h2_0735"]["e_fci"], abs=1e-9)
 
 
+@pytest.mark.parametrize("command", ["hf", "fci"])
+def test_out_file_follows_the_format(capsys, tmp_path, h2_path, command):
+    """--out holds CSV by default and JSON only under --format json: one
+    header of the JSON record's fields and one row of its values."""
+    csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
+    assert main([command, "--fcidump", h2_path, "--out", str(csv_path)]) == 0
+    assert main([command, "--fcidump", h2_path, "--format", "json", "--out", str(json_path)]) == 0
+    capsys.readouterr()
+    payload = json.loads(json_path.read_text())
+    header, row = csv_path.read_text().splitlines()
+    assert header.split(",") == list(payload)
+    expected = []
+    for value in payload.values():
+        if isinstance(value, bool):
+            expected.append(str(value).lower())
+        elif isinstance(value, float):
+            expected.append(format(value, ".10g"))
+        elif isinstance(value, list):
+            expected.append(" ".join(format(item, ".10g") for item in value))
+        else:
+            expected.append(str(value))
+    assert row.split(",") == expected
+
+
 def test_vqe_subcommand_with_trace_out(capsys, tmp_path, h2_path, golden):
     trace_path = tmp_path / "trace.csv"
     code = main(["vqe", "--fcidump", h2_path, "--active", "2,2", "--seed", "1", "--out", str(trace_path)])

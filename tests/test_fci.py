@@ -2,6 +2,8 @@
 Slater-Condon determinant oracle and goldens."""
 
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from oracles import (
     brute_force_spectrum,
     random_active_hamiltonian,
     reference_alpha_sigma_matrix,
+    reference_even_hamiltonian_operator,
     reference_fci_matrix,
     reference_fci_one_rdm,
     reference_lanczos_ground,
@@ -345,29 +348,105 @@ def even_sectors(draw):
     """A random Hamiltonian on n <= 6 orbitals, one of its n_alpha ==
     n_beta sectors and a random unit vector in its spin-flip-even basis."""
     n = draw(st.integers(1, 6))
-    strings = fci._bit_strings(n, draw(st.integers(0, n)))
+    n_occupied = draw(st.integers(0, n))
+    strings = fci._bit_strings(n, n_occupied)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     active = random_active_hamiltonian(rng, n)
     space = fci._StringSpace(n, strings, strings)
     basis = fci._SpinFlipEvenBasis(len(strings))
     x = rng.normal(size=basis.dimension)
-    return active, space, basis, x / np.linalg.norm(x)
+    return active, n_occupied, space, basis, x / np.linalg.norm(x)
+
+
+def _check_even_matvec(active, n_occupied, space, basis, x) -> None:
+    """The packed-triangle matvec against the packed general matvec and
+    the full-D_a operator it replaced, twice on one operator (its
+    buffers are reused)."""
+    k, eri = fci._integrals(active)
+    expected = basis.pack(fci._hamiltonian_operator(space, k, eri)(basis.unpack(x)))
+    oracle = reference_even_hamiltonian_operator(space, basis, k, eri)(x)
+    even = fci._even_hamiltonian_operator(fci._even_tables(space.n, n_occupied), k, eri)
+    for _ in range(2):
+        actual = even(x)
+        np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(actual, oracle, rtol=0, atol=1e-12)
 
 
 @given(even_sectors())
 @settings(max_examples=60, deadline=None)
 def test_even_matvec_matches_packed_general_matvec(case):
-    active, space, basis, x = case
-    k, eri = fci._integrals(active)
-    expected = basis.pack(fci._hamiltonian_operator(space, k, eri)(basis.unpack(x)))
-    even = fci._even_hamiltonian_operator(space, basis, k, eri)
-    np.testing.assert_allclose(even(x), expected, rtol=0, atol=1e-12)
+    _check_even_matvec(*case)
+
+
+@pytest.mark.parametrize(
+    "n, n_occupied", [(n, n_occupied) for n in range(1, 7) for n_occupied in range(n + 1)]
+)
+def test_even_matvec_on_every_shape_up_to_six_orbitals(n, n_occupied):
+    """Every n_alpha == n_beta shape of up to 6 orbitals, one-string
+    sectors (m = 1, no electrons or no virtual orbitals) included."""
+    rng = np.random.default_rng(100 * n + n_occupied)
+    strings = fci._bit_strings(n, n_occupied)
+    basis = fci._SpinFlipEvenBasis(len(strings))
+    x = rng.normal(size=basis.dimension)
+    _check_even_matvec(
+        random_active_hamiltonian(rng, n), n_occupied, fci._StringSpace(n, strings, strings), basis, x
+    )
+
+
+def _lowest_even_energy(active, n_occupied: int) -> float:
+    """The lowest eigenvalue of the dense Slater-Condon matrix restricted
+    to the spin-flip-even states of the n_alpha == n_beta sector."""
+    isometry = _even_isometry(fci._SpinFlipEvenBasis(len(fci._bit_strings(active.n_orbitals, n_occupied))))
+    matrix = reference_fci_matrix(active, n_occupied, n_occupied)
+    return float(np.linalg.eigvalsh(isometry.T @ matrix @ isometry)[0])
+
+
+def test_cached_even_tables_are_read_only_and_serve_every_hamiltonian_of_a_shape():
+    """Two Hamiltonians of one shape, solved around a solve of another
+    shape, each reach the dense oracle's energy from the same cached
+    tables, which no solve can write."""
+    rng = np.random.default_rng(24)
+    first, second = random_active_hamiltonian(rng, 4), random_active_hamiltonian(rng, 4)
+    other = random_active_hamiltonian(rng, 5)
+    for active in (first, other, second, first):
+        n_occupied = active.n_orbitals // 2
+        result = fci_solve(active, n_electrons=2 * n_occupied, s_z=0.0)
+        assert result.ground_energy == pytest.approx(_lowest_even_energy(active, n_occupied), abs=1e-10)
+    tables = fci._even_tables(4, 2)
+    assert fci._even_tables(4, 2) is tables
+    basis = tables.basis
+    arrays = [tables.pairs, tables.first, tables.second, tables.sigma_index, tables.sign]
+    for array in arrays + [basis.upper, basis.mirror, basis._unpack_scale, basis._pack_scale]:
+        assert array.flags.writeable is False
+        with pytest.raises(ValueError):
+            array.flat[0] = 0
+
+
+def test_concurrent_even_solves_share_the_tables():
+    """Threads solving Hamiltonians of one shape at once, from a cold
+    cache and with frequent thread switches, get bitwise the serial
+    results: they share only the read-only tables, not the buffers."""
+    rng = np.random.default_rng(25)
+    hamiltonians = [random_active_hamiltonian(rng, 5) for _ in range(4)] * 4
+    serial = [fci_solve(active, n_electrons=4) for active in hamiltonians[:4]] * 4
+    fci._even_tables.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(fci_solve, active, 4) for active in hamiltonians]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for result, expected in zip(results, serial):
+        assert result.ground_energy == expected.ground_energy
+        np.testing.assert_array_equal(result.ground_vector, expected.ground_vector)
 
 
 @given(even_sectors())
 @settings(max_examples=60, deadline=None)
 def test_spin_flip_even_packing_is_an_isometry(case):
-    _, space, basis, x = case
+    _, _, space, basis, x = case
     m = space.shape[0]
     assert basis.dimension == m * (m + 1) // 2
     c = basis.unpack(x)

@@ -16,6 +16,7 @@ import qcembed
 
 from conftest import FIXTURE_DIR
 
+BENCH_DATA = Path(__file__).resolve().parent.parent / "bench" / "data"
 MODULES = sorted(info.name for info in pkgutil.iter_modules(qcembed.__path__))
 
 
@@ -107,17 +108,11 @@ def test_cold_path_loads_no_scipy(golden):
     assert "scipy.optimize" in stages["vqe"]
 
 
-_BLAS_WORKER_SCRIPT = """
+_CPU_TICKS = """
 import json
 import os
 import sys
 import time
-
-from qcembed import (
-    ActiveSpaceSpec, build_uccsd_ansatz, map_active_hamiltonian, minimize, read_fcidump,
-    reduce_integrals, solve_rhf,
-)
-from qcembed.vqe import VqeConfig
 
 
 def cpu_ticks():
@@ -132,6 +127,21 @@ def cpu_ticks():
     return ticks
 
 
+def report(before, after):
+    main = os.getpid()
+    print(json.dumps({
+        "main": after[main] - before[main],
+        "other": sum(t - before.get(tid, 0) for tid, t in after.items() if tid != main),
+    }))
+"""
+
+_VQE_LOOP = """
+from qcembed import (
+    ActiveSpaceSpec, build_uccsd_ansatz, map_active_hamiltonian, minimize, read_fcidump,
+    reduce_integrals, solve_rhf,
+)
+from qcembed.vqe import VqeConfig
+
 integrals = read_fcidump(sys.argv[1])
 active = reduce_integrals(integrals, solve_rhf(integrals), ActiveSpaceSpec(2, 3))
 hamiltonian = map_active_hamiltonian(active)
@@ -141,13 +151,37 @@ time.sleep(0.5)  # a new pool's workers spin for their timeout once, whatever ru
 before = cpu_ticks()
 for seed in range(50):
     minimize(hamiltonian, ansatz, VqeConfig(seed=seed))
-after = cpu_ticks()
-main = os.getpid()
-print(json.dumps({
-    "main": after[main] - before[main],
-    "other": sum(t - before.get(tid, 0) for tid, t in after.items() if tid != main),
-}))
+report(before, cpu_ticks())
 """
+
+_FCI_LOOP = """
+from qcembed import ActiveSpaceSpec, fci_solve, read_fcidump, reduce_integrals, solve_rhf
+
+integrals = read_fcidump(sys.argv[1])
+active = reduce_integrals(integrals, solve_rhf(integrals), ActiveSpaceSpec(8, 8))
+fci_solve(active)  # compiles the shape's tables
+time.sleep(0.5)  # numpy's BLAS pool spins for its timeout once after it starts
+before = cpu_ticks()
+for _ in range(40):
+    fci_solve(active)
+report(before, cpu_ticks())
+"""
+
+
+def _thread_ticks(loop: str, path: Path) -> dict:
+    """CPU ticks of the main thread and of all other threads of a fresh
+    interpreter while it runs ``loop`` on the FCIDUMP file ``path``."""
+    source_root = str(Path(qcembed.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", _CPU_TICKS + loop, str(path)],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    return json.loads(completed.stdout)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
@@ -155,16 +189,16 @@ def test_vqe_leaves_no_blas_worker_spinning(golden):
     """A VQE keeps its CPU time on the calling thread: no BLAS worker
     thread spins beside the optimizer (it used to match the main
     thread's CPU time, tick for tick)."""
-    source_root = str(Path(qcembed.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
-    completed = subprocess.run(
-        [sys.executable, "-c", _BLAS_WORKER_SCRIPT, str(FIXTURE_DIR / golden["lih"]["file"])],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=300,
-        check=True,
-    )
-    ticks = json.loads(completed.stdout)
+    ticks = _thread_ticks(_VQE_LOOP, FIXTURE_DIR / golden["lih"]["file"])
+    assert ticks["main"] > 0
+    assert ticks["other"] <= 0.25 * ticks["main"], ticks
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+def test_fci_leaves_no_blas_worker_spinning():
+    """The (8e,8o) H8 FCI solve keeps its pair-space products on the
+    calling thread: each batch stays under OpenBLAS's threading
+    threshold, so no BLAS worker runs beside the solve."""
+    ticks = _thread_ticks(_FCI_LOOP, BENCH_DATA / "h8_sto3g.fcidump")
     assert ticks["main"] > 0
     assert ticks["other"] <= 0.25 * ticks["main"], ticks
