@@ -8,33 +8,31 @@ Global flags (--fcidump, --active NE,NO, --seed, --config, --out,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import sys
 from pathlib import Path
 
 from .activespace import ActiveSpaceSpec, reduce_integrals
 from .config import WorkbenchConfig, load_config
-from .embedding import iteration_log_records, run_embedding, write_iteration_log_csv
+from .embedding import LOG_COLUMNS, iteration_log_records, run_embedding
 from .fci import fci_solve
 from .integrals import parse_fcidump, read_fcidump, write_fcidump
 from .meanfield import solve_rhf
 from .report import (
-    _csv_cell,
-    _json_text,
+    ENERGY_TABLE_COLUMNS,
+    RECOVERY_COLUMNS,
     build_report,
+    csv_text,
+    json_text,
     load_reference_table,
     load_results,
     packaged_reference_table,
-    recovery_rows_to_json,
-    write_energy_table_csv,
-    write_recovery_csv,
+    recovery_values,
 )
 from .scan import mu_scan
 from .sim import build_uccsd_ansatz, map_active_hamiltonian
-from .vqe import minimize, write_trace_csv
+from .vqe import minimize
 
 __all__ = ["main"]
 
@@ -103,21 +101,11 @@ def _require_active(cfg: WorkbenchConfig, parser_name: str) -> ActiveSpaceSpec:
 
 
 def _emit(text: str, out: Path | None) -> None:
+    """Write ``text`` to ``out``, its line endings as they are, or to stdout."""
     if out is None:
         sys.stdout.write(text)
     else:
-        out.write_text(text)
-
-
-def _write_csv_record(payload: dict, out: Path) -> None:
-    """One record as CSV: a header of its fields and one row, a list field
-    as its items joined by spaces."""
-    cells = [
-        " ".join(str(_csv_cell(item)) for item in value) if isinstance(value, list) else _csv_cell(value)
-        for value in payload.values()
-    ]
-    with open(out, "w", newline="") as handle:
-        csv.writer(handle).writerows([list(payload), cells])
+        out.write_text(text, newline="")
 
 
 def _cmd_hf(args) -> int:
@@ -131,12 +119,12 @@ def _cmd_hf(args) -> int:
         "orbital_energies": [float(e) for e in mf.orbital_energies],
     }
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(json_text(payload), args.out)
     else:
         print(f"mean-field energy: {mf.energy:.10f} Ha")
         print(f"converged: {mf.converged} after {mf.iterations} iterations")
         if args.out:
-            _write_csv_record(payload, args.out)
+            _emit(csv_text(payload, [payload.values()]), args.out)
     return 0
 
 
@@ -151,10 +139,9 @@ def _cmd_fci(args) -> int:
     print(f"active space: {spec.label}, determinant basis {result.basis_dimension}")
     print(f"total energy: {total:.10f} Ha")
     payload = {"energy": total, "basis_dimension": result.basis_dimension}
-    if args.out and args.format == "json":
-        args.out.write_text(json.dumps(payload) + "\n")
-    elif args.out:
-        _write_csv_record(payload, args.out)
+    if args.out:
+        text = json.dumps(payload) + "\n" if args.format == "json" else csv_text(payload, [payload.values()])
+        _emit(text, args.out)
     return 0
 
 
@@ -170,13 +157,12 @@ def _cmd_vqe(args) -> int:
     total = result.energy + active.inactive_energy
     print(f"qubits: {ansatz.n_qubits}, parameters: {ansatz.n_parameters}")
     print(f"VQE total energy: {total:.10f} Ha ({result.evaluations} evaluations)")
+    columns = ("evaluation_index", "energy")
     if args.out and args.format == "json":
-        trace = [{"evaluation_index": index, "energy": energy} for index, energy in result.trace]
-        payload = {"trace": trace, "total_energy": total, "converged": result.converged}
-        args.out.write_text(_json_text(payload) + "\n")
+        trace = [dict(zip(columns, point)) for point in result.trace]
+        _emit(json_text({"trace": trace, "total_energy": total, "converged": result.converged}), args.out)
     elif args.out:
-        with open(args.out, "w", newline="") as handle:
-            write_trace_csv(result.trace, handle)
+        _emit(csv_text(columns, result.trace), args.out)
     return 0
 
 
@@ -185,22 +171,17 @@ def _cmd_embed(args) -> int:
     integrals = _require_fcidump(cfg, "embed")
     spec = _require_active(cfg, "embed")
     state = run_embedding(integrals, spec, cfg.embedding, cfg.vqe)
+    records = iteration_log_records(state)
     if args.format == "json":
-        payload = {
-            "iterations": iteration_log_records(state),
-            "final_energy": state.final_energy,
-            "converged": state.converged,
-        }
-        text = _json_text(payload) + "\n"
+        payload = {"iterations": records, "final_energy": state.final_energy, "converged": state.converged}
+        text = json_text(payload)
     else:
-        buffer = io.StringIO()
-        write_iteration_log_csv(state, buffer)
-        text = buffer.getvalue()
+        text = csv_text(LOG_COLUMNS, map(dict.values, records))
     print(text, end="")
     if args.format == "csv":
         print(f"final energy: {state.final_energy:.10f} Ha (converged: {state.converged})")
     if args.out:
-        args.out.write_text(text, newline="")
+        _emit(text, args.out)
     if not state.converged:
         return 3
     return 0
@@ -212,21 +193,12 @@ def _cmd_mu_scan(args) -> int:
         raise SystemExit("error: mu-scan requires a config file with a [mu_scan] section")
     spec = _require_active(cfg, "mu-scan")
     mu_opt, rows = mu_scan(cfg.mu_scan, spec, cfg.embedding, cfg.vqe)
-    buffer = io.StringIO()
-    write_energy_table_csv(
-        cfg.molecule or "system",
-        rows,
-        spec.n_active_electrons,
-        spec.n_active_orbitals,
-        buffer,
-    )
-    text = buffer.getvalue()
     if args.format == "json":
-        payload = {
-            "mu_opt": mu_opt,
-            "rows": [dataclasses.asdict(r) for r in rows],
-        }
-        text = _json_text(payload) + "\n"
+        text = json_text({"mu_opt": mu_opt, "rows": [dataclasses.asdict(r) for r in rows]})
+    else:
+        molecule, ne, no = cfg.molecule or "system", spec.n_active_electrons, spec.n_active_orbitals
+        table = [(molecule, r.mu, ne, no, r.e_hf, r.e_total, r.iterations, r.converged) for r in rows]
+        text = csv_text(ENERGY_TABLE_COLUMNS, table)
     _emit(text, args.out)
     for row in rows:
         if row.error:
@@ -242,11 +214,9 @@ def _cmd_report(args) -> int:
     )
     report_rows = build_report(load_results(args.results), references)
     if args.format == "json":
-        text = recovery_rows_to_json(report_rows) + "\n"
+        text = json_text([dict(zip(RECOVERY_COLUMNS, recovery_values(row))) for row in report_rows])
     else:
-        buffer = io.StringIO()
-        write_recovery_csv(report_rows, buffer)
-        text = buffer.getvalue()
+        text = csv_text(RECOVERY_COLUMNS, map(recovery_values, report_rows))
     _emit(text, args.out)
     return 0
 

@@ -35,7 +35,9 @@ dataclasses:
     0.5 = inputs/a.fcidump
     0.75 = inputs/b.fcidump
 
-Explicit [mu_inputs] entries override the pattern.  CLI flags override
+An explicit [mu_inputs] entry replaces the pattern's file for the grid
+value it matches to within 1e-9 (0.3 matches 0.1 + 2 * 0.1), so each
+grid value has one file.  CLI flags override
 file values.  A section not listed above is an error, as is a key that
 its section does not list, unless it is inherited from [DEFAULT].
 Numbers must be finite: nan and inf are refused.  A value that a
@@ -46,12 +48,13 @@ the section.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .activespace import ActiveSpaceSpec
 from .embedding import EmbeddingConfig
-from .scan import MuScanSpec, mu_grid
+from .scan import _MU_KEY_TOLERANCE, MuScanSpec, mu_grid
 from .vqe import VqeConfig
 
 __all__ = ["ConfigError", "WorkbenchConfig", "load_config"]
@@ -165,6 +168,9 @@ def load_config(path: str | Path) -> WorkbenchConfig:
                     mu = float(key)
                 except ValueError as exc:
                     raise ConfigError(f"[mu_inputs] key {key!r} is not a mu value") from exc
+                if not math.isfinite(mu):
+                    raise ConfigError(f"[mu_inputs] key {key!r} must be finite")
+                mu = next((grid_mu for grid_mu in inputs if abs(grid_mu - mu) < _MU_KEY_TOLERANCE), mu)
                 inputs[mu] = _resolve(base, value)
         cfg.mu_scan = _build(path, "mu_scan", MuScanSpec, **values, per_mu_inputs=inputs)
 

@@ -22,10 +22,9 @@ not the inactive occupation would need another bath and is refused.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import IO, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -52,13 +51,13 @@ __all__ = [
     "EmbeddingError",
     "EmbeddingConfig",
     "EmbeddingState",
+    "LOG_COLUMNS",
     "damping_factor",
     "iteration_log_records",
     "run_embedding",
-    "write_iteration_log_csv",
 ]
 
-_LOG_COLUMNS = ("iteration", "alpha", "energy", "delta_energy", "solver_evaluations")
+LOG_COLUMNS = ("iteration", "alpha", "energy", "delta_energy", "solver_evaluations")
 
 # A pluggable active-space solver maps (active_hamiltonian, iteration) to
 # (electronic energy, spin-summed active 1-RDM, objective evaluations).
@@ -319,18 +318,10 @@ def run_embedding(
 
 
 def iteration_log_records(state: EmbeddingState) -> list[dict]:
-    """The iteration log, one dict per logged iteration with the keys
-    iteration, alpha, energy, delta_energy and solver_evaluations.  The
-    first delta is NaN (no predecessor)."""
+    """The iteration log, one dict per logged iteration with the
+    :data:`LOG_COLUMNS` as keys.  A delta without a predecessor (the
+    first) is None."""
     first = state.iteration - len(state.energy_history) + 1
-    rows = zip(state.alpha_history, state.energy_history, state.delta_history, state.solver_evaluations)
-    return [dict(zip(_LOG_COLUMNS, (first + k, *row))) for k, row in enumerate(rows)]
-
-
-def write_iteration_log_csv(state: EmbeddingState, stream: IO[str]) -> None:
-    """Emit :func:`iteration_log_records` as CSV, the first delta empty."""
-    writer = csv.writer(stream)
-    writer.writerow(_LOG_COLUMNS)
-    for iteration, alpha, energy, delta, evaluations in map(dict.values, iteration_log_records(state)):
-        delta = "" if math.isnan(delta) else format(delta, ".10g")
-        writer.writerow([iteration, format(alpha, ".10g"), format(energy, ".10g"), delta, evaluations])
+    deltas = (None if math.isnan(delta) else delta for delta in state.delta_history)
+    rows = zip(state.alpha_history, state.energy_history, deltas, state.solver_evaluations)
+    return [dict(zip(LOG_COLUMNS, (first + k, *row))) for k, row in enumerate(rows)]

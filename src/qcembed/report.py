@@ -8,6 +8,11 @@ measures how much of the baseline-to-coupled-cluster energy gap the
 embedding closed: 0% is the plain baseline, 100% full recovery.
 Reference energies (E_DFT, E_CCSD per molecule) are ingested constants;
 a versioned copy of published values ships with the package data.
+
+Every table the command line emits is written here, by :func:`csv_text`
+and :func:`json_text`: a CSV cell holds a float to 10 significant
+digits, a boolean in lower case, nothing for None and a list as its
+items' cells joined by spaces; JSON writes a non-finite float as null.
 """
 
 from __future__ import annotations
@@ -31,9 +36,11 @@ __all__ = [
     "load_results",
     "packaged_reference_table",
     "build_report",
-    "write_recovery_csv",
-    "recovery_rows_to_json",
-    "write_energy_table_csv",
+    "ENERGY_TABLE_COLUMNS",
+    "RECOVERY_COLUMNS",
+    "recovery_values",
+    "csv_text",
+    "json_text",
 ]
 
 _DEGENERATE_TOLERANCE = 1e-12
@@ -138,13 +145,20 @@ def _source_lines(source: str | Path | IO[str], default_name: str) -> tuple[obje
 def load_reference_table(source: str | Path | IO[str]) -> dict[str, ReferenceRow]:
     """Read a reference-energy CSV with columns molecule, e_dft, e_ccsd
     (optionally e_hf); '#' lines are comments.  A missing column, a short
-    row or a non-numeric energy raises :class:`ReportError`."""
+    row, a non-numeric energy or a second row for one molecule raises
+    :class:`ReportError`."""
     name, lines = _source_lines(source, "reference table")
     kept = [k for k, line in enumerate(lines, 1) if line.strip() and not line.lstrip().startswith("#")]
     reader = csv.DictReader(lines[k - 1] for k in kept)
     table: dict[str, ReferenceRow] = {}
+    first_row: dict[str, str] = {}
     for record, where in _csv_records(reader, ("molecule", "e_dft", "e_ccsd"), name, kept):
         molecule = record["molecule"].strip()
+        if molecule in table:
+            raise ReportError(
+                f"{where}: second row for molecule {molecule!r}, the first is {first_row[molecule]}"
+            )
+        first_row[molecule] = where
         table[molecule] = ReferenceRow(
             molecule=molecule,
             e_dft=_field(record, "e_dft", where),
@@ -154,11 +168,16 @@ def load_reference_table(source: str | Path | IO[str]) -> dict[str, ReferenceRow
     return table
 
 
+# the per-mu energy table that ``qcembed mu-scan`` writes and load_results reads
+ENERGY_TABLE_COLUMNS = ("molecule", "mu", "ne", "no", "e_hf", "e_qdft", "iterations", "converged")
+
+
 def load_results(source: str | Path | IO[str]) -> list[ResultRow]:
-    """Read an embedding results CSV as :func:`write_energy_table_csv`
-    writes it: columns molecule, ne, no, e_qdft and optionally mu; a row
-    whose ``converged`` reads false, 0 or no is skipped.  A missing
-    column, a short row or a non-numeric field raises :class:`ReportError`."""
+    """Read an embedding results CSV such as the :data:`ENERGY_TABLE_COLUMNS`
+    table of ``qcembed mu-scan``: columns molecule, ne, no, e_qdft and
+    optionally mu; a row whose ``converged`` reads false, 0 or no is
+    skipped.  A missing column, a short row or a non-numeric field raises
+    :class:`ReportError`."""
     name, lines = _source_lines(source, "results table")
     rows = []
     for record, where in _csv_records(csv.DictReader(lines), ("molecule", "ne", "no", "e_qdft"), name):
@@ -224,27 +243,14 @@ def build_report(results: list[ResultRow], references: dict[str, ReferenceRow]) 
     return final
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".10g")
-
-
-def _csv_cell(value):
-    """Floats as 10 significant digits, booleans lower case, None empty."""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return _fmt(value)
-    return "" if value is None else value
-
-
-_RECOVERY_COLUMNS = (
+RECOVERY_COLUMNS = (
     "molecule", "ne", "no", "e_dft", "e_qdft", "e_ccsd", "recovery_percent",
     "above_60_threshold", "best_for_molecule", "plateau", "mu_opt",
 )
 
 
-def _recovery_values(row: RecoveryReport) -> tuple:
-    """The fields of one report row, in ``_RECOVERY_COLUMNS`` order."""
+def recovery_values(row: RecoveryReport) -> tuple:
+    """The fields of one report row, in :data:`RECOVERY_COLUMNS` order."""
     return (
         row.molecule, row.n_active_electrons, row.n_active_orbitals, row.e_dft, row.e_qdft,
         row.e_ccsd, row.recovery_percent, bool(row.above_threshold), bool(row.best_for_molecule),
@@ -252,20 +258,31 @@ def _recovery_values(row: RecoveryReport) -> tuple:
     )
 
 
-def write_recovery_csv(rows: list[RecoveryReport], stream: IO[str]) -> None:
-    writer = csv.writer(stream)
-    writer.writerow(_RECOVERY_COLUMNS)
-    writer.writerows([_csv_cell(value) for value in _recovery_values(row)] for row in rows)
+def _csv_cell(value) -> str:
+    """Floats as 10 significant digits, booleans lower case, None empty,
+    a list as its items' cells joined by spaces."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return format(value, ".10g")
+    if isinstance(value, list):
+        return " ".join(_csv_cell(item) for item in value)
+    return "" if value is None else str(value)
 
 
-def recovery_rows_to_json(rows: list[RecoveryReport]) -> str:
-    return _json_text([dict(zip(_RECOVERY_COLUMNS, _recovery_values(row))) for row in rows])
+def csv_text(columns, rows) -> str:
+    """A CSV table: the header ``columns``, then one line of cells per row."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(columns)
+    writer.writerows([_csv_cell(value) for value in row] for row in rows)
+    return buffer.getvalue()
 
 
-def _json_text(payload) -> str:
-    """Indented RFC 8259 JSON.  JSON has no NaN or Infinity, so a
-    non-finite float (a failed scan point's energy) is written as null."""
-    return json.dumps(_finite_or_null(payload), indent=2, allow_nan=False)
+def json_text(payload) -> str:
+    """Indented RFC 8259 JSON and a newline.  JSON has no NaN or Infinity,
+    so a non-finite float (a failed scan point's energy) is written as null."""
+    return json.dumps(_finite_or_null(payload), indent=2, allow_nan=False) + "\n"
 
 
 def _finite_or_null(value):
@@ -276,28 +293,3 @@ def _finite_or_null(value):
     if isinstance(value, list):
         return [_finite_or_null(item) for item in value]
     return value
-
-
-def write_energy_table_csv(
-    molecule: str,
-    rows,
-    active_electrons: int,
-    active_orbitals: int,
-    stream: IO[str],
-) -> None:
-    """Per-mu energy table: molecule, mu, ne, no, e_hf, e_qdft, iterations, converged."""
-    writer = csv.writer(stream)
-    writer.writerow(["molecule", "mu", "ne", "no", "e_hf", "e_qdft", "iterations", "converged"])
-    for row in rows:
-        writer.writerow(
-            [
-                molecule,
-                _fmt(row.mu),
-                active_electrons,
-                active_orbitals,
-                _fmt(row.e_hf),
-                _fmt(row.e_total),
-                row.iterations,
-                str(row.converged).lower(),
-            ]
-        )

@@ -29,7 +29,6 @@ whole minimization, burning a second core for no speed.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import functools
 import math
@@ -37,7 +36,6 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO
 
 import numpy as np
 
@@ -46,7 +44,7 @@ from .pauli import PauliSum
 # from this module: bench/layers.py wraps them by name
 from .sim import UccsdAnsatz, _evolve_rows, _expectation_rows, evolve_ansatz, expectation
 
-__all__ = ["VqeConfig", "VqeResult", "VqeError", "initialize_parameters", "minimize", "write_trace_csv"]
+__all__ = ["VqeConfig", "VqeResult", "VqeError", "initialize_parameters", "minimize"]
 
 _PARAMETER_BOUND = np.pi  # exp(theta G) is 2*pi-periodic in this representation
 
@@ -281,10 +279,3 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
         gradient_norm=gradient_norm,
     )
 
-
-def write_trace_csv(trace, stream: IO[str]) -> None:
-    """Emit the evaluation trace as CSV (evaluation_index, energy)."""
-    writer = csv.writer(stream)
-    writer.writerow(["evaluation_index", "energy"])
-    for index, energy in trace:
-        writer.writerow([index, format(energy, ".10g")])

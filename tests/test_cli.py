@@ -1,6 +1,11 @@
 """Command-line interface contracts (exit codes, output shapes, overrides)."""
 
+import io
+import itertools
 import json
+import shutil
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -238,6 +243,20 @@ def test_report_names_the_file_and_line_of_a_bad_row(capsys, tmp_path, kind, row
     assert f"error [report.ReportError]: {paths[kind]}:{message}" in err
 
 
+def test_report_refuses_a_repeated_reference_molecule(capsys, tmp_path):
+    references = tmp_path / "references.csv"
+    references.write_text("molecule,e_dft,e_ccsd\nwater,-75.841,-76.205\n# again\nwater,-75.9,-76.3\n")
+    results = tmp_path / "results.csv"
+    results.write_text("molecule,mu,ne,no,e_hf,e_qdft\nwater,7.25,6,6,-76.008,-76.067\n")
+    code = main(["report", "--references", str(references), "--results", str(results)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert (
+        f"error [report.ReportError]: {references}:4: second row for molecule 'water', "
+        f"the first is {references}:2"
+    ) in err
+
+
 def test_mu_scan_subcommand_with_config(capsys, tmp_path, h2_integrals):
     import dataclasses
 
@@ -322,3 +341,78 @@ def test_config_value_refused_by_its_section_names_the_file(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 2
     assert f"error [config.ConfigError]: {path}: [vqe] tolerance must be finite, got nan" in err
+
+
+# Each command of the byte snapshot, with the inputs that
+# _snapshot_inputs lays out; "{name}" is a path from that dict.
+_SNAPSHOT_COMMANDS = {
+    "hf": ["hf", "--fcidump", "{h2}"],
+    "fci": ["fci", "--fcidump", "{lih}", "--active", "2,3"],
+    "embed": ["embed", "--fcidump", "{h2}", "--active", "2,2", "--solver", "fci"],
+    "mu-scan": ["mu-scan", "--config", "{scan}"],
+    "report": ["report", "--references", "{references}", "--results", "{results}"],
+}
+
+
+def _snapshot_inputs(directory: Path) -> dict[str, str]:
+    """Write the snapshot's input files into ``directory``: an FCI mu-scan
+    of H2 whose second point is corrupt, and a report whose results hold
+    a point without mu and a non-converged row."""
+    shutil.copy(FIXTURE_DIR / "h2_sto3g_0735.fcidump", directory / "mu_1.00.fcidump")
+    (directory / "mu_1.50.fcidump").write_text("garbage\n")
+    (directory / "scan.ini").write_text(
+        "[system]\nmolecule = h2\n\n"
+        "[active_space]\nn_electrons = 2\nn_orbitals = 2\n\n"
+        "[embedding]\nactive_solver = fci\n\n"
+        "[mu_scan]\nmu_start = 1.0\nmu_end = 1.5\nmu_step = 0.5\n"
+        "inputs_pattern = mu_{mu:.2f}.fcidump\n"
+    )
+    (directory / "references.csv").write_text("molecule,e_dft,e_ccsd\nwater,-75.841,-76.205\n")
+    (directory / "results.csv").write_text(
+        "molecule,mu,ne,no,e_hf,e_qdft,iterations,converged\n"
+        "water,7.25,4,6,-76.008,-76.0598,2,true\n"
+        "water,,6,6,-76.008,-76.0671,2,true\n"
+        "water,7.25,8,6,-76.008,-99.0,2,false\n"
+    )
+    return {
+        "h2": str(FIXTURE_DIR / "h2_sto3g_0735.fcidump"),
+        "lih": str(FIXTURE_DIR / "lih_sto3g.fcidump"),
+        "scan": str(directory / "scan.ini"),
+        "references": str(directory / "references.csv"),
+        "results": str(directory / "results.csv"),
+    }
+
+
+def _snapshot_cases(directory: Path):
+    """Yield ("command/format/destination", {"code", "stdout", "stderr",
+    "file"}) for every snapshot command in both formats, once to stdout
+    and once with ``--out``; the file is read as bytes, so a line ending
+    that changes is seen."""
+    inputs = _snapshot_inputs(directory)
+    for (name, template), fmt, destination in itertools.product(
+        _SNAPSHOT_COMMANDS.items(), ("csv", "json"), ("stdout", "out")
+    ):
+        argv = [part.format(**inputs) for part in template] + ["--format", fmt]
+        out_path = directory / f"{name}-{fmt}.out"
+        if destination == "out":
+            argv += ["--out", str(out_path)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(argv)
+        written = out_path.read_bytes().decode() if destination == "out" else None
+        yield f"{name}/{fmt}/{destination}", {
+            "code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "file": written,
+        }
+
+
+def test_outputs_match_their_snapshot(tmp_path):
+    """Exit code, stdout, stderr and the --out file of hf, fci, embed,
+    mu-scan and report, in both formats and both destinations, are the
+    bytes in fixtures/cli_snapshots.json (captured by dumping
+    ``dict(_snapshot_cases(directory))`` as JSON).  The VQE commands are
+    left out: their last digits follow the machine's floating point."""
+    expected = json.loads((FIXTURE_DIR / "cli_snapshots.json").read_text())
+    actual = dict(_snapshot_cases(tmp_path))
+    assert list(actual) == list(expected)
+    for key, result in actual.items():
+        assert result == expected[key], key

@@ -1,7 +1,6 @@
 """Damped self-consistency cycle: schedules, exactness limits, histories."""
 
 import dataclasses
-import io
 import math
 
 import numpy as np
@@ -11,13 +10,15 @@ from hypothesis import strategies as st
 
 from qcembed.activespace import ActiveSpaceSpec
 from qcembed.embedding import (
+    LOG_COLUMNS,
     EmbeddingConfig,
     EmbeddingError,
     damping_factor,
+    iteration_log_records,
     run_embedding,
-    write_iteration_log_csv,
 )
 from qcembed.meanfield import solve_rhf
+from qcembed.report import csv_text
 from qcembed.vqe import VqeConfig
 
 
@@ -225,9 +226,9 @@ def test_solver_failure_is_annotated():
 
 def test_iteration_log_csv_schema(h2_integrals):
     state = run_embedding(h2_integrals, ActiveSpaceSpec(2, 2), EmbeddingConfig(active_solver="fci"))
-    buffer = io.StringIO()
-    write_iteration_log_csv(state, buffer)
-    lines = buffer.getvalue().splitlines()
+    records = iteration_log_records(state)
+    assert records[0]["delta_energy"] is None  # no predecessor energy
+    lines = csv_text(LOG_COLUMNS, map(dict.values, records)).splitlines()
     assert lines[0] == "iteration,alpha,energy,delta_energy,solver_evaluations"
     assert len(lines) == len(state.energy_history) + 1
     first = lines[1].split(",")

@@ -63,6 +63,22 @@ def test_module_uses_every_name_it_imports(name, monkeypatch):
     assert sorted(n for n in unused if (module.__name__, n) not in patched) == []
 
 
+@pytest.mark.parametrize("name", [name for name in MODULES if name != "report"])
+def test_only_report_formats_tables(name):
+    """How a number enters a table is decided in ``report`` alone: no
+    other module imports ``csv`` or spells the ``.10g`` cell format."""
+    module = importlib.import_module(f"qcembed.{name}")
+    source = Path(module.__file__).read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert "csv" not in imported
+    assert ".10g" not in source
+
+
 _COLD_PATH_SCRIPT = """
 import json
 import sys

@@ -3,7 +3,6 @@ the batched gradient sweep against the serial reference, and the
 optimizer's BLAS thread pin."""
 
 import ctypes
-import io
 import sys
 import threading
 from unittest import mock
@@ -17,6 +16,7 @@ from qcembed.activespace import ActiveSpaceSpec, reduce_integrals
 from qcembed.fci import fci_solve
 from qcembed.meanfield import solve_rhf
 from qcembed.pauli import PauliSum
+from qcembed.report import csv_text
 from qcembed.sim import build_uccsd_ansatz, map_active_hamiltonian
 from qcembed import vqe
 from qcembed.vqe import (
@@ -24,7 +24,6 @@ from qcembed.vqe import (
     VqeError,
     initialize_parameters,
     minimize,
-    write_trace_csv,
 )
 
 from oracles import reference_minimize
@@ -157,9 +156,7 @@ def test_qubit_count_mismatch_rejected(h2_problem):
 def test_trace_csv_export(h2_problem):
     _, hamiltonian, ansatz = h2_problem
     result = minimize(hamiltonian, ansatz, VqeConfig(seed=0))
-    buffer = io.StringIO()
-    write_trace_csv(result.trace, buffer)
-    lines = buffer.getvalue().splitlines()
+    lines = csv_text(("evaluation_index", "energy"), result.trace).splitlines()
     assert lines[0] == "evaluation_index,energy"
     assert len(lines) == len(result.trace) + 1
     index, energy = lines[1].split(",")

@@ -14,17 +14,19 @@ from qcembed.embedding import EmbeddingConfig
 from qcembed.integrals import save_fcidump, write_fcidump
 from qcembed.meanfield import solve_rhf
 from qcembed.report import (
+    ENERGY_TABLE_COLUMNS,
+    RECOVERY_COLUMNS,
     RecoveryReport,
     ReportError,
     ResultRow,
     build_report,
+    csv_text,
+    json_text,
     load_reference_table,
     load_results,
     packaged_reference_table,
     recovery,
-    recovery_rows_to_json,
-    write_energy_table_csv,
-    write_recovery_csv,
+    recovery_values,
 )
 from qcembed.scan import (
     MuScanConfigError,
@@ -256,9 +258,7 @@ def test_empty_results_give_empty_report():
 def test_recovery_csv_schema_and_formatting():
     results = [ResultRow("water", 6, 6, -76.067, mu=7.25)]
     rows = build_report(results, reference_rows())
-    buffer = io.StringIO()
-    write_recovery_csv(rows, buffer)
-    lines = buffer.getvalue().splitlines()
+    lines = csv_text(RECOVERY_COLUMNS, map(recovery_values, rows)).splitlines()
     header = lines[0].split(",")
     assert header[:8] == [
         "molecule", "ne", "no", "e_dft", "e_qdft", "e_ccsd",
@@ -272,10 +272,14 @@ def test_recovery_csv_schema_and_formatting():
     assert fields[7] == "true"
 
 
+def _recovery_json(rows):
+    return json_text([dict(zip(RECOVERY_COLUMNS, recovery_values(row))) for row in rows])
+
+
 def test_recovery_json_round_trip():
     results = [ResultRow("water", 6, 6, -76.067, mu=7.25)]
     rows = build_report(results, reference_rows())
-    payload = json.loads(recovery_rows_to_json(rows))
+    payload = json.loads(_recovery_json(rows))
     assert payload[0]["molecule"] == "water"
     assert payload[0]["recovery_percent"] == pytest.approx(62.0879, abs=1e-3)
 
@@ -288,16 +292,20 @@ def test_recovery_json_writes_a_non_finite_energy_as_null():
     def refuse(constant):
         raise ValueError(f"{constant} is not JSON")
 
-    payload = json.loads(recovery_rows_to_json([row]), parse_constant=refuse)
+    payload = json.loads(_recovery_json([row]), parse_constant=refuse)
     assert payload[0]["e_qdft"] is None and payload[0]["recovery_percent"] is None
     assert payload[0]["e_dft"] == -75.841
 
 
+def _energy_table(molecule, rows, ne, no):
+    """The per-mu table of ``qcembed mu-scan`` for ``rows``."""
+    table = [(molecule, r.mu, ne, no, r.e_hf, r.e_total, r.iterations, r.converged) for r in rows]
+    return csv_text(ENERGY_TABLE_COLUMNS, table)
+
+
 def test_energy_table_csv_schema():
     rows = [MuScanRow(mu=0.5, e_hf=-1.1, e_total=-1.13, iterations=2, converged=True)]
-    buffer = io.StringIO()
-    write_energy_table_csv("h2", rows, 2, 2, buffer)
-    lines = buffer.getvalue().splitlines()
+    lines = _energy_table("h2", rows, 2, 2).splitlines()
     assert lines[0] == "molecule,mu,ne,no,e_hf,e_qdft,iterations,converged"
     assert lines[1] == "h2,0.5,2,2,-1.1,-1.13,2,true"
 
@@ -310,8 +318,7 @@ def test_energy_table_round_trips_through_load_results(tmp_path):
         MuScanRow(mu=1.5, e_hf=-1.2, e_total=-1.25, iterations=3, converged=True),
     ]
     path = tmp_path / "table.csv"
-    with open(path, "w", newline="") as handle:
-        write_energy_table_csv("h2", rows, 2, 2, handle)
+    path.write_text(_energy_table("h2", rows, 2, 2), newline="")
     expected = [ResultRow("h2", 2, 2, -1.13, 0.5), ResultRow("h2", 2, 2, -1.25, 1.5)]
     assert load_results(path) == expected
     assert load_results(io.StringIO(path.read_text())) == expected
@@ -391,6 +398,31 @@ mu_step = 0.25
     path.write_text(config_text)
     cfg = load_config(path)
     assert list(cfg.mu_scan.per_mu_inputs) == [0.5]
+
+
+def test_explicit_mu_input_wins_over_the_pattern_on_a_rounded_grid(tmp_path):
+    """0.1 + 2 * 0.1 is 0.30000000000000004: the entry for 0.3 replaces the
+    pattern's file for that grid value instead of sitting beside it."""
+    path = tmp_path / "scan.ini"
+    path.write_text(
+        "[mu_scan]\nmu_start = 0.1\nmu_end = 0.3\nmu_step = 0.1\n"
+        "inputs_pattern = mu_{mu:.2f}.fcidump\n\n"
+        "[mu_inputs]\n0.3 = special.fcidump\n"
+    )
+    spec = load_config(path).mu_scan
+    grid = mu_grid(spec)
+    assert grid[2] == 0.1 + 2 * 0.1 != 0.3
+    assert list(spec.per_mu_inputs) == grid
+    assert spec.per_mu_inputs[grid[2]] == tmp_path / "special.fcidump"
+    assert spec.per_mu_inputs[grid[0]] == tmp_path / "mu_0.10.fcidump"
+
+
+@pytest.mark.parametrize("key", ["nan", "inf", "-inf"])
+def test_load_config_refuses_a_non_finite_mu_input(tmp_path, key):
+    path = tmp_path / "scan.ini"
+    path.write_text(f"[mu_scan]\nmu_start = 0.5\nmu_end = 0.5\n\n[mu_inputs]\n{key} = a.fcidump\n")
+    with pytest.raises(ConfigError, match=rf"\[mu_inputs\] key '{key}' must be finite"):
+        load_config(path)
 
 
 def test_load_config_missing_file():
