@@ -40,9 +40,10 @@ value it matches to within 1e-9 (0.3 matches 0.1 + 2 * 0.1), so each
 grid value has one file.  CLI flags override
 file values.  A section not listed above is an error, as is a key that
 its section does not list, unless it is inherited from [DEFAULT].
-Numbers must be finite: nan and inf are refused.  A value that a
-section's dataclass refuses raises ``ConfigError`` naming the file and
-the section.
+Numbers must be finite: nan and inf are refused.  Every ``ConfigError``
+on a file's content (an unknown section or key, a value that cannot be
+cast or that a section's dataclass refuses, a [mu_inputs] key that is
+not a finite mu value) names the file, and the section where it has one.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ _KEYS = {
 _SECTIONS = (*_KEYS, "mu_inputs")
 
 
-def _read_section(parser: configparser.ConfigParser, section: str) -> dict:
+def _read_section(parser: configparser.ConfigParser, section: str, path: str | Path) -> dict:
     """The values a section sets, cast to their types.  A key the section
     may not hold is an error unless it is inherited from [DEFAULT]."""
     known = _KEYS[section]
@@ -98,12 +99,12 @@ def _read_section(parser: configparser.ConfigParser, section: str) -> dict:
         if key not in known:
             if key in parser.defaults():
                 continue
-            raise ConfigError(f"[{section}] unknown key {key!r}; expected one of {', '.join(known)}")
+            raise ConfigError(f"{path}: [{section}] unknown key {key!r}; expected one of {', '.join(known)}")
         raw = parser.get(section, key)
         try:
             values[key] = known[key](raw)
         except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+            raise ConfigError(f"{path}: [{section}] {key} = {raw!r}: {exc}") from exc
     return values
 
 
@@ -128,10 +129,10 @@ def load_config(path: str | Path) -> WorkbenchConfig:
         raise ConfigError(f"cannot read config file {path}")
     for section in parser.sections():
         if section not in _SECTIONS:
-            raise ConfigError(f"unknown section [{section}]; expected one of {', '.join(_SECTIONS)}")
+            raise ConfigError(f"{path}: unknown section [{section}]; expected one of {', '.join(_SECTIONS)}")
     base = Path(path).parent
     cfg = WorkbenchConfig()
-    sections = {name: _read_section(parser, name) for name in _KEYS if parser.has_section(name)}
+    sections = {name: _read_section(parser, name, path) for name in _KEYS if parser.has_section(name)}
 
     if "system" in sections:
         system = sections["system"]
@@ -163,15 +164,17 @@ def load_config(path: str | Path) -> WorkbenchConfig:
             for mu in mu_grid(_build(path, "mu_scan", MuScanSpec, **values)):
                 inputs[mu] = _resolve(base, pattern.format(mu=mu))
         if parser.has_section("mu_inputs"):
-            for key, value in parser.items("mu_inputs"):
+            for key in parser.options("mu_inputs"):
+                if key in parser.defaults():
+                    continue  # inherited from [DEFAULT], as in every other section
                 try:
                     mu = float(key)
                 except ValueError as exc:
-                    raise ConfigError(f"[mu_inputs] key {key!r} is not a mu value") from exc
+                    raise ConfigError(f"{path}: [mu_inputs] key {key!r} is not a mu value") from exc
                 if not math.isfinite(mu):
-                    raise ConfigError(f"[mu_inputs] key {key!r} must be finite")
+                    raise ConfigError(f"{path}: [mu_inputs] key {key!r} must be finite")
                 mu = next((grid_mu for grid_mu in inputs if abs(grid_mu - mu) < _MU_KEY_TOLERANCE), mu)
-                inputs[mu] = _resolve(base, value)
+                inputs[mu] = _resolve(base, parser.get("mu_inputs", key))
         cfg.mu_scan = _build(path, "mu_scan", MuScanSpec, **values, per_mu_inputs=inputs)
 
     return cfg

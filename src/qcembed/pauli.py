@@ -120,18 +120,15 @@ class PauliSum:
     """Weighted sum of Pauli strings with complex coefficients.
 
     Simplified on construction: coefficients of equal strings merge and
-    anything below :data:`PRUNE_TOLERANCE` is dropped.  Instances are
-    treated as immutable; all arithmetic returns new objects.  The
-    simulator fills ``_kernels`` with the sum's terms grouped by X-mask
-    (one table of diagonals and gathers) the first time it evaluates the
-    sum, so the table lives and dies with it.
+    anything below :data:`PRUNE_TOLERANCE` is dropped.  Instances hold
+    their terms alone and are treated as immutable; all arithmetic
+    returns new objects.
     """
 
-    __slots__ = ("n_qubits", "_terms", "_kernels")
+    __slots__ = ("n_qubits", "_terms")
 
     def __init__(self, n_qubits: int, terms: Mapping[PauliString, complex] | None = None):
         self.n_qubits = n_qubits
-        self._kernels = None
         pruned: dict[PauliString, complex] = {}
         if terms:
             for string, coeff in terms.items():

@@ -14,20 +14,24 @@ One routine, :func:`_grouped_operator`, compiles every Pauli operator.
 Strings with one X-mask x share the gather ``b ^ x``, so a sum of them
 is one diagonal D followed by that gather, ``D * amps[b ^ x]``, and a
 :class:`PauliSum` compiles into a (groups x 2^n) table of such diagonals
-and gathers, one row per X-mask.  The table is built on first use, one
-X-mask group at a time with each group summed in term order from +0,
-and kept on the sum:
+and gathers, one row per X-mask.  The table is built one X-mask group at
+a time, each group summed in term order from +0, and is not stored on
+the sum: a loop that reuses one compiles it once and passes it in, as
+:func:`qcembed.vqe.minimize` does for its Hamiltonian, and each public
+call compiles its own.
 
 * :func:`apply_pauli` and :func:`apply_pauli_exponential` apply the
-  one-row table of a single string, built per call.
+  one-row table of a single string through ``_apply_operator``, the one
+  kernel that applies a table: it accumulates from zero, one group at a
+  time in group order, on one state or on a block.
 * A :class:`UccsdAnsatz` compiles each generator G when it is
   constructed.  The terms of a UCCSD generator share one X-mask and G^2
   is diagonal with entries 0 or -1, so exp(theta G) = 1 + sin(theta) G
   + (1 - cos(theta)) G^2 is the identity off G's support and
   cos(theta) + sin(theta) G on it: one rotation of the connected
   amplitudes per generator, read off G's one-row table.
-* :func:`expectation` sums ``D * amps[gather]`` over the groups of the
-  operator's table in group order and takes one ``vdot`` with the sum.
+* :func:`expectation` applies the operator's table with the same
+  kernel and takes one ``vdot`` with the result.
 
 Both run on a block of states at once: ``_evolve_rows`` takes an
 (R x n_parameters) array of parameter vectors and returns their (R x 2^n)
@@ -174,45 +178,49 @@ _GroupedOperator = tuple[np.ndarray, np.ndarray]
 
 
 def _grouped_operator(op: PauliSum) -> _GroupedOperator:
-    """The X-mask table of ``op``, built on first use and kept on ``op``:
-    one row per X-mask in order of first appearance, each a few numpy
-    calls that sum the group's terms in the order of ``op`` from +0.
+    """The X-mask table of ``op``, built anew on every call: one row per
+    X-mask in order of first appearance, each a few numpy calls that sum
+    the group's terms in the order of ``op`` from +0.
 
     The diagonals are float64, the real parts of the complex sums, when
     every imaginary part is exactly 0, as for a mapped Hamiltonian or a
     UCCSD generator; any other operator keeps its complex table.
     """
-    if op._kernels is None:
-        groups: dict[int, list[tuple[int, complex, complex]]] = {}
-        for string, coeff in op:
-            x, z = string.x_mask, string.z_mask
-            groups.setdefault(x, []).append((z, 1j ** ((x & z).bit_count() % 4), coeff))
-        x_masks = np.fromiter(groups, dtype=np.intp, count=len(groups))
-        gathers = np.arange(2**op.n_qubits, dtype=np.intp)[None, :] ^ x_masks[:, None]
-        diagonals = np.empty(gathers.shape, dtype=np.complex128)
-        for gather, diagonal, terms in zip(gathers, diagonals, groups.values()):
-            z_masks, phases, coeffs = (np.array(column) for column in zip(*terms))
-            # factors[s, b] = i^{|x & z_s|} (-1)^{|z_s & (b ^ x)|}, read at the gathered b ^ x
-            signs = 1.0 - 2.0 * parity_of_masked_bits(gather, z_masks[:, None]).astype(np.float64)
-            factors = phases[:, None] * signs
-            np.add.reduce(coeffs[:, None] * factors, axis=0, initial=0.0, out=diagonal)
-        if not diagonals.imag.any():
-            diagonals = np.ascontiguousarray(diagonals.real)
-        op._kernels = (diagonals, gathers)
-    return op._kernels
+    groups: dict[int, list[tuple[int, complex, complex]]] = {}
+    for string, coeff in op:
+        x, z = string.x_mask, string.z_mask
+        groups.setdefault(x, []).append((z, 1j ** ((x & z).bit_count() % 4), coeff))
+    x_masks = np.fromiter(groups, dtype=np.intp, count=len(groups))
+    gathers = np.arange(2**op.n_qubits, dtype=np.intp)[None, :] ^ x_masks[:, None]
+    diagonals = np.empty(gathers.shape, dtype=np.complex128)
+    for gather, diagonal, terms in zip(gathers, diagonals, groups.values()):
+        z_masks, phases, coeffs = (np.array(column) for column in zip(*terms))
+        # factors[s, b] = i^{|x & z_s|} (-1)^{|z_s & (b ^ x)|}, read at the gathered b ^ x
+        signs = 1.0 - 2.0 * parity_of_masked_bits(gather, z_masks[:, None]).astype(np.float64)
+        factors = phases[:, None] * signs
+        np.add.reduce(coeffs[:, None] * factors, axis=0, initial=0.0, out=diagonal)
+    if not diagonals.imag.any():
+        diagonals = np.ascontiguousarray(diagonals.real)
+    return diagonals, gathers
 
 
-def _apply_operator(amps: np.ndarray, op: PauliSum) -> np.ndarray:
-    """op |amps> for one state: the products of all X-mask groups in one
-    stacked call, summed over the group axis in group order."""
-    diagonals, gathers = _grouped_operator(op)
-    return (diagonals * amps[gathers]).sum(0)
+def _apply_operator(columns: np.ndarray, table: _GroupedOperator) -> np.ndarray:
+    """The compiled operator applied to one state or to a (2^n, R) column
+    block, accumulated from zero one X-mask group at a time, in group
+    order and in the common type of the table and the amplitudes."""
+    diagonals, gathers = table
+    per_state = (slice(None),) + (None,) * (columns.ndim - 1)
+    applied = np.zeros(columns.shape, dtype=np.result_type(diagonals, columns))
+    for diagonal, gather in zip(diagonals, gathers):
+        applied += diagonal[per_state] * columns[gather]
+    return applied
 
 
 def apply_pauli(state: Statevector, pauli: PauliString) -> Statevector:
     if pauli.n_qubits != state.n_qubits:
         raise SimulationError("qubit count mismatch")
-    return Statevector(state.n_qubits, _apply_operator(state.amplitudes, PauliSum(pauli.n_qubits, {pauli: 1.0})))
+    table = _grouped_operator(PauliSum(pauli.n_qubits, {pauli: 1.0}))
+    return Statevector(state.n_qubits, _apply_operator(state.amplitudes, table))
 
 
 def apply_pauli_exponential(state: Statevector, pauli: PauliString, angle: float) -> Statevector:
@@ -221,7 +229,7 @@ def apply_pauli_exponential(state: Statevector, pauli: PauliString, angle: float
         raise SimulationError("qubit count mismatch")
     amps = state.amplitudes
     if angle != 0.0:
-        applied = _apply_operator(amps, PauliSum(pauli.n_qubits, {pauli: 1.0}))
+        applied = _apply_operator(amps, _grouped_operator(PauliSum(pauli.n_qubits, {pauli: 1.0})))
         amps = np.cos(angle) * amps + 1j * np.sin(angle) * applied
     return Statevector(state.n_qubits, amps)
 
@@ -234,28 +242,17 @@ def _columns(rows: np.ndarray) -> np.ndarray:
     return rows[0] if len(rows) == 1 else rows.T
 
 
-def _expectation_rows(amps: np.ndarray, op: PauliSum) -> np.ndarray:
-    """<a_r| op |a_r> for every row a_r of an (R, 2^n) amplitude block.
+def _expectation_rows(amps: np.ndarray, table: _GroupedOperator) -> np.ndarray:
+    """<a_r| op |a_r> for every row a_r of an (R, 2^n) block, by op's table.
 
-    op |a_r> is accumulated from zero one X-mask group at a time, in the
-    common type of the table and the block: float64 for real states under
-    a real table.  A single row takes one stacked product over all groups
-    instead, whose sum over the group axis adds the groups in the same
-    order.  Either way each row then takes one complex ``vdot`` of
-    complex128 copies: BLAS's complex dot adds the products in another
+    op |a_r> comes from :func:`_apply_operator`, in float64 for real
+    states under a real table.  Each row then takes one complex ``vdot``
+    of complex128 copies: BLAS's complex dot adds the products in another
     order than its real one, and the complex dot of real vectors is the
     energy every earlier trace holds.  Every row's imaginary residue must
     stay below 1e-10 and is discarded.
     """
-    columns = _columns(amps)
-    if columns.ndim == 1:
-        applied = _apply_operator(columns, op)[None, :]
-    else:
-        diagonals, gathers = _grouped_operator(op)
-        applied = np.zeros(columns.shape, dtype=np.result_type(diagonals, columns))
-        for diagonal, gather in zip(diagonals, gathers):
-            applied += diagonal[:, None] * columns[gather]
-        applied = applied.T
+    applied = np.atleast_2d(_apply_operator(_columns(amps), table).T)
     rows = np.ascontiguousarray(amps, dtype=np.complex128)
     applied = np.ascontiguousarray(applied, dtype=np.complex128)
     values = np.array([np.vdot(row, out) for row, out in zip(rows, applied)], dtype=np.complex128)
@@ -272,7 +269,7 @@ def expectation(state: Statevector, op: PauliSum) -> float:
     stay below 1e-10 and is discarded."""
     if op.n_qubits != state.n_qubits:
         raise SimulationError("qubit count mismatch")
-    return float(_expectation_rows(state.amplitudes[None, :], op)[0])
+    return float(_expectation_rows(state.amplitudes[None, :], _grouped_operator(op))[0])
 
 
 # -- UCCSD ansatz ------------------------------------------------------------
@@ -323,8 +320,7 @@ _Rotation = tuple[np.ndarray, np.ndarray, np.ndarray]
 def _compile_generator(generator: PauliSum) -> _Rotation:
     if any(abs(coeff.real) > _IMAG_TOLERANCE for _, coeff in generator):
         raise SimulationError("excitation generator is not anti-Hermitian")
-    # a copy's table, so the generator keeps none: the rotation is a quarter of its size
-    diagonals, gathers = _grouped_operator(PauliSum(generator.n_qubits, generator.terms()))
+    diagonals, gathers = _grouped_operator(generator)
     if len(diagonals) != 1:
         raise SimulationError("excitation generator terms do not share one X-mask")
     # (G amps)[b] = factors[b] * amps[source[b]] with source[b] = b ^ x

@@ -12,11 +12,12 @@ Each point theta the optimizer evaluates is simulated once, with the 2n
 shifted points of its gradient, in one sweep: the rows theta,
 theta + h e_0, theta - h e_0, theta + h e_1, ... of a ((2n+1) x n)
 matrix, simulated in blocks of at most ``_BLOCK_AMPLITUDES`` amplitudes
-with the statevector kernels' row forms.  L-BFGS-B takes energy and
-gradient from that one call (``jac=True``), which records theta's
-energy and then the shifted ones (+theta_0, -theta_0, +theta_1, ...),
-each one evaluation, as a serial loop would.  An accepted iterate's
-callback entry is the energy scipy hands over in
+with the statevector kernels' row forms, all reading the Hamiltonian's
+X-mask table that the call compiles before its first sweep.  L-BFGS-B
+takes energy and gradient from one sweep (``jac=True``), which records
+theta's energy and then the shifted ones (+theta_0, -theta_0, +theta_1,
+...), each one evaluation, as a serial loop would.  An
+accepted iterate's callback entry is the energy scipy hands over in
 ``intermediate_result``: the one just returned for that point.  The
 callback ends the run with ``StopIteration`` on the energy-change stop.
 
@@ -40,9 +41,10 @@ from pathlib import Path
 import numpy as np
 
 from .pauli import PauliSum
+from .sim import UccsdAnsatz, _evolve_rows, _expectation_rows, _grouped_operator
 # evolve_ansatz and expectation are not called here but stay importable
 # from this module: bench/layers.py wraps them by name
-from .sim import UccsdAnsatz, _evolve_rows, _expectation_rows, evolve_ansatz, expectation
+from .sim import evolve_ansatz, expectation  # noqa: F401
 
 __all__ = ["VqeConfig", "VqeResult", "VqeError", "initialize_parameters", "minimize"]
 
@@ -198,6 +200,7 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
     x0 = initialize_parameters(n, config)
     block_rows = max(1, _BLOCK_AMPLITUDES // 2**ansatz.n_qubits)
     k = np.arange(n)
+    table = _grouped_operator(hamiltonian)
 
     def sweep(theta: np.ndarray) -> list[float]:
         h = config.gradient_step
@@ -206,7 +209,7 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
         rows[2 * k + 1, k] = theta + h
         rows[2 * k + 2, k] = theta - h
         return np.concatenate([
-            _expectation_rows(_evolve_rows(ansatz, rows[start : start + block_rows]), hamiltonian)
+            _expectation_rows(_evolve_rows(ansatz, rows[start : start + block_rows]), table)
             for start in range(0, 2 * n + 1, block_rows)
         ]).tolist()
 

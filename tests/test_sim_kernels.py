@@ -138,7 +138,7 @@ def test_grouped_expectation_matches_reference(case):
     # relative to the largest value the terms can reach
     scale = sum(abs(coeff) for _, coeff in op) * np.vdot(amps, amps).real
     assert abs(expectation(state, op) - expected) <= 1e-12 * max(scale, 1.0)
-    # the second call reads the table the first one built
+    # every call compiles its own table, and the tables agree bitwise
     assert expectation(state, op) == expectation(state, op)
 
 
@@ -232,7 +232,7 @@ def test_real_coefficient_y_string_keeps_a_complex_table():
     thetas = np.random.default_rng(5).uniform(-np.pi, np.pi, size=(3, ansatz.n_parameters))
     thetas[0] = 0.0
     rows = _evolve_rows(ansatz, thetas)
-    energies = _expectation_rows(rows, op)
+    energies = _expectation_rows(rows, _grouped_operator(op))
     for theta, energy in zip(thetas, energies):
         assert energy == expectation(evolve_ansatz(ansatz, theta), op)
 
@@ -307,14 +307,14 @@ def test_row_kernels_are_bitwise_one_row_calls(ansatze, which, seed, n_rows):
     thetas = random_parameter_rows(ansatz, seed, n_rows)
     op = random_hermitian_sum(seed, ansatz.n_qubits)
     rows = _evolve_rows(ansatz, thetas)
-    energies = _expectation_rows(rows, op)
+    energies = _expectation_rows(rows, _grouped_operator(op))
     assert rows.shape == (n_rows, 2**ansatz.n_qubits) and energies.shape == (n_rows,)
     for theta, amps, energy in zip(thetas, rows, energies):
         state = evolve_ansatz(ansatz, theta)
         assert_bitwise_real(np.ascontiguousarray(amps), state.amplitudes)
         assert energy == expectation(state, op)
     # a row-major block of states gives the same energies
-    assert_bitwise(_expectation_rows(np.ascontiguousarray(rows), op), energies)
+    assert_bitwise(_expectation_rows(np.ascontiguousarray(rows), _grouped_operator(op)), energies)
 
 
 # (n_spatial, n_electrons) of the H2 (2e,2o), LiH (2e,3o) and H2O (4e,4o) ansatze
@@ -381,8 +381,9 @@ def test_single_real_row_is_bitwise_the_complex_path(ansatze, which, seed):
     row = _evolve_rows(ansatz, random_parameters(ansatz, seed, 0.3)[None, :])
     op = random_hermitian_sum(seed, ansatz.n_qubits)
     assert row.dtype == np.float64 and row.shape == (1, 2**ansatz.n_qubits)
-    energy = _expectation_rows(row, op)
-    assert_bitwise(energy, _expectation_rows(row.astype(np.complex128), op))
+    table = _grouped_operator(op)
+    energy = _expectation_rows(row, table)
+    assert_bitwise(energy, _expectation_rows(row.astype(np.complex128), table))
 
 
 def test_expectation_rows_checks_every_row():
@@ -391,7 +392,7 @@ def test_expectation_rows_checks_every_row():
     amps[:2, :2] = np.sqrt(0.5)  # <Z_0> = 0 on the first two rows
     amps[2, 0] = 1.0  # <Z_0> = 1 on the last
     with pytest.raises(SimulationError, match="imaginary residue"):
-        _expectation_rows(amps, op)
+        _expectation_rows(amps, _grouped_operator(op))
 
 
 @given(which=st.integers(0, len(ANSATZ_SHAPES) - 1), seed=SEEDS)
@@ -460,7 +461,7 @@ def vqe_problems():
 def test_one_row_expectation_is_bitwise_the_group_loop_on_fixtures(vqe_problems, key, seed):
     hamiltonian, ansatz = vqe_problems[key]
     rows = _evolve_rows(ansatz, random_parameter_rows(ansatz, seed, 5))
-    block = _expectation_rows(rows, hamiltonian)
+    block = _expectation_rows(rows, _grouped_operator(hamiltonian))
     # the real rows of the block, then a complex state through the public path alone
     states = [amps.astype(np.complex128) for amps in rows] + [random_amplitudes(seed, ansatz.n_qubits)]
     for amps, energy in zip(states, list(block) + [None]):
@@ -481,10 +482,11 @@ def test_vqe_trace_is_bitwise_under_the_group_loop(vqe_problems, key, seed, monk
     result = vqe.minimize(hamiltonian, ansatz, config)
     looped_rows = []
 
-    def group_loop_rows(amps, op):
+    def group_loop_rows(amps, table):
         # every swept row goes through the group loop, one row at a time
         looped_rows.extend(amps)
-        return np.array([reference_grouped_expectation(np.ascontiguousarray(row), op) for row in amps])
+        rows = (np.ascontiguousarray(row) for row in amps)
+        return np.array([reference_grouped_expectation(row, hamiltonian) for row in rows])
 
     monkeypatch.setattr(vqe, "_expectation_rows", group_loop_rows)
     looped = vqe.minimize(hamiltonian, ansatz, config)

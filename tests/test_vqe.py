@@ -306,6 +306,42 @@ def test_each_point_is_simulated_once(problems, which, seed, block_rows):
     assert len(swept) == result.evaluations - result.iterations
 
 
+# (problem, block sizes of one sweep) with 4 x 64 amplitudes per block: LiH
+# (2e,3o) sweeps 17 rows of 16 amplitudes, H2O (4e,4o) 53 rows of 64
+TABLE_CASES = {"zero parameters": (None, [1]), "lih": (1, [16, 1]), "h2o": (2, [4] * 13 + [1])}
+
+
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_minimize_compiles_its_table_once(problems, monkeypatch, case):
+    which, sweep_blocks = TABLE_CASES[case]
+    if which is None:
+        ansatz = build_uccsd_ansatz(1, 2)  # no virtuals: 0 parameters
+        hamiltonian = PauliSum.identity(ansatz.n_qubits, -0.75)
+    else:
+        hamiltonian, ansatz = problems[which]
+    compiles, blocks = [], []
+    grouped_operator, expectation_rows = vqe._grouped_operator, vqe._expectation_rows
+
+    def spy_compile(op):
+        compiles.append(op)
+        return grouped_operator(op)
+
+    def spy_rows(amps, table):
+        blocks.append(len(amps))
+        return expectation_rows(amps, table)
+
+    monkeypatch.setattr(vqe, "_BLOCK_AMPLITUDES", 4 * 64)
+    monkeypatch.setattr(vqe, "_grouped_operator", spy_compile)
+    monkeypatch.setattr(vqe, "_expectation_rows", spy_rows)
+    for call in (1, 2):
+        result = minimize(hamiltonian, ansatz, VqeConfig(seed=0, max_iterations=3))
+        assert len(compiles) == call and compiles[-1] is hamiltonian
+    # every sweep of both calls read the one table of its call
+    assert len(blocks) % len(sweep_blocks) == 0 and len(blocks) > len(sweep_blocks)
+    assert blocks == sweep_blocks * (len(blocks) // len(sweep_blocks))
+    assert sum(blocks) == 2 * (result.evaluations - result.iterations)
+
+
 @pytest.mark.parametrize("which", range(len(PROBLEMS)))
 def test_one_objective_and_iterate_energies_from_scipy(problems, which):
     """scipy gets energy and gradient from one callable (jac=True), each

@@ -521,6 +521,39 @@ def test_load_config_mu_inputs_keys_stay_mu_values(tmp_path):
         load_config(path)
 
 
+def test_load_config_mu_inputs_skip_keys_inherited_from_default(tmp_path):
+    path = tmp_path / "scan.ini"
+    path.write_text(
+        "[DEFAULT]\nseed = 7\n\n[vqe]\n\n"
+        "[mu_scan]\nmu_start = 0.1\nmu_end = 0.3\nmu_step = 0.1\n"
+        "inputs_pattern = mu_{mu:.2f}.fcidump\n\n"
+        "[mu_inputs]\n0.3 = special.fcidump\n"
+    )
+    cfg = load_config(path)
+    assert cfg.vqe == VqeConfig(seed=7)
+    grid = mu_grid(cfg.mu_scan)
+    assert list(cfg.mu_scan.per_mu_inputs) == grid
+    assert cfg.mu_scan.per_mu_inputs[grid[2]] == tmp_path / "special.fcidump"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[embeding]\n", "unknown section [embeding]; expected one of"),
+        ("[vqe]\nbogus = 1\n", "[vqe] unknown key 'bogus'; expected one of"),
+        ("[vqe]\nseed = banana\n", "[vqe] seed = 'banana': invalid literal"),
+        ("[mu_scan]\n\n[mu_inputs]\nfirst = a.fcidump\n", "[mu_inputs] key 'first' is not a mu value"),
+        ("[mu_scan]\n\n[mu_inputs]\ninf = a.fcidump\n", "[mu_inputs] key 'inf' must be finite"),
+    ],
+)
+def test_every_config_error_names_the_file(tmp_path, text, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value).startswith(f"{path}: {message}")
+
+
 def test_readme_config_example_loads(tmp_path):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
