@@ -39,7 +39,9 @@ An explicit [mu_inputs] entry replaces the pattern's file for the grid
 value it matches to within 1e-9 (0.3 matches 0.1 + 2 * 0.1), so each
 grid value has one file.  CLI flags override
 file values.  A section not listed above is an error, as is a key that
-its section does not list, unless it is inherited from [DEFAULT].
+its section does not list, unless it is only inherited from [DEFAULT]:
+a key that a section sets itself is checked, and in [mu_inputs] used,
+even when [DEFAULT] sets it too.
 Numbers must be finite: nan and inf are refused.  Every ``ConfigError``
 on a file's content (an unknown section or key, a value that cannot be
 cast or that a section's dataclass refuses, a [mu_inputs] key that is
@@ -90,14 +92,28 @@ _KEYS = {
 _SECTIONS = (*_KEYS, "mu_inputs")
 
 
-def _read_section(parser: configparser.ConfigParser, section: str, path: str | Path) -> dict:
+def _own_keys(path: str | Path) -> configparser.ConfigParser:
+    """The file read again with no default section, so that each
+    section's options are the keys it sets itself, without those it
+    inherits from [DEFAULT].  A newline cannot occur in a section name,
+    and ``strict=False`` lets repeated [DEFAULT] headers, which the first
+    read merges, merge here too."""
+    own = configparser.ConfigParser(default_section="\n", strict=False)
+    own.read(path)
+    return own
+
+
+def _read_section(
+    parser: configparser.ConfigParser, own: configparser.ConfigParser, section: str, path: str | Path
+) -> dict:
     """The values a section sets, cast to their types.  A key the section
-    may not hold is an error unless it is inherited from [DEFAULT]."""
+    may not hold is an error unless only inherited from [DEFAULT]
+    (``own``, from :func:`_own_keys`, holds the section's own keys)."""
     known = _KEYS[section]
     values = {}
     for key in parser.options(section):
         if key not in known:
-            if key in parser.defaults():
+            if not own.has_option(section, key):
                 continue
             raise ConfigError(f"{path}: [{section}] unknown key {key!r}; expected one of {', '.join(known)}")
         raw = parser.get(section, key)
@@ -130,9 +146,10 @@ def load_config(path: str | Path) -> WorkbenchConfig:
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"{path}: unknown section [{section}]; expected one of {', '.join(_SECTIONS)}")
+    own = _own_keys(path)
     base = Path(path).parent
     cfg = WorkbenchConfig()
-    sections = {name: _read_section(parser, name, path) for name in _KEYS if parser.has_section(name)}
+    sections = {name: _read_section(parser, own, name, path) for name in _KEYS if parser.has_section(name)}
 
     if "system" in sections:
         system = sections["system"]
@@ -164,9 +181,8 @@ def load_config(path: str | Path) -> WorkbenchConfig:
             for mu in mu_grid(_build(path, "mu_scan", MuScanSpec, **values)):
                 inputs[mu] = _resolve(base, pattern.format(mu=mu))
         if parser.has_section("mu_inputs"):
-            for key in parser.options("mu_inputs"):
-                if key in parser.defaults():
-                    continue  # inherited from [DEFAULT], as in every other section
+            # keys inherited from [DEFAULT] are skipped, as in every other section
+            for key in own.options("mu_inputs"):
                 try:
                     mu = float(key)
                 except ValueError as exc:

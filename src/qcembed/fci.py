@@ -12,13 +12,20 @@ Chem. Phys. Lett. 111, 315 (1984)):
     H = sum_pq k_pq E_pq + 1/2 sum_pqrs (pq|rs) E_pq E_rs,
     k_pq = h_pq - 1/2 sum_r (pr|rq),   E_pq = E^a_pq + E^b_pq = a+_pa a_qa + a+_pb a_qb.
 
-Each spin gets one excitation table per solve, holding every entry
+Each spin gets one excitation table, holding every entry
 E_pq|J> = sign |I> (q occupied in string J, p empty or p == q), with
 sign = (-1)^(occupied orbitals strictly between p and q).  All alpha
 modes sit below all beta modes, so a beta excitation passes no alpha
 electron and the determinant sign factorises into the per-spin signs.
 Every string has the same number L = k(n - k + 1) of entries for k
-electrons, so a table is a set of (m strings, L) arrays.
+electrons, so a table is a set of (m strings, L) arrays.  The tables
+depend only on the shape (n, n_alpha, n_beta): a small cache keeps one
+read-only string space per shape (``_string_space``), with, for
+n_alpha == n_beta, the spin-flip-even matvec's index tables, and every
+solve, 1-RDM and VQE density of the shape shares it.  Index tables are
+kept as intp arrays behind read-only views, and the gathers hand
+``np.take`` the views' writeable owners: it copies, on every call, an
+index array that is not a writeable intp array.
 
 * Spin flip: with n_alpha == n_beta the alpha and beta strings are one
   set and share one table, and H, its determinant diagonal and the
@@ -42,17 +49,22 @@ electrons, so a table is a set of (m strings, L) arrays.
   (m(m+1)/2, n_pairs) arrays: D is two gathers of the packed vector, G
   one pair-space product run in batches small enough for OpenBLAS to
   keep on the calling thread, and sigma one gather of G and a signed
-  sum.  Their index tables depend only on (n, n_alpha) and are compiled
-  once per shape into a small read-only cache; every buffer is
-  allocated once per solve.  Each step corrects the Ritz pair (theta, x) by
-  (H_diag - theta)^-1 r, r = Hx - theta x, with the exact determinant
-  diagonal H_diag from the string occupations; it stops at
+  sum.  Their index tables are compiled once per shape, with its
+  string space; every buffer is allocated once per solve.  Each step
+  corrects the Ritz pair (theta, x) by (H_diag - theta)^-1 r,
+  r = Hx - theta x, with the exact determinant diagonal H_diag from
+  the string occupations; it stops at
   ||r|| < ``DAVIDSON_TOLERANCE`` and raises :class:`FciConvergenceError`
   after ``DAVIDSON_MAX_ITERATIONS`` steps.  A one-determinant sector
   converges on the first Ritz step, after one matvec.
-* The spin-summed 1-RDM is gamma_pq = c . (E_pq c), from the same D.  It
-  is the package's one 1-RDM routine: ``fci_solve``, :func:`compute_1rdm`
-  and the VQE density (``sim.spin_summed_one_rdm``) all read it.
+* The spin-summed 1-RDM gamma_pq = <c| E_pq |c> is read from the string
+  overlaps at the excitation tables, with no D: gamma^a_pq sums
+  s (C C^T)[I, J] over the alpha entries E_pq|J> = s|I>, gamma^b the
+  same with C^T C, and both are summed onto the pairs p >= q, so gamma
+  is exactly symmetric.  It is the package's one 1-RDM routine:
+  ``fci_solve``, :func:`compute_1rdm` and the VQE density
+  (``sim.spin_summed_one_rdm``) all read it, each from the cached
+  string space of its shape.
 """
 
 from __future__ import annotations
@@ -91,8 +103,8 @@ _SMALL = 1e-8
 # GEMM_MULTITHREAD_THRESHOLD of 4): a larger product wakes a BLAS worker
 # that costs more CPU than it saves at these sizes.
 _SINGLE_THREAD_GEMM_SIZE = 4 * 65536
-# distinct (n, n_alpha = n_beta) shapes whose spin-flip-even tables are kept
-_EVEN_TABLE_CACHE_SIZE = 8
+# distinct (n, n_alpha, n_beta) shapes whose string spaces are kept
+_SPACE_CACHE_SIZE = 8
 
 
 class FciError(ValueError):
@@ -136,16 +148,29 @@ class FciResult:
     residual_norm: float = 0.0
 
 
-class _ExcitationTable:
-    """Every E_pq|J> = sign |I> over one spin's ascending strings.
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of a fresh C-ordered copy of ``array``; the view's
+    ``.base`` is that copy, the writeable array ``np.take`` gathers
+    through without copying it (it copies, on every call, an index
+    array that is not a writeable intp array)."""
+    view = np.array(array, order="C").view()
+    view.flags.writeable = False
+    return view
 
-    ``pq``, ``target`` and ``sign`` are (m, L) arrays: row J holds the
-    L entries of string J, in (p, q) order.  ``occupations`` is the
-    (m, n) 0/1 occupation of each string.
+
+class _ExcitationTable:
+    """Every E_pq|J> = sign |I> over one spin's ascending strings,
+    read-only.
+
+    ``pq``, ``pair``, ``target`` and ``sign`` are (m, L) arrays: row J
+    holds the L entries of string J, in (p, q) order, ``pair`` the pair
+    max(p, q)(max(p, q) + 1)/2 + min(p, q) of each.  ``strings`` holds
+    the m int64 occupation masks and ``occupations`` their (m, n) 0/1
+    occupations.
     """
 
-    def __init__(self, strings, n: int):
-        masks = np.asarray(strings, dtype=np.int64)
+    def __init__(self, n: int, n_occupied: int):
+        masks = np.array(_bit_strings(n, n_occupied), dtype=np.int64)
         bit = np.left_shift(np.int64(1), np.arange(n, dtype=np.int64))
         occupied = (masks[:, None] & bit) != 0
         # allowed[J, p, q]: q occupied in J and p empty or p == q
@@ -157,63 +182,74 @@ class _ExcitationTable:
         moved = masks[source] ^ bit[p] ^ bit[q]
 
         shape = (len(masks), -1)
+        self.n_pairs = n * (n + 1) // 2
+        self.strings = masks
         self.occupations = occupied.astype(np.float64)
         self.pq = (p * n + q).reshape(shape)
+        self.pair = (high * (high + 1) // 2 + low).reshape(shape)
         self.target = np.searchsorted(masks, moved).reshape(shape)
         self.sign = (1.0 - 2.0 * parity).reshape(shape)
+        for array in (self.strings, self.occupations, self.pq, self.pair, self.target, self.sign):
+            array.flags.writeable = False
+
+    def gather_rows(self) -> np.ndarray:
+        """A fresh (m, n_pairs) intp array whose [I, pair] is the row of
+        [C; -C; 0] (C with m rows) that the one entry E_pq|J> = s|I> of
+        the pair reaching string I reads: J + m (s < 0), or 2m for none.
+        No two entries of one pair reach the same string."""
+        m = len(self.strings)
+        rows = np.full((m, self.n_pairs), 2 * m, dtype=np.intp)
+        rows[self.target, self.pair] = np.arange(m)[:, None] + m * (self.sign < 0)
+        return rows
+
+    def pair_sums(self, overlap: np.ndarray) -> np.ndarray:
+        """Per pair, the sum of s overlap[I, J] over the entries
+        E_pq|J> = s|I>.  For the overlap C C^T of the alpha strings (C^T C
+        of the beta ones) that is this spin's <c| E_pq + E_qp |c> for
+        p > q and <c| E_pp |c> for p == q."""
+        m = len(self.strings)
+        terms = self.sign * overlap[self.target, np.arange(m)[:, None]]
+        return np.bincount(self.pair.ravel(), terms.ravel(), minlength=self.n_pairs)
 
 
 class _StringSpace:
-    """The alpha and beta excitation tables of one (N, S_z) sector.
+    """The alpha and beta excitation tables of one (n, n_alpha, n_beta)
+    sector, read-only and shared: :func:`_string_space` keeps one per
+    shape.  Equal alpha and beta string sets share one table, and such a
+    space with n > 0 also carries the spin-flip-even matvec's tables
+    (``even``, :func:`_compile_even_tables`); otherwise ``even`` is None.
 
-    ``excitations`` gives D+[I, pair, i] = ((E_pq + E_qp) c)[I, i] for the
-    pair p > q (E_pp c for p == q), pair = p(p+1)/2 + q, with c viewed as
-    C[I, i].  No two entries of one pair reach the same string, so D+ is
-    two gathers: rows of [C; -C; 0] for alpha, columns of [C, -C, 0] for
-    beta, where slots no entry reaches read the zero.  D+ is a buffer
-    owned by the space and is overwritten by the next call.  Equal alpha
-    and beta string sets share one table.  The whole-sector matvec and
-    the 1-RDM read D+ here; the spin-flip-even matvec compiles its packed
-    triangle tables from the alpha table (:func:`_even_tables`).
+    ``pair_of`` maps pq = p n + q to its pair p(p+1)/2 + q (p >= q),
+    ``pairs`` each pair to its pq with p >= q.  The 1-RDM reads the
+    string overlaps C C^T and C^T C at the excitation tables, with c
+    viewed as C[I, i], and no D+ (see :meth:`one_rdm`).
     """
 
-    def __init__(self, n: int, alpha_strings, beta_strings):
+    def __init__(self, n: int, n_alpha: int, n_beta: int):
         self.n = n
-        self.alpha = a = _ExcitationTable(alpha_strings, n)
-        same = np.array_equal(alpha_strings, beta_strings)
-        self.beta = b = a if same else _ExcitationTable(beta_strings, n)
-        m_a, m_b = self.shape = (len(alpha_strings), len(beta_strings))
+        self.alpha = a = _ExcitationTable(n, n_alpha)
+        self.beta = b = a if n_alpha == n_beta else _ExcitationTable(n, n_beta)
+        m_a, m_b = self.shape = (len(a.strings), len(b.strings))
         self.dimension = m_a * m_b
         p, q = np.divmod(np.arange(n * n), n)
         high, low = np.maximum(p, q), np.minimum(p, q)
         self.pair_of = high * (high + 1) // 2 + low  # pq -> pair
         self.pairs = np.flatnonzero(p >= q)  # pair -> pq with p >= q
-        n_pairs = len(self.pairs)
-        alpha_rows = np.full((m_a, n_pairs), 2 * m_a, dtype=np.intp)
-        alpha_rows[a.target, self.pair_of[a.pq]] = np.arange(m_a)[:, None] + m_a * (a.sign < 0)
-        beta_cols = np.full((n_pairs, m_b), 2 * m_b, dtype=np.intp)
-        beta_cols[self.pair_of[b.pq], b.target] = np.arange(m_b)[:, None] + m_b * (b.sign < 0)
-        self._alpha_rows, self._beta_cols = alpha_rows.ravel(), beta_cols.ravel()
-        self._d = np.empty((m_a, n_pairs, m_b))
-        self._work = np.empty((m_a, n_pairs, m_b))
-
-    def excitations(self, vector: np.ndarray) -> np.ndarray:
-        """D+ with D+[I, pair, i] = (E+_pair c)[I, i]."""
-        m_a, m_b = self.shape
-        c = vector.reshape(self.shape)
-        rows = np.concatenate((c, -c, np.zeros((1, m_b))))
-        np.take(rows, self._alpha_rows, axis=0, out=self._d.reshape(-1, m_b), mode="clip")
-        cols = np.concatenate((c, -c, np.zeros((m_a, 1))), axis=1)
-        np.take(cols, self._beta_cols, axis=1, out=self._work.reshape(m_a, -1), mode="clip")
-        self._d += self._work
-        return self._d
+        # gamma_pq = paired[pair_of[pq]] / 2 off the diagonal
+        self._pair_scale = np.where(p == q, 1.0, 0.5)
+        for array in (self.pair_of, self.pairs, self._pair_scale):
+            array.flags.writeable = False
+        # an empty active space (n == 0) is never solved
+        self.even = _compile_even_tables(self) if a is b and n else None
 
     def one_rdm(self, vector: np.ndarray) -> np.ndarray:
-        """Spin-summed gamma_pq = <c| E_pq |c> = <c| E+_pq |c> / 2 for p != q."""
-        d = self.excitations(vector)
-        paired = np.einsum("Ii,Iki->k", vector.reshape(self.shape), d)
-        p, q = np.divmod(np.arange(self.n * self.n), self.n)
-        return (paired[self.pair_of] * np.where(p == q, 1.0, 0.5)).reshape(self.n, self.n)
+        """Spin-summed gamma_pq = <c| E^a_pq + E^b_pq |c> for c viewed as
+        C[I, i]: gamma^a_pq sums s (C C^T)[I, J] over the alpha entries
+        E_pq|J> = s|I>, gamma^b the same with C^T C over the beta ones.
+        Both are summed onto the pairs, so gamma is exactly symmetric."""
+        c = vector.reshape(self.shape)
+        paired = self.alpha.pair_sums(c @ c.T) + self.beta.pair_sums(c.T @ c)
+        return (paired[self.pair_of] * self._pair_scale).reshape(self.n, self.n)
 
 
 class _SpinFlipEvenBasis:
@@ -223,7 +259,7 @@ class _SpinFlipEvenBasis:
     I < i, pairs (I, i) in row-major order, so x[0] is the Hartree-Fock
     determinant.  ``unpack`` is the isometry P: x -> C (flattened) and
     ``pack`` its transpose P^T, so pack(unpack(x)) == x and P^T H P is H
-    restricted to the spin-flip-even states.
+    restricted to the spin-flip-even states.  Its arrays are read-only.
     """
 
     def __init__(self, m: int):
@@ -235,6 +271,8 @@ class _SpinFlipEvenBasis:
         diagonal = rows == cols
         self._unpack_scale = np.where(diagonal, 1.0, math.sqrt(0.5))
         self._pack_scale = np.where(diagonal, 0.5, math.sqrt(0.5))
+        for array in (self.upper, self.mirror, self._unpack_scale, self._pack_scale):
+            array.flags.writeable = False
 
     def unpack(self, x: np.ndarray) -> np.ndarray:
         """P x: the flattened symmetric C."""
@@ -267,7 +305,7 @@ def _alpha_sigma(space: _StringSpace) -> Callable[[np.ndarray], np.ndarray]:
     a = space.alpha
     m_a, width = a.pq.shape
     m_b = space.shape[1]
-    rows = (a.target * len(space.pairs) + space.pair_of[a.pq]).ravel()
+    rows = (a.target * len(space.pairs) + a.pair).ravel()
     gathered = np.empty((m_a, width, m_b))
 
     def product(g: np.ndarray) -> np.ndarray:
@@ -280,26 +318,48 @@ def _alpha_sigma(space: _StringSpace) -> Callable[[np.ndarray], np.ndarray]:
 def _hamiltonian_operator(
     space: _StringSpace, k: np.ndarray, eri: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """c -> sigma = sum_pair (E+_pair G_pair + k_pair D+_pair), G = 1/2 (pq|rs) D+.
-    E+ is symmetric, so (I, i) gathers s G[J, pair, i] over the entries
-    E_pq|I> = s|J> of its alpha string (:func:`_alpha_sigma`) and
-    s G[I, pair, j] over those of its beta string."""
+    """c -> sigma = sum_pair (E+_pair G_pair + k_pair D+_pair), G = 1/2 (pq|rs) D+,
+    over the whole sector.
+
+    D+[I, pair, i] = ((E_pq + E_qp) c)[I, i] for the pair p > q (E_pp c
+    for p == q), with c viewed as C[I, i], is two gathers: rows of
+    [C; -C; 0] for alpha and columns of [C, -C, 0] for beta
+    (:meth:`_ExcitationTable.gather_rows`), where slots no entry reaches
+    read the zero.  E+ is symmetric, so (I, i) of sigma gathers
+    s G[J, pair, i] over the entries E_pq|I> = s|J> of its alpha string
+    (:func:`_alpha_sigma`) and s G[I, pair, j] over those of its beta
+    string.  The gather tables, writeable intp arrays so that
+    ``np.take`` copies none (:func:`_read_only`), and every buffer are
+    made here, once per operator."""
     m_a, m_b = space.shape
     b = space.beta
     n_pairs = len(space.pairs)
     alpha_sigma = _alpha_sigma(space)
-    beta_cols = (space.pair_of[b.pq] * m_b + b.target).T  # columns of G as (m_a, n_pairs * m_b)
+    alpha_rows = space.alpha.gather_rows().ravel()
+    beta_cols = b.gather_rows().T.ravel()  # in (pair, i) order
+    # columns of G as (m_a, n_pairs * m_b)
+    beta_terms_index = np.ascontiguousarray((b.pair * m_b + b.target).T)
     beta_sign = b.sign.T
     half_eri = 0.5 * eri[np.ix_(space.pairs, space.pairs)]
     k = k[space.pairs]
-    g = np.empty((m_a, n_pairs, m_b))
+    rows = np.zeros((2 * m_a + 1, m_b))  # [C; -C; 0]
+    cols = np.zeros((m_a, 2 * m_b + 1))  # [C, -C, 0]
+    d = np.empty((m_a, n_pairs, m_b))
+    g = np.empty((m_a, n_pairs, m_b))  # the beta half of D+ until the product
     beta_terms = np.empty((m_a, b.pq.shape[1], m_b))
 
     def matvec(vector: np.ndarray) -> np.ndarray:
-        d = space.excitations(np.ravel(vector))
+        c = np.reshape(vector, space.shape)
+        rows[:m_a] = c
+        np.negative(c, out=rows[m_a:-1])
+        cols[:, :m_b] = c
+        np.negative(c, out=cols[:, m_b:-1])
+        np.take(rows, alpha_rows, axis=0, out=d.reshape(-1, m_b), mode="clip")
+        np.take(cols, beta_cols, axis=1, out=g.reshape(m_a, -1), mode="clip")
+        np.add(d, g, out=d)
         np.matmul(half_eri, d, out=g)
         sigma = alpha_sigma(g)
-        np.take(g.reshape(m_a, -1), beta_cols, axis=1, out=beta_terms, mode="clip")
+        np.take(g.reshape(m_a, -1), beta_terms_index, axis=1, out=beta_terms, mode="clip")
         np.multiply(beta_terms, beta_sign, out=beta_terms)
         sigma += beta_terms.sum(axis=1)
         sigma += np.matmul(k, d)
@@ -310,7 +370,8 @@ def _hamiltonian_operator(
 
 class _EvenTables(NamedTuple):
     """The spin-flip-even matvec's index tables for one (n, n_alpha =
-    n_beta) shape, read-only and shared by every solve of the shape.
+    n_beta) shape, read-only and shared by every solve of the shape
+    through its cached :class:`_StringSpace` (``even``).
 
     Row t of the packed triangle is the pair (I, i), I <= i, of
     ``basis``; its slots in x~ = [x s; -x s; 0] (s the unpack scale, so
@@ -318,8 +379,9 @@ class _EvenTables(NamedTuple):
     and ``second[t, pair]`` for D_a[i, pair, I].  ``sigma_index[I, w, i]``
     is the flat index into G (width n_pairs + 1) of G[tri(J, i), pair]
     for the w-th alpha entry E_pq|I> = ``sign[I, w]`` |J>.  The three
-    index tables are int32; the triangle is padded to ``batches`` x
-    ``rows`` rows for the pair-space product.
+    index tables are intp, and each is a read-only view whose ``.base``
+    is the writeable array the matvec hands ``np.take``.  The triangle is
+    padded to ``batches`` x ``rows`` rows for the pair-space product.
     """
 
     basis: _SpinFlipEvenBasis
@@ -332,41 +394,40 @@ class _EvenTables(NamedTuple):
     rows: int
 
 
-@functools.lru_cache(maxsize=_EVEN_TABLE_CACHE_SIZE)
-def _even_tables(n: int, n_occupied: int) -> _EvenTables:
-    strings = _bit_strings(n, n_occupied)
-    space = _StringSpace(n, strings, strings)
-    basis = _SpinFlipEvenBasis(len(strings))
+def _compile_even_tables(space: _StringSpace) -> _EvenTables:
+    """The :class:`_EvenTables` of a space whose alpha and beta strings
+    are one set."""
+    a = space.alpha
+    basis = _SpinFlipEvenBasis(space.shape[0])
     m, size, n_pairs = basis.m, basis.dimension, len(space.pairs)
     width = n_pairs + 1
     upper_rows, upper_cols = np.divmod(basis.upper, m)
-    tri = np.empty(m * m, dtype=np.int32)  # (I, i) -> its triangle row, either order
+    tri = np.empty(m * m, dtype=np.intp)  # (I, i) -> its triangle row, either order
     tri[basis.upper] = tri[basis.mirror] = np.arange(size)
     tri = tri.reshape(m, m)
     # slot[v, i]: the x~ slot that alpha gather entry v (a source string,
     # m + one read with a minus sign, or 2m for none) reads at column i
-    slot = np.concatenate((tri, tri + size, np.full((1, m), 2 * size, dtype=np.int32)))
-    alpha_rows = space._alpha_rows.reshape(m, n_pairs)
-    a = space.alpha
+    slot = np.concatenate((tri, tri + size, np.full((1, m), 2 * size, dtype=np.intp)))
+    alpha_rows = a.gather_rows()
     rows = _SINGLE_THREAD_GEMM_SIZE // (n_pairs * width) or size
     batches = -(-size // rows)
-    tables = _EvenTables(
+    return _EvenTables(
         basis=basis,
         pairs=space.pairs,
-        first=slot[alpha_rows[upper_rows], upper_cols[:, None]],
-        second=slot[alpha_rows[upper_cols], upper_rows[:, None]],
-        sigma_index=tri[a.target[:, :, None], np.arange(m)] * np.int32(width)
-        + space.pair_of[a.pq][:, :, None].astype(np.int32),
+        first=_read_only(slot[alpha_rows[upper_rows], upper_cols[:, None]]),
+        second=_read_only(slot[alpha_rows[upper_cols], upper_rows[:, None]]),
+        sigma_index=_read_only(tri[a.target[:, :, None], np.arange(m)] * width + a.pair[:, :, None]),
         sign=a.sign,
         batches=batches,
         rows=-(-size // batches),
     )
-    for array in (
-        basis.upper, basis.mirror, basis._unpack_scale, basis._pack_scale,
-        tables.pairs, tables.first, tables.second, tables.sigma_index, tables.sign,
-    ):
-        array.flags.writeable = False  # shared by every solve of the shape
-    return tables
+
+
+@functools.lru_cache(maxsize=_SPACE_CACHE_SIZE)
+def _string_space(n: int, n_alpha: int, n_beta: int) -> _StringSpace:
+    """The cached string space of one shape, shared by every solve and
+    1-RDM of it."""
+    return _StringSpace(n, n_alpha, n_beta)
 
 
 def _even_hamiltonian_operator(
@@ -384,13 +445,13 @@ def _even_hamiltonian_operator(
     which runs in batches small enough for OpenBLAS to keep on the
     calling thread.
 
-    Every buffer is allocated here, once per solve, and so are intp
-    copies of the index tables: ``np.take`` copies an index array that
-    is not a writeable intp array on every call, and a fresh gather
-    result would fault its pages in on every call."""
+    Every buffer is allocated here, once per solve: a fresh gather
+    result would fault its pages in on every call.  The gathers read the
+    cached tables' writeable owners (:func:`_read_only`), so no call
+    copies a table."""
     basis, pairs = tables.basis, tables.pairs
     first, second, sigma_index = (
-        table.astype(np.intp) for table in (tables.first, tables.second, tables.sigma_index)
+        table.base for table in (tables.first, tables.second, tables.sigma_index)
     )
     size, n_pairs = first.shape
     width = n_pairs + 1
@@ -556,13 +617,11 @@ def fci_solve(
     if n > 62:  # strings are int64 masks; the sign rule shifts past bit n - 1
         raise FciCapacityError(f"{n} orbitals exceed the 62 an occupation string holds")
 
-    alpha_strings = tuple(_bit_strings(n, n_alpha))
-    beta_strings = tuple(_bit_strings(n, n_beta))
-    space = _StringSpace(n, alpha_strings, beta_strings)
+    space = _string_space(n, n_alpha, n_beta)
     k, eri = _integrals(active)
     diagonal = _diagonal(space, k, eri)
-    if n_alpha == n_beta:
-        tables = _even_tables(n, n_alpha)
+    if space.even is not None:
+        tables = space.even
         even = tables.basis
         # the determinant diagonal at x's pairs preconditions exactly as it
         # does the symmetric C on the full sector
@@ -586,8 +645,8 @@ def fci_solve(
         basis_dimension=dimension,
         one_rdm=space.one_rdm(vector),
         n_orbitals=n,
-        alpha_strings=alpha_strings,
-        beta_strings=beta_strings,
+        alpha_strings=tuple(space.alpha.strings.tolist()),
+        beta_strings=tuple(space.beta.strings.tolist()),
         matvecs=matvecs,
         residual_norm=residual_norm,
     )
@@ -596,5 +655,5 @@ def fci_solve(
 def compute_1rdm(result: FciResult) -> np.ndarray:
     """Spin-summed one-particle reduced density matrix of the ground state,
     recomputed from the stored eigenvector."""
-    space = _StringSpace(result.n_orbitals, result.alpha_strings, result.beta_strings)
-    return space.one_rdm(result.ground_vector)
+    n_alpha, n_beta = (strings[0].bit_count() for strings in (result.alpha_strings, result.beta_strings))
+    return _string_space(result.n_orbitals, n_alpha, n_beta).one_rdm(result.ground_vector)

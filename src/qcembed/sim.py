@@ -70,7 +70,9 @@ can lose terms there that W keeps; W prunes only the final sums.
 
 :func:`spin_summed_one_rdm` reads the density in the FCI string space,
 one (N_alpha, N_beta) sector at a time, through the one 1-RDM routine
-of :mod:`qcembed.fci`, which alone holds the E_pq sign rule.
+of :mod:`qcembed.fci`, which alone holds the E_pq sign rule: each
+sector's amplitudes are gathered at the cached string space of its
+shape, and the density is read from their string overlaps.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .activespace import ActiveHamiltonian
-from .fci import _StringSpace, _bit_strings
+from .fci import _string_space
 
 from .fermion import excitation_term, hamiltonian_columns, integral_vector
 from .mappings import compile_linear_map, drop_qubit_positions, occupation_to_parity_bits, reduction_sector
@@ -585,11 +587,9 @@ def spin_summed_one_rdm(state: Statevector, n_spatial: int) -> np.ndarray:
     beta_counts = np.bitwise_count(nonzero >> n_spatial)
     gamma = np.zeros((n_spatial, n_spatial))
     for sector in np.unique(alpha_counts * (n_spatial + 1) + beta_counts).tolist():
-        n_alpha, n_beta = divmod(sector, n_spatial + 1)
-        alpha = np.array(_bit_strings(n_spatial, n_alpha), dtype=np.int64)
-        beta = np.array(_bit_strings(n_spatial, n_beta), dtype=np.int64)
+        space = _string_space(n_spatial, *divmod(sector, n_spatial + 1))
+        alpha, beta = space.alpha.strings, space.beta.strings
         vector = amps[alpha[:, None] | (beta[None, :] << n_spatial)].ravel()
-        space = _StringSpace(n_spatial, alpha, beta)
         gamma += space.one_rdm(vector.real)
         if vector.imag.any():
             gamma += space.one_rdm(vector.imag)

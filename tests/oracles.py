@@ -460,18 +460,16 @@ def reference_two_pass_one_rdm(amps: np.ndarray, n_spatial: int) -> np.ndarray:
     """``sim.spin_summed_one_rdm`` as it read every state before it learnt
     to skip a zero imaginary part: both the real and the imaginary pass in
     every (N_alpha, N_beta) sector."""
-    from qcembed.fci import _bit_strings, _StringSpace
+    from qcembed.fci import _string_space
 
     nonzero = np.flatnonzero(amps)
     sectors = np.bitwise_count(nonzero & ((1 << n_spatial) - 1)) * (n_spatial + 1)
     sectors += np.bitwise_count(nonzero >> n_spatial)
     gamma = np.zeros((n_spatial, n_spatial))
     for sector in np.unique(sectors).tolist():
-        n_alpha, n_beta = divmod(sector, n_spatial + 1)
-        alpha = np.array(_bit_strings(n_spatial, n_alpha), dtype=np.int64)
-        beta = np.array(_bit_strings(n_spatial, n_beta), dtype=np.int64)
+        space = _string_space(n_spatial, *divmod(sector, n_spatial + 1))
+        alpha, beta = space.alpha.strings, space.beta.strings
         vector = amps[alpha[:, None] | (beta[None, :] << n_spatial)].ravel()
-        space = _StringSpace(n_spatial, alpha, beta)
         gamma += space.one_rdm(vector.real)
         gamma += space.one_rdm(vector.imag)
     return gamma
@@ -658,15 +656,16 @@ def reference_even_hamiltonian_operator(space, basis, k: np.ndarray, eri: np.nda
 
     m = basis.m
     alpha_sigma = _alpha_sigma(space)
+    alpha_rows = space.alpha.gather_rows().ravel()
     half_eri = 0.5 * eri[np.ix_(space.pairs, space.pairs)]
     k = k[space.pairs]
-    d = space._work
+    d = np.empty((m, len(space.pairs), m))
+    d_alpha = np.empty_like(d)
 
     def matvec(x: np.ndarray) -> np.ndarray:
         c = basis.unpack(x).reshape(m, m)
         rows = np.concatenate((c, -c, np.zeros((1, m))))
-        d_alpha = space._d
-        np.take(rows, space._alpha_rows, axis=0, out=d_alpha.reshape(-1, m), mode="clip")
+        np.take(rows, alpha_rows, axis=0, out=d_alpha.reshape(-1, m), mode="clip")
         # a transposed copy and a contiguous add beat one add with a
         # transposed operand
         np.copyto(d, d_alpha.transpose(2, 1, 0))

@@ -43,9 +43,8 @@ def problems():
         )
         ansatz = build_uccsd_ansatz(active.n_orbitals, active.n_electrons)
         n = active.n_orbitals
-        alpha = np.array(fci._bit_strings(n, ansatz.n_alpha), dtype=np.int64)
-        beta = np.array(fci._bit_strings(n, ansatz.n_beta), dtype=np.int64)
-        space = fci._StringSpace(n, alpha, beta)
+        space = fci._string_space(n, ansatz.n_alpha, ansatz.n_beta)
+        alpha, beta = space.alpha.strings, space.beta.strings
         operator = fci._hamiltonian_operator(space, *fci._integrals(active))
         built[name] = ansatz, map_active_hamiltonian(active), (alpha, beta), operator
     return built

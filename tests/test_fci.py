@@ -1,8 +1,10 @@
 """Exact diagonalization against brute-force Fock-space oracles, the
 Slater-Condon determinant oracle and goldens."""
 
+import functools
 import json
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from qcembed.activespace import ActiveHamiltonian, ActiveSpaceSpec, reduce_integ
 from qcembed.fci import FciCapacityError, FciConvergenceError, FciError, compute_1rdm, fci_solve
 from qcembed.integrals import SymmetricTwoBody, read_fcidump
 from qcembed.meanfield import solve_rhf
+from qcembed.sim import Statevector, spin_summed_one_rdm
 
 from oracles import (
     brute_force_ground_energy,
@@ -213,7 +216,7 @@ def sectors(draw):
     n_alpha, n_beta = draw(st.integers(0, n)), draw(st.integers(0, n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     active = random_active_hamiltonian(rng, n)
-    space = fci._StringSpace(n, fci._bit_strings(n, n_alpha), fci._bit_strings(n, n_beta))
+    space = fci._string_space(n, n_alpha, n_beta)
     vector = rng.normal(size=space.dimension)
     return active, n_alpha, n_beta, space, vector / np.linalg.norm(vector)
 
@@ -235,6 +238,34 @@ def test_one_rdm_matches_slater_condon(case):
     np.testing.assert_allclose(space.one_rdm(vector), expected, rtol=0, atol=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    sector=st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n), st.integers(0, n))),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.0, 1e-3, 1.0, 30.0]),
+)
+def test_overlap_one_rdm_matches_both_oracles(sector, seed, scale):
+    """The 1-RDM read from the string overlaps C C^T and C^T C, on S_z = 0
+    and S_z != 0 sectors of 1-6 orbitals, for unnormalised vectors and
+    the zero vector (scale 0): within 1e-12 ||c||^2 of the Slater-Condon
+    oracle and, up to 4 orbitals (its dense 2^2n ladder matrices), of the
+    Fock-space oracle; exactly symmetric, with trace N ||c||^2."""
+    n, n_alpha, n_beta = sector
+    space = fci._string_space(n, n_alpha, n_beta)
+    vector = scale * np.random.default_rng(seed).normal(size=space.dimension)
+    norm2 = float(vector @ vector)
+    bound = 1e-12 * norm2
+    gamma = space.one_rdm(vector)
+    np.testing.assert_array_equal(gamma, gamma.T)
+    assert abs(np.trace(gamma) - (n_alpha + n_beta) * norm2) <= bound
+    expected = reference_fci_one_rdm(n, n_alpha, n_beta, vector)
+    np.testing.assert_allclose(gamma, expected, rtol=0, atol=bound)
+    if n <= 4:
+        fock_indices = space.alpha.strings[:, None] | (space.beta.strings[None, :] << n)
+        expected = brute_force_one_rdm(vector, fock_indices.ravel(), n)
+        np.testing.assert_allclose(gamma, expected, rtol=0, atol=bound)
+
+
 @given(sectors())
 @settings(max_examples=60, deadline=None)
 def test_diagonal_matches_dense_matrix(case):
@@ -253,7 +284,7 @@ def test_alpha_product_matches_the_csr_oracle(sector, seed):
     """The gather-and-sum alpha product against the CSR matrix it
     replaced, on every sector of up to 6 orbitals."""
     n, n_alpha, n_beta = sector
-    space = fci._StringSpace(n, fci._bit_strings(n, n_alpha), fci._bit_strings(n, n_beta))
+    space = fci._string_space(n, n_alpha, n_beta)
     g = np.random.default_rng(seed).normal(size=(space.shape[0], len(space.pairs), space.shape[1]))
     expected = reference_alpha_sigma_matrix(space) @ g.reshape(-1, space.shape[1])
     actual = fci._alpha_sigma(space)(g)
@@ -279,7 +310,7 @@ def _check_davidson_ground(active, n_alpha, n_beta) -> None:
     is out of the contract, not missed).
     """
     n = active.n_orbitals
-    space = fci._StringSpace(n, fci._bit_strings(n, n_alpha), fci._bit_strings(n, n_beta))
+    space = fci._string_space(n, n_alpha, n_beta)
     general = fci._hamiltonian_operator(space, *fci._integrals(active))
     matrix = reference_fci_matrix(active, n_alpha, n_beta)
     to_basis, operator, dimension = np.asarray, general, space.dimension
@@ -352,7 +383,7 @@ def even_sectors(draw):
     strings = fci._bit_strings(n, n_occupied)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     active = random_active_hamiltonian(rng, n)
-    space = fci._StringSpace(n, strings, strings)
+    space = fci._string_space(n, n_occupied, n_occupied)
     basis = fci._SpinFlipEvenBasis(len(strings))
     x = rng.normal(size=basis.dimension)
     return active, n_occupied, space, basis, x / np.linalg.norm(x)
@@ -365,7 +396,7 @@ def _check_even_matvec(active, n_occupied, space, basis, x) -> None:
     k, eri = fci._integrals(active)
     expected = basis.pack(fci._hamiltonian_operator(space, k, eri)(basis.unpack(x)))
     oracle = reference_even_hamiltonian_operator(space, basis, k, eri)(x)
-    even = fci._even_hamiltonian_operator(fci._even_tables(space.n, n_occupied), k, eri)
+    even = fci._even_hamiltonian_operator(space.even, k, eri)
     for _ in range(2):
         actual = even(x)
         np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12)
@@ -389,7 +420,7 @@ def test_even_matvec_on_every_shape_up_to_six_orbitals(n, n_occupied):
     basis = fci._SpinFlipEvenBasis(len(strings))
     x = rng.normal(size=basis.dimension)
     _check_even_matvec(
-        random_active_hamiltonian(rng, n), n_occupied, fci._StringSpace(n, strings, strings), basis, x
+        random_active_hamiltonian(rng, n), n_occupied, fci._string_space(n, n_occupied, n_occupied), basis, x
     )
 
 
@@ -412,8 +443,8 @@ def test_cached_even_tables_are_read_only_and_serve_every_hamiltonian_of_a_shape
         n_occupied = active.n_orbitals // 2
         result = fci_solve(active, n_electrons=2 * n_occupied, s_z=0.0)
         assert result.ground_energy == pytest.approx(_lowest_even_energy(active, n_occupied), abs=1e-10)
-    tables = fci._even_tables(4, 2)
-    assert fci._even_tables(4, 2) is tables
+    tables = fci._string_space(4, 2, 2).even
+    assert fci._string_space(4, 2, 2).even is tables
     basis = tables.basis
     arrays = [tables.pairs, tables.first, tables.second, tables.sigma_index, tables.sign]
     for array in arrays + [basis.upper, basis.mirror, basis._unpack_scale, basis._pack_scale]:
@@ -422,25 +453,121 @@ def test_cached_even_tables_are_read_only_and_serve_every_hamiltonian_of_a_shape
             array.flat[0] = 0
 
 
+def test_even_operator_and_its_matvec_copy_no_index_table():
+    """Building the spin-flip-even operator of H8's (8e,8o) shape holds
+    its buffers and less than one index table more, and a matvec
+    allocates less than one index table: the gathers read the cached
+    tables themselves, not per-solve or per-call copies."""
+    tables = fci._string_space(8, 4, 4).even
+    k, eri = fci._integrals(random_active_hamiltonian(np.random.default_rng(26), 8))
+    x = np.random.default_rng(27).normal(size=tables.basis.dimension)
+    n_pairs, padded = len(tables.pairs), tables.batches * tables.rows
+    width = n_pairs + 1
+    # x~, D+ (which the sigma gather reuses), G and the pair-space weights
+    buffers = 8 * (
+        2 * tables.basis.dimension + 1
+        + max(padded * n_pairs, tables.sigma_index.size)
+        + padded * width
+        + n_pairs * width
+    )
+    table = tables.first.nbytes
+    tracemalloc.start()
+    try:
+        operator = fci._even_hamiltonian_operator(tables, k, eri)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        operator(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held - buffers < table
+    assert peak - held < table
+
+
+def _space_arrays(space) -> list[np.ndarray]:
+    """Every array a cached string space holds, its even tables and their
+    basis included."""
+    holders = [space, space.alpha, space.beta]
+    arrays = []
+    if space.even is not None:
+        holders.append(space.even.basis)
+        arrays += [value for value in space.even if isinstance(value, np.ndarray)]
+    for holder in holders:
+        arrays += [value for value in vars(holder).values() if isinstance(value, np.ndarray)]
+    return arrays
+
+
+def test_solves_leave_the_cached_spaces_bitwise_unchanged(h2o_integrals, lih_integrals):
+    """Solves and 1-RDMs of fixture and random Hamiltonians, S_z != 0
+    sectors included, leave every array of the cached string spaces
+    read-only and bitwise as it was after the first solve of its shape."""
+    rng = np.random.default_rng(28)
+    cases = [
+        (reduce_integrals(h2o_integrals, solve_rhf(h2o_integrals), ActiveSpaceSpec(10, 7)), {}),
+        (reduce_integrals(lih_integrals, solve_rhf(lih_integrals), ActiveSpaceSpec(4, 6)), {}),
+        (random_active_hamiltonian(rng, 4), dict(n_electrons=4)),
+        (random_active_hamiltonian(rng, 4), dict(n_electrons=4, s_z=1.0)),
+        (random_active_hamiltonian(rng, 5), dict(n_electrons=3, s_z=-0.5)),
+    ]
+    shapes = [(7, 5, 5), (6, 2, 2), (4, 2, 2), (4, 3, 1), (5, 1, 2)]
+    fci._string_space.cache_clear()
+    for active, sector in cases:
+        fci_solve(active, **sector)
+    spaces = [fci._string_space(*shape) for shape in shapes]
+    before = [[array.tobytes() for array in _space_arrays(space)] for space in spaces]
+    for active, sector in cases + [(random_active_hamiltonian(rng, 4), dict(n_electrons=4))]:
+        compute_1rdm(fci_solve(active, **sector))
+    for shape, space, expected in zip(shapes, spaces, before):
+        assert fci._string_space(*shape) is space
+        arrays = _space_arrays(space)
+        assert [array.tobytes() for array in arrays] == expected
+        assert not any(array.flags.writeable for array in arrays)
+
+
+def _occupation_state(result) -> Statevector:
+    """An FCI ground vector on the 2n occupation-basis modes, alpha string
+    in the low n bits and beta string in the high ones."""
+    n = result.n_orbitals
+    amps = np.zeros(4**n, dtype=np.complex128)
+    index = np.array(result.alpha_strings)[:, None] | (np.array(result.beta_strings)[None, :] << n)
+    amps[index.ravel()] = result.ground_vector
+    return Statevector(2 * n, amps)
+
+
 def test_concurrent_even_solves_share_the_tables():
-    """Threads solving Hamiltonians of one shape at once, from a cold
-    cache and with frequent thread switches, get bitwise the serial
-    results: they share only the read-only tables, not the buffers."""
+    """Threads that mix solves, 1-RDMs and VQE densities of the shapes
+    (5, 2, 2) and (5, 3, 2) at once, from one cold cache and with
+    frequent thread switches, get bitwise the serial results: they share
+    only the read-only cached string spaces, not the buffers."""
     rng = np.random.default_rng(25)
-    hamiltonians = [random_active_hamiltonian(rng, 5) for _ in range(4)] * 4
-    serial = [fci_solve(active, n_electrons=4) for active in hamiltonians[:4]] * 4
-    fci._even_tables.cache_clear()
+    hamiltonians = [random_active_hamiltonian(rng, 5) for _ in range(4)]
+    calls = []
+    for active in hamiltonians:
+        for sector in (dict(n_electrons=4), dict(n_electrons=5, s_z=0.5)):
+            result = fci_solve(active, **sector)
+            calls += [
+                functools.partial(fci_solve, active, **sector),
+                functools.partial(compute_1rdm, result),
+                functools.partial(spin_summed_one_rdm, _occupation_state(result), 5),
+            ]
+    calls *= 3
+    serial = [call() for call in calls]
+    fci._string_space.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(fci_solve, active, 4) for active in hamiltonians]
+            futures = [pool.submit(call) for call in calls]
             results = [future.result(timeout=120) for future in futures]
     finally:
         sys.setswitchinterval(interval)
     for result, expected in zip(results, serial):
-        assert result.ground_energy == expected.ground_energy
-        np.testing.assert_array_equal(result.ground_vector, expected.ground_vector)
+        if isinstance(expected, fci.FciResult):
+            assert result.ground_energy == expected.ground_energy
+            np.testing.assert_array_equal(result.ground_vector, expected.ground_vector)
+            np.testing.assert_array_equal(result.one_rdm, expected.one_rdm)
+        else:
+            np.testing.assert_array_equal(result, expected)
 
 
 @given(even_sectors())
@@ -462,7 +589,7 @@ def test_spin_flip_even_packing_is_an_isometry(case):
 def test_even_sector_shares_one_table_and_its_one_rdm_matches_the_oracle():
     active = random_active_hamiltonian(np.random.default_rng(58), 4)
     result = fci_solve(active, n_electrons=4, s_z=0.0)
-    space = fci._StringSpace(4, result.alpha_strings, result.beta_strings)
+    space = fci._string_space(4, 2, 2)
     assert space.beta is space.alpha
     np.testing.assert_allclose(
         result.one_rdm,
@@ -540,7 +667,7 @@ def test_davidson_matches_lanczos_on_fixture_spaces(request, molecule, spec):
     integrals = request.getfixturevalue(f"{molecule}_integrals")
     active = reduce_integrals(integrals, solve_rhf(integrals), ActiveSpaceSpec(*spec))
     result = fci_solve(active)
-    space = fci._StringSpace(active.n_orbitals, result.alpha_strings, result.beta_strings)
+    space = fci._string_space(active.n_orbitals, active.n_electrons // 2, active.n_electrons // 2)
     oracle_energy, oracle_vector = reference_lanczos_ground(
         fci._hamiltonian_operator(space, *fci._integrals(active)), space.dimension
     )

@@ -536,6 +536,25 @@ def test_load_config_mu_inputs_skip_keys_inherited_from_default(tmp_path):
     assert cfg.mu_scan.per_mu_inputs[grid[2]] == tmp_path / "special.fcidump"
 
 
+def test_load_config_refuses_an_own_unknown_key_that_default_also_sets(tmp_path):
+    path = tmp_path / "defaults.ini"
+    path.write_text("[DEFAULT]\nowner = me\n\n[vqe]\nowner = you\n\n[embedding]\n")
+    with pytest.raises(ConfigError, match=r"\[vqe\] unknown key 'owner'"):
+        load_config(path)
+
+
+def test_load_config_own_mu_inputs_entry_wins_over_default_and_pattern(tmp_path):
+    path = tmp_path / "scan.ini"
+    path.write_text(
+        "[DEFAULT]\n0.5 = a.fcidump\n\n"
+        "[mu_scan]\nmu_start = 0.5\nmu_end = 1.0\nmu_step = 0.5\n"
+        "inputs_pattern = mu_{mu:.2f}.fcidump\n\n"
+        "[mu_inputs]\n0.5 = b.fcidump\n"
+    )
+    cfg = load_config(path)
+    assert cfg.mu_scan.per_mu_inputs == {0.5: tmp_path / "b.fcidump", 1.0: tmp_path / "mu_1.00.fcidump"}
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
