@@ -126,15 +126,23 @@ def select_orbitals(mf: MeanFieldResult, spec: ActiveSpaceSpec) -> tuple[list[in
 def transform_to_mo_basis(
     integrals: IntegralSet, coefficients: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate one- and two-body integrals into the molecular-orbital basis."""
+    """Rotate one- and two-body integrals into the molecular-orbital basis.
+
+    The four quarter transforms run as ``np.einsum(..., optimize=True)``
+    runs each of them, without its path search: the summed axis moved
+    last, one (n^3 x n) @ (n x m) matmul, the new axis moved back in place.
+    The bits are einsum's, but for a one-orbital tensor, which einsum
+    multiplies out: there the 1 x 1 matmul can turn a -0.0 into +0.0.
+    """
     c = np.asarray(coefficients)
     h_mo = c.T @ integrals.one_body @ c
     eri = integrals.two_body_dense
-    eri = np.einsum("pi,pqrs->iqrs", c, eri, optimize=True)
-    eri = np.einsum("qj,iqrs->ijrs", c, eri, optimize=True)
-    eri = np.einsum("rk,ijrs->ijks", c, eri, optimize=True)
-    eri_mo = np.einsum("sl,ijks->ijkl", c, eri, optimize=True)
-    return h_mo, eri_mo
+    for axis in range(4):
+        moved = eri.transpose([k for k in range(4) if k != axis] + [axis])
+        product = moved.reshape(-1, moved.shape[-1]) @ c
+        back = [0, 1, 2][:axis] + [3] + [0, 1, 2][axis:]
+        eri = product.reshape(moved.shape[:-1] + product.shape[-1:]).transpose(back)
+    return h_mo, eri
 
 
 def reduce_in_orbital_basis(

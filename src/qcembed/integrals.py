@@ -56,6 +56,18 @@ def _pair_indices(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return high * (high + 1) // 2 + low
 
 
+def _last_rows(keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, np.ndarray]:
+    """(each key in [0, n_keys) that occurs in ``keys``, in key order; the
+    index of its last occurrence).  numpy leaves the winner of repeated
+    fancy-index writes undefined, so a last-wins write goes through these
+    rows, once a key; ``np.maximum.at`` is defined for repeated indices
+    and, unlike ``np.unique``, needs no sort."""
+    last = np.full(n_keys, -1)
+    np.maximum.at(last, keys, np.arange(len(keys)))
+    present = np.flatnonzero(last >= 0)
+    return present, last[present]
+
+
 def canonical_classes(n_orbitals: int) -> list[tuple[int, int, int, int]]:
     """The canonical representative (p, q, r, s) of every (pq|rs) class:
     p >= q, r >= s and (p, q) >= (r, s), sorted by index tuple.  This is
@@ -122,11 +134,8 @@ class SymmetricTwoBody:
                 f"{tuple(indices[outside][0].tolist())}"
             )
         p, q, r, s = indices.T
-        classes = _pair_indices(_pair_indices(p, q), _pair_indices(r, s))
-        # numpy leaves the winner of repeated fancy-index writes undefined,
-        # so each class is written once, from the last row a dict keeps
-        last = dict(zip(classes.tolist(), range(len(classes))))
-        self._values[list(last)] = np.asarray(values, dtype=float)[list(last.values())] + 0.0
+        classes, rows = _last_rows(_pair_indices(_pair_indices(p, q), _pair_indices(r, s)), len(self._values))
+        self._values[classes] = np.asarray(values, dtype=float)[rows] + 0.0
 
     def items_canonical(self) -> Iterator[tuple[tuple[int, int, int, int], float]]:
         """Yield ((p, q, r, s), value) for the canonical representative of
@@ -259,6 +268,14 @@ def parse_fcidump(source: str | IO[str]) -> IntegralSet:
     energies written by some emitters) are skipped.  A kept record whose
     value is not finite is refused.  Duplicate entries overwrite, last
     wins.
+
+    The records are read in bulk: one split tokenises them all, one
+    ``np.array`` call converts the values and one the indices (each
+    calling ``float()`` or ``int()`` on every token), and masks sort them
+    into core, one-body, two-body and orbital-energy records.  Only when
+    these find a malformed record are the records checked one at a time,
+    so the error names the first malformed line and its first failed
+    check, as a record-by-record reader would.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -304,49 +321,80 @@ def parse_fcidump(source: str | IO[str]) -> IntegralSet:
     if n_orbitals < 1:
         raise FcidumpError(f"NORB must be positive, got {n_orbitals}", 1)
 
-    one_body = np.zeros((n_orbitals, n_orbitals))
-    two_body_indices: list[tuple[int, int, int, int]] = []
-    two_body_values: list[float] = []
-    core_energy = 0.0
+    # Every kept record is tokenised by one split of all of them, joined
+    # with a NUL token that splits them apart again: no well-formed record
+    # holds a NUL, so the split has one NUL after each five fields exactly
+    # when every record has five fields.
+    records = list(filter(str.strip, lines[data_start:]))
+    joined = " \0 ".join(records + [""])
+    if "!" in joined or "#" in joined:  # comment lines, or a malformed record
+        records = [record for record in records if record.lstrip()[0] not in "!#"]
+        joined = " \0 ".join(records + [""])
+    tokens = joined.replace(",", " ").split()
+    n_records = len(records)
+    if not (len(tokens) == 6 * n_records and joined.count("\0") == tokens[5::6].count("\0") == n_records):
+        raise _first_record_error(lines, data_start, n_orbitals)
+    values = tokens[0::6]
+    if "D" in joined or "d" in joined:
+        values = [value.replace("D", "E").replace("d", "e") for value in values]
+    try:  # both call float() and int() on each token
+        values = np.array(values, dtype=np.float64)
+        indices = np.array([tokens[1::6], tokens[2::6], tokens[3::6], tokens[4::6]], dtype=np.intp)
+    except (ValueError, OverflowError):
+        raise _first_record_error(lines, data_start, n_orbitals) from None
 
+    # with every index in [0, NORB], "nonzero" is "positive"
+    outside = ((indices < 0) | (indices > n_orbitals)).any(axis=0)
+    zero = indices == 0
+    orbital_energy = ~zero[0] & zero[1:].all(axis=0)  # not part of the Hamiltonian
+    core = zero.all(axis=0)
+    one = ~zero[:2].any(axis=0) & zero[2:].all(axis=0)
+    two = ~zero.any(axis=0)
+    if (outside | ~orbital_energy & ~(np.isfinite(values) & (core | one | two))).any():
+        raise _first_record_error(lines, data_start, n_orbitals)
+
+    core_energy = float(values[core][-1]) if core.any() else 0.0
+    # the last record of each (i j) / (j i) pair sets both elements
+    p, q = indices[:2, one] - 1
+    _, last = _last_rows(_pair_indices(p, q), n_orbitals * (n_orbitals + 1) // 2)
+    p, q, one_values = p[last], q[last], values[one][last]
+    one_body = np.zeros((n_orbitals, n_orbitals))
+    one_body[p, q] = one_values
+    one_body[q, p] = one_values
+    two_body = SymmetricTwoBody(n_orbitals)
+    two_body.set_many(indices[:, two].T - 1, values[two])
+    return IntegralSet(n_orbitals, n_electrons, spin_2ms, core_energy, one_body, two_body)
+
+
+def _first_record_error(lines: list[str], data_start: int, n_orbitals: int) -> FcidumpError:
+    """The error of the first malformed data record, found by checking the
+    records one at a time, in line order: field count, value, indices,
+    index range, orbital-energy records skipped, finiteness, index pattern."""
     for lineno in range(data_start + 1, len(lines) + 1):
         stripped = lines[lineno - 1].strip()
-        if not stripped or stripped.startswith("!") or stripped.startswith("#"):
+        if not stripped or stripped[0] in "!#":
             continue
         fields = stripped.replace(",", " ").split()
         if len(fields) != 5:
-            raise FcidumpError(f"expected 'value i j k l', got {stripped!r}", lineno)
+            return FcidumpError(f"expected 'value i j k l', got {stripped!r}", lineno)
         try:
             value = float(fields[0].replace("D", "E").replace("d", "e"))
         except ValueError:
-            raise FcidumpError(f"non-numeric value field {fields[0]!r}", lineno) from None
+            return FcidumpError(f"non-numeric value field {fields[0]!r}", lineno)
         try:
             i, j, k, l = (int(f) for f in fields[1:])
         except ValueError:
-            raise FcidumpError(f"non-integer index in {stripped!r}", lineno) from None
+            return FcidumpError(f"non-integer index in {stripped!r}", lineno)
         for idx in (i, j, k, l):
             if idx < 0 or idx > n_orbitals:
-                raise FcidumpError(f"index {idx} outside [0, NORB={n_orbitals}]", lineno)
-
+                return FcidumpError(f"index {idx} outside [0, NORB={n_orbitals}]", lineno)
         if j == k == l == 0 and i > 0:
-            continue  # orbital-energy record, not part of the Hamiltonian
+            continue
         if not math.isfinite(value):
-            raise FcidumpError(f"non-finite value {fields[0]!r}", lineno)
-        if i == j == k == l == 0:
-            core_energy = value
-        elif k == l == 0 and i > 0 and j > 0:
-            one_body[i - 1, j - 1] = value
-            one_body[j - 1, i - 1] = value
-        elif min(i, j, k, l) > 0:
-            two_body_indices.append((i, j, k, l))
-            two_body_values.append(value)
-        else:
-            raise FcidumpError(f"unrecognized index pattern {(i, j, k, l)}", lineno)
-
-    # every record in one numpy step, with the last of a class winning as above
-    two_body = SymmetricTwoBody(n_orbitals)
-    two_body.set_many(np.array(two_body_indices, dtype=np.intp).reshape(-1, 4) - 1, two_body_values)
-    return IntegralSet(n_orbitals, n_electrons, spin_2ms, core_energy, one_body, two_body)
+            return FcidumpError(f"non-finite value {fields[0]!r}", lineno)
+        if not (i == j == k == l == 0 or (k == l == 0 and i > 0 and j > 0) or min(i, j, k, l) > 0):
+            return FcidumpError(f"unrecognized index pattern {(i, j, k, l)}", lineno)
+    raise AssertionError("the bulk checks refused a well-formed record")
 
 
 def read_fcidump(path: str | Path) -> IntegralSet:

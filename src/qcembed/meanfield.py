@@ -10,7 +10,11 @@ Each Roothaan step is one ``np.linalg.eigh`` call (lower triangle, full
 spectrum) after a finite-input check, so a non-finite Fock matrix raises
 ``ValueError`` before it reaches LAPACK.  The density 2 C_occ C_occ^T
 does not depend on the eigenvectors' signs, so the signs are fixed once,
-on the canonical orbitals returned.  The module needs numpy only.
+on the canonical orbitals returned.  The loop runs on h, the dense
+(pq|rs) tensor and the core energy bound once per solve, through the
+same private Fock and energy steps that :func:`build_fock` and
+:func:`electronic_energy` run after their input checks.  The module
+needs numpy only.
 """
 
 from __future__ import annotations
@@ -61,19 +65,27 @@ def coulomb_exchange(eri: np.ndarray, density: np.ndarray) -> tuple[np.ndarray, 
     return coulomb, exchange
 
 
+def _fock(h: np.ndarray, eri: np.ndarray, density: np.ndarray) -> np.ndarray:
+    coulomb, exchange = coulomb_exchange(eri, density)
+    return h + coulomb - 0.5 * exchange
+
+
+def _energy(h: np.ndarray, core_energy: float, density: np.ndarray, fock: np.ndarray) -> float:
+    return 0.5 * float((density * (h + fock)).sum()) + core_energy
+
+
 def build_fock(integrals: IntegralSet, density: np.ndarray) -> np.ndarray:
     """Closed-shell Fock matrix F_pq = h_pq + sum_rs D_rs [(pq|rs) - (pr|sq)/2]."""
     density = np.asarray(density, dtype=float)
     n = integrals.n_orbitals
     if density.shape != (n, n):
         raise ScfError(f"density shape {density.shape} does not match {n} orbitals")
-    coulomb, exchange = coulomb_exchange(integrals.two_body_dense, density)
-    return integrals.one_body + coulomb - 0.5 * exchange
+    return _fock(integrals.one_body, integrals.two_body_dense, density)
 
 
 def electronic_energy(integrals: IntegralSet, density: np.ndarray, fock: np.ndarray) -> float:
     """Total energy 0.5 * sum_pq D_pq (h_pq + F_pq) + core."""
-    return 0.5 * float(np.sum(density * (integrals.one_body + fock))) + integrals.core_energy
+    return _energy(integrals.one_body, integrals.core_energy, density, fock)
 
 
 def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
@@ -143,12 +155,13 @@ def solve_rhf(
         raise ScfError(f"mixing must lie in (0, 1], got {mixing}")
 
     n_occ = integrals.n_electrons // 2
+    h, eri, core_energy = integrals.one_body, integrals.two_body_dense, integrals.core_energy
 
     # Core guess: occupy the lowest eigenvectors of h.
-    eps, coeff = _diagonalize(integrals.one_body)
+    eps, coeff = _diagonalize(h)
     density = _occupy(eps, coeff, n_occ)
-    fock = build_fock(integrals, density)
-    energy = electronic_energy(integrals, density, fock)
+    fock = _fock(h, eri, density)
+    energy = _energy(h, core_energy, density, fock)
 
     converged = False
     iterations = 0
@@ -158,8 +171,8 @@ def solve_rhf(
         eps, coeff = _diagonalize(fock)
         new_density = _occupy(eps, coeff, n_occ)
         density = (1.0 - mixing) * density + mixing * new_density
-        fock = build_fock(integrals, density)
-        new_energy = electronic_energy(integrals, density, fock)
+        fock = _fock(h, eri, density)
+        new_energy = _energy(h, core_energy, density, fock)
         delta = abs(new_energy - energy)
         energy = new_energy
         history.append(energy)
@@ -171,8 +184,8 @@ def solve_rhf(
     eps, coeff = _diagonalize(fock)
     coeff = _fix_eigenvector_signs(coeff)
     density = _occupy(eps, coeff, n_occ)
-    fock = build_fock(integrals, density)
-    energy = electronic_energy(integrals, density, fock)
+    fock = _fock(h, eri, density)
+    energy = _energy(h, core_energy, density, fock)
 
     return MeanFieldResult(
         energy=energy,

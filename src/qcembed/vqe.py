@@ -190,11 +190,18 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
 
     trace: list[tuple[int, float]] = []
 
-    def record(energy: float) -> float:
-        if not math.isfinite(energy):
-            raise VqeError(f"non-finite energy {energy} during optimization", list(trace))
-        trace.append((len(trace), energy))
-        return energy
+    def record(energies: list[float]) -> list[float]:
+        """Append ``energies`` to the trace, each one evaluation; at a
+        non-finite one, raise with the trace up to it instead."""
+        start = len(trace)
+        if not all(map(math.isfinite, energies)):
+            bad = next(k for k, energy in enumerate(energies) if not math.isfinite(energy))
+            raise VqeError(
+                f"non-finite energy {energies[bad]} during optimization",
+                trace + list(zip(range(start, start + bad), energies[:bad])),
+            )
+        trace.extend(zip(range(start, start + len(energies)), energies))
+        return energies
 
     n = ansatz.n_parameters
     x0 = initialize_parameters(n, config)
@@ -214,7 +221,7 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
         ]).tolist()
 
     if n == 0:
-        energy = record(sweep(x0)[0])
+        energy = record(sweep(x0))[0]
         return VqeResult(
             energy=energy,
             parameters=x0,
@@ -230,9 +237,8 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
 
     def energy_and_gradient(theta: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal gradient_norm
-        energies = sweep(theta)
-        energy = record(energies[0])
-        shifted = np.array([record(value) for value in energies[1:]])
+        energy, *shifted = record(sweep(theta))
+        shifted = np.array(shifted)
         gradient = (shifted[0::2] - shifted[1::2]) / (2.0 * config.gradient_step)
         gradient_norm = float(np.max(np.abs(gradient)))
         return energy, gradient
@@ -244,7 +250,7 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
         return len(last) == 2 and abs(last[1] - last[0]) < config.tolerance
 
     def callback(intermediate_result: scipy.optimize.OptimizeResult) -> None:
-        iterate_energies.append(record(float(intermediate_result.fun)))
+        iterate_energies.extend(record([float(intermediate_result.fun)]))
         if settled():
             raise StopIteration
 

@@ -187,6 +187,115 @@ def reference_from_dense(tensor: np.ndarray):
     return obj
 
 
+def reference_set_many(two_body, indices, values) -> None:
+    """``SymmetricTwoBody.set_many`` with a dict that keeps the last row
+    of each class, each class then written once."""
+    from qcembed.integrals import _pair_indices
+
+    indices = np.asarray(indices, dtype=np.intp).reshape(-1, 4)
+    outside = np.any((indices < 0) | (indices >= two_body.n_orbitals), axis=1)
+    if outside.any():
+        raise IndexError(
+            f"orbital index out of range for n_orbitals={two_body.n_orbitals}: "
+            f"{tuple(indices[outside][0].tolist())}"
+        )
+    p, q, r, s = indices.T
+    classes = _pair_indices(_pair_indices(p, q), _pair_indices(r, s))
+    last = dict(zip(classes.tolist(), range(len(classes))))
+    two_body._values[list(last)] = np.asarray(values, dtype=float)[list(last.values())] + 0.0
+
+
+def reference_parse_fcidump(text: str):
+    """``integrals.parse_fcidump`` one record at a time: each data line is
+    split, converted and checked in turn, one-body elements are written as
+    they come and two-body records go through :func:`reference_set_many`."""
+    import math
+
+    from qcembed.integrals import _HEADER_KEY, FcidumpError, IntegralSet, SymmetricTwoBody
+
+    lines = text.splitlines()
+
+    header_parts: list[str] = []
+    data_start = None
+    for lineno, raw in enumerate(lines, start=1):
+        stripped = raw.strip()
+        upper = stripped.upper()
+        terminator = None
+        for token in ("&END", "/END", "/"):
+            pos = upper.find(token)
+            if pos >= 0:
+                terminator = (pos, token)
+                break
+        if terminator is not None:
+            header_parts.append(stripped[: terminator[0]])
+            data_start = lineno
+            break
+        header_parts.append(stripped)
+    if data_start is None:
+        raise FcidumpError("missing namelist terminator (&END or /)", len(lines) or 1)
+
+    keys = {k.upper(): v for k, v in _HEADER_KEY.findall(" ".join(header_parts))}
+
+    def header_int(name: str, required: bool, default: int = 0) -> int:
+        if name not in keys:
+            if required:
+                raise FcidumpError(f"header is missing {name}", 1)
+            return default
+        try:
+            return int(keys[name])
+        except ValueError:
+            raise FcidumpError(f"header {name}={keys[name]!r} is not an integer", 1) from None
+
+    n_orbitals = header_int("NORB", required=True)
+    n_electrons = header_int("NELEC", required=True)
+    spin_2ms = header_int("MS2", required=False)
+    if n_orbitals < 1:
+        raise FcidumpError(f"NORB must be positive, got {n_orbitals}", 1)
+
+    one_body = np.zeros((n_orbitals, n_orbitals))
+    two_body_indices: list[tuple[int, int, int, int]] = []
+    two_body_values: list[float] = []
+    core_energy = 0.0
+
+    for lineno in range(data_start + 1, len(lines) + 1):
+        stripped = lines[lineno - 1].strip()
+        if not stripped or stripped.startswith("!") or stripped.startswith("#"):
+            continue
+        fields = stripped.replace(",", " ").split()
+        if len(fields) != 5:
+            raise FcidumpError(f"expected 'value i j k l', got {stripped!r}", lineno)
+        try:
+            value = float(fields[0].replace("D", "E").replace("d", "e"))
+        except ValueError:
+            raise FcidumpError(f"non-numeric value field {fields[0]!r}", lineno) from None
+        try:
+            i, j, k, l = (int(f) for f in fields[1:])
+        except ValueError:
+            raise FcidumpError(f"non-integer index in {stripped!r}", lineno) from None
+        for idx in (i, j, k, l):
+            if idx < 0 or idx > n_orbitals:
+                raise FcidumpError(f"index {idx} outside [0, NORB={n_orbitals}]", lineno)
+
+        if j == k == l == 0 and i > 0:
+            continue  # orbital-energy record
+        if not math.isfinite(value):
+            raise FcidumpError(f"non-finite value {fields[0]!r}", lineno)
+        if i == j == k == l == 0:
+            core_energy = value
+        elif k == l == 0 and i > 0 and j > 0:
+            one_body[i - 1, j - 1] = value
+            one_body[j - 1, i - 1] = value
+        elif min(i, j, k, l) > 0:
+            two_body_indices.append((i, j, k, l))
+            two_body_values.append(value)
+        else:
+            raise FcidumpError(f"unrecognized index pattern {(i, j, k, l)}", lineno)
+
+    two_body = SymmetricTwoBody(n_orbitals)
+    reference_set_many(two_body, np.array(two_body_indices, dtype=np.intp).reshape(-1, 4) - 1, two_body_values)
+    return IntegralSet(n_orbitals, n_electrons, spin_2ms, core_energy, one_body, two_body)
+
+
 def random_active_hamiltonian(rng: np.random.Generator, n_orbitals: int, scale: float = 1.0):
     """Random symmetric one-body + 8-fold-symmetric two-body active Hamiltonian."""
     from qcembed.activespace import ActiveHamiltonian
@@ -882,3 +991,16 @@ def reference_solve_rhf(
         iterations=iterations,
         energy_history=tuple(history),
     )
+
+
+def reference_transform_to_mo_basis(integrals, coefficients: np.ndarray):
+    """``activespace.transform_to_mo_basis`` as its four quarter
+    transforms spelled as ``np.einsum(..., optimize=True)`` calls."""
+    c = np.asarray(coefficients)
+    h_mo = c.T @ integrals.one_body @ c
+    eri = integrals.two_body_dense
+    eri = np.einsum("pi,pqrs->iqrs", c, eri, optimize=True)
+    eri = np.einsum("qj,iqrs->ijrs", c, eri, optimize=True)
+    eri = np.einsum("rk,ijrs->ijks", c, eri, optimize=True)
+    eri_mo = np.einsum("sl,ijks->ijkl", c, eri, optimize=True)
+    return h_mo, eri_mo

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from qcembed import cli
 from qcembed.cli import main
 from qcembed.integrals import save_fcidump
 
@@ -73,6 +74,19 @@ def test_hf_subcommand(capsys, h2_path, golden):
     assert "mean-field energy" in out
     printed = float(out.splitlines()[0].split()[-2])
     assert printed == pytest.approx(golden["h2_0735"]["e_hf"], abs=1e-9)
+
+
+def test_main_builds_its_parser_once_and_each_call_parses_afresh(capsys, tmp_path, h2_path):
+    """A second call without --out writes no file: it does not inherit the
+    --out of the call before it, which shared its parser."""
+    cli._build_parser.cache_clear()
+    out = tmp_path / "hf.csv"
+    assert main(["hf", "--fcidump", h2_path, "--out", str(out)]) == 0
+    out.unlink()
+    assert main(["hf", "--fcidump", h2_path]) == 0
+    assert not out.exists()
+    assert capsys.readouterr().out.count("mean-field energy") == 2
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_hf_missing_fcidump_is_usage_error(capsys):

@@ -19,7 +19,7 @@ from qcembed.integrals import (
 )
 
 from conftest import FIXTURE_DIR
-from oracles import reference_from_dense, reference_two_body_dense
+from oracles import reference_from_dense, reference_set_many, reference_two_body_dense
 
 H8 = Path(__file__).parent.parent / "bench" / "data" / "h8_sto3g.fcidump"
 HEADER = " &FCI NORB=2,NELEC=2,MS2=0,\n  ORBSYM=1,1,\n  ISYM=1,\n &END\n"
@@ -99,6 +99,26 @@ def test_repeated_classes_in_any_order_are_the_record_by_record_sets(case):
         expected.set(p, q, r, s, value)
     parsed = parse_fcidump(text).two_body
     assert parsed.canonical_vector().tobytes() == expected.canonical_vector().tobytes()
+
+
+@given(
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    values=st.lists(st.sampled_from([0.0, -0.0, 0.5, -0.25, 1e-300]), min_size=8, max_size=40),
+)
+@settings(max_examples=200, deadline=None)
+def test_set_many_keeps_the_last_row_of_each_class_as_the_dict_does(n, seed, values):
+    """Classes written in all 8 of their index orders, shuffled, with
+    -0.0 among the values: the stored vector has the dict version's bits."""
+    rng = np.random.default_rng(seed)
+    classes = [tuple(rng.integers(0, n, size=4)) for _ in range(len(values) // 8)]
+    rows = np.array([order for c in classes for order in symmetric_orders(*c)], dtype=np.intp)
+    rows = rows[rng.permutation(len(rows))]
+    values = values[: len(rows)]
+    actual, expected = SymmetricTwoBody(n), SymmetricTwoBody(n)
+    actual.set_many(rows, values)
+    reference_set_many(expected, rows, values)
+    assert actual._values.tobytes() == expected._values.tobytes()
 
 
 def test_negative_zero_record_overwrites_to_positive_zero():

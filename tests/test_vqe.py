@@ -558,3 +558,34 @@ def test_run_without_scipy_openblas_is_bitwise_pinned_run(problems, which):
     assert_same_run(unpinned, pinned)
     assert unpinned.message == pinned.message
     assert unpinned.gradient_norm == pinned.gradient_norm
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 4])
+@pytest.mark.parametrize("position", ["first", "middle", "last", "second sweep"])
+def test_nan_inside_a_sweep_raises_with_the_trace_before_it(problems, position, block_rows):
+    """The expectation rows of a sweep come back with a NaN at one row (a
+    NaN in the Hamiltonian's table would reach every row, as NaN x 0 is
+    NaN): the error carries every evaluation before that row, as recorded
+    one by one."""
+    hamiltonian, ansatz = problems[1]
+    n = ansatz.n_parameters
+    config = VqeConfig(seed=5, sigma=0.3)
+    clean = minimize(hamiltonian, ansatz, config)
+    bad = {"first": 0, "middle": n, "last": 2 * n, "second sweep": 2 * n + 1 + n}[position]
+    assert bad < len(clean.trace)
+    seen = {"rows": 0}
+    expectation_rows = vqe._expectation_rows
+
+    def with_nan(amps, table):
+        energies = expectation_rows(amps, table)
+        start, seen["rows"] = seen["rows"], seen["rows"] + len(energies)
+        if start <= bad < seen["rows"]:
+            energies[bad - start] = np.nan
+        return energies
+
+    block = vqe._BLOCK_AMPLITUDES if block_rows is None else block_rows * 2**ansatz.n_qubits
+    with mock.patch.object(vqe, "_expectation_rows", with_nan), \
+            mock.patch.object(vqe, "_BLOCK_AMPLITUDES", block), pytest.raises(VqeError) as err:
+        minimize(hamiltonian, ansatz, config)
+    assert str(err.value) == "non-finite energy nan during optimization"
+    assert err.value.trace == list(clean.trace[:bad])
