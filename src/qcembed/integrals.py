@@ -254,6 +254,7 @@ class IntegralSet:
 
 
 _HEADER_KEY = re.compile(r"([A-Za-z0-9_]+)\s*=\s*([^,\s=]+)")
+_RECORD_CHUNK = 4096  # data records tokenised and converted per bulk call
 
 
 def parse_fcidump(source: str | IO[str]) -> IntegralSet:
@@ -269,9 +270,10 @@ def parse_fcidump(source: str | IO[str]) -> IntegralSet:
     value is not finite is refused.  Duplicate entries overwrite, last
     wins.
 
-    The records are read in bulk: one split tokenises them all, one
-    ``np.array`` call converts the values and one the indices (each
-    calling ``float()`` or ``int()`` on every token), and masks sort them
+    The records are read in bulk, ``_RECORD_CHUNK`` at a time so that the
+    tokens held at once do not grow with the file: one split tokenises a
+    chunk, one ``np.array`` call converts its values and one its indices
+    (each calling ``float()`` or ``int()`` on every token), and masks sort them
     into core, one-body, two-body and orbital-energy records.  Only when
     these find a malformed record are the records checked one at a time,
     so the error names the first malformed line and its first failed
@@ -321,27 +323,31 @@ def parse_fcidump(source: str | IO[str]) -> IntegralSet:
     if n_orbitals < 1:
         raise FcidumpError(f"NORB must be positive, got {n_orbitals}", 1)
 
-    # Every kept record is tokenised by one split of all of them, joined
-    # with a NUL token that splits them apart again: no well-formed record
-    # holds a NUL, so the split has one NUL after each five fields exactly
-    # when every record has five fields.
-    records = list(filter(str.strip, lines[data_start:]))
-    joined = " \0 ".join(records + [""])
-    if "!" in joined or "#" in joined:  # comment lines, or a malformed record
-        records = [record for record in records if record.lstrip()[0] not in "!#"]
+    # Every kept record of a chunk is tokenised by one split of all of them,
+    # joined with a NUL token that splits them apart again: no well-formed
+    # record holds a NUL, so the split has one NUL after each five fields
+    # exactly when every record has five fields.
+    data_lines = list(filter(str.strip, lines[data_start:]))
+    value_chunks, index_chunks = [], []
+    for start in range(0, max(len(data_lines), 1), _RECORD_CHUNK):
+        records = data_lines[start : start + _RECORD_CHUNK]
         joined = " \0 ".join(records + [""])
-    tokens = joined.replace(",", " ").split()
-    n_records = len(records)
-    if not (len(tokens) == 6 * n_records and joined.count("\0") == tokens[5::6].count("\0") == n_records):
-        raise _first_record_error(lines, data_start, n_orbitals)
-    values = tokens[0::6]
-    if "D" in joined or "d" in joined:
-        values = [value.replace("D", "E").replace("d", "e") for value in values]
-    try:  # both call float() and int() on each token
-        values = np.array(values, dtype=np.float64)
-        indices = np.array([tokens[1::6], tokens[2::6], tokens[3::6], tokens[4::6]], dtype=np.intp)
-    except (ValueError, OverflowError):
-        raise _first_record_error(lines, data_start, n_orbitals) from None
+        if "!" in joined or "#" in joined:  # comment lines, or a malformed record
+            records = [record for record in records if record.lstrip()[0] not in "!#"]
+            joined = " \0 ".join(records + [""])
+        tokens = joined.replace(",", " ").split()
+        n_records = len(records)
+        if not (len(tokens) == 6 * n_records and joined.count("\0") == tokens[5::6].count("\0") == n_records):
+            raise _first_record_error(lines, data_start, n_orbitals)
+        values = tokens[0::6]
+        if "D" in joined or "d" in joined:
+            values = [value.replace("D", "E").replace("d", "e") for value in values]
+        try:  # both call float() and int() on each token
+            value_chunks.append(np.array(values, dtype=np.float64))
+            index_chunks.append(np.array([tokens[1::6], tokens[2::6], tokens[3::6], tokens[4::6]], dtype=np.intp))
+        except (ValueError, OverflowError):
+            raise _first_record_error(lines, data_start, n_orbitals) from None
+    values, indices = np.concatenate(value_chunks), np.concatenate(index_chunks, axis=1)
 
     # with every index in [0, NORB], "nonzero" is "positive"
     outside = ((indices < 0) | (indices > n_orbitals)).any(axis=0)

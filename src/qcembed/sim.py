@@ -13,12 +13,13 @@ which costs O(2^n) per term and never materializes a matrix.
 One routine, :func:`_grouped_operator`, compiles every Pauli operator.
 Strings with one X-mask x share the gather ``b ^ x``, so a sum of them
 is one diagonal D followed by that gather, ``D * amps[b ^ x]``, and a
-:class:`PauliSum` compiles into a (groups x 2^n) table of such diagonals
-and gathers, one row per X-mask.  The table is built one X-mask group at
-a time, each group summed in term order from +0, and is not stored on
-the sum: a loop that reuses one compiles it once and passes it in, as
-:func:`qcembed.vqe.minimize` does for its Hamiltonian, and each public
-call compiles its own.
+:class:`PauliSum` compiles into a (groups x rows) table of such diagonals
+and gathers, one row per X-mask, on all or on given output rows.  The
+table is built one X-mask group at a time, each group summed in term
+order from +0, and is not stored on the sum: a loop that reuses one
+compiles it once and passes it in, as :func:`qcembed.vqe.minimize` does
+for its Hamiltonian on the ansatz's support S; each public call compiles
+its own.
 
 * :func:`apply_pauli` and :func:`apply_pauli_exponential` apply the
   one-row table of a single string through ``_apply_operator``, the one
@@ -29,26 +30,32 @@ call compiles its own.
   is diagonal with entries 0 or -1, so exp(theta G) = 1 + sin(theta) G
   + (1 - cos(theta)) G^2 is the identity off G's support and
   cos(theta) + sin(theta) G on it: one rotation of the connected
-  amplitudes per generator, read off G's one-row table.
+  amplitudes per generator, read off G's one-row table.  It keeps the
+  entries that touch S, the amplitudes that the rotations before it
+  reach from the reference; any other maps an exact 0 onto an exact 0.
+  A rotation is one gather of [source; connected] scaled by [factors; 1]
+  and [sin; cos], whose halves add to (a f) s + a c at ``connected``.
 * :func:`expectation` applies the operator's table with the same
-  kernel and takes one ``vdot`` with the result.
+  kernel and takes one complex dot with the result.
 
 Both run on a block of states at once: ``_evolve_rows`` takes an
 (R x n_parameters) array of parameter vectors and returns their (R x 2^n)
 amplitudes, and ``_expectation_rows`` evaluates every row of such a
 block, so each rotation or group costs one numpy call per block instead
-of one per state.  Inside, the block is held with the basis index first,
-so a gather moves R contiguous values per index.  :func:`evolve_ansatz`
-and :func:`expectation` are the one-row calls of the same kernels, and
-every row of a block is bitwise equal to its one-row call.
+of one per state.  The block keeps all 2^n amplitudes, 0 off S, with
+the basis index first, so a gather moves R contiguous values per index.
+:func:`evolve_ansatz` and :func:`expectation` are the one-row calls of
+the same kernels, and every row is bitwise equal to its one-row call.
 
 The UCCSD state is real: real integrals map to a table whose imaginary
 parts are all exactly 0, and each generator's factors are real.  So a
 table is kept as float64 when that holds, which is checked once as it
 is built, a rotation's factors are float64, and ``_evolve_rows`` runs
 on float64 amplitudes.  ``_expectation_rows`` works in the common type
-of table and block and ends in one complex ``vdot`` per row, whose sum
-is that of the complex kernels the traces were pinned on.  The public
+of table and block, scatters op |a> into full-length complex128 rows and
+takes every row's complex dot in one batched ``matmul``, bitwise the
+``vdot`` the traces were pinned on.  The dot stays full-length and
+contiguous: BLAS adds a shorter or strided one in other lanes.  The public
 :class:`Statevector` and the functions that return one stay complex.
 
 Every fermion operator reaches the qubits through one route,
@@ -89,7 +96,7 @@ from .fci import _string_space
 
 from .fermion import excitation_term, hamiltonian_columns, integral_vector
 from .mappings import compile_linear_map, drop_qubit_positions, occupation_to_parity_bits, reduction_sector
-from .pauli import PauliSum, PauliString, parity_of_masked_bits
+from .pauli import PRUNE_TOLERANCE, PauliSum, PauliString, parity_of_masked_bits
 
 # not called here: bench/layers.py traces the fermion expansion and the
 # term-by-term maps under this module's names
@@ -174,15 +181,16 @@ def hf_state(n_qubits: int, occupation_bits: str | int) -> Statevector:
     return Statevector(n_qubits, amps)
 
 
-# (diagonals, gathers), both (groups, 2^n): op @ amps is the column sum
-# of diagonals * amps[gathers], one row per X-mask x with gather b ^ x
+# (diagonals, gathers), both (groups, rows): (op @ amps)[rows] is the column
+# sum of diagonals * amps[gathers], one row per X-mask x with gather rows ^ x
 _GroupedOperator = tuple[np.ndarray, np.ndarray]
 
 
-def _grouped_operator(op: PauliSum) -> _GroupedOperator:
-    """The X-mask table of ``op``, built anew on every call: one row per
-    X-mask in order of first appearance, each a few numpy calls that sum
-    the group's terms in the order of ``op`` from +0.
+def _grouped_operator(op: PauliSum, rows: np.ndarray | None = None) -> _GroupedOperator:
+    """The X-mask table of ``op`` on output ``rows`` (default: all), built
+    anew on every call: one row per X-mask in order of first appearance,
+    each a few numpy calls that sum the group's terms in the order of
+    ``op`` from +0.
 
     The diagonals are float64, the real parts of the complex sums, when
     every imaginary part is exactly 0, as for a mapped Hamiltonian or a
@@ -193,7 +201,8 @@ def _grouped_operator(op: PauliSum) -> _GroupedOperator:
         x, z = string.x_mask, string.z_mask
         groups.setdefault(x, []).append((z, 1j ** ((x & z).bit_count() % 4), coeff))
     x_masks = np.fromiter(groups, dtype=np.intp, count=len(groups))
-    gathers = np.arange(2**op.n_qubits, dtype=np.intp)[None, :] ^ x_masks[:, None]
+    rows = np.arange(2**op.n_qubits, dtype=np.intp) if rows is None else rows
+    gathers = rows[None, :] ^ x_masks[:, None]
     diagonals = np.empty(gathers.shape, dtype=np.complex128)
     for gather, diagonal, terms in zip(gathers, diagonals, groups.values()):
         z_masks, phases, coeffs = (np.array(column) for column in zip(*terms))
@@ -207,12 +216,12 @@ def _grouped_operator(op: PauliSum) -> _GroupedOperator:
 
 
 def _apply_operator(columns: np.ndarray, table: _GroupedOperator) -> np.ndarray:
-    """The compiled operator applied to one state or to a (2^n, R) column
-    block, accumulated from zero one X-mask group at a time, in group
-    order and in the common type of the table and the amplitudes."""
+    """The table's rows of the operator applied to one state or to a
+    (2^n, R) column block, accumulated from zero one X-mask group at a
+    time, in group order and in the common type of table and amplitudes."""
     diagonals, gathers = table
     per_state = (slice(None),) + (None,) * (columns.ndim - 1)
-    applied = np.zeros(columns.shape, dtype=np.result_type(diagonals, columns))
+    applied = np.zeros(diagonals.shape[1:] + columns.shape[1:], dtype=np.result_type(diagonals, columns))
     for diagonal, gather in zip(diagonals, gathers):
         applied += diagonal[per_state] * columns[gather]
     return applied
@@ -238,26 +247,30 @@ def apply_pauli_exponential(state: Statevector, pauli: PauliString, angle: float
 
 def _columns(rows: np.ndarray) -> np.ndarray:
     """The (n, R) column view of an (R, n) row block, or the single row
-    itself: the kernels run on amplitudes indexed first by basis state,
-    so each gather moves whole rows of R values, and one row stays 1-D,
-    where numpy's gathers are cheapest."""
+    itself: each gather then moves whole rows of R values, and one row
+    stays 1-D, where numpy's gathers are cheapest."""
     return rows[0] if len(rows) == 1 else rows.T
 
 
-def _expectation_rows(amps: np.ndarray, table: _GroupedOperator) -> np.ndarray:
-    """<a_r| op |a_r> for every row a_r of an (R, 2^n) block, by op's table.
+def _row_dots(rows: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """``np.vdot`` of each row of an (R, N) complex128 block with that of
+    another, bitwise: ``matmul`` hands each to BLAS's complex dot."""
+    return np.matmul(rows.conj()[:, None, :], others[:, :, None])[:, 0, 0]
 
-    op |a_r> comes from :func:`_apply_operator`, in float64 for real
-    states under a real table.  Each row then takes one complex ``vdot``
-    of complex128 copies: BLAS's complex dot adds the products in another
-    order than its real one, and the complex dot of real vectors is the
-    energy every earlier trace holds.  Every row's imaginary residue must
-    stay below 1e-10 and is discarded.
+
+def _expectation_rows(amps: np.ndarray, table: _GroupedOperator, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
+    """<a_r| op |a_r> for every row a_r of an (R, 2^n) block, by op's
+    table on output ``rows`` (default: all).
+
+    op |a_r> from :func:`_apply_operator`, float64 for real states under a
+    real table, is scattered into full-length complex128 rows, 0 elsewhere,
+    for one complex dot per row with a complex128 copy of a_r: the energy
+    every earlier trace holds, where a real dot would add in another order.
+    Every row's imaginary residue must stay below 1e-10 and is discarded.
     """
-    applied = np.atleast_2d(_apply_operator(_columns(amps), table).T)
-    rows = np.ascontiguousarray(amps, dtype=np.complex128)
-    applied = np.ascontiguousarray(applied, dtype=np.complex128)
-    values = np.array([np.vdot(row, out) for row, out in zip(rows, applied)], dtype=np.complex128)
+    applied = np.zeros(amps.shape, dtype=np.complex128)
+    applied[:, rows] = _apply_operator(_columns(amps), table).T
+    values = _row_dots(np.ascontiguousarray(amps, dtype=np.complex128), applied)
     residue = np.abs(values.imag)
     if np.any(residue > _IMAG_TOLERANCE):
         raise SimulationError(
@@ -315,7 +328,8 @@ def uccsd_excitations(
 
 # (connected, source, factors): exp(theta G) leaves every amplitude off
 # ``connected`` alone and sets amps[connected] to
-# cos(theta) amps[connected] + sin(theta) factors * amps[source]
+# cos(theta) amps[connected] + sin(theta) factors * amps[source]; an ansatz
+# holds the entries it keeps as ([source; connected], [factors; 1])
 _Rotation = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -336,10 +350,7 @@ def _compile_generator(generator: PauliSum) -> _Rotation:
     if not np.all(projector | (np.abs(square) <= _IMAG_TOLERANCE)):
         raise SimulationError("excitation generator squared is not diagonal with entries 0 or -1")
     connected = np.flatnonzero(projector)
-    rotation = (connected, source[connected], factors[connected])
-    for array in rotation:
-        array.flags.writeable = False  # shared by every caller of a cached ansatz
-    return rotation
+    return connected, source[connected], factors[connected]
 
 
 @dataclass(frozen=True)
@@ -351,7 +362,9 @@ class UccsdAnsatz:
     enumeration order, starting from the mapped Hartree-Fock reference.
     Construction checks that every generator is anti-Hermitian, that its
     terms share one X-mask and that G_k^2 is diagonal with entries 0 or
-    -1, and compiles it into one closed-form rotation.
+    -1, and compiles it into one closed-form rotation on the support,
+    ``_support``; ``_trig_rows`` picks each kept entry's sin or cos from
+    the 2 n_parameters rows [sin; cos] of a sweep.
     """
 
     n_spatial: int
@@ -363,11 +376,26 @@ class UccsdAnsatz:
     generators: tuple[PauliSum, ...]
     mapping: str
     two_qubit_reduced: bool
-    _rotations: tuple[_Rotation, ...] = field(init=False, repr=False, compare=False)
+    _rotations: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False, compare=False)
+    _support: np.ndarray = field(init=False, repr=False, compare=False)
+    _trig_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rotations = tuple(_compile_generator(generator) for generator in self.generators)
-        object.__setattr__(self, "_rotations", rotations)
+        reached = np.zeros(2**self.n_qubits, dtype=bool)
+        reached[self.reference_index] = True
+        rotations, trig_rows = [], []
+        for k, generator in enumerate(self.generators):
+            connected, source, factors = _compile_generator(generator)
+            kept = reached[connected] | reached[source]
+            connected, source, factors = connected[kept], source[kept], factors[kept]
+            reached[connected] |= reached[source]
+            rotations.append((np.concatenate([source, connected]), np.concatenate([factors, np.ones(len(factors))])))
+            trig_rows += [k] * len(factors) + [self.n_parameters + k] * len(factors)
+        compiled = (tuple(rotations), np.flatnonzero(reached), np.array(trig_rows, dtype=np.intp))
+        for array in (*compiled[1:], *(array for rotation in rotations for array in rotation)):
+            array.flags.writeable = False  # shared by every caller of a cached ansatz
+        for name, value in zip(("_rotations", "_support", "_trig_rows"), compiled):
+            object.__setattr__(self, name, value)
 
     @property
     def n_parameters(self) -> int:
@@ -482,7 +510,7 @@ def map_active_hamiltonian(
     its candidate Pauli strings, and the last few shapes are kept.  A
     Hamiltonian is then W times its :func:`integral_vector`; its imaginary
     residue must stay below 1e-10 and is discarded, and the real parts
-    are pruned as every ``PauliSum`` is.
+    are pruned as every ``PauliSum`` is, in one numpy mask.
     """
     sector = _sector(active.n_electrons, (active.n_electrons + spin_2ms) // 2, two_qubit_reduced)
     compiled = _compile_hamiltonian(active.n_orbitals, mapping, sector)
@@ -493,32 +521,36 @@ def map_active_hamiltonian(
         raise ValueError(
             f"imaginary coefficient residue {residue:.3e} exceeds {_IMAG_TOLERANCE:.1e}"
         )
-    return PauliSum(compiled.n_qubits, dict(zip(compiled.strings, values.real.tolist())))
+    # the constructor's prune in one mask (keeping non-finite values): it checks the rest
+    kept = np.flatnonzero(~(np.abs(values.real) < PRUNE_TOLERANCE)).tolist()
+    return PauliSum(compiled.n_qubits, dict(zip([compiled.strings[k] for k in kept], values.real[kept].tolist())))
 
 
 def _evolve_rows(ansatz: UccsdAnsatz, thetas: np.ndarray) -> np.ndarray:
     """(R, 2^n) float64 amplitudes of the circuit at each row of an
     (R, n_parameters) parameter array.
 
-    Generator k rotates the amplitudes it connects in every row, with
-    that row's cos and sin and the generator's real factors.  Each value
-    is the real part of the same arithmetic in complex128, whose
-    imaginary part is exactly 0; at most the sign of a zero differs,
-    where numpy's complex product adds a -0 cross term.
+    Generator k rotates the amplitudes it connects on the support in
+    every row, with that row's cos and sin, gathered once per block, and
+    the generator's real factors.  Each value is the real part of the
+    same arithmetic in complex128,
+    whose imaginary part is exactly 0; at most the sign of a zero
+    differs, where numpy's complex product adds a -0 cross term.
     """
-    cos, sin = _columns(np.cos(thetas)), _columns(np.sin(thetas))
-    amps = np.zeros((2**ansatz.n_qubits,) + cos.shape[1:])
+    trig = _columns(np.concatenate([np.sin(thetas), np.cos(thetas)], axis=1))[ansatz._trig_rows]
+    amps = np.zeros((2**ansatz.n_qubits,) + trig.shape[1:])
     amps[ansatz.reference_index] = 1.0
     per_state = (slice(None),) + (None,) * (amps.ndim - 1)
-    for (connected, source, factors), c, s in zip(ansatz._rotations, cos, sin):
-        # c * amps[connected] + s * (factors * amps[source]), in place on the gathered copies
-        rotated = amps[source]
-        rotated *= factors[per_state]
-        rotated *= s
-        kept = amps[connected]
-        kept *= c
-        kept += rotated
-        amps[connected] = kept
+    stop = 0
+    for moved, scales in ansatz._rotations:
+        start, stop, half = stop, stop + len(moved), len(moved) // 2
+        # [(a_source f) s; a_connected c], then a_connected c + a_source f s, in place
+        rotated = amps[moved]
+        rotated *= scales[per_state]
+        rotated *= trig[start:stop]
+        kept = rotated[half:]
+        kept += rotated[:half]
+        amps[moved[half:]] = kept
     return np.atleast_2d(amps.T)
 
 

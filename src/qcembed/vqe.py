@@ -207,7 +207,9 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
     x0 = initialize_parameters(n, config)
     block_rows = max(1, _BLOCK_AMPLITUDES // 2**ansatz.n_qubits)
     k = np.arange(n)
-    table = _grouped_operator(hamiltonian)
+    # numpy would sum the groups of a one-row table (no parameters) pairwise
+    support = ansatz._support if n else np.arange(2**ansatz.n_qubits)
+    table = _grouped_operator(hamiltonian, support)
 
     def sweep(theta: np.ndarray) -> list[float]:
         h = config.gradient_step
@@ -216,7 +218,7 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
         rows[2 * k + 1, k] = theta + h
         rows[2 * k + 2, k] = theta - h
         return np.concatenate([
-            _expectation_rows(_evolve_rows(ansatz, rows[start : start + block_rows]), table)
+            _expectation_rows(_evolve_rows(ansatz, rows[start : start + block_rows]), table, support)
             for start in range(0, 2 * n + 1, block_rows)
         ]).tolist()
 
@@ -260,7 +262,7 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
             x0,
             jac=True,
             method="L-BFGS-B",
-            bounds=[(-_PARAMETER_BOUND, _PARAMETER_BOUND)] * n,
+            bounds=scipy.optimize.Bounds(np.full(n, -_PARAMETER_BOUND), np.full(n, _PARAMETER_BOUND)),
             callback=callback,
             options={"maxiter": config.max_iterations, "ftol": 0.0, "gtol": 1e-12},
         )

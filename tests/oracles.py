@@ -395,19 +395,71 @@ def reference_grouped_operator(op):
     return diagonals, gathers
 
 
+def reference_reachable_rotations(generators, reference_index: int):
+    """(connected, source, factors) of each generator's compile, kept at
+    the entries that touch an amplitude reachable from the reference,
+    and the set of reached basis states: grown by each rotation's kept
+    ``connected`` entries, it decides the entries of the next one."""
+    from qcembed.sim import _compile_generator
+
+    reached = {reference_index}
+    rotations = []
+    for generator in generators:
+        connected, source, factors = _compile_generator(generator)
+        kept = [b in reached or a in reached for b, a in zip(connected.tolist(), source.tolist())]
+        rotations.append((connected[kept], source[kept], factors[kept]))
+        reached.update(connected[kept].tolist())
+    return rotations, reached
+
+
 def reference_evolve_rows(ansatz, thetas: np.ndarray, dtype=np.complex128) -> np.ndarray:
     """``sim._evolve_rows`` with each rotation written as one expression
     that allocates a new array per operation, on amplitudes of ``dtype``:
     complex128 by default, as every statevector of the package was before
     the row kernels ran on real amplitudes.  Every input, one row
     included, is one (2^n, R) block with a column per row: each value is
-    an elementwise product or sum, the same in any layout."""
+    an elementwise product or sum, the same in any layout.  Each rotation
+    runs on the entries :func:`reference_reachable_rotations` keeps."""
     thetas = np.atleast_2d(thetas)
     amps = np.zeros((2**ansatz.n_qubits, len(thetas)), dtype=dtype)
     amps[ansatz.reference_index] = 1.0
-    for (connected, source, factors), c, s in zip(ansatz._rotations, np.cos(thetas).T, np.sin(thetas).T):
+    rotations, _ = reference_reachable_rotations(ansatz.generators, ansatz.reference_index)
+    for (connected, source, factors), c, s in zip(rotations, np.cos(thetas).T, np.sin(thetas).T):
         amps[connected] = c * amps[connected] + s * (factors[:, None] * amps[source])
     return amps.T
+
+
+def full_register_evolve_rows(ansatz, thetas: np.ndarray) -> np.ndarray:
+    """The row kernel as it was before the support: every generator
+    rotates every amplitude it connects, reachable or not, in float64."""
+    from qcembed.sim import _columns, _compile_generator
+
+    cos, sin = _columns(np.cos(thetas)), _columns(np.sin(thetas))
+    amps = np.zeros((2**ansatz.n_qubits,) + cos.shape[1:])
+    amps[ansatz.reference_index] = 1.0
+    per_state = (slice(None),) + (None,) * (amps.ndim - 1)
+    for generator, c, s in zip(ansatz.generators, cos, sin):
+        connected, source, factors = _compile_generator(generator)
+        rotated = amps[source]
+        rotated *= factors[per_state]
+        rotated *= s
+        kept = amps[connected]
+        kept *= c
+        kept += rotated
+        amps[connected] = kept
+    return np.atleast_2d(amps.T)
+
+
+def full_register_expectation_rows(amps: np.ndarray, op) -> np.ndarray:
+    """The energy kernel as it was before the support: op applied on
+    every basis index by its full table, then one ``np.vdot`` per row of
+    complex128 copies."""
+    from qcembed.sim import _apply_operator, _columns, _grouped_operator
+
+    applied = np.atleast_2d(_apply_operator(_columns(amps), _grouped_operator(op)).T)
+    rows = np.ascontiguousarray(amps, dtype=np.complex128)
+    applied = np.ascontiguousarray(applied, dtype=np.complex128)
+    return np.array([np.vdot(row, out) for row, out in zip(rows, applied)], dtype=np.complex128).real
 
 
 def reference_grouped_expectation(amps: np.ndarray, op) -> float:

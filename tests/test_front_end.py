@@ -5,6 +5,7 @@ einsum oracles."""
 import hashlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -169,6 +170,15 @@ def fcidump_texts(draw):
 @settings(max_examples=500, deadline=None)
 def test_parse_is_the_record_by_record_parser(text):
     assert _parsed(parse_fcidump, text) == _parsed(reference_parse_fcidump, text)
+
+
+@given(fcidump_texts(), st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_parse_in_small_chunks_is_the_record_by_record_parser(text, chunk):
+    """Chunks of 1-3 records put chunk boundaries between records, comments
+    and malformed lines; the bits, the errors and their lines stay."""
+    with mock.patch("qcembed.integrals._RECORD_CHUNK", chunk):
+        assert _parsed(parse_fcidump, text) == _parsed(reference_parse_fcidump, text)
 
 
 @st.composite

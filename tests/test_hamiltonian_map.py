@@ -29,9 +29,9 @@ from qcembed.fermion import (
 from qcembed.integrals import SymmetricTwoBody, canonical_classes, read_fcidump, save_fcidump
 from qcembed.mappings import ReductionError, reduction_sector
 from qcembed.meanfield import solve_rhf
-from qcembed.pauli import PRUNE_TOLERANCE
+from qcembed.pauli import PRUNE_TOLERANCE, PauliSum
 from qcembed.scan import MuScanSpec, mu_scan
-from qcembed.sim import _compile_generator, build_uccsd_ansatz, map_active_hamiltonian
+from qcembed.sim import build_uccsd_ansatz, map_active_hamiltonian
 
 from oracles import (
     annihilation_matrix,
@@ -39,6 +39,7 @@ from oracles import (
     pauli_sum_matrix,
     reference_map_active_hamiltonian,
     reference_map_operator,
+    reference_reachable_rotations,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -196,6 +197,50 @@ def test_tiny_integrals_move_terms_by_at_most_what_the_reference_drops(
         reference = reference_map_active_hamiltonian(active, spin_2ms, mapping, reduced)
         for string in set(compiled.terms()) | set(reference.terms()):
             assert abs(compiled.coefficient(string) - reference.coefficient(string)) <= bound
+
+
+def constructor_map(active, mapping, reduced):
+    """The mapped Hamiltonian as the ``PauliSum`` constructor prunes it:
+    every candidate string with its real value, checked one at a time."""
+    sector = reduction_sector(active.n_electrons, active.n_electrons // 2) if reduced else None
+    compiled = sim._compile_hamiltonian(active.n_orbitals, mapping, sector)
+    values = compiled.matrix @ integral_vector(active)
+    return PauliSum(compiled.n_qubits, dict(zip(compiled.strings, values.real.tolist())))
+
+
+def assert_same_sum(op, expected):
+    """The same strings in the same order, each coefficient the same
+    complex bits."""
+    assert op.n_qubits == expected.n_qubits
+    assert _term_bytes(op) == _term_bytes(expected)
+    assert all(type(coeff) is complex for _, coeff in op)
+
+
+@pytest.mark.parametrize("path, n_electrons, n_orbitals", SPACES)
+def test_numpy_prune_is_the_constructor_on_fixtures(path, n_electrons, n_orbitals):
+    active = _active(path, n_electrons, n_orbitals)
+    for mapping, reduced in MAPPINGS:
+        op = map_active_hamiltonian(active, mapping=mapping, two_qubit_reduced=reduced)
+        assert_same_sum(op, constructor_map(active, mapping, reduced))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("zero_fraction, tiny_fraction", [(0.0, 0.0), (0.3, 0.3), (0.6, 0.4)])
+def test_numpy_prune_is_the_constructor_on_random_hamiltonians(seed, zero_fraction, tiny_fraction):
+    rng = np.random.default_rng(seed)
+    active = random_symmetric_active(rng, 3, 2, zero_fraction=zero_fraction, tiny_fraction=tiny_fraction)
+    for mapping, reduced in MAPPINGS:
+        op = map_active_hamiltonian(active, mapping=mapping, two_qubit_reduced=reduced)
+        assert_same_sum(op, constructor_map(active, mapping, reduced))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_numpy_prune_keeps_non_finite_values(value):
+    active = random_symmetric_active(np.random.default_rng(0), 2, 2)
+    active.two_body.set(0, 0, 1, 1, value)
+    op = map_active_hamiltonian(active)
+    assert_same_sum(op, constructor_map(active, "parity", True))
+    assert any(not np.isfinite(coeff) for _, coeff in op)
 
 
 def test_tiny_integral_survives_the_compiled_map():
@@ -356,19 +401,27 @@ def test_ansatz_generators_are_bitwise_the_term_by_term_map(
 ):
     ansatz = build_uccsd_ansatz(n_spatial, n_electrons, spin_2ms, mapping, reduced)
     assert ansatz.n_parameters == len(ansatz.generators) > 0
-    for excitation, generator, rotation in zip(
-        ansatz.excitations, ansatz.generators, ansatz._rotations
-    ):
-        reference = reference_map_operator(
+    references = [
+        reference_map_operator(
             excitation_generator(excitation, 2 * n_spatial), mapping, reduced,
             n_electrons, ansatz.n_alpha,
         )
+        for excitation in ansatz.excitations
+    ]
+    # the oracle's generators, compiled and kept at the entries that touch the support
+    reachable, reached = reference_reachable_rotations(references, ansatz.reference_index)
+    assert ansatz._support.tolist() == sorted(reached)
+    for generator, reference, rotation, (connected, source, factors) in zip(
+        ansatz.generators, references, ansatz._rotations, reachable
+    ):
         assert generator.n_qubits == reference.n_qubits == ansatz.n_qubits
         # strings in the oracle's order, coefficient bytes (and signs of zero) included
         assert _term_bytes(generator) == _term_bytes(reference)
-        for array, expected in zip(rotation, _compile_generator(reference)):
-            assert array.dtype == expected.dtype
-            assert array.tobytes() == expected.tobytes()
+        expected = (np.concatenate([source, connected]), np.concatenate([factors, np.ones(len(factors))]))
+        assert len(rotation) == len(expected)
+        for array, expected_array in zip(rotation, expected):
+            assert array.dtype == expected_array.dtype
+            assert array.tobytes() == expected_array.tobytes()
 
 
 @pytest.mark.parametrize("n_electrons", [2, 4])  # 4 in 2 orbitals: no parameters

@@ -14,7 +14,9 @@ closed-form rotation instead of one exponential per string, and
 term.  Those are compared with the same references to 1e-12.
 """
 
+import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from qcembed.sim import (
     _evolve_rows,
     _expectation_rows,
     _grouped_operator,
+    _row_dots,
     apply_pauli,
     apply_pauli_exponential,
     build_uccsd_ansatz,
@@ -44,6 +47,8 @@ from qcembed.sim import (
 
 from conftest import FIXTURE_DIR
 from oracles import (
+    full_register_evolve_rows,
+    full_register_expectation_rows,
     reference_evolve,
     reference_evolve_rows,
     reference_expectation,
@@ -317,6 +322,110 @@ def test_row_kernels_are_bitwise_one_row_calls(ansatze, which, seed, n_rows):
     assert_bitwise(_expectation_rows(np.ascontiguousarray(rows), _grouped_operator(op)), energies)
 
 
+def assert_support_kernels_are_the_full_register(ansatz, thetas, op):
+    """The support kernels against the full-register ones: amplitudes
+    equal with the sign of every zero normalised, energies bitwise as
+    uint64, both on the table of the ansatz's support."""
+    rows = _evolve_rows(ansatz, thetas)
+    expected = full_register_evolve_rows(ansatz, thetas)
+    assert rows.dtype == expected.dtype and rows.shape == expected.shape
+    assert np.where(rows == 0, 0.0, rows).tobytes() == np.where(expected == 0, 0.0, expected).tobytes()
+    support = ansatz._support
+    energies = _expectation_rows(rows, _grouped_operator(op, support), support)
+    expected_energies = full_register_expectation_rows(expected, op)
+    assert energies.view(np.uint64).tobytes() == expected_energies.view(np.uint64).tobytes()
+
+
+# up to 33 rows: one more than the gradient block of the 10-qubit ansatz
+@given(
+    which=st.integers(0, len(ANSATZ_SHAPES) - 1),
+    seed=SEEDS,
+    n_rows=st.integers(1, 33),
+)
+@settings(max_examples=80, deadline=None)
+def test_support_kernels_are_the_full_register_kernels(ansatze, which, seed, n_rows):
+    ansatz = ansatze[which]
+    thetas = random_parameter_rows(ansatz, seed, n_rows)
+    thetas[0] = 0.0  # a row with every angle zero
+    assert_support_kernels_are_the_full_register(ansatz, thetas, random_hermitian_sum(seed, ansatz.n_qubits))
+
+
+def test_support_is_the_reach_of_the_rotations(ansatze):
+    for ansatz in ansatze:
+        reached = np.zeros(2**ansatz.n_qubits, dtype=bool)
+        reached[ansatz.reference_index] = True
+        for moved, _ in ansatz._rotations:
+            reached[moved] = True  # every kept entry touches the support
+        assert ansatz._support.tolist() == np.flatnonzero(reached).tolist()
+        # singles and doubles reach every determinant of the reference's sector
+        sector = math.comb(ansatz.n_spatial, ansatz.n_alpha) * math.comb(ansatz.n_spatial, ansatz.n_beta)
+        assert len(ansatz._support) == sector
+
+
+@pytest.mark.parametrize("which", range(len(ANSATZ_SHAPES)))
+def test_dropping_a_reachable_rotation_entry_is_caught(ansatze, which):
+    """A mutant ansatz that leaves out one kept entry of one rotation
+    fails the comparison with the full-register kernels."""
+    ansatz = ansatze[which]
+    rng = np.random.default_rng(which)
+    thetas = rng.uniform(-np.pi, np.pi, size=(2, ansatz.n_parameters))
+    op = random_hermitian_sum(which, ansatz.n_qubits)
+    for k in rng.choice(ansatz.n_parameters, size=min(4, ansatz.n_parameters), replace=False):
+        moved, scales = ansatz._rotations[k]
+        half = len(moved) // 2
+        j = int(rng.integers(half))
+        keep = np.arange(len(moved)) % half != j
+        start = sum(len(rotation[0]) for rotation in ansatz._rotations[:k])
+        trig_keep = np.ones(len(ansatz._trig_rows), dtype=bool)
+        trig_keep[start : start + len(moved)] = keep
+        mutant = copy.copy(ansatz)
+        rotations = list(ansatz._rotations)
+        rotations[k] = (moved[keep], scales[keep])
+        object.__setattr__(mutant, "_rotations", tuple(rotations))
+        object.__setattr__(mutant, "_trig_rows", ansatz._trig_rows[trig_keep])
+        with pytest.raises(AssertionError):
+            assert_support_kernels_are_the_full_register(mutant, thetas, op)
+
+
+@given(
+    n=st.integers(1, 4096),
+    n_rows=st.integers(1, 64),
+    seed=SEEDS,
+    real=st.booleans(),
+    zero_fraction=st.sampled_from((0.0, 0.5, 0.9, 1.0)),
+)
+@settings(max_examples=100, deadline=None)
+def test_batched_dot_is_bitwise_the_row_vdots(n, n_rows, seed, real, zero_fraction):
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for _ in range(2):
+        block = rng.normal(size=(n_rows, n)) + (0.0 if real else 1j) * rng.normal(size=(n_rows, n))
+        block = np.asarray(block, dtype=np.complex128)
+        block[rng.random(block.shape) < zero_fraction] = 0.0
+        block[rng.random(block.shape) < 0.1 * zero_fraction] = -0.0 - 0.0j
+        blocks.append(block)
+    rows, others = blocks
+    expected = np.array([np.vdot(row, other) for row, other in zip(rows, others)])
+    assert _row_dots(rows, others).view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
+
+
+ZERO_PARAMETER_SPACES = {"h2o-6e3o": (6, 3), "h2o-8e4o": (8, 4)}
+
+
+@pytest.mark.parametrize("space", ZERO_PARAMETER_SPACES)
+def test_zero_parameter_energy_is_bitwise_the_full_register(h2o_integrals, space):
+    """With no parameters the support is the reference alone; the energy
+    is still the full-register one, where groups of 16 and 31 terms are
+    summed in term order."""
+    active = reduce_integrals(h2o_integrals, solve_rhf(h2o_integrals), ActiveSpaceSpec(*ZERO_PARAMETER_SPACES[space]))
+    hamiltonian = map_active_hamiltonian(active)
+    ansatz = build_uccsd_ansatz(active.n_orbitals, active.n_electrons)
+    assert ansatz.n_parameters == 0 and len(ansatz._support) == 1
+    result = vqe.minimize(hamiltonian, ansatz, vqe.VqeConfig())
+    expected = full_register_expectation_rows(full_register_evolve_rows(ansatz, np.zeros((1, 0))), hamiltonian)
+    assert np.array(result.energy).tobytes() == expected.tobytes()
+
+
 # (n_spatial, n_electrons) of the H2 (2e,2o), LiH (2e,3o) and H2O (4e,4o) ansatze
 FIXTURE_ANSATZ_SHAPES = {"h2": (2, 2), "lih": (3, 2), "h2o": (4, 4)}
 
@@ -482,8 +591,8 @@ def test_vqe_trace_is_bitwise_under_the_group_loop(vqe_problems, key, seed, monk
     result = vqe.minimize(hamiltonian, ansatz, config)
     looped_rows = []
 
-    def group_loop_rows(amps, table):
-        # every swept row goes through the group loop, one row at a time
+    def group_loop_rows(amps, table, support):
+        # every swept row goes through the full-register group loop, one row at a time
         looped_rows.extend(amps)
         rows = (np.ascontiguousarray(row) for row in amps)
         return np.array([reference_grouped_expectation(row, hamiltonian) for row in rows])

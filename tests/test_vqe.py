@@ -322,13 +322,14 @@ def test_minimize_compiles_its_table_once(problems, monkeypatch, case):
     compiles, blocks = [], []
     grouped_operator, expectation_rows = vqe._grouped_operator, vqe._expectation_rows
 
-    def spy_compile(op):
+    def spy_compile(op, rows):
         compiles.append(op)
-        return grouped_operator(op)
+        assert np.isin(ansatz._support, rows).all()  # the table covers the support
+        return grouped_operator(op, rows)
 
-    def spy_rows(amps, table):
+    def spy_rows(amps, table, rows):
         blocks.append(len(amps))
-        return expectation_rows(amps, table)
+        return expectation_rows(amps, table, rows)
 
     monkeypatch.setattr(vqe, "_BLOCK_AMPLITUDES", 4 * 64)
     monkeypatch.setattr(vqe, "_grouped_operator", spy_compile)
@@ -576,8 +577,8 @@ def test_nan_inside_a_sweep_raises_with_the_trace_before_it(problems, position, 
     seen = {"rows": 0}
     expectation_rows = vqe._expectation_rows
 
-    def with_nan(amps, table):
-        energies = expectation_rows(amps, table)
+    def with_nan(amps, table, rows):
+        energies = expectation_rows(amps, table, rows)
         start, seen["rows"] = seen["rows"], seen["rows"] + len(energies)
         if start <= bad < seen["rows"]:
             energies[bad - start] = np.nan
