@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-import numpy as np
-
 __all__ = ["PauliString", "PauliSum", "PRUNE_TOLERANCE"]
 
 # Coefficients below this magnitude are dropped during simplification;
@@ -227,9 +225,3 @@ class PauliSum:
 
     def __repr__(self) -> str:
         return f"PauliSum(n_qubits={self.n_qubits}, terms={len(self._terms)})"
-
-
-def parity_of_masked_bits(values: np.ndarray, mask: int) -> np.ndarray:
-    """Vectorized parity of ``values & mask``, as 0/1 uint8 array."""
-    masked = np.bitwise_and(values, mask)
-    return (np.bitwise_count(masked) & 1).astype(np.uint8)

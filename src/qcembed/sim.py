@@ -15,16 +15,23 @@ Strings with one X-mask x share the gather ``b ^ x``, so a sum of them
 is one diagonal D followed by that gather, ``D * amps[b ^ x]``, and a
 :class:`PauliSum` compiles into a (groups x rows) table of such diagonals
 and gathers, one row per X-mask, on all or on given output rows.  The
-table is built one X-mask group at a time, each group summed in term
-order from +0, and is not stored on the sum: a loop that reuses one
-compiles it once and passes it in, as :func:`qcembed.vqe.minimize` does
-for its Hamiltonian on the ansatz's support S; each public call compiles
-its own.
+table is built in one vectorised pass over the terms, each group summed
+in term order from +0, and is not stored on the sum: a loop that reuses
+one compiles it once and passes it in, as :func:`qcembed.vqe.minimize`
+does for its Hamiltonian on the ansatz's support S; each public call
+compiles its own.
+
+Both the compile and ``_apply_operator`` add chunks of at most
+``_CHUNK_AMPLITUDES``: terms or groups on rows 1.. of a buffer whose row
+0 holds the running sum, by one ``np.add.reduce`` over the rows.  numpy
+adds them in order, as ``+=`` would, when a row has 2 or more elements:
+0 + t_0 + t_1 + ... in term or group order.  On 1 element it adds
+pairwise, so such rows are held 2 wide beside a zero column.
 
 * :func:`apply_pauli` and :func:`apply_pauli_exponential` apply the
   one-row table of a single string through ``_apply_operator``, the one
-  kernel that applies a table: it accumulates from zero, one group at a
-  time in group order, on one state or on a block.
+  kernel that applies a table: it accumulates from zero in group order,
+  on one state or on a block.
 * A :class:`UccsdAnsatz` compiles each generator G when it is
   constructed.  The terms of a UCCSD generator share one X-mask and G^2
   is diagonal with entries 0 or -1, so exp(theta G) = 1 + sin(theta) G
@@ -33,16 +40,18 @@ its own.
   amplitudes per generator, read off G's one-row table.  It keeps the
   entries that touch S, the amplitudes that the rotations before it
   reach from the reference; any other maps an exact 0 onto an exact 0.
-  A rotation is one gather of [source; connected] scaled by [factors; 1]
-  and [sin; cos], whose halves add to (a f) s + a c at ``connected``.
+  Every factor f is exactly +1 or -1, so a (f s) is bitwise (a f) s: a
+  sweep scales its [sin; cos] table by [factors; 1] once, and a rotation
+  is a gather of [source; connected], a product with its slice of that
+  table, an add of the halves and a scatter to ``connected``.
 * :func:`expectation` applies the operator's table with the same
   kernel and takes one complex dot with the result.
 
 Both run on a block of states at once: ``_evolve_rows`` takes an
 (R x n_parameters) array of parameter vectors and returns their (R x 2^n)
 amplitudes, and ``_expectation_rows`` evaluates every row of such a
-block, so each rotation or group costs one numpy call per block instead
-of one per state.  The block keeps all 2^n amplitudes, 0 off S, with
+block, so each rotation or chunk costs its numpy calls once per block,
+not once per state.  The block keeps all 2^n amplitudes, 0 off S, with
 the basis index first, so a gather moves R contiguous values per index.
 :func:`evolve_ansatz` and :func:`expectation` are the one-row calls of
 the same kernels, and every row is bitwise equal to its one-row call.
@@ -84,9 +93,10 @@ shape, and the density is read from their string overlaps.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -96,7 +106,7 @@ from .fci import _string_space
 
 from .fermion import excitation_term, hamiltonian_columns, integral_vector
 from .mappings import compile_linear_map, drop_qubit_positions, occupation_to_parity_bits, reduction_sector
-from .pauli import PRUNE_TOLERANCE, PauliSum, PauliString, parity_of_masked_bits
+from .pauli import PRUNE_TOLERANCE, PauliSum, PauliString
 
 # not called here: bench/layers.py traces the fermion expansion and the
 # term-by-term maps under this module's names
@@ -185,46 +195,71 @@ def hf_state(n_qubits: int, occupation_bits: str | int) -> Statevector:
 # sum of diagonals * amps[gathers], one row per X-mask x with gather rows ^ x
 _GroupedOperator = tuple[np.ndarray, np.ndarray]
 
+_CHUNK_AMPLITUDES = 2**15  # amplitudes per chunk of the table compile and _apply_operator (a vqe block)
+_PHASE_SIGNS = np.array([1j**k for k in range(4)])[:, None] * np.array([1.0, -1.0])  # i^k (-1)^p at [k, p]
+
 
 def _grouped_operator(op: PauliSum, rows: np.ndarray | None = None) -> _GroupedOperator:
     """The X-mask table of ``op`` on output ``rows`` (default: all), built
     anew on every call: one row per X-mask in order of first appearance,
-    each a few numpy calls that sum the group's terms in the order of
-    ``op`` from +0.
+    each the sum of its group's terms in the order of ``op`` from +0.
 
-    The diagonals are float64, the real parts of the complex sums, when
-    every imaginary part is exactly 0, as for a mapped Hamiltonian or a
-    UCCSD generator; any other operator keeps its complex table.
+    Each term's values coeff * (i^{|x & z|} (-1)^p) are read at every row's
+    sign parity p, a chunk of terms at a time, and each group is one reduce.
+    The diagonals are float64, the real parts of the sums, when every
+    imaginary part is exactly 0, as for a mapped Hamiltonian or a UCCSD
+    generator; any other operator keeps its complex table.
     """
-    groups: dict[int, list[tuple[int, complex, complex]]] = {}
-    for string, coeff in op:
-        x, z = string.x_mask, string.z_mask
-        groups.setdefault(x, []).append((z, 1j ** ((x & z).bit_count() % 4), coeff))
-    x_masks = np.fromiter(groups, dtype=np.intp, count=len(groups))
     rows = np.arange(2**op.n_qubits, dtype=np.intp) if rows is None else rows
-    gathers = rows[None, :] ^ x_masks[:, None]
-    diagonals = np.empty(gathers.shape, dtype=np.complex128)
-    for gather, diagonal, terms in zip(gathers, diagonals, groups.values()):
-        z_masks, phases, coeffs = (np.array(column) for column in zip(*terms))
-        # factors[s, b] = i^{|x & z_s|} (-1)^{|z_s & (b ^ x)|}, read at the gathered b ^ x
-        signs = 1.0 - 2.0 * parity_of_masked_bits(gather, z_masks[:, None]).astype(np.float64)
-        factors = phases[:, None] * signs
-        np.add.reduce(coeffs[:, None] * factors, axis=0, initial=0.0, out=diagonal)
-    if not diagonals.imag.any():
-        diagonals = np.ascontiguousarray(diagonals.real)
+    groups: dict[int, list[tuple[PauliString, complex]]] = {}
+    for term in op:
+        groups.setdefault(term[0].x_mask, []).append(term)
+    terms = [term for group in groups.values() for term in group]
+    stops = list(accumulate(map(len, groups.values())))
+    x_masks = np.array([string.x_mask for string, _ in terms], dtype=np.intp)
+    z_masks = np.array([string.z_mask for string, _ in terms], dtype=np.intp)
+    coeffs = np.array([coeff for _, coeff in terms], dtype=np.complex128)
+    values = coeffs[:, None] * _PHASE_SIGNS[np.bitwise_count(x_masks & z_masks) % 4]
+    sums = np.zeros((len(groups), max(len(rows), 2)), dtype=np.complex128)
+    step = max(1, _CHUNK_AMPLITUDES // max(len(rows), 1))
+    buffer = np.zeros((min(step, len(terms)) + 1, sums.shape[1]), dtype=np.complex128)
+    for a in range(0, len(terms), step):
+        chunk, k = slice(a, a + step), min(step, len(terms) - a)
+        # (-1)^{|z & (r ^ x)|}: each term's sign at the gathered r ^ x
+        negative = (np.bitwise_count((rows ^ x_masks[chunk, None]) & z_masks[chunk, None]) & 1).view(bool)
+        np.copyto(buffer[1 : k + 1, : len(rows)], values[chunk, :1])
+        np.copyto(buffer[1 : k + 1, : len(rows)], values[chunk, 1:], where=negative)
+        first = bisect.bisect_right(stops, a)
+        buffer[0], low = sums[first], 0  # the running sum of the group the chunk begins in
+        for group in range(first, bisect.bisect_left(stops, a + k) + 1):
+            high = min(stops[group] - a, k)
+            np.add.reduce(buffer[low : high + 1], axis=0, initial=0.0, out=sums[group])
+            low = high + 1
+    diagonals = np.ascontiguousarray((sums if sums.imag.any() else sums.real)[:, : len(rows)])
+    gathers = rows[None, :] ^ np.fromiter(groups, dtype=np.intp, count=len(groups))[:, None]
     return diagonals, gathers
 
 
 def _apply_operator(columns: np.ndarray, table: _GroupedOperator) -> np.ndarray:
     """The table's rows of the operator applied to one state or to a
-    (2^n, R) column block, accumulated from zero one X-mask group at a
-    time, in group order and in the common type of table and amplitudes."""
+    (2^n, R) column block, accumulated from zero in group order, a chunk
+    of groups per reduce, in the common type of table and amplitudes."""
     diagonals, gathers = table
-    per_state = (slice(None),) + (None,) * (columns.ndim - 1)
-    applied = np.zeros(diagonals.shape[1:] + columns.shape[1:], dtype=np.result_type(diagonals, columns))
-    for diagonal, gather in zip(diagonals, gathers):
-        applied += diagonal[per_state] * columns[gather]
-    return applied
+    shape = diagonals.shape[1:] + columns.shape[1:]
+    size = int(np.prod(shape))
+    step = max(1, _CHUNK_AMPLITUDES // max(size, 1))
+    buffer = np.zeros((min(step, len(diagonals)) + 1, max(size, 2)), dtype=np.result_type(diagonals, columns))
+    stacked = buffer[:, :size].reshape((len(buffer),) + shape)
+    per_state = (slice(None), slice(None)) + (None,) * (columns.ndim - 1)
+    columns = columns.astype(buffer.dtype, copy=False)  # the cast a mixed product makes
+    for a in range(0, len(diagonals), step):
+        chunk, k = slice(a, a + step), min(step, len(diagonals) - a)
+        taken = stacked[1 : k + 1]
+        np.take(columns, gathers[chunk], axis=0, out=taken, mode="clip")  # in range: no checked copy
+        # numpy multiplies a lone element in place outside its SIMD loop, rounding a complex product otherwise
+        np.multiply(diagonals[chunk][per_state], taken if taken.size > 1 else taken.copy(), out=taken)
+        np.add.reduce(buffer[: k + 1], axis=0, out=buffer[0])
+    return stacked[0]
 
 
 def apply_pauli(state: Statevector, pauli: PauliString) -> Statevector:
@@ -329,7 +364,8 @@ def uccsd_excitations(
 # (connected, source, factors): exp(theta G) leaves every amplitude off
 # ``connected`` alone and sets amps[connected] to
 # cos(theta) amps[connected] + sin(theta) factors * amps[source]; an ansatz
-# holds the entries it keeps as ([source; connected], [factors; 1])
+# holds the entries it keeps as the gather [source; connected], the scatter
+# ``connected`` and their slice of a sweep's trig table [factors sin; cos]
 _Rotation = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -350,6 +386,9 @@ def _compile_generator(generator: PauliSum) -> _Rotation:
     if not np.all(projector | (np.abs(square) <= _IMAG_TOLERANCE)):
         raise SimulationError("excitation generator squared is not diagonal with entries 0 or -1")
     connected = np.flatnonzero(projector)
+    # a sweep folds f into its trig table: (a f) s is a (f s) bit for bit only for f = +-1
+    if np.any(np.abs(factors[connected]) != 1.0):
+        raise SimulationError("excitation generator has a factor other than exactly +1 or -1")
     return connected, source[connected], factors[connected]
 
 
@@ -364,7 +403,7 @@ class UccsdAnsatz:
     terms share one X-mask and that G_k^2 is diagonal with entries 0 or
     -1, and compiles it into one closed-form rotation on the support,
     ``_support``; ``_trig_rows`` picks each kept entry's sin or cos from
-    the 2 n_parameters rows [sin; cos] of a sweep.
+    the rows [sin; cos] of a sweep, and ``_trig_scales`` its [factors; 1].
     """
 
     n_spatial: int
@@ -376,25 +415,28 @@ class UccsdAnsatz:
     generators: tuple[PauliSum, ...]
     mapping: str
     two_qubit_reduced: bool
-    _rotations: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False, compare=False)
+    _rotations: tuple[tuple[np.ndarray, np.ndarray, slice], ...] = field(init=False, repr=False, compare=False)
     _support: np.ndarray = field(init=False, repr=False, compare=False)
     _trig_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _trig_scales: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         reached = np.zeros(2**self.n_qubits, dtype=bool)
         reached[self.reference_index] = True
-        rotations, trig_rows = [], []
+        rotations, trig_rows, scales = [], [], [np.empty(0)]
         for k, generator in enumerate(self.generators):
             connected, source, factors = _compile_generator(generator)
             kept = reached[connected] | reached[source]
             connected, source, factors = connected[kept], source[kept], factors[kept]
             reached[connected] |= reached[source]
-            rotations.append((np.concatenate([source, connected]), np.concatenate([factors, np.ones(len(factors))])))
+            start = len(trig_rows)
             trig_rows += [k] * len(factors) + [self.n_parameters + k] * len(factors)
-        compiled = (tuple(rotations), np.flatnonzero(reached), np.array(trig_rows, dtype=np.intp))
-        for array in (*compiled[1:], *(array for rotation in rotations for array in rotation)):
+            rotations.append((np.concatenate([source, connected]), connected, slice(start, len(trig_rows))))
+            scales += [factors, np.ones(len(factors))]
+        compiled = (tuple(rotations), np.flatnonzero(reached), np.array(trig_rows, np.intp), np.concatenate(scales))
+        for array in (*compiled[1:], *(array for rotation in rotations for array in rotation[:2])):
             array.flags.writeable = False  # shared by every caller of a cached ansatz
-        for name, value in zip(("_rotations", "_support", "_trig_rows"), compiled):
+        for name, value in zip(("_rotations", "_support", "_trig_rows", "_trig_scales"), compiled):
             object.__setattr__(self, name, value)
 
     @property
@@ -531,26 +573,23 @@ def _evolve_rows(ansatz: UccsdAnsatz, thetas: np.ndarray) -> np.ndarray:
     (R, n_parameters) parameter array.
 
     Generator k rotates the amplitudes it connects on the support in
-    every row, with that row's cos and sin, gathered once per block, and
-    the generator's real factors.  Each value is the real part of the
-    same arithmetic in complex128,
-    whose imaginary part is exactly 0; at most the sign of a zero
-    differs, where numpy's complex product adds a -0 cross term.
+    every row, with that row's cos and sin and the generator's factors f,
+    gathered once per block into one table [f sin; cos].  Each value is
+    the real part of the same arithmetic in complex128, whose imaginary
+    part is exactly 0; at most the sign of a zero differs, where numpy's
+    complex product adds a -0 cross term.
     """
     trig = _columns(np.concatenate([np.sin(thetas), np.cos(thetas)], axis=1))[ansatz._trig_rows]
+    trig *= ansatz._trig_scales[(slice(None),) + (None,) * (trig.ndim - 1)]
     amps = np.zeros((2**ansatz.n_qubits,) + trig.shape[1:])
     amps[ansatz.reference_index] = 1.0
-    per_state = (slice(None),) + (None,) * (amps.ndim - 1)
-    stop = 0
-    for moved, scales in ansatz._rotations:
-        start, stop, half = stop, stop + len(moved), len(moved) // 2
-        # [(a_source f) s; a_connected c], then a_connected c + a_source f s, in place
-        rotated = amps[moved]
-        rotated *= scales[per_state]
-        rotated *= trig[start:stop]
-        kept = rotated[half:]
-        kept += rotated[:half]
-        amps[moved[half:]] = kept
+    for moved, connected, entries in ansatz._rotations:
+        # [a_source (f s); a_connected c], then a_connected c + a_source (f s), in place
+        rotated = amps.take(moved, axis=0)
+        rotated *= trig[entries]
+        kept = rotated[len(connected) :]
+        kept += rotated[: len(connected)]
+        amps[connected] = kept
     return np.atleast_2d(amps.T)
 
 

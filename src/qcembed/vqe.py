@@ -207,8 +207,7 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
     x0 = initialize_parameters(n, config)
     block_rows = max(1, _BLOCK_AMPLITUDES // 2**ansatz.n_qubits)
     k = np.arange(n)
-    # numpy would sum the groups of a one-row table (no parameters) pairwise
-    support = ansatz._support if n else np.arange(2**ansatz.n_qubits)
+    support = ansatz._support
     table = _grouped_operator(hamiltonian, support)
 
     def sweep(theta: np.ndarray) -> list[float]:

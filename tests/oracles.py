@@ -24,6 +24,12 @@ _SINGLE = {
 }
 
 
+def parity_of_masked_bits(values: np.ndarray, mask: int) -> np.ndarray:
+    """Vectorized parity of ``values & mask``, as 0/1 uint8 array."""
+    masked = np.bitwise_and(values, mask)
+    return (np.bitwise_count(masked) & 1).astype(np.uint8)
+
+
 def pauli_label_matrix(label: str) -> np.ndarray:
     """Dense matrix of a Pauli label; character k acts on qubit k (bit k)."""
     matrix = np.array([[1.0 + 0.0j]])
@@ -379,8 +385,6 @@ def reference_grouped_operator(op):
     """The X-mask table of ``op`` built one term at a time: each term's
     sign vector over every basis index is added to a running sum per
     X-mask, and each sum is read at the gathered indices at the end."""
-    from qcembed.pauli import parity_of_masked_bits
-
     indices = np.arange(2**op.n_qubits, dtype=np.uint64)
     groups = {}
     for string, coeff in op:
@@ -472,6 +476,72 @@ def reference_grouped_expectation(amps: np.ndarray, op) -> float:
     for diagonal, gather in zip(diagonals, gathers):
         applied += diagonal * amps[gather]
     return float(np.vdot(amps, applied).real)
+
+
+def group_loop_grouped_operator(op, rows: np.ndarray | None = None):
+    """``sim._grouped_operator`` one X-mask group at a time: each group's
+    terms are summed in the order of ``op`` from +0 by a reduce over the
+    term axis.  On a single output row that reduce would add pairwise, so
+    the group is then summed by an explicit loop."""
+    groups = {}
+    for string, coeff in op:
+        x, z = string.x_mask, string.z_mask
+        groups.setdefault(x, []).append((z, 1j ** ((x & z).bit_count() % 4), coeff))
+    x_masks = np.fromiter(groups, dtype=np.intp, count=len(groups))
+    rows = np.arange(2**op.n_qubits, dtype=np.intp) if rows is None else rows
+    gathers = rows[None, :] ^ x_masks[:, None]
+    diagonals = np.empty(gathers.shape, dtype=np.complex128)
+    for gather, diagonal, terms in zip(gathers, diagonals, groups.values()):
+        z_masks, phases, coeffs = (np.array(column) for column in zip(*terms))
+        signs = 1.0 - 2.0 * parity_of_masked_bits(gather, z_masks[:, None]).astype(np.float64)
+        values = coeffs[:, None] * (phases[:, None] * signs)
+        if len(rows) > 1:
+            np.add.reduce(values, axis=0, initial=0.0, out=diagonal)
+        else:
+            diagonal[:] = 0.0
+            for value in values:
+                diagonal += value
+    if not diagonals.imag.any():
+        diagonals = np.ascontiguousarray(diagonals.real)
+    return diagonals, gathers
+
+
+def group_loop_apply_operator(columns: np.ndarray, table) -> np.ndarray:
+    """``sim._apply_operator`` accumulated from zero one X-mask group at a
+    time, in group order and in the common type of table and amplitudes."""
+    diagonals, gathers = table
+    per_state = (slice(None),) + (None,) * (columns.ndim - 1)
+    applied = np.zeros(diagonals.shape[1:] + columns.shape[1:], dtype=np.result_type(diagonals, columns))
+    for diagonal, gather in zip(diagonals, gathers):
+        applied += diagonal[per_state] * columns[gather]
+    return applied
+
+
+def unfolded_evolve_rows(ansatz, thetas: np.ndarray) -> np.ndarray:
+    """``sim._evolve_rows`` with each rotation's factors applied to the
+    gathered amplitudes before the trig values, ((a f) s; a c), on the
+    entries :func:`reference_reachable_rotations` keeps: five numpy calls
+    per rotation, gather, two scalings, add and scatter."""
+    from qcembed.sim import _columns
+
+    rotations, _ = reference_reachable_rotations(ansatz.generators, ansatz.reference_index)
+    n = ansatz.n_parameters
+    trig_rows = [row for k, (_, _, factors) in enumerate(rotations) for row in [k] * len(factors) + [n + k] * len(factors)]
+    trig = _columns(np.concatenate([np.sin(thetas), np.cos(thetas)], axis=1))[np.array(trig_rows, dtype=np.intp)]
+    amps = np.zeros((2**ansatz.n_qubits,) + trig.shape[1:])
+    amps[ansatz.reference_index] = 1.0
+    per_state = (slice(None),) + (None,) * (amps.ndim - 1)
+    stop = 0
+    for connected, source, factors in rotations:
+        moved, scales = np.concatenate([source, connected]), np.concatenate([factors, np.ones(len(factors))])
+        start, stop, half = stop, stop + len(moved), len(moved) // 2
+        rotated = amps[moved]
+        rotated *= scales[per_state]
+        rotated *= trig[start:stop]
+        kept = rotated[half:]
+        kept += rotated[:half]
+        amps[moved[half:]] = kept
+    return np.atleast_2d(amps.T)
 
 
 def reference_map_with_ladder(op, ladder):
@@ -584,8 +654,6 @@ def reference_spin_summed_one_rdm(amps: np.ndarray, n_spatial: int) -> np.ndarra
     """gamma_pq = <a+_p,sigma a_q,sigma> summed over spin, from occupation-
     basis amplitudes on 2 * n_spatial blocked modes, one mode pair at a
     time with the Jordan-Wigner sign of every ladder operator."""
-    from qcembed.pauli import parity_of_masked_bits
-
     indices = np.arange(len(amps), dtype=np.uint64)
     gamma = np.zeros((n_spatial, n_spatial))
     for spin in (0, n_spatial):

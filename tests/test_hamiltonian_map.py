@@ -417,9 +417,10 @@ def test_ansatz_generators_are_bitwise_the_term_by_term_map(
         assert generator.n_qubits == reference.n_qubits == ansatz.n_qubits
         # strings in the oracle's order, coefficient bytes (and signs of zero) included
         assert _term_bytes(generator) == _term_bytes(reference)
-        expected = (np.concatenate([source, connected]), np.concatenate([factors, np.ones(len(factors))]))
-        assert len(rotation) == len(expected)
-        for array, expected_array in zip(rotation, expected):
+        moved, kept, entries = rotation
+        scales = ansatz._trig_scales[entries]
+        expected = (np.concatenate([source, connected]), connected, np.concatenate([factors, np.ones(len(factors))]))
+        for array, expected_array in zip((moved, kept, scales), expected):
             assert array.dtype == expected_array.dtype
             assert array.tobytes() == expected_array.tobytes()
 

@@ -17,13 +17,15 @@ term.  Those are compared with the same references to 1e-12.
 import copy
 import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcembed import vqe
+from qcembed import sim, vqe
 from qcembed.activespace import ActiveSpaceSpec, reduce_integrals
 from qcembed.integrals import read_fcidump
 from qcembed.meanfield import solve_rhf
@@ -31,6 +33,9 @@ from qcembed.pauli import PauliString, PauliSum
 from qcembed.sim import (
     SimulationError,
     Statevector,
+    _apply_operator,
+    _columns,
+    _compile_generator,
     _evolve_rows,
     _expectation_rows,
     _grouped_operator,
@@ -49,6 +54,8 @@ from conftest import FIXTURE_DIR
 from oracles import (
     full_register_evolve_rows,
     full_register_expectation_rows,
+    group_loop_apply_operator,
+    group_loop_grouped_operator,
     reference_evolve,
     reference_evolve_rows,
     reference_expectation,
@@ -57,6 +64,7 @@ from oracles import (
     reference_lift_reduced_parity_state,
     reference_pauli_action,
     reference_pauli_exponential,
+    unfolded_evolve_rows,
 )
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -176,17 +184,18 @@ COEFFICIENTS = st.one_of(
 
 
 @st.composite
-def pauli_sums(draw):
-    """Up to 16 terms on 1-8 qubits over at most 4 X-masks, so masks repeat
-    and one group mixes terms of different phases; equal strings merge,
-    and a pair of opposite coefficients cancels to a pruned zero."""
-    n = draw(st.integers(1, 8))
+def pauli_sums(draw, min_qubits=1, coefficients=COEFFICIENTS, max_masks=4, max_terms=16):
+    """Up to ``max_terms`` terms on ``min_qubits``-8 qubits over at most
+    ``max_masks`` X-masks, so masks repeat and one group mixes terms of
+    different phases; equal strings merge, and a pair of opposite
+    coefficients cancels to a pruned zero."""
+    n = draw(st.integers(min_qubits, 8))
     full = 2**n - 1
-    x_masks = draw(st.lists(st.integers(0, full), min_size=1, max_size=4))
+    x_masks = draw(st.lists(st.integers(0, full), min_size=1, max_size=max_masks))
     terms = []
-    for _ in range(draw(st.integers(0, 16))):
+    for _ in range(draw(st.integers(0, max_terms))):
         string = PauliString(n, draw(st.sampled_from(x_masks)), draw(st.integers(0, full)))
-        coeff = draw(COEFFICIENTS)
+        coeff = draw(coefficients)
         terms.append((string, coeff))
         if draw(st.booleans()):
             terms.append((string, -coeff))
@@ -226,6 +235,93 @@ def test_grouped_operator_is_bitwise_the_term_loop_on_mapped_hamiltonians(space)
     assert_same_table(hamiltonian)
     diagonals, _ = _grouped_operator(hamiltonian)
     assert diagonals.dtype == np.float64 and diagonals.flags.c_contiguous
+
+
+# -- the chunked kernels against the group loops they replaced -------------
+#
+# Both kernels work in chunks of _CHUNK_AMPLITUDES amplitudes; the tests
+# shrink it so that a chunk holds one term or group, or a few and a
+# remainder, and a group's terms straddle chunks.  Values are compared as
+# uint64: signed zeros and the bits of every NaN included.
+
+# the coefficients above, infinities and NaN parts on either axis
+NON_FINITE_COEFFICIENTS = st.one_of(
+    COEFFICIENTS,
+    st.sampled_from([
+        float("inf"), -float("inf"), -float("nan"), complex(float("nan"), 1.0),
+        complex(0.5, float("nan")), complex(float("inf"), -1.0), complex(2.0, -float("inf")),
+    ]),
+)
+
+
+def assert_same_bits(actual: np.ndarray, expected: np.ndarray):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
+
+
+@st.composite
+def output_rows(draw, n_qubits):
+    """1 to 2^n distinct output rows, in increasing order as a support is."""
+    rows = draw(st.sets(st.integers(0, 2**n_qubits - 1), min_size=1, max_size=min(2**n_qubits, 40)))
+    return np.array(sorted(rows), dtype=np.intp)
+
+
+@st.composite
+def tables(draw):
+    """An operator of up to 12 X-mask groups, its output rows and a chunk
+    budget from one row to more than the whole table."""
+    op = draw(pauli_sums(min_qubits=0, coefficients=NON_FINITE_COEFFICIENTS, max_masks=12, max_terms=24))
+    rows = draw(st.one_of(st.none(), output_rows(op.n_qubits)))
+    n_rows = 2**op.n_qubits if rows is None else len(rows)
+    budget = draw(st.integers(1, max(len(op), 1) * n_rows + 1))
+    return op, rows, budget
+
+
+@given(tables())
+@example((PauliSum(3), None, 1))  # the empty sum
+@example((PauliSum(0, {PauliString(0): 0.5}), None, 1))  # 0 qubits: one row
+@example((PauliSum.identity(3, -0.75), np.array([5]), 1))  # identity alone, one row
+# +NaN and -NaN in one group, on one row and on a row count that is no multiple of 4
+@example((PauliSum(1, {PauliString(1, 0, 0): float("nan"), PauliString(1, 0, 1): -float("nan")}), np.array([1]), 1))
+@example((PauliSum(3, {PauliString(3, 1, 0): float("nan"), PauliString(3, 1, 1): -float("nan")}), np.arange(7), 7))
+@settings(max_examples=300, deadline=None)
+def test_table_compile_is_bitwise_the_group_loop(case):
+    op, rows, budget = case
+    with np.errstate(invalid="ignore"), mock.patch.object(sim, "_CHUNK_AMPLITUDES", budget):
+        diagonals, gathers = _grouped_operator(op, rows)
+        expected_diagonals, expected_gathers = group_loop_grouped_operator(op, rows)
+    assert_same_bits(diagonals, expected_diagonals)
+    assert diagonals.flags.c_contiguous
+    assert gathers.dtype == expected_gathers.dtype and np.array_equal(gathers, expected_gathers)
+
+
+# 12 groups of one string on one output row, with magnitudes 20 decades apart:
+# on the states of seed 1, a pairwise sum of their products rounds otherwise
+# than the running sum
+TWELVE_GROUPS = PauliSum(4, {PauliString(4, x, 0): (1e20 if x % 2 else -1.0) * x for x in range(1, 13)})
+
+
+@given(tables(), st.integers(0, 9), SEEDS, st.sampled_from(("state", "block", "row-major block")), st.booleans())
+@example((TWELVE_GROUPS, np.array([0]), 2**15), 1, 1, "state", True)
+@example((TWELVE_GROUPS, np.array([0]), 2**15), 1, 1, "row-major block", True)
+# one complex product, which numpy rounds otherwise when it multiplies a lone element in place
+@example((PauliSum(0, {PauliString(0): 0.875 + 1j}), None, 1), 0, 3, "state", False)
+@settings(max_examples=300, deadline=None)
+def test_apply_is_bitwise_the_group_loop(case, n_columns, seed, layout, real):
+    op, rows, budget = case
+    with np.errstate(invalid="ignore"):
+        table = _grouped_operator(op, rows)
+    rng = np.random.default_rng(seed)
+    shape = (2**op.n_qubits,) if layout == "state" else (2**op.n_qubits, n_columns)
+    columns = rng.normal(size=shape) + (0.0 if real else 1j) * rng.normal(size=shape)
+    columns[rng.random(shape) < 0.2] = 0.0
+    columns[rng.random(shape) < 0.1] = -0.0
+    if layout == "block":  # the (2^n, R) view of an (R, 2^n) block, as the row kernels pass it
+        columns = np.ascontiguousarray(columns.T).T
+    with np.errstate(invalid="ignore"), mock.patch.object(sim, "_CHUNK_AMPLITUDES", budget):
+        applied = _apply_operator(columns, table)
+        expected = group_loop_apply_operator(columns, table)
+    assert_same_bits(np.ascontiguousarray(applied), expected)
 
 
 def test_real_coefficient_y_string_keeps_a_complex_table():
@@ -354,7 +450,7 @@ def test_support_is_the_reach_of_the_rotations(ansatze):
     for ansatz in ansatze:
         reached = np.zeros(2**ansatz.n_qubits, dtype=bool)
         reached[ansatz.reference_index] = True
-        for moved, _ in ansatz._rotations:
+        for moved, _, _ in ansatz._rotations:
             reached[moved] = True  # every kept entry touches the support
         assert ansatz._support.tolist() == np.flatnonzero(reached).tolist()
         # singles and doubles reach every determinant of the reference's sector
@@ -365,24 +461,28 @@ def test_support_is_the_reach_of_the_rotations(ansatze):
 @pytest.mark.parametrize("which", range(len(ANSATZ_SHAPES)))
 def test_dropping_a_reachable_rotation_entry_is_caught(ansatze, which):
     """A mutant ansatz that leaves out one kept entry of one rotation
-    fails the comparison with the full-register kernels."""
+    (its gather, scatter, trig rows and trig scales, every later trig
+    slice moved up to match) fails the comparison with the full-register
+    kernels."""
     ansatz = ansatze[which]
     rng = np.random.default_rng(which)
     thetas = rng.uniform(-np.pi, np.pi, size=(2, ansatz.n_parameters))
     op = random_hermitian_sum(which, ansatz.n_qubits)
     for k in rng.choice(ansatz.n_parameters, size=min(4, ansatz.n_parameters), replace=False):
-        moved, scales = ansatz._rotations[k]
-        half = len(moved) // 2
+        moved, connected, entries = ansatz._rotations[k]
+        half = len(connected)
         j = int(rng.integers(half))
         keep = np.arange(len(moved)) % half != j
-        start = sum(len(rotation[0]) for rotation in ansatz._rotations[:k])
         trig_keep = np.ones(len(ansatz._trig_rows), dtype=bool)
-        trig_keep[start : start + len(moved)] = keep
+        trig_keep[entries] = keep
         mutant = copy.copy(ansatz)
-        rotations = list(ansatz._rotations)
-        rotations[k] = (moved[keep], scales[keep])
+        rotations = [(moved, connected) for moved, connected, _ in ansatz._rotations]
+        rotations[k] = (moved[keep], connected[keep[half:]])
+        stops = np.cumsum([len(moved) for moved, _ in rotations]).tolist()
+        rotations = [(moved, connected, slice(stop - len(moved), stop)) for (moved, connected), stop in zip(rotations, stops)]
         object.__setattr__(mutant, "_rotations", tuple(rotations))
         object.__setattr__(mutant, "_trig_rows", ansatz._trig_rows[trig_keep])
+        object.__setattr__(mutant, "_trig_scales", ansatz._trig_scales[trig_keep])
         with pytest.raises(AssertionError):
             assert_support_kernels_are_the_full_register(mutant, thetas, op)
 
@@ -493,6 +593,67 @@ def test_single_real_row_is_bitwise_the_complex_path(ansatze, which, seed):
     table = _grouped_operator(op)
     energy = _expectation_rows(row, table)
     assert_bitwise(energy, _expectation_rows(row.astype(np.complex128), table))
+
+
+@given(
+    which=st.integers(0, len(ANSATZ_SHAPES) - 1),
+    seed=SEEDS,
+    n_rows=st.integers(1, 33),
+    zero_fraction=st.sampled_from((0.0, 0.3, 1.0)),
+)
+@settings(max_examples=80, deadline=None)
+def test_folded_rotation_is_bitwise_the_unfolded_rotation(ansatze, which, seed, n_rows, zero_fraction):
+    ansatz = ansatze[which]
+    rng = np.random.default_rng(seed)
+    thetas = rng.uniform(-np.pi, np.pi, size=(n_rows, ansatz.n_parameters))
+    thetas[rng.random(thetas.shape) < zero_fraction] = 0.0
+    thetas[rng.random(thetas.shape) < 0.1] = -0.0
+    assert_same_bits(_evolve_rows(ansatz, thetas), unfolded_evolve_rows(ansatz, thetas))
+
+
+@pytest.mark.parametrize("scale, message", [(2.0, "0 or -1"), (1.0 + 2.0**-40, "other than exactly")])
+def test_generator_factor_other_than_one_is_rejected(scale, message):
+    """A factor of 2 fails the G^2 check; a factor 2^-40 off 1 passes it and
+    fails the exactness a folded rotation needs."""
+    base = build_uccsd_ansatz(2, 2)
+    generator = scale * base.generators[0]
+    with pytest.raises(SimulationError, match=message):
+        _compile_generator(generator)
+    with pytest.raises(SimulationError, match=message):
+        dataclasses.replace(base, generators=(generator,) + base.generators[1:])
+
+
+def test_kernels_allocate_a_chunk_not_a_term_array():
+    """At the paper's 10-qubit H8 (4e,6o) space, one table compile on the
+    support and one gradient block through ``_apply_operator`` allocate
+    their outputs and at most three chunks beside them, never a
+    (terms x rows) or (groups x amplitudes) array."""
+    path, n_electrons, n_orbitals = TABLE_SPACES["h8-4e6o"]
+    integrals = read_fcidump(path)
+    active = reduce_integrals(integrals, solve_rhf(integrals), ActiveSpaceSpec(n_electrons, n_orbitals))
+    hamiltonian = map_active_hamiltonian(active)
+    ansatz = build_uccsd_ansatz(active.n_orbitals, active.n_electrons)
+    support = ansatz._support
+    columns = _columns(_evolve_rows(ansatz, random_parameter_rows(ansatz, 0, vqe._BLOCK_AMPLITUDES // 2**ansatz.n_qubits)))
+    chunk = sim._CHUNK_AMPLITUDES * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        diagonals, gathers = _grouped_operator(hamiltonian, support)
+        compile_peak = tracemalloc.get_traced_memory()[1] - held
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        applied = _apply_operator(columns, (diagonals, gathers))
+        apply_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    n_terms, (n_groups, n_rows) = len(hamiltonian), diagonals.shape
+    assert diagonals.dtype == np.float64 and columns.dtype == np.float64
+    # the complex sums the float64 table is read from, the table and its gathers
+    outputs = n_groups * n_rows * 16 + diagonals.nbytes + gathers.nbytes
+    assert compile_peak <= outputs + 3 * chunk < outputs + n_terms * n_rows * 16
+    assert apply_peak <= applied.nbytes + 3 * chunk // 2 < n_groups * applied.nbytes
 
 
 def test_expectation_rows_checks_every_row():

@@ -37,8 +37,12 @@ SPACES = {
     "h2o-6e5o": (FIXTURE_DIR / "h2o_sto3g.fcidump", 6, 5),
     "h8-4e5o": (H8, 4, 5),
     "h8-6e5o": (H8, 6, 5),
+    # 10 qubits and 148 X-mask groups: the Hamiltonian kernels split into chunks
+    "h8-4e6o": (H8, 4, 6),
 }
 SEEDS = (0, 3)
+# (space, VQE seed) of every digest; the 10-qubit space at one seed
+CASES = [(space, seed) for space in SPACES if space != "h8-4e6o" for seed in SEEDS] + [("h8-4e6o", 0)]
 
 
 def vqe_digests(space: str, seed: int) -> dict[str, str]:
@@ -66,12 +70,12 @@ def vqe_digests(space: str, seed: int) -> dict[str, str]:
     }
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("space, seed", CASES)
 def test_vqe_results_match_their_digests(space, seed):
     """The bits in fixtures/vqe_digests.json, captured by dumping
-    ``{f"{space}/seed{seed}": vqe_digests(space, seed) for space in SPACES
-    for seed in SEEDS}``."""
+    ``{f"{space}/seed{seed}": vqe_digests(space, seed) for space, seed in
+    CASES}``; the h8-4e6o entry was captured before the Hamiltonian kernels
+    worked in chunks."""
     expected = json.loads((FIXTURE_DIR / "vqe_digests.json").read_text())
-    assert sorted(expected) == sorted(f"{s}/seed{k}" for s in SPACES for k in SEEDS)
+    assert sorted(expected) == sorted(f"{s}/seed{k}" for s, k in CASES)
     assert vqe_digests(space, seed) == expected[f"{space}/seed{seed}"]

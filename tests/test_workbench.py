@@ -634,9 +634,12 @@ def test_mu_scan_builds_each_ansatz_shape_once(mu_inputs, monkeypatch):
     assert len(built) == 2 and cached is not fresh
     assert cached == fresh  # every field but the compiled rotations
     assert len(cached._rotations) == len(fresh._rotations)
-    for ours, theirs in zip(cached._rotations, fresh._rotations):
+    for (*ours, our_entries), (*theirs, their_entries) in zip(cached._rotations, fresh._rotations):
+        assert our_entries == their_entries
         for a, b in zip(ours, theirs):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for a, b in ((cached._trig_rows, fresh._trig_rows), (cached._trig_scales, fresh._trig_scales)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # -- tooling ------------------------------------------------------------------
