@@ -20,9 +20,9 @@ electron and the determinant sign factorises into the per-spin signs.
 Every string has the same number L = k(n - k + 1) of entries for k
 electrons, so a table is a set of (m strings, L) arrays.  The tables
 depend only on the shape (n, n_alpha, n_beta): a small cache keeps one
-read-only string space per shape (``_string_space``), with, for
-n_alpha == n_beta, the spin-flip-even matvec's index tables, and every
-solve, 1-RDM and VQE density of the shape shares it.  Index tables are
+read-only string space per shape (``_string_space``), with the
+matvec's index tables, and every solve, 1-RDM and VQE density of the
+shape shares it.  Index tables are
 kept as intp arrays behind read-only views, and the gathers hand
 ``np.take`` the views' writeable owners: it copies, on every call, an
 index array that is not a writeable intp array.
@@ -35,22 +35,24 @@ index array that is not a writeable intp array.
   x = C[I, I], sqrt(2) C[I, i] for I < i: m(m + 1)/2 unknowns in place
   of m^2.  The solve returns the lowest even state, which for a closed
   shell is the singlet; a lower state with an antisymmetric C (odd total
-  spin) is out of the contract.  S_z != 0 sectors use the whole sector.
+  spin) is out of the contract.  Every other sector (S_z != 0) is
+  solved on the whole m_a x m_b box of C.
 * Davidson, the one eigensolver, on every sector: Davidson-Liu
   (Davidson, J. Comput. Phys. 17, 87 (1975)) from the Hartree-Fock
   determinant on a matvec
   D = E c (stacked over pq), G = 1/2 (pq|rs) D,
   sigma = sum_pq E_pq G_pq + sum_pq k_pq D_pq.  The 8-fold symmetry of
   (pq|rs) folds pq and qp onto the pair p >= q, so the matvec runs over
-  the n(n+1)/2 operators E_pq + E_qp.  Over a whole sector it is a
-  gather per spin for D, one matrix product for G and a gathered signed
-  sum per spin for sigma.  On the even states D and G are symmetric in
-  (I, i) and are kept on the packed triangle I <= i alone, as
-  (m(m+1)/2, n_pairs) arrays: D is two gathers of the packed vector, G
-  one pair-space product run in batches small enough for OpenBLAS to
-  keep on the calling thread, and sigma one gather of G and a signed
-  sum.  Their index tables are compiled once per shape, with its
-  string space; every buffer is allocated once per solve.  Each step
+  the n(n+1)/2 operators E_pq + E_qp.  One operator serves every
+  sector, on one of two row sets: the packed triangle I <= i of the
+  even states, where D and G are symmetric in (I, i), or the whole box.
+  D and G are (rows, n_pairs) arrays: D is two gathers of the signed
+  vector, one per spin, G one pair-space product run in batches small
+  enough for OpenBLAS to keep on the calling thread, and sigma a
+  gathered signed sum of G for alpha and, for beta, its mirror on the
+  triangle or a second gathered signed sum on the box.  The index
+  tables are compiled once per shape, with its string space; every
+  buffer is allocated once per solve.  Each step
   corrects the Ritz pair (theta, x) by (H_diag - theta)^-1 r,
   r = Hx - theta x, with the exact determinant diagonal H_diag from
   the string occupations; it stops at
@@ -215,9 +217,12 @@ class _ExcitationTable:
 class _StringSpace:
     """The alpha and beta excitation tables of one (n, n_alpha, n_beta)
     sector, read-only and shared: :func:`_string_space` keeps one per
-    shape.  Equal alpha and beta string sets share one table, and such a
-    space with n > 0 also carries the spin-flip-even matvec's tables
-    (``even``, :func:`_compile_even_tables`); otherwise ``even`` is None.
+    shape.  Equal alpha and beta string sets share one table.  A space
+    with n > 0 also carries the direct-CI matvec's tables (``tables``,
+    :func:`_compile_tables`): one operator on two row sets, the packed
+    triangle I <= i of the spin-flip-even states when the string sets are
+    one and the whole I x i box otherwise.  An empty active space (n == 0)
+    is never solved, and its ``tables`` is None.
 
     ``pair_of`` maps pq = p n + q to its pair p(p+1)/2 + q (p >= q),
     ``pairs`` each pair to its pq with p >= q.  The 1-RDM reads the
@@ -239,8 +244,7 @@ class _StringSpace:
         self._pair_scale = np.where(p == q, 1.0, 0.5)
         for array in (self.pair_of, self.pairs, self._pair_scale):
             array.flags.writeable = False
-        # an empty active space (n == 0) is never solved
-        self.even = _compile_even_tables(self) if a is b and n else None
+        self.tables = _compile_tables(self) if n else None
 
     def one_rdm(self, vector: np.ndarray) -> np.ndarray:
         """Spin-summed gamma_pq = <c| E^a_pq + E^b_pq |c> for c viewed as
@@ -252,31 +256,38 @@ class _StringSpace:
         return (paired[self.pair_of] * self._pair_scale).reshape(self.n, self.n)
 
 
-class _SpinFlipEvenBasis:
-    """Orthonormal basis of the symmetric C = C^T of an m x m sector.
+class _SectorBasis:
+    """Orthonormal basis of the coefficients C[I, i] (m_a x m_b) that the
+    direct-CI operator runs on, one coordinate per row.
 
-    Coordinate x holds C[I, I] on the diagonal and sqrt(2) C[I, i] for
-    I < i, pairs (I, i) in row-major order, so x[0] is the Hartree-Fock
-    determinant.  ``unpack`` is the isometry P: x -> C (flattened) and
-    ``pack`` its transpose P^T, so pack(unpack(x)) == x and P^T H P is H
-    restricted to the spin-flip-even states.  Its arrays are read-only.
+    ``packed`` (one string set, n_alpha == n_beta): the spin-flip-even
+    C = C^T, coordinate x holding C[I, I] on the diagonal and
+    sqrt(2) C[I, i] for I < i, pairs (I, i) in row-major order, so x[0]
+    is the Hartree-Fock determinant; ``mirror`` holds the flat (i, I) of
+    each row's (I, i) in ``upper``.  Otherwise the whole box, x = C, every
+    row its own mirror.  ``index[I, i]`` is the row holding C[I, i].
+    ``unpack`` is the isometry P: x -> C (flattened) and ``pack`` its
+    transpose P^T, so pack(unpack(x)) == x and P^T H P is H restricted to
+    the basis's states.  Its arrays are read-only.
     """
 
-    def __init__(self, m: int):
-        rows, cols = np.triu_indices(m)
-        self.m = m
+    def __init__(self, m_a: int, m_b: int, packed: bool):
+        rows, cols = np.triu_indices(m_a) if packed else np.divmod(np.arange(m_a * m_b), m_b)
         self.dimension = len(rows)
-        self.upper = rows * m + cols  # flat (I, i), I <= i
-        self.mirror = cols * m + rows  # flat (i, I)
-        diagonal = rows == cols
-        self._unpack_scale = np.where(diagonal, 1.0, math.sqrt(0.5))
-        self._pack_scale = np.where(diagonal, 0.5, math.sqrt(0.5))
-        for array in (self.upper, self.mirror, self._unpack_scale, self._pack_scale):
+        self.upper = rows * m_b + cols  # flat (I, i)
+        self.mirror = cols * m_b + rows if packed else self.upper  # flat (i, I)
+        own_mirror = (rows == cols) | (not packed)
+        self._unpack_scale = np.where(own_mirror, 1.0, math.sqrt(0.5))
+        self._pack_scale = np.where(own_mirror, 0.5, math.sqrt(0.5))
+        index = np.empty(m_a * m_b, dtype=np.intp)
+        index[self.upper] = index[self.mirror] = np.arange(self.dimension)
+        self.index = index.reshape(m_a, m_b)
+        for array in (self.upper, self.mirror, self._unpack_scale, self._pack_scale, self.index):
             array.flags.writeable = False
 
     def unpack(self, x: np.ndarray) -> np.ndarray:
-        """P x: the flattened symmetric C."""
-        c = np.empty(self.m * self.m)
+        """P x: the flattened C."""
+        c = np.empty(self.index.size)
         values = x * self._unpack_scale
         c[self.mirror] = values
         c[self.upper] = values
@@ -295,129 +306,64 @@ def _integrals(active: ActiveHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     return k.ravel(), eri.reshape(n * n, n * n)
 
 
-def _alpha_sigma(space: _StringSpace) -> Callable[[np.ndarray], np.ndarray]:
-    """G -> S G with S[I, J * n_pairs + pair] = s for each alpha entry
-    E_pq|I> = s|J>, for G of shape (m_a, n_pairs, m_b).  E+ is
-    symmetric, so S G is the alpha half of sum_pair E+_pair G_pair.
-    Every string has the same L entries, so S G is one gather of the L
-    rows G[J, pair] that string I reaches, into a buffer allocated once,
-    and their signed sum."""
-    a = space.alpha
-    m_a, width = a.pq.shape
-    m_b = space.shape[1]
-    rows = (a.target * len(space.pairs) + a.pair).ravel()
-    gathered = np.empty((m_a, width, m_b))
+class _OperatorTables(NamedTuple):
+    """The direct-CI matvec's index tables for one (n, n_alpha, n_beta)
+    shape, read-only and shared by every solve of the shape through its
+    cached :class:`_StringSpace` (``tables``).
 
-    def product(g: np.ndarray) -> np.ndarray:
-        np.take(g.reshape(-1, m_b), rows, axis=0, out=gathered.reshape(-1, m_b), mode="clip")
-        return np.einsum("Iw,Iwi->Ii", a.sign, gathered)
-
-    return product
-
-
-def _hamiltonian_operator(
-    space: _StringSpace, k: np.ndarray, eri: np.ndarray
-) -> Callable[[np.ndarray], np.ndarray]:
-    """c -> sigma = sum_pair (E+_pair G_pair + k_pair D+_pair), G = 1/2 (pq|rs) D+,
-    over the whole sector.
-
-    D+[I, pair, i] = ((E_pq + E_qp) c)[I, i] for the pair p > q (E_pp c
-    for p == q), with c viewed as C[I, i], is two gathers: rows of
-    [C; -C; 0] for alpha and columns of [C, -C, 0] for beta
-    (:meth:`_ExcitationTable.gather_rows`), where slots no entry reaches
-    read the zero.  E+ is symmetric, so (I, i) of sigma gathers
-    s G[J, pair, i] over the entries E_pq|I> = s|J> of its alpha string
-    (:func:`_alpha_sigma`) and s G[I, pair, j] over those of its beta
-    string.  The gather tables, writeable intp arrays so that
-    ``np.take`` copies none (:func:`_read_only`), and every buffer are
-    made here, once per operator."""
-    m_a, m_b = space.shape
-    b = space.beta
-    n_pairs = len(space.pairs)
-    alpha_sigma = _alpha_sigma(space)
-    alpha_rows = space.alpha.gather_rows().ravel()
-    beta_cols = b.gather_rows().T.ravel()  # in (pair, i) order
-    # columns of G as (m_a, n_pairs * m_b)
-    beta_terms_index = np.ascontiguousarray((b.pair * m_b + b.target).T)
-    beta_sign = b.sign.T
-    half_eri = 0.5 * eri[np.ix_(space.pairs, space.pairs)]
-    k = k[space.pairs]
-    rows = np.zeros((2 * m_a + 1, m_b))  # [C; -C; 0]
-    cols = np.zeros((m_a, 2 * m_b + 1))  # [C, -C, 0]
-    d = np.empty((m_a, n_pairs, m_b))
-    g = np.empty((m_a, n_pairs, m_b))  # the beta half of D+ until the product
-    beta_terms = np.empty((m_a, b.pq.shape[1], m_b))
-
-    def matvec(vector: np.ndarray) -> np.ndarray:
-        c = np.reshape(vector, space.shape)
-        rows[:m_a] = c
-        np.negative(c, out=rows[m_a:-1])
-        cols[:, :m_b] = c
-        np.negative(c, out=cols[:, m_b:-1])
-        np.take(rows, alpha_rows, axis=0, out=d.reshape(-1, m_b), mode="clip")
-        np.take(cols, beta_cols, axis=1, out=g.reshape(m_a, -1), mode="clip")
-        np.add(d, g, out=d)
-        np.matmul(half_eri, d, out=g)
-        sigma = alpha_sigma(g)
-        np.take(g.reshape(m_a, -1), beta_terms_index, axis=1, out=beta_terms, mode="clip")
-        np.multiply(beta_terms, beta_sign, out=beta_terms)
-        sigma += beta_terms.sum(axis=1)
-        sigma += np.matmul(k, d)
-        return sigma.ravel()
-
-    return matvec
-
-
-class _EvenTables(NamedTuple):
-    """The spin-flip-even matvec's index tables for one (n, n_alpha =
-    n_beta) shape, read-only and shared by every solve of the shape
-    through its cached :class:`_StringSpace` (``even``).
-
-    Row t of the packed triangle is the pair (I, i), I <= i, of
-    ``basis``; its slots in x~ = [x s; -x s; 0] (s the unpack scale, so
-    x~[t] = C[I, i] = C[i, I]) are ``first[t, pair]`` for D_a[I, pair, i]
-    and ``second[t, pair]`` for D_a[i, pair, I].  ``sigma_index[I, w, i]``
-    is the flat index into G (width n_pairs + 1) of G[tri(J, i), pair]
-    for the w-th alpha entry E_pq|I> = ``sign[I, w]`` |J>.  The three
-    index tables are intp, and each is a read-only view whose ``.base``
-    is the writeable array the matvec hands ``np.take``.  The triangle is
-    padded to ``batches`` x ``rows`` rows for the pair-space product.
+    Row t of ``basis`` holds (I, i); its slots in x~ = [x s; -x s; 0] (s
+    the unpack scale, so x~[t] = C[I, i]) are ``first[t, pair]`` for the
+    alpha half of D+[I, pair, i] and ``second[t, pair]`` for its beta
+    half.  ``alpha_index[I, w, i]`` is the flat index into G (width
+    n_pairs + 1) of G[row of (J, i), pair] for the w-th alpha entry
+    E_pq|I> = ``alpha_sign[I, w]`` |J>, and ``beta_index[I, w, i]`` that
+    of G[row of (I, j), pair] for the w-th beta entry
+    E_pq|i> = ``beta_sign[w, i]`` |j>; on the packed triangle the beta
+    half of sigma is the mirror of the alpha half, and ``beta_index`` is
+    None.  The index tables are intp, and each is a read-only view whose
+    ``.base`` is the writeable array the matvec hands ``np.take``.  The
+    rows are padded to ``batches`` x ``rows`` for the pair-space product.
     """
 
-    basis: _SpinFlipEvenBasis
+    basis: _SectorBasis
     pairs: np.ndarray
     first: np.ndarray
     second: np.ndarray
-    sigma_index: np.ndarray
-    sign: np.ndarray
+    alpha_index: np.ndarray
+    alpha_sign: np.ndarray
+    beta_index: np.ndarray | None
+    beta_sign: np.ndarray
     batches: int
     rows: int
 
 
-def _compile_even_tables(space: _StringSpace) -> _EvenTables:
-    """The :class:`_EvenTables` of a space whose alpha and beta strings
-    are one set."""
-    a = space.alpha
-    basis = _SpinFlipEvenBasis(space.shape[0])
-    m, size, n_pairs = basis.m, basis.dimension, len(space.pairs)
+def _compile_tables(space: _StringSpace) -> _OperatorTables:
+    """The :class:`_OperatorTables` of a space with n > 0: on the packed
+    triangle when its alpha and beta strings are one set, else on the
+    whole box."""
+    a, b = space.alpha, space.beta
+    m_a, m_b = space.shape
+    basis = _SectorBasis(m_a, m_b, packed=a is b)
+    size, n_pairs, index = basis.dimension, len(space.pairs), basis.index
     width = n_pairs + 1
-    upper_rows, upper_cols = np.divmod(basis.upper, m)
-    tri = np.empty(m * m, dtype=np.intp)  # (I, i) -> its triangle row, either order
-    tri[basis.upper] = tri[basis.mirror] = np.arange(size)
-    tri = tri.reshape(m, m)
-    # slot[v, i]: the x~ slot that alpha gather entry v (a source string,
-    # m + one read with a minus sign, or 2m for none) reads at column i
-    slot = np.concatenate((tri, tri + size, np.full((1, m), 2 * size, dtype=np.intp)))
-    alpha_rows = a.gather_rows()
+    upper_rows, upper_cols = np.divmod(basis.upper, m_b)
+
+    def slots(index: np.ndarray) -> np.ndarray:
+        """[v, i]: the x~ slot that gather entry v (a source string, m +
+        one read with a minus sign, or 2m for none) reads at column i."""
+        return np.concatenate((index, index + size, np.full((1, index.shape[1]), 2 * size, dtype=np.intp)))
+
     rows = _SINGLE_THREAD_GEMM_SIZE // (n_pairs * width) or size
     batches = -(-size // rows)
-    return _EvenTables(
+    return _OperatorTables(
         basis=basis,
         pairs=space.pairs,
-        first=_read_only(slot[alpha_rows[upper_rows], upper_cols[:, None]]),
-        second=_read_only(slot[alpha_rows[upper_cols], upper_rows[:, None]]),
-        sigma_index=_read_only(tri[a.target[:, :, None], np.arange(m)] * width + a.pair[:, :, None]),
-        sign=a.sign,
+        first=_read_only(slots(index)[a.gather_rows()[upper_rows], upper_cols[:, None]]),
+        second=_read_only(slots(index.T)[b.gather_rows()[upper_cols], upper_rows[:, None]]),
+        alpha_index=_read_only(index[a.target[:, :, None], np.arange(m_b)] * width + a.pair[:, :, None]),
+        alpha_sign=a.sign,
+        beta_index=None if a is b else _read_only(index[np.arange(m_a)[:, None, None], b.target.T] * width + b.pair.T),
+        beta_sign=b.sign.T,
         batches=batches,
         rows=-(-size // batches),
     )
@@ -430,29 +376,32 @@ def _string_space(n: int, n_alpha: int, n_beta: int) -> _StringSpace:
     return _StringSpace(n, n_alpha, n_beta)
 
 
-def _even_hamiltonian_operator(
-    tables: _EvenTables, k: np.ndarray, eri: np.ndarray
+def _hamiltonian_operator(
+    tables: _OperatorTables, k: np.ndarray, eri: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> P^T H P x on the spin-flip-even basis of an n_alpha == n_beta
-    sector.  For C = C^T on one string table the beta gather is the
-    transposed alpha gather, so D+[I, pair, i] = D_a[I, pair, i] +
-    D_a[i, pair, I] is symmetric in (I, i) and lives on the packed
-    triangle: two gathers of x~ (:class:`_EvenTables`).  G = 1/2 D+ (pq|rs)
-    is symmetric as well, and the general operator's sigma becomes
-    sigma_a + sigma_a^T + k D+ with sigma_a = S G its alpha half.  P^T
-    maps that to 2 p (sigma_a[I, i] + sigma_a[i, I] + (k D+)[I, i]), p the
-    pack scale.  k rides as one more column of the pair-space product,
-    which runs in batches small enough for OpenBLAS to keep on the
-    calling thread.
+    """x -> P^T H P x on the rows of ``tables.basis``:
+    sigma = sum_pair (E+_pair G_pair + k_pair D+_pair), G = 1/2 (pq|rs) D+,
+    with c viewed as C[I, i].
+
+    D+[I, pair, i] = ((E_pq + E_qp) c)[I, i] for the pair p > q (E_pp c
+    for p == q) is two gathers of x~, one per spin (:class:`_OperatorTables`).
+    G = 1/2 D+ (pq|rs) is one pair-space product with k riding as one
+    more column, run in batches small enough for OpenBLAS to keep on the
+    calling thread.  E+ is symmetric, so (I, i) of sigma gathers
+    s G[J, pair, i] over the alpha entries E_pq|I> = s|J> (sigma_a) and
+    s G[I, pair, j] over the beta entries E_pq|i> = s|j> (sigma_b).  On the
+    box P is the identity.  On the packed triangle C = C^T on one string
+    table, D+ and G are symmetric in (I, i), sigma_b = sigma_a^T, and P^T
+    maps sigma to 2 p (sigma_a[I, i] + sigma_a[i, I] + (k D+)[I, i]), p
+    the pack scale.
 
     Every buffer is allocated here, once per solve: a fresh gather
     result would fault its pages in on every call.  The gathers read the
     cached tables' writeable owners (:func:`_read_only`), so no call
     copies a table."""
     basis, pairs = tables.basis, tables.pairs
-    first, second, sigma_index = (
-        table.base for table in (tables.first, tables.second, tables.sigma_index)
-    )
+    first, second, alpha_index = (table.base for table in (tables.first, tables.second, tables.alpha_index))
+    beta_index = None if tables.beta_index is None else tables.beta_index.base
     size, n_pairs = first.shape
     width = n_pairs + 1
     weights = np.empty((n_pairs, width))
@@ -460,11 +409,12 @@ def _even_hamiltonian_operator(
     weights[:, n_pairs] = k[pairs]
     signed = np.zeros(2 * size + 1)  # x~ = [x s; -x s; 0]
     padded = tables.batches * tables.rows
-    # D+ on the padded triangle; once the product has read it, the sigma gather
-    d = np.zeros(max(padded * n_pairs, sigma_index.size))
+    # D+ on the padded rows; once the product has read it, the sigma gathers
+    d = np.zeros(max(padded * n_pairs, alpha_index.size, 0 if beta_index is None else beta_index.size))
     d_rows = d[: padded * n_pairs].reshape(tables.batches, tables.rows, n_pairs)
     d_upper = d[: size * n_pairs].reshape(size, n_pairs)
-    gathered = d[: sigma_index.size].reshape(sigma_index.shape)
+    alpha_gathered = d[: alpha_index.size].reshape(alpha_index.shape)
+    beta_gathered = None if beta_index is None else d[: beta_index.size].reshape(beta_index.shape)
     g = np.zeros((tables.batches, tables.rows, width))
     d_second = g.reshape(-1)[: size * n_pairs].reshape(size, n_pairs)  # until the product
     k_d = g.reshape(-1, width)[:size, n_pairs]
@@ -478,9 +428,12 @@ def _even_hamiltonian_operator(
         np.take(signed, second, out=d_second, mode="clip")
         np.add(d_upper, d_second, out=d_upper)
         np.matmul(d_rows, weights, out=g)
-        np.take(g.reshape(-1), sigma_index, out=gathered, mode="clip")
-        sigma = np.einsum("Iw,Iwi->Ii", tables.sign, gathered).ravel()
-        return (sigma[basis.upper] + sigma[basis.mirror] + k_d) * scale
+        np.take(g.reshape(-1), alpha_index, out=alpha_gathered, mode="clip")
+        sigma = mirrored = np.einsum("Iw,Iwi->Ii", tables.alpha_sign, alpha_gathered).ravel()
+        if beta_index is not None:
+            np.take(g.reshape(-1), beta_index, out=beta_gathered, mode="clip")
+            mirrored = np.einsum("wi,Iwi->Ii", tables.beta_sign, beta_gathered).ravel()
+        return (sigma[basis.upper] + mirrored[basis.mirror] + k_d) * scale
 
     return matvec
 
@@ -619,20 +572,13 @@ def fci_solve(
 
     space = _string_space(n, n_alpha, n_beta)
     k, eri = _integrals(active)
-    diagonal = _diagonal(space, k, eri)
-    if space.even is not None:
-        tables = space.even
-        even = tables.basis
-        # the determinant diagonal at x's pairs preconditions exactly as it
-        # does the symmetric C on the full sector
-        energy, vector, matvecs, residual_norm = _davidson_ground(
-            _even_hamiltonian_operator(tables, k, eri), diagonal[even.upper]
-        )
-        vector = even.unpack(vector)
-    else:
-        energy, vector, matvecs, residual_norm = _davidson_ground(
-            _hamiltonian_operator(space, k, eri), diagonal
-        )
+    basis = space.tables.basis
+    # the determinant diagonal at x's rows preconditions exactly as it
+    # does the symmetric C on the full sector
+    energy, vector, matvecs, residual_norm = _davidson_ground(
+        _hamiltonian_operator(space.tables, k, eri), _diagonal(space, k, eri)[basis.upper]
+    )
+    vector = basis.unpack(vector)
 
     # deterministic global sign: largest-magnitude component positive
     pivot = int(np.argmax(np.abs(vector)))

@@ -37,9 +37,11 @@ pairwise, so such rows are held 2 wide beside a zero column.
   is diagonal with entries 0 or -1, so exp(theta G) = 1 + sin(theta) G
   + (1 - cos(theta)) G^2 is the identity off G's support and
   cos(theta) + sin(theta) G on it: one rotation of the connected
-  amplitudes per generator, read off G's one-row table.  It keeps the
-  entries that touch S, the amplitudes that the rotations before it
-  reach from the reference; any other maps an exact 0 onto an exact 0.
+  amplitudes per generator, read off G's one-row table.  That table is
+  compiled only on the rows the rotation can touch: the amplitudes that
+  the rotations before it reach from the reference (S so far) and their
+  images under G's X-mask.  Any other entry would map an exact 0 onto an
+  exact 0.
   Every factor f is exactly +1 or -1, so a (f s) is bitwise (a f) s: a
   sweep scales its [sin; cos] table by [factors; 1] once, and a rotation
   is a gather of [source; connected], a product with its slice of that
@@ -369,27 +371,32 @@ def uccsd_excitations(
 _Rotation = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _compile_generator(generator: PauliSum) -> _Rotation:
+def _compile_generator(generator: PauliSum, reached: np.ndarray) -> _Rotation:
+    """The rotation of ``generator`` on the rows it can touch from the
+    ``reached`` amplitudes (a bool mask over the register): those rows and
+    their images under the generator's X-mask, a set closed under that
+    flip, so every connected entry moves or receives a reached amplitude.
+    The checks on G and G^2 run on these rows."""
     if any(abs(coeff.real) > _IMAG_TOLERANCE for _, coeff in generator):
         raise SimulationError("excitation generator is not anti-Hermitian")
-    diagonals, gathers = _grouped_operator(generator)
-    if len(diagonals) != 1:
+    x_masks = {string.x_mask for string, _ in generator}
+    if len(x_masks) != 1:
         raise SimulationError("excitation generator terms do not share one X-mask")
+    rows = np.flatnonzero(reached | reached[np.arange(len(reached)) ^ x_masks.pop()])
     # (G amps)[b] = factors[b] * amps[source[b]] with source[b] = b ^ x
-    factors, source = diagonals[0], gathers[0]
+    (factors,), (source,) = _grouped_operator(generator, rows)
     residue = np.abs(factors.imag).max(initial=0.0)
     if residue > _IMAG_TOLERANCE:
         raise SimulationError(f"excitation generator has a factor with imaginary part {residue:.3e}")
     factors = factors.real  # the rotation runs on real amplitudes
-    square = factors * factors[source]  # the diagonal of G^2
+    square = factors * factors[np.searchsorted(rows, source)]  # the diagonal of G^2
     projector = np.abs(square + 1.0) <= _IMAG_TOLERANCE
     if not np.all(projector | (np.abs(square) <= _IMAG_TOLERANCE)):
         raise SimulationError("excitation generator squared is not diagonal with entries 0 or -1")
-    connected = np.flatnonzero(projector)
     # a sweep folds f into its trig table: (a f) s is a (f s) bit for bit only for f = +-1
-    if np.any(np.abs(factors[connected]) != 1.0):
+    if np.any(np.abs(factors[projector]) != 1.0):
         raise SimulationError("excitation generator has a factor other than exactly +1 or -1")
-    return connected, source[connected], factors[connected]
+    return rows[projector], source[projector], factors[projector]
 
 
 @dataclass(frozen=True)
@@ -401,7 +408,8 @@ class UccsdAnsatz:
     enumeration order, starting from the mapped Hartree-Fock reference.
     Construction checks that every generator is anti-Hermitian, that its
     terms share one X-mask and that G_k^2 is diagonal with entries 0 or
-    -1, and compiles it into one closed-form rotation on the support,
+    -1 on the rows its rotation can touch, and compiles it there into one
+    closed-form rotation on the support,
     ``_support``; ``_trig_rows`` picks each kept entry's sin or cos from
     the rows [sin; cos] of a sweep, and ``_trig_scales`` its [factors; 1].
     """
@@ -425,9 +433,7 @@ class UccsdAnsatz:
         reached[self.reference_index] = True
         rotations, trig_rows, scales = [], [], [np.empty(0)]
         for k, generator in enumerate(self.generators):
-            connected, source, factors = _compile_generator(generator)
-            kept = reached[connected] | reached[source]
-            connected, source, factors = connected[kept], source[kept], factors[kept]
+            connected, source, factors = _compile_generator(generator, reached)
             reached[connected] |= reached[source]
             start = len(trig_rows)
             trig_rows += [k] * len(factors) + [self.n_parameters + k] * len(factors)

@@ -400,16 +400,17 @@ def reference_grouped_operator(op):
 
 
 def reference_reachable_rotations(generators, reference_index: int):
-    """(connected, source, factors) of each generator's compile, kept at
-    the entries that touch an amplitude reachable from the reference,
-    and the set of reached basis states: grown by each rotation's kept
-    ``connected`` entries, it decides the entries of the next one."""
+    """(connected, source, factors) of each generator's compile on the
+    full register, kept at the entries that touch an amplitude reachable
+    from the reference, and the set of reached basis states: grown by
+    each rotation's kept ``connected`` entries, it decides the entries of
+    the next one."""
     from qcembed.sim import _compile_generator
 
     reached = {reference_index}
     rotations = []
     for generator in generators:
-        connected, source, factors = _compile_generator(generator)
+        connected, source, factors = _compile_generator(generator, np.ones(2**generator.n_qubits, dtype=bool))
         kept = [b in reached or a in reached for b, a in zip(connected.tolist(), source.tolist())]
         rotations.append((connected[kept], source[kept], factors[kept]))
         reached.update(connected[kept].tolist())
@@ -443,7 +444,7 @@ def full_register_evolve_rows(ansatz, thetas: np.ndarray) -> np.ndarray:
     amps[ansatz.reference_index] = 1.0
     per_state = (slice(None),) + (None,) * (amps.ndim - 1)
     for generator, c, s in zip(ansatz.generators, cos, sin):
-        connected, source, factors = _compile_generator(generator)
+        connected, source, factors = _compile_generator(generator, np.ones(amps.shape[0], dtype=bool))
         rotated = amps[source]
         rotated *= factors[per_state]
         rotated *= s
@@ -874,17 +875,16 @@ def reference_alpha_sigma_matrix(space):
 def reference_even_hamiltonian_operator(space, basis, k: np.ndarray, eri: np.ndarray):
     """x -> P^T H P x on the spin-flip-even basis of an n_alpha == n_beta
     sector over the whole (m, n_pairs, m) D_a: the operator the packed
-    triangle replaced (``fci._StringSpace`` and ``fci._SpinFlipEvenBasis``
-    give the tables and the basis).  For C = C^T on one string table the
-    beta gather is the transposed alpha gather, so D+ = D_a + D_a^T;
+    triangle replaced (``fci._StringSpace`` and ``fci._SectorBasis`` give
+    the tables and the basis).  For C = C^T on one string table the beta
+    gather is the transposed alpha gather, so D+ = D_a + D_a^T;
     G = 1/2 (pq|rs) D+ is symmetric in (I, i) as well, and the general
     operator's sigma becomes sigma_a + sigma_a^T + k D+ with sigma_a = S G
-    its alpha half (``fci._alpha_sigma``).  P^T sigma_a^T = P^T sigma_a,
+    its alpha half, here the CSR product of
+    :func:`reference_alpha_sigma_matrix`.  P^T sigma_a^T = P^T sigma_a,
     so the result is P^T (2 sigma_a + k D+)."""
-    from qcembed.fci import _alpha_sigma
-
-    m = basis.m
-    alpha_sigma = _alpha_sigma(space)
+    m = space.shape[0]
+    alpha_sigma = reference_alpha_sigma_matrix(space)
     alpha_rows = space.alpha.gather_rows().ravel()
     half_eri = 0.5 * eri[np.ix_(space.pairs, space.pairs)]
     k = k[space.pairs]
@@ -900,7 +900,7 @@ def reference_even_hamiltonian_operator(space, basis, k: np.ndarray, eri: np.nda
         np.copyto(d, d_alpha.transpose(2, 1, 0))
         np.add(d, d_alpha, out=d)
         g = np.matmul(half_eri, d, out=d_alpha)  # D_a is spent
-        sigma = alpha_sigma(g)  # sigma_a
+        sigma = alpha_sigma @ g.reshape(-1, m)  # sigma_a
         sigma *= 2.0
         sigma += np.matmul(k, d)
         return basis.pack(sigma.ravel())
@@ -1124,3 +1124,87 @@ def reference_transform_to_mo_basis(integrals, coefficients: np.ndarray):
     eri = np.einsum("rk,ijrs->ijks", c, eri, optimize=True)
     eri_mo = np.einsum("sl,ijks->ijkl", c, eri, optimize=True)
     return h_mo, eri_mo
+
+
+def reference_rhf_ccsd(
+    h_mo: np.ndarray, eri_mo: np.ndarray, n_electrons: int, tolerance: float = 1e-10, max_iterations: int = 500
+) -> tuple[float, float]:
+    """Closed-shell CCSD on the lowest n_electrons / 2 orbitals of an MO
+    basis (``activespace.transform_to_mo_basis`` output, (pq|rs) in
+    chemists' notation): (reference determinant energy, CCSD correlation
+    energy), both electronic.
+
+    Spin-orbital CCSD of Stanton, Gauss, Watts & Bartlett, J. Chem. Phys.
+    94, 4334 (1991), as laid out by Crawford & Schaefer, Rev. Comp. Chem.
+    14, 33 (2000), in numpy einsums.  Spin orbitals are interleaved here
+    (2p alpha, 2p + 1 beta), so the occupied ones come first; the Fock
+    matrix need not be diagonal.  Each step moves the amplitudes half way
+    to their Jacobi update: full steps oscillate and diverge wherever a
+    doubles or singles mode's coupling exceeds twice its orbital-energy
+    denominator, which random two-electron Hamiltonians with 1-2 Ha level
+    spacings reach.  The steps run until no amplitude and not the energy
+    moves by ``tolerance``; more than ``max_iterations`` raises
+    ``RuntimeError``.
+    """
+    e = np.einsum
+    n = len(h_mo)
+    spatial, spin = np.divmod(np.arange(2 * n), 2)
+    same = spin[:, None] == spin[None, :]
+    h = h_mo[np.ix_(spatial, spatial)] * same
+    chemists = eri_mo[np.ix_(spatial, spatial, spatial, spatial)] * same[:, :, None, None] * same[None, None]
+    physicists = chemists.transpose(0, 2, 1, 3)  # <pq|rs> = (pr|qs)
+    g = physicists - physicists.transpose(0, 1, 3, 2)  # <pq||rs>
+    o, v = slice(0, n_electrons), slice(n_electrons, 2 * n)
+    f = h + e("pmqm->pq", g[:, o, :, o])
+    e_reference = float(np.trace(h[o, o]) + 0.5 * e("ijij", g[o, o, o, o]))
+    f_o, f_v = f[o, o].diagonal(), f[v, v].diagonal()
+    d1 = f_o[:, None] - f_v[None, :]
+    d2 = d1[:, None, :, None] + d1[None, :, None, :]
+    foo, fvv, fov = f[o, o] - np.diag(f_o), f[v, v] - np.diag(f_v), f[o, v]
+    oooo, ooov, oovv, ovvv = g[o, o, o, o], g[o, o, o, v], g[o, o, v, v], g[o, v, v, v]
+    oovo, ovvo, ovov, vvvv, vovv = g[o, o, v, o], g[o, v, v, o], g[o, v, o, v], g[v, v, v, v], g[v, o, v, v]
+    vvvo, ovoo = g[v, v, v, o], g[o, v, o, o]
+
+    def antisymmetrize_first(x):  # P(pq) on the first index pair
+        return x - x.transpose(1, 0, 2, 3)
+
+    def antisymmetrize_last(x):  # P(rs) on the last index pair
+        return x - x.transpose(0, 1, 3, 2)
+
+    def energy(t1, t2):
+        return float(e("ia,ia", fov, t1) + 0.25 * e("ijab,ijab", oovv, t2) + 0.5 * e("ijab,ia,jb", oovv, t1, t1))
+
+    t1, t2 = fov / d1, oovv / d2
+    correlation = energy(t1, t2)
+    for _ in range(max_iterations):
+        pairs = e("ia,jb->ijab", t1, t1) - e("ib,ja->ijab", t1, t1)
+        tau_tilde, tau = t2 + 0.5 * pairs, t2 + pairs
+        f_ae = fvv - 0.5 * e("me,ma->ae", fov, t1) + e("mf,mafe->ae", t1, ovvv) - 0.5 * e("mnaf,mnef->ae", tau_tilde, oovv)
+        f_mi = foo + 0.5 * e("ie,me->mi", t1, fov) + e("ne,mnie->mi", t1, ooov) + 0.5 * e("inef,mnef->mi", tau_tilde, oovv)
+        f_me = fov + e("nf,mnef->me", t1, oovv)
+        w_mnij = oooo + antisymmetrize_last(e("je,mnie->mnij", t1, ooov)) + 0.25 * e("ijef,mnef->mnij", tau, oovv)
+        w_abef = vvvv - antisymmetrize_first(e("mb,amef->abef", t1, vovv)) + 0.25 * e("mnab,mnef->abef", tau, oovv)
+        w_mbej = (
+            ovvo + e("jf,mbef->mbej", t1, ovvv) - e("nb,mnej->mbej", t1, oovo)
+            - e("jnfb,mnef->mbej", 0.5 * t2 + e("jf,nb->jnfb", t1, t1), oovv)
+        )
+        r1 = (
+            fov + e("ie,ae->ia", t1, f_ae) - e("ma,mi->ia", t1, f_mi) + e("imae,me->ia", t2, f_me)
+            - e("nf,naif->ia", t1, ovov) - 0.5 * e("imef,maef->ia", t2, ovvv) - 0.5 * e("mnae,nmei->ia", t2, oovo)
+        )
+        r2 = (
+            oovv
+            + antisymmetrize_last(e("ijae,be->ijab", t2, f_ae - 0.5 * e("mb,me->be", t1, f_me)))
+            - antisymmetrize_first(e("imab,mj->ijab", t2, f_mi + 0.5 * e("je,me->mj", t1, f_me)))
+            + 0.5 * e("mnab,mnij->ijab", tau, w_mnij)
+            + 0.5 * e("ijef,abef->ijab", tau, w_abef)
+            + antisymmetrize_first(antisymmetrize_last(e("imae,mbej->ijab", t2, w_mbej) - e("ie,ma,mbej->ijab", t1, t1, ovvo)))
+            + antisymmetrize_first(e("ie,abej->ijab", t1, vvvo))
+            - antisymmetrize_last(e("ma,mbij->ijab", t1, ovoo))
+        )
+        new_t1, new_t2 = 0.5 * (t1 + r1 / d1), 0.5 * (t2 + r2 / d2)
+        change = max(np.abs(new_t1 - t1).max(initial=0.0), np.abs(new_t2 - t2).max(initial=0.0))
+        t1, t2, previous, correlation = new_t1, new_t2, correlation, energy(new_t1, new_t2)
+        if change < tolerance and abs(correlation - previous) < tolerance:
+            return e_reference, correlation
+    raise RuntimeError(f"CCSD did not converge in {max_iterations} Jacobi steps")

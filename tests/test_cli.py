@@ -13,7 +13,7 @@ from qcembed import cli
 from qcembed.cli import main
 from qcembed.integrals import save_fcidump
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, capture_mismatch
 
 
 @pytest.fixture()
@@ -429,4 +429,4 @@ def test_outputs_match_their_snapshot(tmp_path):
     actual = dict(_snapshot_cases(tmp_path))
     assert list(actual) == list(expected)
     for key, result in actual.items():
-        assert result == expected[key], key
+        assert result == expected[key], capture_mismatch(key)

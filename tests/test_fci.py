@@ -224,10 +224,14 @@ def sectors(draw):
 @given(sectors())
 @settings(max_examples=60, deadline=None)
 def test_matvec_matches_slater_condon(case):
+    """P^T H P x on the operator's rows, the packed triangle or the box,
+    against the dense Slater-Condon matrix."""
     active, n_alpha, n_beta, space, vector = case
-    operator = fci._hamiltonian_operator(space, *fci._integrals(active))
-    expected = reference_fci_matrix(active, n_alpha, n_beta) @ vector
-    np.testing.assert_allclose(operator(vector), expected, rtol=0, atol=1e-12)
+    basis = space.tables.basis
+    x = basis.pack(vector)
+    operator = fci._hamiltonian_operator(space.tables, *fci._integrals(active))
+    expected = basis.pack(reference_fci_matrix(active, n_alpha, n_beta) @ basis.unpack(x))
+    np.testing.assert_allclose(operator(x), expected, rtol=0, atol=1e-12)
 
 
 @given(sectors())
@@ -281,13 +285,18 @@ def test_diagonal_matches_dense_matrix(case):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_alpha_product_matches_the_csr_oracle(sector, seed):
-    """The gather-and-sum alpha product against the CSR matrix it
-    replaced, on every sector of up to 6 orbitals."""
+    """The operator's alpha gather-and-sum over its compiled tables
+    against the CSR matrix it replaced, on every sector of up to 6
+    orbitals, for G on the operator's rows (symmetric in (I, i) on the
+    packed triangle)."""
     n, n_alpha, n_beta = sector
     space = fci._string_space(n, n_alpha, n_beta)
-    g = np.random.default_rng(seed).normal(size=(space.shape[0], len(space.pairs), space.shape[1]))
-    expected = reference_alpha_sigma_matrix(space) @ g.reshape(-1, space.shape[1])
-    actual = fci._alpha_sigma(space)(g)
+    tables = space.tables
+    n_pairs = len(space.pairs)
+    g = np.random.default_rng(seed).normal(size=(tables.basis.dimension, n_pairs + 1))
+    by_string = g[tables.basis.index, :n_pairs].transpose(0, 2, 1)  # G[I, pair, i]
+    expected = reference_alpha_sigma_matrix(space) @ by_string.reshape(-1, space.shape[1])
+    actual = np.einsum("Iw,Iwi->Ii", tables.alpha_sign, g.ravel()[tables.alpha_index])
     np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-13)
     if space.shape[1] > 1:
         # einsum then adds a string's entries in table order, as the CSR
@@ -311,22 +320,18 @@ def _check_davidson_ground(active, n_alpha, n_beta) -> None:
     """
     n = active.n_orbitals
     space = fci._string_space(n, n_alpha, n_beta)
-    general = fci._hamiltonian_operator(space, *fci._integrals(active))
     matrix = reference_fci_matrix(active, n_alpha, n_beta)
-    to_basis, operator, dimension = np.asarray, general, space.dimension
+    to_basis, dimension = np.asarray, space.dimension
     if n_alpha == n_beta:
-        basis = fci._SpinFlipEvenBasis(space.shape[0])
+        basis = fci._SectorBasis(space.shape[0], space.shape[0], packed=True)
         isometry = _even_isometry(basis)
         matrix = isometry.T @ matrix @ isometry
         to_basis, dimension = basis.pack, basis.dimension
 
-        def operator(x):
-            return basis.pack(general(basis.unpack(x)))
-
     energies, vectors = np.linalg.eigh(matrix)
     sector = dict(n_electrons=n_alpha + n_beta, s_z=(n_alpha - n_beta) / 2)
     result = fci_solve(active, **sector)
-    lanczos_energy, _ = reference_lanczos_ground(operator, dimension)
+    lanczos_energy, _ = reference_lanczos_ground(matrix.__matmul__, dimension)
     assert 1 <= result.matvecs <= fci.DAVIDSON_MAX_ITERATIONS
     assert result.residual_norm < fci.DAVIDSON_TOLERANCE
     assert result.basis_dimension == space.dimension
@@ -364,7 +369,7 @@ def test_both_paths_return_the_spin_flip_even_ground_state():
     matrix = reference_fci_matrix(active, 2, 2)
     whole_sector = np.linalg.eigvalsh(matrix)
     assert whole_sector[0] == pytest.approx(-8.80484, abs=1e-5)
-    isometry = _even_isometry(fci._SpinFlipEvenBasis(10))
+    isometry = _even_isometry(fci._SectorBasis(10, 10, packed=True))
     even_sector = np.linalg.eigvalsh(isometry.T @ matrix @ isometry)
     assert even_sector[0] == pytest.approx(whole_sector[1], abs=1e-10)
     result = fci_solve(active, n_electrons=4, s_z=0.0)
@@ -384,29 +389,32 @@ def even_sectors(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     active = random_active_hamiltonian(rng, n)
     space = fci._string_space(n, n_occupied, n_occupied)
-    basis = fci._SpinFlipEvenBasis(len(strings))
+    basis = fci._SectorBasis(len(strings), len(strings), packed=True)
     x = rng.normal(size=basis.dimension)
     return active, n_occupied, space, basis, x / np.linalg.norm(x)
 
 
-def _check_even_matvec(active, n_occupied, space, basis, x) -> None:
-    """The packed-triangle matvec against the packed general matvec and
-    the full-D_a operator it replaced, twice on one operator (its
-    buffers are reused)."""
+def _check_matvec(active, n_alpha, n_beta, space, x) -> None:
+    """The operator against the dense Slater-Condon matrix on its rows
+    and, on the packed triangle, against the full-D_a operator it
+    replaced, twice on one operator (its buffers are reused)."""
     k, eri = fci._integrals(active)
-    expected = basis.pack(fci._hamiltonian_operator(space, k, eri)(basis.unpack(x)))
-    oracle = reference_even_hamiltonian_operator(space, basis, k, eri)(x)
-    even = fci._even_hamiltonian_operator(space.even, k, eri)
+    basis = space.tables.basis
+    expected = [basis.pack(reference_fci_matrix(active, n_alpha, n_beta) @ basis.unpack(x))]
+    if space.alpha is space.beta:
+        expected.append(reference_even_hamiltonian_operator(space, basis, k, eri)(x))
+    operator = fci._hamiltonian_operator(space.tables, k, eri)
     for _ in range(2):
-        actual = even(x)
-        np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(actual, oracle, rtol=0, atol=1e-12)
+        actual = operator(x)
+        for reference in expected:
+            np.testing.assert_allclose(actual, reference, rtol=0, atol=1e-12)
 
 
 @given(even_sectors())
 @settings(max_examples=60, deadline=None)
 def test_even_matvec_matches_packed_general_matvec(case):
-    _check_even_matvec(*case)
+    active, n_occupied, space, _, x = case
+    _check_matvec(active, n_occupied, n_occupied, space, x)
 
 
 @pytest.mark.parametrize(
@@ -416,18 +424,41 @@ def test_even_matvec_on_every_shape_up_to_six_orbitals(n, n_occupied):
     """Every n_alpha == n_beta shape of up to 6 orbitals, one-string
     sectors (m = 1, no electrons or no virtual orbitals) included."""
     rng = np.random.default_rng(100 * n + n_occupied)
-    strings = fci._bit_strings(n, n_occupied)
-    basis = fci._SpinFlipEvenBasis(len(strings))
-    x = rng.normal(size=basis.dimension)
-    _check_even_matvec(
-        random_active_hamiltonian(rng, n), n_occupied, fci._string_space(n, n_occupied, n_occupied), basis, x
-    )
+    space = fci._string_space(n, n_occupied, n_occupied)
+    x = rng.normal(size=space.tables.basis.dimension)
+    _check_matvec(random_active_hamiltonian(rng, n), n_occupied, n_occupied, space, x)
+
+
+@pytest.mark.parametrize(
+    "n, n_alpha, n_beta",
+    [(n, a, b) for n in range(1, 7) for a in range(n + 1) for b in range(n + 1) if a != b],
+)
+def test_box_matvec_on_every_sector_up_to_six_orbitals(n, n_alpha, n_beta):
+    """Every S_z != 0 sector of up to 6 orbitals, whose operator runs on
+    the whole box: its rows are the determinants, in basis order."""
+    rng = np.random.default_rng(100 * n + 10 * n_alpha + n_beta)
+    space = fci._string_space(n, n_alpha, n_beta)
+    basis = space.tables.basis
+    assert basis.dimension == space.dimension
+    np.testing.assert_array_equal(basis.upper, np.arange(space.dimension))
+    _check_matvec(random_active_hamiltonian(rng, n), n_alpha, n_beta, space, rng.normal(size=space.dimension))
+
+
+def test_open_shell_solve_matches_dense_eigh():
+    """(7, 4, 3), 1225 determinants on the box: the Davidson energy
+    against dense eigh of the Slater-Condon matrix."""
+    active = random_active_hamiltonian(np.random.default_rng(61), 7)
+    result = fci_solve(active, n_electrons=7, s_z=0.5)
+    assert result.basis_dimension == 1225
+    dense = np.linalg.eigvalsh(reference_fci_matrix(active, 4, 3))[0]
+    assert result.ground_energy == pytest.approx(dense, abs=1e-10)
 
 
 def _lowest_even_energy(active, n_occupied: int) -> float:
     """The lowest eigenvalue of the dense Slater-Condon matrix restricted
     to the spin-flip-even states of the n_alpha == n_beta sector."""
-    isometry = _even_isometry(fci._SpinFlipEvenBasis(len(fci._bit_strings(active.n_orbitals, n_occupied))))
+    m = len(fci._bit_strings(active.n_orbitals, n_occupied))
+    isometry = _even_isometry(fci._SectorBasis(m, m, packed=True))
     matrix = reference_fci_matrix(active, n_occupied, n_occupied)
     return float(np.linalg.eigvalsh(isometry.T @ matrix @ isometry)[0])
 
@@ -443,11 +474,11 @@ def test_cached_even_tables_are_read_only_and_serve_every_hamiltonian_of_a_shape
         n_occupied = active.n_orbitals // 2
         result = fci_solve(active, n_electrons=2 * n_occupied, s_z=0.0)
         assert result.ground_energy == pytest.approx(_lowest_even_energy(active, n_occupied), abs=1e-10)
-    tables = fci._string_space(4, 2, 2).even
-    assert fci._string_space(4, 2, 2).even is tables
+    tables = fci._string_space(4, 2, 2).tables
+    assert fci._string_space(4, 2, 2).tables is tables
     basis = tables.basis
-    arrays = [tables.pairs, tables.first, tables.second, tables.sigma_index, tables.sign]
-    for array in arrays + [basis.upper, basis.mirror, basis._unpack_scale, basis._pack_scale]:
+    arrays = [tables.pairs, tables.first, tables.second, tables.alpha_index, tables.alpha_sign, tables.beta_sign]
+    for array in arrays + [basis.upper, basis.mirror, basis.index, basis._unpack_scale, basis._pack_scale]:
         assert array.flags.writeable is False
         with pytest.raises(ValueError):
             array.flat[0] = 0
@@ -458,7 +489,7 @@ def test_even_operator_and_its_matvec_copy_no_index_table():
     its buffers and less than one index table more, and a matvec
     allocates less than one index table: the gathers read the cached
     tables themselves, not per-solve or per-call copies."""
-    tables = fci._string_space(8, 4, 4).even
+    tables = fci._string_space(8, 4, 4).tables
     k, eri = fci._integrals(random_active_hamiltonian(np.random.default_rng(26), 8))
     x = np.random.default_rng(27).normal(size=tables.basis.dimension)
     n_pairs, padded = len(tables.pairs), tables.batches * tables.rows
@@ -466,14 +497,14 @@ def test_even_operator_and_its_matvec_copy_no_index_table():
     # x~, D+ (which the sigma gather reuses), G and the pair-space weights
     buffers = 8 * (
         2 * tables.basis.dimension + 1
-        + max(padded * n_pairs, tables.sigma_index.size)
+        + max(padded * n_pairs, tables.alpha_index.size)
         + padded * width
         + n_pairs * width
     )
     table = tables.first.nbytes
     tracemalloc.start()
     try:
-        operator = fci._even_hamiltonian_operator(tables, k, eri)
+        operator = fci._hamiltonian_operator(tables, k, eri)
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         operator(x)
@@ -485,13 +516,13 @@ def test_even_operator_and_its_matvec_copy_no_index_table():
 
 
 def _space_arrays(space) -> list[np.ndarray]:
-    """Every array a cached string space holds, its even tables and their
-    basis included."""
+    """Every array a cached string space holds, its operator tables and
+    their basis included."""
     holders = [space, space.alpha, space.beta]
     arrays = []
-    if space.even is not None:
-        holders.append(space.even.basis)
-        arrays += [value for value in space.even if isinstance(value, np.ndarray)]
+    if space.tables is not None:
+        holders.append(space.tables.basis)
+        arrays += [value for value in space.tables if isinstance(value, np.ndarray)]
     for holder in holders:
         arrays += [value for value in vars(holder).values() if isinstance(value, np.ndarray)]
     return arrays
@@ -667,9 +698,8 @@ def test_davidson_matches_lanczos_on_fixture_spaces(request, molecule, spec):
     integrals = request.getfixturevalue(f"{molecule}_integrals")
     active = reduce_integrals(integrals, solve_rhf(integrals), ActiveSpaceSpec(*spec))
     result = fci_solve(active)
-    space = fci._string_space(active.n_orbitals, active.n_electrons // 2, active.n_electrons // 2)
-    oracle_energy, oracle_vector = reference_lanczos_ground(
-        fci._hamiltonian_operator(space, *fci._integrals(active)), space.dimension
-    )
+    half = active.n_electrons // 2
+    matrix = reference_fci_matrix(active, half, half)
+    oracle_energy, oracle_vector = reference_lanczos_ground(matrix.__matmul__, len(matrix))
     assert result.ground_energy == pytest.approx(oracle_energy, abs=1e-12)
     assert abs(oracle_vector @ result.ground_vector) >= 1 - 1e-12

@@ -15,7 +15,7 @@ from qcembed.activespace import transform_to_mo_basis
 from qcembed.integrals import FcidumpError, IntegralSet, SymmetricTwoBody, parse_fcidump, read_fcidump
 from qcembed.meanfield import ScfError, solve_rhf
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, capture_mismatch
 from oracles import reference_parse_fcidump, reference_solve_rhf, reference_transform_to_mo_basis
 
 H8 = Path(__file__).parent.parent / "bench" / "data" / "h8_sto3g.fcidump"
@@ -64,7 +64,7 @@ def test_front_end_matches_its_digests():
     expected = json.loads((FIXTURE_DIR / "front_end_digests.json").read_text())
     assert sorted(expected) == sorted(path.name for path in FCIDUMPS)
     for path in FCIDUMPS:
-        assert front_end_digests(path) == expected[path.name], path.name
+        assert front_end_digests(path) == expected[path.name], capture_mismatch(path.name)
 
 
 def _parsed(parse, text: str):

@@ -618,7 +618,7 @@ def test_generator_factor_other_than_one_is_rejected(scale, message):
     base = build_uccsd_ansatz(2, 2)
     generator = scale * base.generators[0]
     with pytest.raises(SimulationError, match=message):
-        _compile_generator(generator)
+        _compile_generator(generator, np.ones(2**generator.n_qubits, dtype=bool))
     with pytest.raises(SimulationError, match=message):
         dataclasses.replace(base, generators=(generator,) + base.generators[1:])
 

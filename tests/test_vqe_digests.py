@@ -22,7 +22,7 @@ from qcembed.meanfield import solve_rhf
 from qcembed.sim import build_uccsd_ansatz, evolve_ansatz, map_active_hamiltonian
 from qcembed.vqe import VqeConfig, minimize
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, capture_mismatch
 from test_front_end import _digest
 
 H8 = Path(__file__).parent.parent / "bench" / "data" / "h8_sto3g.fcidump"
@@ -78,4 +78,5 @@ def test_vqe_results_match_their_digests(space, seed):
     worked in chunks."""
     expected = json.loads((FIXTURE_DIR / "vqe_digests.json").read_text())
     assert sorted(expected) == sorted(f"{s}/seed{k}" for s, k in CASES)
-    assert vqe_digests(space, seed) == expected[f"{space}/seed{seed}"]
+    key = f"{space}/seed{seed}"
+    assert vqe_digests(space, seed) == expected[key], capture_mismatch(key)
