@@ -33,6 +33,23 @@ class ActiveSpaceError(ValueError):
     """Invalid or unsatisfiable active-space specification."""
 
 
+def _split_sector(n_orbitals: int, n_electrons: int, twice_sz: int, error: type[Exception]) -> tuple[int, int]:
+    """(N_alpha, N_beta) of n_electrons at 2 S_z = twice_sz in n_orbitals,
+    the one sector definition of ``fci`` and ``sim``; raises the caller's
+    ``error`` class when there is no such sector."""
+    if (n_electrons + twice_sz) % 2 != 0:
+        raise error(f"inconsistent (n_electrons={n_electrons}, 2S_z={twice_sz})")
+    n_alpha = (n_electrons + twice_sz) // 2
+    return _check_sector(n_orbitals, n_alpha, n_electrons - n_alpha, error)
+
+
+def _check_sector(n_orbitals: int, n_alpha: int, n_beta: int, error: type[Exception]) -> tuple[int, int]:
+    """(n_alpha, n_beta) if 0 <= n_alpha, n_beta <= n_orbitals, else ``error``."""
+    if not (0 <= n_alpha <= n_orbitals and 0 <= n_beta <= n_orbitals):
+        raise error(f"cannot place ({n_alpha} alpha, {n_beta} beta) electrons in {n_orbitals} orbitals")
+    return n_alpha, n_beta
+
+
 @dataclass(frozen=True)
 class ActiveSpaceSpec:
     """Requested (n_active_electrons, n_active_orbitals) window.

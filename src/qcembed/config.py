@@ -57,7 +57,7 @@ from pathlib import Path
 
 from .activespace import ActiveSpaceSpec
 from .embedding import EmbeddingConfig
-from .scan import _MU_KEY_TOLERANCE, MuScanSpec, mu_grid
+from .scan import MuScanSpec, _mu_key, mu_grid
 from .vqe import VqeConfig
 
 __all__ = ["ConfigError", "WorkbenchConfig", "load_config"]
@@ -189,8 +189,7 @@ def load_config(path: str | Path) -> WorkbenchConfig:
                     raise ConfigError(f"{path}: [mu_inputs] key {key!r} is not a mu value") from exc
                 if not math.isfinite(mu):
                     raise ConfigError(f"{path}: [mu_inputs] key {key!r} must be finite")
-                mu = next((grid_mu for grid_mu in inputs if abs(grid_mu - mu) < _MU_KEY_TOLERANCE), mu)
-                inputs[mu] = _resolve(base, parser.get("mu_inputs", key))
+                inputs[_mu_key(mu, inputs)] = _resolve(base, parser.get("mu_inputs", key))
         cfg.mu_scan = _build(path, "mu_scan", MuScanSpec, **values, per_mu_inputs=inputs)
 
     return cfg

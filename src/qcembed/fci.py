@@ -4,7 +4,8 @@ Determinants are pairs of alpha/beta occupation strings over the active
 spatial orbitals (blocked spin-orbital convention shared with the qubit
 mappings).  The basis is alpha-string major, beta-string minor, with
 strings ordered by their integer bit value, so the Hartree-Fock
-determinant is basis vector 0.
+determinant is basis vector 0.  A sector's (n_alpha, n_beta) comes from
+``activespace._split_sector``, the definition the qubit side shares.
 
 The Hamiltonian is applied by string-based direct CI (Knowles & Handy,
 Chem. Phys. Lett. 111, 315 (1984)):
@@ -79,7 +80,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .activespace import ActiveHamiltonian
+from .activespace import ActiveHamiltonian, _split_sector
+from .integrals import _pair_indices
 
 __all__ = [
     "FciError",
@@ -164,8 +166,8 @@ class _ExcitationTable:
     """Every E_pq|J> = sign |I> over one spin's ascending strings,
     read-only.
 
-    ``pq``, ``pair``, ``target`` and ``sign`` are (m, L) arrays: row J
-    holds the L entries of string J, in (p, q) order, ``pair`` the pair
+    ``pair``, ``target`` and ``sign`` are (m, L) arrays: row J holds the
+    L entries of string J, in (p, q) order, ``pair`` the pair
     max(p, q)(max(p, q) + 1)/2 + min(p, q) of each.  ``strings`` holds
     the m int64 occupation masks and ``occupations`` their (m, n) 0/1
     occupations.
@@ -178,8 +180,7 @@ class _ExcitationTable:
         # allowed[J, p, q]: q occupied in J and p empty or p == q
         allowed = occupied[:, None, :] & (~occupied[:, :, None] | np.eye(n, dtype=bool))
         source, p, q = np.nonzero(allowed)  # row-major: sorted by source J
-        low, high = np.minimum(p, q), np.maximum(p, q)
-        between = (bit[high] - 1) & ~((bit[low] << 1) - 1)  # empty when p == q
+        between = (bit[np.maximum(p, q)] - 1) & ~((bit[np.minimum(p, q)] << 1) - 1)  # empty when p == q
         parity = np.bitwise_count(masks[source] & between) & 1
         moved = masks[source] ^ bit[p] ^ bit[q]
 
@@ -187,11 +188,10 @@ class _ExcitationTable:
         self.n_pairs = n * (n + 1) // 2
         self.strings = masks
         self.occupations = occupied.astype(np.float64)
-        self.pq = (p * n + q).reshape(shape)
-        self.pair = (high * (high + 1) // 2 + low).reshape(shape)
+        self.pair = _pair_indices(p, q).reshape(shape)
         self.target = np.searchsorted(masks, moved).reshape(shape)
         self.sign = (1.0 - 2.0 * parity).reshape(shape)
-        for array in (self.strings, self.occupations, self.pq, self.pair, self.target, self.sign):
+        for array in (self.strings, self.occupations, self.pair, self.target, self.sign):
             array.flags.writeable = False
 
     def gather_rows(self) -> np.ndarray:
@@ -237,8 +237,7 @@ class _StringSpace:
         m_a, m_b = self.shape = (len(a.strings), len(b.strings))
         self.dimension = m_a * m_b
         p, q = np.divmod(np.arange(n * n), n)
-        high, low = np.maximum(p, q), np.minimum(p, q)
-        self.pair_of = high * (high + 1) // 2 + low  # pq -> pair
+        self.pair_of = _pair_indices(p, q)  # pq -> pair
         self.pairs = np.flatnonzero(p >= q)  # pair -> pq with p >= q
         # gamma_pq = paired[pair_of[pq]] / 2 off the diagonal
         self._pair_scale = np.where(p == q, 1.0, 0.5)
@@ -548,15 +547,8 @@ def fci_solve(
     twice_sz = round(2 * s_z)
     if abs(2 * s_z - twice_sz) > 1e-12:
         raise FciError(f"s_z must be a multiple of 1/2, got {s_z}")
-    if (n_electrons + twice_sz) % 2 != 0:
-        raise FciError(f"inconsistent (n_electrons={n_electrons}, s_z={s_z})")
-    n_alpha = (n_electrons + twice_sz) // 2
-    n_beta = n_electrons - n_alpha
     n = active.n_orbitals
-    if not (0 <= n_alpha <= n and 0 <= n_beta <= n):
-        raise FciError(
-            f"cannot place ({n_alpha} alpha, {n_beta} beta) electrons in {n} orbitals"
-        )
+    n_alpha, n_beta = _split_sector(n, n_electrons, twice_sz, FciError)
 
     if n == 0:
         vector = np.array([1.0])

@@ -14,7 +14,9 @@ Seeley-Richard-Love substitution
 With blocked spin ordering the qubits at positions M-1 (cumulative alpha
 parity, M spatial orbitals) and 2M-1 (total parity) are conserved for
 particle-number eigenstates, so both can be replaced by their +-1
-eigenvalues and removed.
+eigenvalues and removed.  ``_reduced_qubits`` and :func:`reduction_sector`
+define those qubits and the values a sector fixes on them, for the
+reduction here, the ansatz reference and ``sim.lift_reduced_parity_state``.
 
 :func:`compile_linear_map` maps a family of operators once: given one
 column of ladder terms per coefficient it returns the sparse matrix
@@ -28,6 +30,7 @@ the same ladder products; the tests check the compiled map against them.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -172,10 +175,14 @@ def drop_qubit_positions(mask: int, positions: list[int]) -> int:
 
 
 def reduction_sector(n_electrons_total: int, n_electrons_alpha: int) -> tuple[int, int]:
-    """Z eigenvalues (alpha-parity qubit, total-parity qubit) for a sector."""
-    s_alpha = 1 if n_electrons_alpha % 2 == 0 else -1
-    s_total = 1 if n_electrons_total % 2 == 0 else -1
-    return s_alpha, s_total
+    """Z eigenvalues (-1)^N_alpha and (-1)^N of the alpha-parity and total-parity qubits."""
+    return 1 - 2 * (n_electrons_alpha % 2), 1 - 2 * (n_electrons_total % 2)
+
+
+def _reduced_qubits(n_modes: int, reduced: bool = True) -> list[int]:
+    """The qubits a map of 2M blocked modes drops: with the reduction the
+    alpha-parity qubit M-1 and the total-parity qubit 2M-1, else none."""
+    return [n_modes // 2 - 1, n_modes - 1] if reduced else []
 
 
 def _check_reducible(n_qubits: int) -> None:
@@ -188,20 +195,13 @@ def _reduce_masks(
 ) -> tuple[int, int, int]:
     """(x, z, sign) of one string with the parity qubits M-1 and 2M-1
     replaced by their Z eigenvalues ``sector`` and removed."""
-    pos_alpha = n_qubits // 2 - 1
-    pos_total = n_qubits - 1
-    if (x_mask >> pos_alpha) & 1 or (x_mask >> pos_total) & 1:
+    positions = _reduced_qubits(n_qubits)
+    if any((x_mask >> position) & 1 for position in positions):
         raise ReductionError(
             f"term {PauliString(n_qubits, x_mask, z_mask).label} anticommutes with a parity qubit; "
             "operator is not parity-symmetric"
         )
-    s_alpha, s_total = sector
-    sign = 1
-    if (z_mask >> pos_alpha) & 1:
-        sign *= s_alpha
-    if (z_mask >> pos_total) & 1:
-        sign *= s_total
-    positions = [pos_alpha, pos_total]
+    sign = math.prod(eigenvalue for position, eigenvalue in zip(positions, sector) if (z_mask >> position) & 1)
     return drop_qubit_positions(x_mask, positions), drop_qubit_positions(z_mask, positions), sign
 
 
@@ -295,8 +295,8 @@ def compile_linear_map(
         )
         # a sparse product stores no zeros
         keys, matrix = _nonzero_rows(list(reduced_of), reduction @ matrix)
-        n_modes -= 2
-    return [PauliString(n_modes, x, z) for x, z in keys], matrix
+    n_qubits = n_modes - len(_reduced_qubits(n_modes, sector is not None))
+    return [PauliString(n_qubits, x, z) for x, z in keys], matrix
 
 
 def _nonzero_rows(

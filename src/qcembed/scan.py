@@ -73,11 +73,14 @@ def mu_grid(spec: MuScanSpec) -> list[float]:
     return [spec.mu_start + k * spec.mu_step for k in range(count)]
 
 
+def _mu_key(mu: float, keys) -> float:
+    """The first of ``keys`` within 1e-9 of ``mu``, else ``mu``: how a mu finds its grid point or file."""
+    return next((key for key in keys if abs(key - mu) < _MU_KEY_TOLERANCE), mu)
+
+
 def _input_for(spec: MuScanSpec, mu: float) -> Path | None:
-    for key, path in spec.per_mu_inputs.items():
-        if abs(key - mu) < _MU_KEY_TOLERANCE:
-            return Path(path)
-    return None
+    path = spec.per_mu_inputs.get(_mu_key(mu, spec.per_mu_inputs))
+    return None if path is None else Path(path)
 
 
 def select_optimal_mu(rows: list[MuScanRow]) -> float:

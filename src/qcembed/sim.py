@@ -84,7 +84,10 @@ term by term, the test oracle for both, gives the same generators
 bitwise and the same Hamiltonian terms within 1e-12, in the same order
 when no integral is exactly zero.  The oracle prunes each term's ladder
 product below 1e-12 after every factor, so integrals below about 1e-11
-can lose terms there that W keeps; W prunes only the final sums.
+can lose terms there that W keeps; W prunes only the final sums.  A
+sector's (N_alpha, N_beta) comes from ``activespace._split_sector``, as
+in :mod:`qcembed.fci`, and the reduced qubits and their values from
+:mod:`qcembed.mappings`.
 
 :func:`spin_summed_one_rdm` reads the density in the FCI string space,
 one (N_alpha, N_beta) sector at a time, through the one 1-RDM routine
@@ -103,11 +106,12 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .activespace import ActiveHamiltonian
+from .activespace import ActiveHamiltonian, _check_sector, _split_sector
 from .fci import _string_space
 
 from .fermion import excitation_term, hamiltonian_columns, integral_vector
-from .mappings import compile_linear_map, drop_qubit_positions, occupation_to_parity_bits, reduction_sector
+from .mappings import _reduced_qubits, compile_linear_map, drop_qubit_positions, occupation_to_parity_bits
+from .mappings import reduction_sector
 from .pauli import PRUNE_TOLERANCE, PauliSum, PauliString
 
 # not called here: bench/layers.py traces the fermion expansion and the
@@ -337,6 +341,7 @@ def uccsd_excitations(
     singles sorted by (occupied, virtual), then doubles sorted by
     (occ pair, virt pair); each tuple is (i, a) or (i, j, a, b).
     """
+    _check_sector(n_spatial, n_alpha, n_beta, SimulationError)
     m = n_spatial
     occ_a = list(range(n_alpha))
     virt_a = list(range(n_alpha, m))
@@ -450,16 +455,6 @@ class UccsdAnsatz:
         return len(self.excitations)
 
 
-def _sector(n_electrons: int, n_alpha: int, two_qubit_reduced: bool) -> tuple[int, int] | None:
-    """The :func:`reduction_sector` of a two-qubit-reduced map, else None."""
-    return reduction_sector(n_electrons, n_alpha) if two_qubit_reduced else None
-
-
-def _n_qubits(n_orbitals: int, sector: tuple[int, int] | None) -> int:
-    """Qubits of a map on 2 * n_orbitals modes: the reduction drops two."""
-    return 2 * n_orbitals - 2 if sector is not None else 2 * n_orbitals
-
-
 def build_uccsd_ansatz(
     n_spatial: int,
     n_electrons: int,
@@ -481,18 +476,11 @@ def build_uccsd_ansatz(
 def _build_uccsd_ansatz(
     n_spatial: int, n_electrons: int, spin_2ms: int, mapping: str, two_qubit_reduced: bool
 ) -> UccsdAnsatz:
-    if (n_electrons + spin_2ms) % 2 != 0:
-        raise SimulationError(f"inconsistent (n_electrons={n_electrons}, MS2={spin_2ms})")
-    n_alpha = (n_electrons + spin_2ms) // 2
-    n_beta = n_electrons - n_alpha
-    if not (0 <= n_alpha <= n_spatial and 0 <= n_beta <= n_spatial):
-        raise SimulationError(
-            f"cannot place ({n_alpha} alpha, {n_beta} beta) electrons in {n_spatial} orbitals"
-        )
-
+    n_alpha, n_beta = _split_sector(n_spatial, n_electrons, spin_2ms, SimulationError)
     n_modes = 2 * n_spatial
-    sector = _sector(n_electrons, n_alpha, two_qubit_reduced)
-    n_qubits = _n_qubits(n_spatial, sector)
+    sector = reduction_sector(n_electrons, n_alpha) if two_qubit_reduced else None
+    dropped = _reduced_qubits(n_modes, two_qubit_reduced)
+    n_qubits = n_modes - len(dropped)
     excitations = uccsd_excitations(n_spatial, n_alpha, n_beta)
     strings, matrix = compile_linear_map(
         [(1.0, (excitation_term(exc),)) for exc in excitations], n_modes, mapping, sector
@@ -510,8 +498,7 @@ def _build_uccsd_ansatz(
     reference = ((1 << n_alpha) - 1) | (((1 << n_beta) - 1) << n_spatial)
     if mapping == "parity":
         reference = occupation_to_parity_bits(reference, n_modes)
-    if sector is not None:
-        reference = drop_qubit_positions(reference, [n_spatial - 1, n_modes - 1])
+    reference = drop_qubit_positions(reference, dropped)
 
     return UccsdAnsatz(
         n_spatial=n_spatial,
@@ -536,12 +523,11 @@ class _HamiltonianMap(NamedTuple):
 def _compile_hamiltonian(
     n_orbitals: int, mapping: str, sector: tuple[int, int] | None
 ) -> _HamiltonianMap:
-    strings, matrix = compile_linear_map(
-        hamiltonian_columns(n_orbitals), 2 * n_orbitals, mapping, sector
-    )
+    n_modes = 2 * n_orbitals
+    strings, matrix = compile_linear_map(hamiltonian_columns(n_orbitals), n_modes, mapping, sector)
     for array in (matrix.data, matrix.indices, matrix.indptr):
         array.flags.writeable = False  # shared by every Hamiltonian of the shape
-    return _HamiltonianMap(_n_qubits(n_orbitals, sector), tuple(strings), matrix)
+    return _HamiltonianMap(n_modes - len(_reduced_qubits(n_modes, sector is not None)), tuple(strings), matrix)
 
 
 def map_active_hamiltonian(
@@ -560,7 +546,8 @@ def map_active_hamiltonian(
     residue must stay below 1e-10 and is discarded, and the real parts
     are pruned as every ``PauliSum`` is, in one numpy mask.
     """
-    sector = _sector(active.n_electrons, (active.n_electrons + spin_2ms) // 2, two_qubit_reduced)
+    n_alpha, _ = _split_sector(active.n_orbitals, active.n_electrons, spin_2ms, SimulationError)
+    sector = reduction_sector(active.n_electrons, n_alpha) if two_qubit_reduced else None
     compiled = _compile_hamiltonian(active.n_orbitals, mapping, sector)
     values = compiled.matrix @ integral_vector(active)
     # a value PauliSum would prune cannot carry a residue above 1e-10
@@ -622,24 +609,22 @@ def lift_reduced_parity_state(
     """Reconstruct the occupation-basis state behind a two-qubit-reduced
     parity-basis state.
 
-    The removed qubits carry fixed parities in a particle-number sector:
-    bit M-1 is n_alpha mod 2 and bit 2M-1 is (n_alpha + n_beta) mod 2.
-    After reinserting them, the parity basis maps back to the occupation
-    basis through n_k = p_k xor p_{k-1}.
+    The removed qubits, which :mod:`qcembed.mappings` defines, carry fixed
+    parities in a particle-number sector: bit M-1 is n_alpha mod 2 and bit
+    2M-1 is (n_alpha + n_beta) mod 2.  After reinserting them, the parity
+    basis maps back to the occupation basis through n_k = p_k xor p_{k-1}.
     """
+    _check_sector(n_spatial, n_alpha, n_beta, SimulationError)
     n_modes = 2 * n_spatial
-    if state.n_qubits != n_modes - 2:
-        raise SimulationError(
-            f"expected a reduced register of {n_modes - 2} qubits, got {state.n_qubits}"
-        )
-    bit_alpha = n_alpha % 2
-    bit_total = (n_alpha + n_beta) % 2
-
-    reduced = np.arange(2**state.n_qubits, dtype=np.int64)
-    low = reduced & ((1 << (n_spatial - 1)) - 1)
-    high = reduced >> (n_spatial - 1)
-    parity = low | (bit_alpha << (n_spatial - 1)) | (high << n_spatial)
-    parity |= bit_total << (n_modes - 1)
+    positions = _reduced_qubits(n_modes)
+    n_qubits = n_modes - len(positions)
+    if state.n_qubits != n_qubits:
+        raise SimulationError(f"expected a reduced register of {n_qubits} qubits, got {state.n_qubits}")
+    parity = np.arange(2**state.n_qubits, dtype=np.int64)
+    # reinsert each qubit's bit (1 where Z = -1) in ascending position, so each lands in place
+    for position, eigenvalue in zip(positions, reduction_sector(n_alpha + n_beta, n_alpha)):
+        low = parity & ((1 << position) - 1)
+        parity = low | ((eigenvalue < 0) << position) | (parity >> position << (position + 1))
     # invert the cumulative parity: n_k = p_k xor p_{k-1}
     occupation = (parity ^ (parity << 1)) & ((1 << n_modes) - 1)
     nonzero = state.amplitudes != 0.0  # zeros, signed or not, stay +0

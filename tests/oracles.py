@@ -859,13 +859,20 @@ def reference_alpha_sigma_matrix(space):
     S[I, J * n_pairs + pair] = s for each alpha entry E_pq|I> = s|J> of
     the package's excitation table (``fci._StringSpace``): the operator
     the numpy gather-and-sum replaced.  S @ G.reshape(-1, m_b) is the
-    alpha half of sum_pair E+_pair G_pair."""
+    alpha half of sum_pair E+_pair G_pair.  The (p, q) of each entry are
+    rebuilt from the strings, in the table's (p, q) order, so the pair
+    index is computed here and not read from the table's ``pair``."""
     import scipy.sparse
 
     a = space.alpha
-    m_a, width = a.pq.shape
+    m_a, width = a.target.shape
     n_pairs = len(space.pairs)
-    columns = a.target * n_pairs + space.pair_of[a.pq]
+    pairs = []
+    for string in a.strings.tolist():
+        occupied = [(string >> k) & 1 for k in range(space.n)]
+        row = [(p, q) for p in range(space.n) for q in range(space.n) if occupied[q] and (p == q or not occupied[p])]
+        pairs.append([max(p, q) * (max(p, q) + 1) // 2 + min(p, q) for p, q in row])
+    columns = a.target * n_pairs + np.array(pairs, dtype=np.intp).reshape(m_a, width)
     return scipy.sparse.csr_array(
         (a.sign.ravel(), columns.ravel(), np.arange(m_a + 1) * width),
         shape=(m_a, m_a * n_pairs),

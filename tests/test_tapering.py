@@ -149,7 +149,8 @@ def test_union_of_sector_spectra_is_full_spectrum_of_random_active_hamiltonians(
     seed, n_orbitals, mapping
 ):
     active = random_symmetric_active(np.random.default_rng(seed), n_orbitals, n_orbitals)
-    op = map_active_hamiltonian(active, mapping=mapping, two_qubit_reduced=False)
+    # the unreduced map does not depend on the sector, but it must be one: an odd count needs 2S_z odd
+    op = map_active_hamiltonian(active, n_orbitals % 2, mapping=mapping, two_qubit_reduced=False)
     union = union_of_sector_spectra(op)
     assert len(union) == 2**op.n_qubits
     assert np.allclose(union, sorted_spectrum(op), rtol=0, atol=1e-10)

@@ -6,7 +6,11 @@ its final ``evolve_ansatz`` state with the sign of every zero
 normalised, and one ``run_embedding`` of the same space and seed (energy
 history, damped density and solver evaluations).  Each energy ends in
 one BLAS complex dot per state, so the digests pin this machine's BLAS
-complex dot, as the front-end digests pin its LAPACK.
+complex dot, as the front-end digests pin its LAPACK.  Beside each digest,
+checks that hold on any BLAS core: the VQE energy lies above the FCI
+energy of the same active Hamiltonian and within a bound of it, the
+embedding stops at iteration 2 with a delta of exactly 0, and its damped
+density is symmetric with trace 2 N_inactive + N_active.
 """
 
 import json
@@ -17,6 +21,7 @@ import pytest
 
 from qcembed.activespace import ActiveSpaceSpec, reduce_integrals
 from qcembed.embedding import EmbeddingConfig, run_embedding
+from qcembed.fci import fci_solve
 from qcembed.integrals import read_fcidump
 from qcembed.meanfield import solve_rhf
 from qcembed.sim import build_uccsd_ansatz, evolve_ansatz, map_active_hamiltonian
@@ -39,6 +44,19 @@ SPACES = {
     "h8-6e5o": (H8, 6, 5),
     # 10 qubits and 148 X-mask groups: the Hamiltonian kernels split into chunks
     "h8-4e6o": (H8, 4, 6),
+}
+# space -> bound on E_VQE - E_FCI (Ha) on the active Hamiltonian, with
+# the gaps measured at seeds 0 and 3
+GAP_BOUNDS = {
+    "h2-2e2o": 1e-7,  # 1.7e-9, 2.1e-10
+    "lih-2e2o": 1e-7,  # 7.0e-13, 1.2e-11
+    "lih-2e3o": 1e-6,  # 2.5e-8, 2.7e-8
+    "h2o-2e2o": 1e-7,  # 2.8e-9, 2.7e-11
+    "h2o-4e4o": 5e-6,  # 4.4e-7, 4.4e-7
+    "h2o-6e5o": 2e-4,  # 4.9e-5, 4.9e-5
+    "h8-4e5o": 1e-3,  # 3.1e-4, 3.1e-4
+    "h8-6e5o": 1e-3,  # 2.9e-4, 2.9e-4
+    "h8-4e6o": 1e-3,  # 5.2e-4 (seed 0)
 }
 SEEDS = (0, 3)
 # (space, VQE seed) of every digest; the 10-qubit space at one seed
@@ -80,3 +98,21 @@ def test_vqe_results_match_their_digests(space, seed):
     assert sorted(expected) == sorted(f"{s}/seed{k}" for s, k in CASES)
     key = f"{space}/seed{seed}"
     assert vqe_digests(space, seed) == expected[key], capture_mismatch(key)
+
+
+@pytest.mark.parametrize("space, seed", CASES)
+def test_vqe_results_hold_on_any_blas_core(space, seed):
+    path, n_electrons, n_orbitals = SPACES[space]
+    integrals = read_fcidump(path)
+    spec = ActiveSpaceSpec(n_electrons, n_orbitals)
+    active = reduce_integrals(integrals, solve_rhf(integrals), spec)
+    config = VqeConfig(seed=seed)
+    result = minimize(map_active_hamiltonian(active), build_uccsd_ansatz(n_orbitals, n_electrons), config)
+    assert -1e-10 <= result.energy - fci_solve(active).ground_energy <= GAP_BOUNDS[space]
+
+    embedded = run_embedding(integrals, spec, EmbeddingConfig(active_solver="vqe"), config)
+    assert embedded.converged and embedded.iteration == 2 and embedded.delta_history[-1] == 0.0
+    density = embedded.damped_density
+    assert np.array_equal(density, density.T)
+    expected_trace = 2 * len(embedded.inactive_orbitals) + n_electrons
+    assert np.trace(density) == pytest.approx(expected_trace, rel=0, abs=1e-12)
