@@ -21,9 +21,9 @@ electron and the determinant sign factorises into the per-spin signs.
 Every string has the same number L = k(n - k + 1) of entries for k
 electrons, so a table is a set of (m strings, L) arrays.  The tables
 depend only on the shape (n, n_alpha, n_beta): a small cache keeps one
-read-only string space per shape (``_string_space``), with the
-matvec's index tables, and every solve, 1-RDM and VQE density of the
-shape shares it.  Index tables are
+read-only string space per shape (``_string_space``) that every solve,
+1-RDM and VQE density of the shape shares; the matvec's index tables
+are compiled onto it on the shape's first solve.  Index tables are
 kept as intp arrays behind read-only views, and the gathers hand
 ``np.take`` the views' writeable owners: it copies, on every call, an
 index array that is not a writeable intp array.
@@ -52,11 +52,11 @@ index array that is not a writeable intp array.
   enough for OpenBLAS to keep on the calling thread, and sigma a
   gathered signed sum of G for alpha and, for beta, its mirror on the
   triangle or a second gathered signed sum on the box.  The index
-  tables are compiled once per shape, with its string space; every
-  buffer is allocated once per solve.  Each step
+  tables are compiled once per shape, on its first solve; every buffer
+  is allocated once per solve.  Each step
   corrects the Ritz pair (theta, x) by (H_diag - theta)^-1 r,
   r = Hx - theta x, with the exact determinant diagonal H_diag from
-  the string occupations; it stops at
+  the strings' occupations; it stops at
   ||r|| < ``DAVIDSON_TOLERANCE`` and raises :class:`FciConvergenceError`
   after ``DAVIDSON_MAX_ITERATIONS`` steps.  A one-determinant sector
   converges on the first Ritz step, after one matvec.
@@ -169,8 +169,7 @@ class _ExcitationTable:
     ``pair``, ``target`` and ``sign`` are (m, L) arrays: row J holds the
     L entries of string J, in (p, q) order, ``pair`` the pair
     max(p, q)(max(p, q) + 1)/2 + min(p, q) of each.  ``strings`` holds
-    the m int64 occupation masks and ``occupations`` their (m, n) 0/1
-    occupations.
+    the m int64 occupation masks.
     """
 
     def __init__(self, n: int, n_occupied: int):
@@ -187,11 +186,10 @@ class _ExcitationTable:
         shape = (len(masks), -1)
         self.n_pairs = n * (n + 1) // 2
         self.strings = masks
-        self.occupations = occupied.astype(np.float64)
         self.pair = _pair_indices(p, q).reshape(shape)
         self.target = np.searchsorted(masks, moved).reshape(shape)
         self.sign = (1.0 - 2.0 * parity).reshape(shape)
-        for array in (self.strings, self.occupations, self.pair, self.target, self.sign):
+        for array in (self.strings, self.pair, self.target, self.sign):
             array.flags.writeable = False
 
     def gather_rows(self) -> np.ndarray:
@@ -217,12 +215,12 @@ class _ExcitationTable:
 class _StringSpace:
     """The alpha and beta excitation tables of one (n, n_alpha, n_beta)
     sector, read-only and shared: :func:`_string_space` keeps one per
-    shape.  Equal alpha and beta string sets share one table.  A space
-    with n > 0 also carries the direct-CI matvec's tables (``tables``,
-    :func:`_compile_tables`): one operator on two row sets, the packed
-    triangle I <= i of the spin-flip-even states when the string sets are
-    one and the whole I x i box otherwise.  An empty active space (n == 0)
-    is never solved, and its ``tables`` is None.
+    shape.  Equal alpha and beta string sets share one table.  The
+    direct-CI matvec's tables (``tables``, :func:`_compile_tables`) are
+    compiled on the shape's first solve and kept on the space: one
+    operator on two row sets, the packed triangle I <= i of the
+    spin-flip-even states when the string sets are one and the whole
+    I x i box otherwise.  The 1-RDM never reads them.
 
     ``pair_of`` maps pq = p n + q to its pair p(p+1)/2 + q (p >= q),
     ``pairs`` each pair to its pq with p >= q.  The 1-RDM reads the
@@ -243,7 +241,11 @@ class _StringSpace:
         self._pair_scale = np.where(p == q, 1.0, 0.5)
         for array in (self.pair_of, self.pairs, self._pair_scale):
             array.flags.writeable = False
-        self.tables = _compile_tables(self) if n else None
+
+    @functools.cached_property
+    def tables(self) -> _OperatorTables:
+        """The direct-CI matvec's tables, compiled on first read."""
+        return _compile_tables(self)
 
     def one_rdm(self, vector: np.ndarray) -> np.ndarray:
         """Spin-summed gamma_pq = <c| E^a_pq + E^b_pq |c> for c viewed as
@@ -307,8 +309,8 @@ def _integrals(active: ActiveHamiltonian) -> tuple[np.ndarray, np.ndarray]:
 
 class _OperatorTables(NamedTuple):
     """The direct-CI matvec's index tables for one (n, n_alpha, n_beta)
-    shape, read-only and shared by every solve of the shape through its
-    cached :class:`_StringSpace` (``tables``).
+    shape, compiled on the shape's first solve and shared, read-only, by
+    every later one through its cached :class:`_StringSpace` (``tables``).
 
     Row t of ``basis`` holds (I, i); its slots in x~ = [x s; -x s; 0] (s
     the unpack scale, so x~[t] = C[I, i]) are ``first[t, pair]`` for the
@@ -325,7 +327,6 @@ class _OperatorTables(NamedTuple):
     """
 
     basis: _SectorBasis
-    pairs: np.ndarray
     first: np.ndarray
     second: np.ndarray
     alpha_index: np.ndarray
@@ -356,7 +357,6 @@ def _compile_tables(space: _StringSpace) -> _OperatorTables:
     batches = -(-size // rows)
     return _OperatorTables(
         basis=basis,
-        pairs=space.pairs,
         first=_read_only(slots(index)[a.gather_rows()[upper_rows], upper_cols[:, None]]),
         second=_read_only(slots(index.T)[b.gather_rows()[upper_cols], upper_rows[:, None]]),
         alpha_index=_read_only(index[a.target[:, :, None], np.arange(m_b)] * width + a.pair[:, :, None]),
@@ -376,9 +376,9 @@ def _string_space(n: int, n_alpha: int, n_beta: int) -> _StringSpace:
 
 
 def _hamiltonian_operator(
-    tables: _OperatorTables, k: np.ndarray, eri: np.ndarray
+    space: _StringSpace, k: np.ndarray, eri: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> P^T H P x on the rows of ``tables.basis``:
+    """x -> P^T H P x on the rows of ``space.tables.basis``:
     sigma = sum_pair (E+_pair G_pair + k_pair D+_pair), G = 1/2 (pq|rs) D+,
     with c viewed as C[I, i].
 
@@ -398,7 +398,7 @@ def _hamiltonian_operator(
     result would fault its pages in on every call.  The gathers read the
     cached tables' writeable owners (:func:`_read_only`), so no call
     copies a table."""
-    basis, pairs = tables.basis, tables.pairs
+    tables, pairs, basis = space.tables, space.pairs, space.tables.basis
     first, second, alpha_index = (table.base for table in (tables.first, tables.second, tables.alpha_index))
     beta_index = None if tables.beta_index is None else tables.beta_index.base
     size, n_pairs = first.shape
@@ -446,7 +446,7 @@ def _diagonal(space: _StringSpace, k: np.ndarray, eri: np.ndarray) -> np.ndarray
     coulomb = np.einsum("ppqq->pq", eri)
     exchange = np.einsum("pqqp->pq", eri)
     h_diag = k.reshape(n, n).diagonal() + 0.5 * exchange.sum(axis=1)
-    n_a, n_b = space.alpha.occupations, space.beta.occupations
+    n_a, n_b = (((t.strings[:, None] >> np.arange(n)) & 1).astype(np.float64) for t in (space.alpha, space.beta))
 
     def spin_energy(occupations):
         same_spin = 0.5 * np.einsum("Ip,pq,Iq->I", occupations, coulomb - exchange, occupations)
@@ -568,7 +568,7 @@ def fci_solve(
     # the determinant diagonal at x's rows preconditions exactly as it
     # does the symmetric C on the full sector
     energy, vector, matvecs, residual_norm = _davidson_ground(
-        _hamiltonian_operator(space.tables, k, eri), _diagonal(space, k, eri)[basis.upper]
+        _hamiltonian_operator(space, k, eri), _diagonal(space, k, eri)[basis.upper]
     )
     vector = basis.unpack(vector)
 

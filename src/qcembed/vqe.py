@@ -221,19 +221,6 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
             for start in range(0, 2 * n + 1, block_rows)
         ]).tolist()
 
-    if n == 0:
-        energy = record(sweep(x0))[0]
-        return VqeResult(
-            energy=energy,
-            parameters=x0,
-            trace=tuple(trace),
-            evaluations=len(trace),
-            converged=True,
-            iterate_energies=(energy,),
-            message="no parameters to optimize",
-            gradient_norm=0.0,
-        )
-
     gradient_norm = float("nan")
 
     def energy_and_gradient(theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -255,23 +242,27 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
         if settled():
             raise StopIteration
 
-    with _blas_on_calling_thread():
-        result = scipy.optimize.minimize(
-            energy_and_gradient,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=scipy.optimize.Bounds(np.full(n, -_PARAMETER_BOUND), np.full(n, _PARAMETER_BOUND)),
-            callback=callback,
-            options={"maxiter": config.max_iterations, "ftol": 0.0, "gtol": 1e-12},
-        )
-    energy = float(result.fun)
-    converged = settled()  # true exactly when the callback stopped the run
-    if converged:
-        # scipy's message for this stop only says that the callback raised StopIteration
-        message = f"energy change between iterates below tolerance {config.tolerance:g}"
+    if n == 0:
+        energy, parameters = record(sweep(x0))[0], x0
+        converged, message, gradient_norm = True, "no parameters to optimize", 0.0
     else:
-        message = str(result.message)
+        with _blas_on_calling_thread():
+            result = scipy.optimize.minimize(
+                energy_and_gradient,
+                x0,
+                jac=True,
+                method="L-BFGS-B",
+                bounds=scipy.optimize.Bounds(np.full(n, -_PARAMETER_BOUND), np.full(n, _PARAMETER_BOUND)),
+                callback=callback,
+                options={"maxiter": config.max_iterations, "ftol": 0.0, "gtol": 1e-12},
+            )
+        energy, parameters = float(result.fun), result.x
+        converged = settled()  # true exactly when the callback stopped the run
+        if converged:
+            # scipy's message for this stop only says that the callback raised StopIteration
+            message = f"energy change between iterates below tolerance {config.tolerance:g}"
+        else:
+            message = str(result.message)
 
     iterations = len(iterate_energies)
     if not iterate_energies:
@@ -279,7 +270,7 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
 
     return VqeResult(
         energy=energy,
-        parameters=np.array(result.x, dtype=float),
+        parameters=np.array(parameters, dtype=float),
         trace=tuple(trace),
         evaluations=len(trace),
         converged=converged,

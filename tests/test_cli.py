@@ -3,6 +3,8 @@
 import io
 import itertools
 import json
+import math
+import re
 import shutil
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -430,3 +432,33 @@ def test_outputs_match_their_snapshot(tmp_path):
     assert list(actual) == list(expected)
     for key, result in actual.items():
         assert result == expected[key], capture_mismatch(key)
+
+
+# A number in CLI output, and the relative bound the rounding check holds
+# each one to: ten times the widest step between neighbouring values
+# printed to 10 significant digits (1e-9), far below any physics change.
+_NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+SNAPSHOT_RELATIVE_BOUND = 1e-8
+
+
+def test_outputs_hold_their_snapshot_on_any_blas_core(tmp_path):
+    """The snapshot with its numbers read as numbers, so that it holds on
+    every BLAS kernel: exit code, stderr and the text between the numbers
+    of stdout and the --out file are the snapshot's, and every number lies
+    within SNAPSHOT_RELATIVE_BOUND of the snapshot's."""
+    expected = json.loads((FIXTURE_DIR / "cli_snapshots.json").read_text())
+    actual = dict(_snapshot_cases(tmp_path))
+    assert list(actual) == list(expected)
+    for key, result in actual.items():
+        snapshot = expected[key]
+        assert (result["code"], result["stderr"]) == (snapshot["code"], snapshot["stderr"]), key
+        for stream in ("stdout", "file"):
+            text, captured = result[stream], snapshot[stream]
+            assert (text is None) == (captured is None), f"{key} {stream}"
+            if text is None:
+                continue
+            assert _NUMBER.split(text) == _NUMBER.split(captured), f"{key} {stream}"
+            for number, expected_number in zip(_NUMBER.findall(text), _NUMBER.findall(captured)):
+                assert math.isclose(float(number), float(expected_number), rel_tol=SNAPSHOT_RELATIVE_BOUND), (
+                    f"{key} {stream}: {number} against {expected_number}"
+                )

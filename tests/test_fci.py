@@ -229,7 +229,7 @@ def test_matvec_matches_slater_condon(case):
     active, n_alpha, n_beta, space, vector = case
     basis = space.tables.basis
     x = basis.pack(vector)
-    operator = fci._hamiltonian_operator(space.tables, *fci._integrals(active))
+    operator = fci._hamiltonian_operator(space, *fci._integrals(active))
     expected = basis.pack(reference_fci_matrix(active, n_alpha, n_beta) @ basis.unpack(x))
     np.testing.assert_allclose(operator(x), expected, rtol=0, atol=1e-12)
 
@@ -403,7 +403,7 @@ def _check_matvec(active, n_alpha, n_beta, space, x) -> None:
     expected = [basis.pack(reference_fci_matrix(active, n_alpha, n_beta) @ basis.unpack(x))]
     if space.alpha is space.beta:
         expected.append(reference_even_hamiltonian_operator(space, basis, k, eri)(x))
-    operator = fci._hamiltonian_operator(space.tables, k, eri)
+    operator = fci._hamiltonian_operator(space, k, eri)
     for _ in range(2):
         actual = operator(x)
         for reference in expected:
@@ -474,10 +474,11 @@ def test_cached_even_tables_are_read_only_and_serve_every_hamiltonian_of_a_shape
         n_occupied = active.n_orbitals // 2
         result = fci_solve(active, n_electrons=2 * n_occupied, s_z=0.0)
         assert result.ground_energy == pytest.approx(_lowest_even_energy(active, n_occupied), abs=1e-10)
-    tables = fci._string_space(4, 2, 2).tables
+    space = fci._string_space(4, 2, 2)
+    tables = space.tables
     assert fci._string_space(4, 2, 2).tables is tables
     basis = tables.basis
-    arrays = [tables.pairs, tables.first, tables.second, tables.alpha_index, tables.alpha_sign, tables.beta_sign]
+    arrays = [space.pairs, tables.first, tables.second, tables.alpha_index, tables.alpha_sign, tables.beta_sign]
     for array in arrays + [basis.upper, basis.mirror, basis.index, basis._unpack_scale, basis._pack_scale]:
         assert array.flags.writeable is False
         with pytest.raises(ValueError):
@@ -489,10 +490,11 @@ def test_even_operator_and_its_matvec_copy_no_index_table():
     its buffers and less than one index table more, and a matvec
     allocates less than one index table: the gathers read the cached
     tables themselves, not per-solve or per-call copies."""
-    tables = fci._string_space(8, 4, 4).tables
+    space = fci._string_space(8, 4, 4)
+    tables = space.tables  # compiled here, before the operator is measured
     k, eri = fci._integrals(random_active_hamiltonian(np.random.default_rng(26), 8))
     x = np.random.default_rng(27).normal(size=tables.basis.dimension)
-    n_pairs, padded = len(tables.pairs), tables.batches * tables.rows
+    n_pairs, padded = len(space.pairs), tables.batches * tables.rows
     width = n_pairs + 1
     # x~, D+ (which the sigma gather reuses), G and the pair-space weights
     buffers = 8 * (
@@ -504,7 +506,7 @@ def test_even_operator_and_its_matvec_copy_no_index_table():
     table = tables.first.nbytes
     tracemalloc.start()
     try:
-        operator = fci._hamiltonian_operator(tables, k, eri)
+        operator = fci._hamiltonian_operator(space, k, eri)
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         operator(x)
@@ -516,13 +518,12 @@ def test_even_operator_and_its_matvec_copy_no_index_table():
 
 
 def _space_arrays(space) -> list[np.ndarray]:
-    """Every array a cached string space holds, its operator tables and
-    their basis included."""
-    holders = [space, space.alpha, space.beta]
-    arrays = []
-    if space.tables is not None:
-        holders.append(space.tables.basis)
-        arrays += [value for value in space.tables if isinstance(value, np.ndarray)]
+    """Every array a cached string space holds, the operator tables a
+    solve compiled onto it and their basis included (a KeyError if no
+    solve has)."""
+    tables = vars(space)["tables"]
+    holders = [space, space.alpha, space.beta, tables.basis]
+    arrays = [value for value in tables if isinstance(value, np.ndarray)]
     for holder in holders:
         arrays += [value for value in vars(holder).values() if isinstance(value, np.ndarray)]
     return arrays
@@ -569,7 +570,8 @@ def test_concurrent_even_solves_share_the_tables():
     """Threads that mix solves, 1-RDMs and VQE densities of the shapes
     (5, 2, 2) and (5, 3, 2) at once, from one cold cache and with
     frequent thread switches, get bitwise the serial results: they share
-    only the read-only cached string spaces, not the buffers."""
+    only the read-only cached string spaces, not the buffers, and race
+    both the spaces' construction and their first solve's table compile."""
     rng = np.random.default_rng(25)
     hamiltonians = [random_active_hamiltonian(rng, 5) for _ in range(4)]
     calls = []
@@ -599,6 +601,35 @@ def test_concurrent_even_solves_share_the_tables():
             np.testing.assert_array_equal(result.one_rdm, expected.one_rdm)
         else:
             np.testing.assert_array_equal(result, expected)
+    for shape in ((5, 2, 2), (5, 3, 2)):
+        assert "tables" in vars(fci._string_space(*shape))
+
+
+def test_operator_tables_are_compiled_on_a_shapes_first_solve(monkeypatch):
+    """A fresh (5, 3, 2) shape read only for 1-RDMs, through its string
+    space and through the VQE density of an occupation state, holds no
+    operator tables; its first solve compiles them once onto the cached
+    space, and a second solve reuses that object."""
+    compiled = []
+    compile_tables = fci._compile_tables
+    monkeypatch.setattr(fci, "_compile_tables", lambda space: compiled.append(space) or compile_tables(space))
+    fci._string_space.cache_clear()
+    rng = np.random.default_rng(29)
+    space = fci._string_space(5, 3, 2)
+    vector = rng.normal(size=space.dimension)
+    amps = np.zeros(4**5, dtype=np.complex128)
+    amps[(space.alpha.strings[:, None] | (space.beta.strings[None, :] << 5)).ravel()] = vector
+    np.testing.assert_array_equal(spin_summed_one_rdm(Statevector(10, amps), 5), space.one_rdm(vector))
+    assert fci._string_space(5, 3, 2) is space
+    assert "tables" not in vars(space) and compiled == []
+    active = random_active_hamiltonian(rng, 5)
+    first = fci_solve(active, n_electrons=5, s_z=0.5)
+    assert fci._string_space(5, 3, 2) is space and compiled == [space]
+    tables = vars(space)["tables"]
+    second = fci_solve(active, n_electrons=5, s_z=0.5)
+    assert space.tables is tables and compiled == [space]
+    assert second.ground_energy == first.ground_energy
+    np.testing.assert_array_equal(second.ground_vector, first.ground_vector)
 
 
 @given(even_sectors())

@@ -8,6 +8,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,13 @@ from oracles import reference_parse_fcidump, reference_solve_rhf, reference_tran
 
 H8 = Path(__file__).parent.parent / "bench" / "data" / "h8_sto3g.fcidump"
 FCIDUMPS = sorted(FIXTURE_DIR.glob("*.fcidump")) + [H8]
+# Bounds of the machine-independent front-end check.  The RHF energy
+# stops at |dE| < 1e-10, and the orbitals, to first order in the energy's
+# error, at about its square root.  Everything else is an identity that
+# holds to rounding (a few 1e-16 measured on SkylakeX and Haswell kernels).
+E_HF_BOUND = 1e-9
+ORBITAL_ENERGY_BOUND = 1e-5
+ROUNDING_BOUND = 1e-12
 
 
 def _digest(*parts) -> str:
@@ -65,6 +73,37 @@ def test_front_end_matches_its_digests():
     assert sorted(expected) == sorted(path.name for path in FCIDUMPS)
     for path in FCIDUMPS:
         assert front_end_digests(path) == expected[path.name], capture_mismatch(path.name)
+
+
+@pytest.mark.parametrize("path", FCIDUMPS, ids=lambda path: path.name)
+def test_front_end_holds_on_any_blas_core(golden, path):
+    """What the digests pin, at stated bounds that no BLAS kernel's
+    rounding reaches: the RHF result converges to golden.json's e_hf
+    (bench/data/references.json's for H8) and orbital energies, its
+    orbitals are orthonormal with D = 2 C_occ C_occ^T of trace N, and
+    the MO integrals are the einsum chain's on the same C, (pq|rs) with
+    its 8-fold symmetry.  The parsed integrals need no such check:
+    parsing is exact on every core."""
+    integrals = read_fcidump(path)
+    mf = solve_rhf(integrals)
+    record = next((entry for entry in golden.values() if entry["file"] == path.name), None)
+    if record is None:
+        record = json.loads((H8.parent / "references.json").read_text())["h8_8e8o"]
+    assert mf.converged
+    assert abs(mf.energy - record["e_hf"]) <= E_HF_BOUND
+    if "orbital_energies" in record:
+        np.testing.assert_allclose(mf.orbital_energies, record["orbital_energies"], rtol=0, atol=ORBITAL_ENERGY_BOUND)
+    c = mf.orbital_coefficients
+    occupied = c[:, : integrals.n_electrons // 2]
+    np.testing.assert_allclose(c.T @ c, np.eye(len(c)), rtol=0, atol=ROUNDING_BOUND)
+    np.testing.assert_allclose(mf.density, 2 * occupied @ occupied.T, rtol=0, atol=ROUNDING_BOUND)
+    assert abs(np.trace(mf.density) - integrals.n_electrons) <= ROUNDING_BOUND
+    h_mo, eri_mo = transform_to_mo_basis(integrals, c)
+    expected_h, expected_eri = reference_transform_to_mo_basis(integrals, c)
+    np.testing.assert_allclose(h_mo, expected_h, rtol=0, atol=ROUNDING_BOUND)
+    np.testing.assert_allclose(eri_mo, expected_eri, rtol=0, atol=ROUNDING_BOUND)
+    for axes in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):  # with these, all 8 hold
+        np.testing.assert_allclose(eri_mo, eri_mo.transpose(axes), rtol=0, atol=ROUNDING_BOUND)
 
 
 def _parsed(parse, text: str):
