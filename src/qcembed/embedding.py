@@ -37,7 +37,7 @@ from .activespace import (
 )
 from .fci import fci_solve
 from .integrals import IntegralSet
-from .meanfield import solve_rhf
+from .meanfield import MeanFieldResult, solve_rhf
 from .sim import (
     build_uccsd_ansatz,
     evolve_ansatz,
@@ -222,6 +222,7 @@ def run_embedding(
     config: EmbeddingConfig | None = None,
     vqe_config: VqeConfig | None = None,
     resume_from: EmbeddingState | None = None,
+    mean_field: MeanFieldResult | None = None,
 ) -> EmbeddingState:
     """Run the damped embedding cycle to self-consistency.
 
@@ -231,11 +232,15 @@ def run_embedding(
     ``resume_from`` continues the iteration count, histories and
     densities of that run; a state whose density shape, recorded
     orbital split or environment density does not match this run raises
-    :class:`EmbeddingError`.
+    :class:`EmbeddingError`.  A ``mean_field`` is used in place of
+    ``solve_rhf(integrals)``, and refused if it does not fit them.
     """
     if config is None:
         config = EmbeddingConfig()
-    mf = solve_rhf(integrals)
+    mf = solve_rhf(integrals) if mean_field is None else mean_field
+    n = integrals.n_orbitals
+    if {mf.orbital_coefficients.shape, mf.density.shape} != {(n, n)} or 2 * mf.n_occupied != integrals.n_electrons:
+        raise EmbeddingError(f"mean field does not fit {n} orbitals and {integrals.n_electrons} electrons")
     if not mf.converged:
         raise EmbeddingError("mean-field reference did not converge; tighten its settings")
 
@@ -246,7 +251,6 @@ def run_embedding(
     )
     solver = _resolve_solver(config, vqe_config)
 
-    n = integrals.n_orbitals
     inactive_density = np.zeros((n, n))
     inactive_density[inactive, inactive] = 2.0
 

@@ -6,20 +6,21 @@ Roothaan step is an ordinary symmetric eigenproblem.  The converged
 result provides the bath reference, densities and canonical orbitals
 consumed by the active-space reduction and the embedding cycle.
 
-Each Roothaan step is one ``np.linalg.eigh`` call (lower triangle, full
-spectrum) after a finite-input check, so a non-finite Fock matrix raises
-``ValueError`` before it reaches LAPACK.  The density 2 C_occ C_occ^T
+The one Roothaan loop steps a stack of same-shape systems (h as (B, n, n),
+(pq|rs) as (B, n, n, n, n)) with one ``np.linalg.eigh`` call (lower
+triangle, full spectrum) per step for the whole stack; :func:`solve_rhf`
+is a stack of one.  Each member follows its lone path bitwise and leaves
+the stack when it converges or fails (a non-finite Fock matrix raises
+``ValueError`` before it reaches LAPACK).  The density 2 C_occ C_occ^T
 does not depend on the eigenvectors' signs, so the signs are fixed once,
-on the canonical orbitals returned.  The loop runs on h, the dense
-(pq|rs) tensor and the core energy bound once per solve, through the
-same private Fock and energy steps that :func:`build_fock` and
-:func:`electronic_energy` run after their input checks.  The module
-needs numpy only.
+on the canonical orbitals returned.  The Fock and energy steps are those
+of :func:`build_fock` and :func:`electronic_energy`.  Needs numpy only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +43,10 @@ class MeanFieldResult:
     trace equal to the electron count; ``orbital_coefficients`` holds
     molecular orbitals as columns, orthonormal in the input basis.
     ``energy_history`` records the total energy after each Roothaan
-    iteration (diagnostics only).
+    iteration (diagnostics only).  The loop stops on |dE| < tol alone, so
+    the orbitals are converged only to about 1e-6 (occupied-virtual Fock
+    elements of 9.3e-7 on LiH STO-3G); ``orbital_energies`` are the
+    eigenvalues of the last mixed density's Fock, not of ``density``'s.
     """
 
     energy: float
@@ -59,9 +63,9 @@ class MeanFieldResult:
 
 
 def coulomb_exchange(eri: np.ndarray, density: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(J, K) with J_pq = sum_rs (pq|rs) D_rs and K_pq = sum_rs (pr|sq) D_rs."""
-    coulomb = np.einsum("pqrs,rs->pq", eri, density)
-    exchange = np.einsum("prsq,rs->pq", eri, density)
+    """(J, K) with J_pq = sum_rs (pq|rs) D_rs and K_pq = sum_rs (pr|sq) D_rs, per stacked member."""
+    coulomb = np.einsum("...pqrs,...rs->...pq", eri, density)
+    exchange = np.einsum("...prsq,...rs->...pq", eri, density)
     return coulomb, exchange
 
 
@@ -70,8 +74,9 @@ def _fock(h: np.ndarray, eri: np.ndarray, density: np.ndarray) -> np.ndarray:
     return h + coulomb - 0.5 * exchange
 
 
-def _energy(h: np.ndarray, core_energy: float, density: np.ndarray, fock: np.ndarray) -> float:
-    return 0.5 * float((density * (h + fock)).sum()) + core_energy
+def _energies(h: np.ndarray, core_energies: list[float], density: np.ndarray, fock: np.ndarray) -> list[float]:
+    sums = (density * (h + fock)).sum(axis=(-2, -1)).ravel().tolist()
+    return [0.5 * total + core for total, core in zip(sums, core_energies)]
 
 
 def build_fock(integrals: IntegralSet, density: np.ndarray) -> np.ndarray:
@@ -85,7 +90,7 @@ def build_fock(integrals: IntegralSet, density: np.ndarray) -> np.ndarray:
 
 def electronic_energy(integrals: IntegralSet, density: np.ndarray, fock: np.ndarray) -> float:
     """Total energy 0.5 * sum_pq D_pq (h_pq + F_pq) + core."""
-    return _energy(integrals.one_body, integrals.core_energy, density, fock)
+    return _energies(integrals.one_body, [integrals.core_energy], density, fock)[0]
 
 
 def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
@@ -97,26 +102,124 @@ def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     return np.negative(out, out=out, where=flip)
 
 
-def _diagonalize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, eigenvectors) of a symmetric matrix, signs unfixed."""
-    if not np.isfinite(matrix).all():
-        raise ValueError("array must not contain infs or NaNs")
-    return np.linalg.eigh(matrix)
+def _occupy(coefficients: np.ndarray, n_occ: int) -> np.ndarray:
+    c_occ = coefficients[..., :n_occ]
+    return 2.0 * c_occ @ c_occ.swapaxes(-1, -2)
 
 
-def _occupy(orbital_energies: np.ndarray, coefficients: np.ndarray, n_occ: int) -> np.ndarray:
-    n = len(orbital_energies)
-    if 0 < n_occ < n:
-        gap = orbital_energies[n_occ] - orbital_energies[n_occ - 1]
-        if abs(gap) < _DEGENERACY_TOL:
-            raise ScfError(
+def _fail_non_finite(matrices: np.ndarray, members: list[int], outcomes: list) -> list[int]:
+    # rows of the finite matrices; the other rows' members fail LAPACK's input check, on their own
+    finite = np.isfinite(matrices).all(axis=(-2, -1)).tolist()
+    for k, ok in zip(members, finite):
+        if not ok:
+            outcomes[k] = ValueError("array must not contain infs or NaNs")
+    return [i for i, ok in enumerate(finite) if ok]
+
+
+def _fail_degenerate(orbital_energies: np.ndarray, members: list[int], outcomes: list, n_occ: int) -> None:
+    if not 0 < n_occ < orbital_energies.shape[-1]:
+        return
+    for k, levels in zip(members, orbital_energies.tolist()):
+        homo, lumo = levels[n_occ - 1], levels[n_occ]
+        if abs(lumo - homo) < _DEGENERACY_TOL:
+            outcomes[k] = ScfError(
                 "degenerate HOMO at the Fermi level "
-                f"(orbital energies {orbital_energies[n_occ - 1]:.12f} and "
-                f"{orbital_energies[n_occ]:.12f}); restricted closed-shell "
+                f"(orbital energies {homo:.12f} and {lumo:.12f}); restricted closed-shell "
                 "occupation is ill-defined"
             )
-    c_occ = coefficients[:, :n_occ]
-    return 2.0 * c_occ @ c_occ.T
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    # a lone member is viewed, not copied: a paper-scale (pq|rs) is too large to duplicate
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _input_error(integrals: IntegralSet, max_iter: int, mixing: float) -> ScfError | None:
+    if integrals.n_electrons % 2 != 0:
+        n_electrons = integrals.n_electrons
+        return ScfError(f"restricted closed-shell solver requires an even electron count, got {n_electrons}")
+    if max_iter < 1:
+        return ScfError(f"max_iter must be >= 1, got {max_iter}")
+    if not 0.0 < mixing <= 1.0:
+        return ScfError(f"mixing must lie in (0, 1], got {mixing}")
+    return None
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an inf or NaN fails its member alone, not the stack
+def _solve_stack(
+    systems: Sequence[IntegralSet], max_iter: int = 100, tol: float = 1e-10, mixing: float = 0.5
+) -> list[MeanFieldResult | Exception]:
+    """:func:`solve_rhf` on a stack of systems of one (n_orbitals, n_electrons)
+    shape: entry k is bitwise ``solve_rhf(systems[k], ...)``'s result, or the
+    exception it raises.  A member leaves the stack when it converges, runs
+    out of steps or fails, before the next ``np.linalg.eigh`` call."""
+    if len({(s.n_orbitals, s.n_electrons) for s in systems}) > 1:
+        raise ScfError("a stack holds systems of one (n_orbitals, n_electrons) shape")
+    outcomes: list = [_input_error(integrals, max_iter, mixing) for integrals in systems]
+    rows = [k for k, outcome in enumerate(outcomes) if outcome is None]  # the member of each stacked row
+    if not rows:
+        return outcomes
+    n_occ, core = systems[0].n_electrons // 2, [systems[k].core_energy for k in rows]
+    h = _stack([systems[k].one_body for k in rows])
+    eri = _stack([systems[k].two_body_dense for k in rows])
+    histories: dict[int, list[float]] = {k: [] for k in rows}
+    finished: dict[int, tuple[np.ndarray, int, bool]] = {}  # member: (last Fock, iterations, converged)
+
+    # step 0 takes the core guess (h's occupied eigenvectors); steps 1..max_iter mix
+    fock, density, energies, leaving = h, h, [0.0] * len(rows), False
+    for step in range(max_iter + 1):
+        if not np.isfinite(fock).all():
+            _fail_non_finite(fock, rows, outcomes)
+            leaving = True
+        if leaving:
+            keep = [i for i, k in enumerate(rows) if outcomes[k] is None and k not in finished]
+            if not keep:
+                break
+            rows, core, energies = ([x[i] for i in keep] for x in (rows, core, energies))
+            h, eri, fock, density = h[keep], eri[keep], fock[keep], density[keep]
+            leaving = False
+        eps, coeff = np.linalg.eigh(fock)
+        _fail_degenerate(eps, rows, outcomes, n_occ)
+        new_density = _occupy(coeff, n_occ)
+        density = new_density if step == 0 else (1.0 - mixing) * density + mixing * new_density
+        fock = _fock(h, eri, density)
+        new_energies = _energies(h, core, density, fock)
+        for i, k in enumerate(rows):
+            if outcomes[k] is not None:
+                leaving = True
+            elif step:
+                histories[k].append(new_energies[i])
+                converged = abs(new_energies[i] - energies[i]) < tol
+                if converged or step == max_iter:
+                    finished[k], leaving = (fock[i], step, converged), True
+        energies = new_energies
+
+    # Sign-fixed canonical orbitals and idempotent density from each final Fock.
+    members = list(finished)
+    focks = _stack([finished[k][0] for k in members]) if members else h[:0]
+    keep = _fail_non_finite(focks, members, outcomes)
+    if not keep:
+        return outcomes
+    members, focks = [members[i] for i in keep], focks[keep]
+    eps, coeff = np.linalg.eigh(focks)
+    _fail_degenerate(eps, members, outcomes, n_occ)
+    for i, k in enumerate(members):
+        if outcomes[k] is not None:
+            continue
+        integrals, (_, iterations, converged) = systems[k], finished[k]
+        coefficients = _fix_eigenvector_signs(coeff[i])
+        density = _occupy(coefficients, n_occ)
+        fock = _fock(integrals.one_body, integrals.two_body_dense, density)
+        outcomes[k] = MeanFieldResult(
+            energy=electronic_energy(integrals, density, fock),
+            orbital_energies=eps[i],
+            orbital_coefficients=coefficients,
+            density=density,
+            converged=converged,
+            iterations=iterations,
+            energy_history=tuple(histories[k]),
+        )
+    return outcomes
 
 
 def solve_rhf(
@@ -145,54 +248,7 @@ def solve_rhf(
         With ``converged=False`` (not an exception) if the energy change
         never drops below ``tol`` within ``max_iter`` iterations.
     """
-    if integrals.n_electrons % 2 != 0:
-        raise ScfError(
-            f"restricted closed-shell solver requires an even electron count, got {integrals.n_electrons}"
-        )
-    if max_iter < 1:
-        raise ScfError(f"max_iter must be >= 1, got {max_iter}")
-    if not 0.0 < mixing <= 1.0:
-        raise ScfError(f"mixing must lie in (0, 1], got {mixing}")
-
-    n_occ = integrals.n_electrons // 2
-    h, eri, core_energy = integrals.one_body, integrals.two_body_dense, integrals.core_energy
-
-    # Core guess: occupy the lowest eigenvectors of h.
-    eps, coeff = _diagonalize(h)
-    density = _occupy(eps, coeff, n_occ)
-    fock = _fock(h, eri, density)
-    energy = _energy(h, core_energy, density, fock)
-
-    converged = False
-    iterations = 0
-    history: list[float] = []
-    for iteration in range(1, max_iter + 1):
-        iterations = iteration
-        eps, coeff = _diagonalize(fock)
-        new_density = _occupy(eps, coeff, n_occ)
-        density = (1.0 - mixing) * density + mixing * new_density
-        fock = _fock(h, eri, density)
-        new_energy = _energy(h, core_energy, density, fock)
-        delta = abs(new_energy - energy)
-        energy = new_energy
-        history.append(energy)
-        if delta < tol:
-            converged = True
-            break
-
-    # Sign-fixed canonical orbitals and idempotent density from the final Fock.
-    eps, coeff = _diagonalize(fock)
-    coeff = _fix_eigenvector_signs(coeff)
-    density = _occupy(eps, coeff, n_occ)
-    fock = _fock(h, eri, density)
-    energy = _energy(h, core_energy, density, fock)
-
-    return MeanFieldResult(
-        energy=energy,
-        orbital_energies=eps,
-        orbital_coefficients=coeff,
-        density=density,
-        converged=converged,
-        iterations=iterations,
-        energy_history=tuple(history),
-    )
+    (outcome,) = _solve_stack([integrals], max_iter, tol, mixing)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

@@ -16,13 +16,16 @@ from pathlib import Path
 
 from .activespace import ActiveSpaceSpec
 from .embedding import EmbeddingConfig, run_embedding
-from .integrals import read_fcidump
+from .integrals import IntegralSet, read_fcidump
+from .meanfield import MeanFieldResult, _solve_stack
 from .vqe import VqeConfig
 
 __all__ = ["MuScanError", "MuScanConfigError", "MuScanSpec", "MuScanRow", "mu_grid", "select_optimal_mu", "mu_scan"]
 
 _MU_KEY_TOLERANCE = 1e-9
 _TIE_TOLERANCE = 1e-12
+# Most doubles of dense (pq|rs) in one mean-field stack (32 MiB); a larger point is solved alone.
+_STACK_DOUBLES = 1 << 22
 
 
 class MuScanError(RuntimeError):
@@ -105,7 +108,9 @@ def mu_scan(
     Every grid value must have an input file; all points share the same
     active space and solver configuration.  Points that fail to converge
     or raise are kept in the table (flagged) but excluded from the
-    argmin.  The points run one after another.
+    argmin.  Consecutive points of one (n_orbitals, n_electrons) shape solve
+    their mean-field references as one stack of at most 2**22 doubles of
+    (pq|rs); each row is bitwise a lone ``read_fcidump`` and ``run_embedding``'s.
     """
     grid = mu_grid(spec)
     missing = [mu for mu in grid if _input_for(spec, mu) is None]
@@ -114,20 +119,35 @@ def mu_scan(
             "missing integral files for mu values: " + ", ".join(f"{mu:g}" for mu in missing)
         )
 
-    def run_point(mu: float) -> MuScanRow:
+    def point(mu: float, integrals: IntegralSet | None, mean_field: MeanFieldResult | Exception) -> MuScanRow:
         try:
-            integrals = read_fcidump(_input_for(spec, mu))
-            state = run_embedding(integrals, active, embed_config, vqe_config)
+            if isinstance(mean_field, Exception):
+                raise mean_field
+            state = run_embedding(integrals, active, embed_config, vqe_config, mean_field=mean_field)
         except Exception as exc:  # noqa: BLE001 - one bad point must not end the scan
             return MuScanRow(mu, math.nan, math.nan, 0, False, error=f"{type(exc).__name__}: {exc}")
-        return MuScanRow(
-            mu=mu,
-            e_hf=state.mean_field_energy,
-            e_total=state.final_energy,
-            iterations=state.iteration,
-            converged=state.converged,
-            evaluations=sum(state.solver_evaluations),
-        )
+        return MuScanRow(mu, state.mean_field_energy, state.final_energy, state.iteration, state.converged,
+                         sum(state.solver_evaluations))
 
-    rows = [run_point(mu) for mu in grid]
+    rows: list[MuScanRow | None] = [None] * len(grid)
+    stack: list[tuple[int, IntegralSet]] = []
+
+    def run_stack() -> None:
+        mean_fields = _solve_stack([integrals for _, integrals in stack])
+        for (k, integrals), mean_field in zip(stack, mean_fields):
+            rows[k] = point(grid[k], integrals, mean_field)
+        stack.clear()
+
+    for k, mu in enumerate(grid):
+        try:
+            integrals = read_fcidump(_input_for(spec, mu))
+        except Exception as exc:  # noqa: BLE001
+            rows[k] = point(mu, None, exc)
+            continue
+        shape = (integrals.n_orbitals, integrals.n_electrons)
+        if stack and (shape != stack_shape or (len(stack) + 1) * shape[0] ** 4 > _STACK_DOUBLES):
+            run_stack()
+        stack.append((k, integrals))
+        stack_shape = shape
+    run_stack()
     return select_optimal_mu(rows), rows

@@ -1066,7 +1066,20 @@ def reference_solve_rhf(
     Roothaan step, where the package fixes signs only on the returned
     orbitals, diagonalizing with ``eigh`` (default: ``np.linalg.eigh``
     after a finite-input check, as the package does)."""
-    from qcembed.meanfield import MeanFieldResult, ScfError, _occupy, build_fock, electronic_energy
+    from qcembed.meanfield import MeanFieldResult, ScfError, build_fock, electronic_energy
+
+    def occupy(orbital_energies, coefficients, n_occ):
+        if 0 < n_occ < len(orbital_energies):
+            gap = orbital_energies[n_occ] - orbital_energies[n_occ - 1]
+            if abs(gap) < 1e-10:
+                raise ScfError(
+                    "degenerate HOMO at the Fermi level "
+                    f"(orbital energies {orbital_energies[n_occ - 1]:.12f} and "
+                    f"{orbital_energies[n_occ]:.12f}); restricted closed-shell "
+                    "occupation is ill-defined"
+                )
+        c_occ = coefficients[:, :n_occ]
+        return 2.0 * c_occ @ c_occ.T
 
     if integrals.n_electrons % 2 != 0:
         raise ScfError(
@@ -1081,7 +1094,7 @@ def reference_solve_rhf(
 
     eps, coeff = eigh(integrals.one_body)
     coeff = reference_fix_eigenvector_signs(coeff)
-    density = _occupy(eps, coeff, n_occ)
+    density = occupy(eps, coeff, n_occ)
     fock = build_fock(integrals, density)
     energy = electronic_energy(integrals, density, fock)
 
@@ -1092,7 +1105,7 @@ def reference_solve_rhf(
         iterations = iteration
         eps, coeff = eigh(fock)
         coeff = reference_fix_eigenvector_signs(coeff)
-        new_density = _occupy(eps, coeff, n_occ)
+        new_density = occupy(eps, coeff, n_occ)
         density = (1.0 - mixing) * density + mixing * new_density
         fock = build_fock(integrals, density)
         new_energy = electronic_energy(integrals, density, fock)
@@ -1105,7 +1118,7 @@ def reference_solve_rhf(
 
     eps, coeff = eigh(fock)
     coeff = reference_fix_eigenvector_signs(coeff)
-    density = _occupy(eps, coeff, n_occ)
+    density = occupy(eps, coeff, n_occ)
     fock = build_fock(integrals, density)
     energy = electronic_energy(integrals, density, fock)
 

@@ -17,9 +17,15 @@ from qcembed.embedding import (
     iteration_log_records,
     run_embedding,
 )
+from qcembed.integrals import read_fcidump
 from qcembed.meanfield import solve_rhf
 from qcembed.report import csv_text
 from qcembed.vqe import VqeConfig
+
+from test_front_end import _digest
+from test_vqe_digests import CASES as VQE_CASES
+from test_vqe_digests import H8
+from test_vqe_digests import SPACES as VQE_SPACES
 
 
 def test_damping_factor_table():
@@ -257,6 +263,38 @@ def test_unconverged_reference_rejected(h2o_integrals):
             run_embedding(h2o_integrals, ActiveSpaceSpec(2, 2), EmbeddingConfig(active_solver="fci"))
     finally:
         emb.solve_rhf = emb_solve
+
+
+def _state_bits(state) -> str:
+    return _digest(*(getattr(state, field.name) for field in dataclasses.fields(state)))
+
+
+@pytest.mark.parametrize(
+    "space, seed", [*VQE_CASES, ("h8-8e8o-fci", None)], ids=[*(f"{s}-seed{k}" for s, k in VQE_CASES), "h8-8e8o-fci"]
+)
+def test_a_given_mean_field_is_bitwise_the_embeddings_own(space, seed):
+    if seed is None:
+        integrals, spec = read_fcidump(H8), ActiveSpaceSpec(8, 8)
+        config, vqe_config = EmbeddingConfig(active_solver="fci"), None
+    else:
+        path, n_electrons, n_orbitals = VQE_SPACES[space]
+        integrals, spec = read_fcidump(path), ActiveSpaceSpec(n_electrons, n_orbitals)
+        config, vqe_config = EmbeddingConfig(active_solver="vqe"), VqeConfig(seed=seed)
+    own = run_embedding(integrals, spec, config, vqe_config)
+    given = run_embedding(integrals, spec, config, vqe_config, mean_field=solve_rhf(integrals))
+    assert _state_bits(given) == _state_bits(own)
+
+
+def test_a_mean_field_that_does_not_fit_is_refused(h2_integrals, h2o_integrals):
+    spec = ActiveSpaceSpec(2, 2)
+    with pytest.raises(EmbeddingError, match="mean field does not fit 2 orbitals and 2 electrons"):
+        run_embedding(h2_integrals, spec, mean_field=solve_rhf(h2o_integrals))
+    fewer = dataclasses.replace(h2o_integrals, n_electrons=8)
+    with pytest.raises(EmbeddingError, match="mean field does not fit 7 orbitals and 8 electrons"):
+        run_embedding(fewer, spec, mean_field=solve_rhf(h2o_integrals))
+    unconverged = solve_rhf(h2o_integrals, max_iter=1, tol=1e-15)
+    with pytest.raises(EmbeddingError, match="did not converge"):
+        run_embedding(h2o_integrals, spec, mean_field=unconverged)
 
 
 def _count_calls(monkeypatch, name):

@@ -180,6 +180,32 @@ def test_solve_rhf_is_bitwise_reference(name, options):
     assert_bitwise_result(solve_rhf(integrals, **options), reference_solve_rhf(integrals, **options))
 
 
+def one_body_variant(base: IntegralSet, kind: str, seed: int, noise: float) -> IntegralSet:
+    """``base`` with a randomly rotated one-body matrix: "perturbed" adds
+    symmetric noise; "degenerate" makes the core guess's HOMO and LUMO
+    coincide (noise would split them); "non-finite one-body" and
+    "non-finite two-body" plant an inf in h and a NaN in (pq|rs)."""
+    n, n_occ = base.n_orbitals, base.n_electrons // 2
+    rng = np.random.default_rng(seed)
+    rotation, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    if kind == "degenerate":
+        levels = np.linalg.eigvalsh(base.one_body)
+        levels[n_occ] = levels[n_occ - 1]
+        one_body = rotation @ np.diag(levels) @ rotation.T
+    else:
+        perturbation = rng.normal(scale=noise, size=(n, n))
+        one_body = rotation @ base.one_body @ rotation.T + perturbation + perturbation.T
+    one_body = 0.5 * (one_body + one_body.T)
+    if kind == "non-finite one-body":
+        one_body[0, 0] = np.inf
+    if kind != "non-finite two-body":
+        return IntegralSet(n, base.n_electrons, base.spin_2ms, base.core_energy, one_body, base.two_body)
+    # the core guess is finite, and the first Roothaan step's Fock is not
+    eri = np.array(base.two_body_dense)
+    eri[0, 0, 1, 1] = eri[1, 1, 0, 0] = np.nan
+    return IntegralSet.from_arrays(one_body, eri, base.core_energy, base.n_electrons, base.spin_2ms)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     name=st.sampled_from(["h2_0735", "h2_1500", "lih", "h2o"]),
@@ -189,21 +215,7 @@ def test_solve_rhf_is_bitwise_reference(name, options):
     mixing=st.sampled_from([0.5, 1.0]),
 )
 def test_solve_rhf_is_bitwise_reference_on_rotated_one_body(name, seed, noise, degenerate, mixing):
-    base = load(name)
-    n, n_occ = base.n_orbitals, base.n_electrons // 2
-    rng = np.random.default_rng(seed)
-    rotation, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    if degenerate:
-        # HOMO and LUMO of the core guess coincide; noise would split them.
-        levels = np.linalg.eigvalsh(base.one_body)
-        levels[n_occ] = levels[n_occ - 1]
-        one_body = rotation @ np.diag(levels) @ rotation.T
-    else:
-        perturbation = rng.normal(scale=noise, size=(n, n))
-        one_body = rotation @ base.one_body @ rotation.T + perturbation + perturbation.T
-    one_body = 0.5 * (one_body + one_body.T)
-    integrals = IntegralSet(n, base.n_electrons, base.spin_2ms, base.core_energy, one_body, base.two_body)
-
+    integrals = one_body_variant(load(name), "degenerate" if degenerate else "perturbed", seed, noise)
     actual = outcome(solve_rhf, integrals, mixing=mixing)
     expected = outcome(reference_solve_rhf, integrals, mixing=mixing)
     if degenerate:
@@ -344,3 +356,81 @@ def test_sign_fix_ties_go_to_the_lower_row():
     vectors = np.array([[-0.5, 0.5, -0.0, 0.0], [0.5, -0.5, -0.0, -0.0]])
     fixed = _fix_eigenvector_signs(vectors)
     assert_bitwise_array(fixed, np.array([[0.5, 0.5, -0.0, 0.0], [-0.5, -0.5, -0.0, -0.0]]))
+
+
+# -- one Roothaan loop over a stack of same-shape systems ----------------------
+
+
+def lone_outcome(integrals: IntegralSet, **options):
+    """``reference_solve_rhf``'s result, or the type and text of what it raised."""
+    try:
+        return reference_solve_rhf(integrals, **options)
+    except (ScfError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def eigh_rows(seen: list[np.ndarray], n: int) -> list[bytes]:
+    """Every matrix that reached LAPACK, one per stacked row, sorted."""
+    return sorted(row.tobytes() for matrix in seen for row in matrix.reshape(-1, n, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["h2_0735", "h2_1500", "lih", "h2o"]),
+    members=st.lists(
+        st.tuples(
+            st.sampled_from(["perturbed", "perturbed", "degenerate", "non-finite one-body", "non-finite two-body"]),
+            st.integers(0, 2**32 - 1),
+            st.sampled_from([0.0, 1e-9, 1e-4, 1e-2]),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    mixing=st.sampled_from([0.5, 1.0]),
+    max_iter=st.sampled_from([1, 2, 5, 100]),
+)
+def test_stacked_solve_is_each_members_lone_solve(name, members, mixing, max_iter):
+    base = load(name)
+    systems = [one_body_variant(base, *member) for member in members]
+    options = {"mixing": mixing, "max_iter": max_iter}
+    expected, seen_lone = [], []
+    with np.errstate(invalid="ignore", over="ignore"), pytest.MonkeyPatch.context() as patch:
+        for integrals in systems:
+            seen = spy_on_eigh(patch)
+            expected.append(lone_outcome(integrals, **options))
+            seen_lone.append(seen)
+            patch.undo()
+        seen_stacked = spy_on_eigh(patch)
+        actual = meanfield._solve_stack(systems, **options)
+    assert len(actual) == len(systems)
+    for result, lone in zip(actual, expected):
+        if isinstance(lone, tuple):
+            assert (type(result), str(result)) == lone
+        else:
+            assert_bitwise_result(result, lone)
+    # Each member's rows reach LAPACK exactly as its lone solve's matrices
+    # do: a member that converged or failed took no further step.
+    n = base.n_orbitals
+    assert eigh_rows(seen_stacked, n) == eigh_rows([m for seen in seen_lone for m in seen], n)
+    # one call per step for the whole stack, and at most one canonicalisation
+    assert len(seen_stacked) <= max(map(len, seen_lone)) + 1
+
+
+def test_stacked_solve_makes_one_eigh_call_per_step(monkeypatch):
+    base = load("lih")
+    systems = [one_body_variant(base, "perturbed", seed, 1e-2) for seed in range(5)]
+    seen = spy_on_eigh(monkeypatch)
+    results = meanfield._solve_stack(systems)
+    iterations = [result.iterations for result in results]
+    assert len(set(iterations)) > 1
+    # core guess + one per step of the longest solve + one canonicalisation
+    assert len(seen) == max(iterations) + 2
+    assert [len(matrices) for matrices in seen] == [5] + [
+        sum(it >= step for it in iterations) for step in range(1, max(iterations) + 1)
+    ] + [5]
+
+
+def test_stack_of_one_shape_only():
+    with pytest.raises(ScfError, match="one \\(n_orbitals, n_electrons\\) shape"):
+        meanfield._solve_stack([load("h2_0735"), load("lih")])
+    assert meanfield._solve_stack([]) == []
