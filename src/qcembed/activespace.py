@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .integrals import IntegralSet, SymmetricTwoBody
-from .meanfield import MeanFieldResult, coulomb_exchange
+from .meanfield import MeanFieldResult, _energies, _fock
 
 __all__ = [
     "ActiveSpaceError",
@@ -175,18 +175,17 @@ def reduce_in_orbital_basis(
     The bath density D_env doubly occupies the inactive orbitals.  The
     embedding cycle reduces once per run: its damped density keeps
     exactly these occupations outside the active window, so the bath
-    Fock operator never changes between iterations.
+    Fock operator never changes between iterations.  The mean-field
+    solver's own Fock and energy steps on D_env give
 
         h_eff = h + J[D_env] - K[D_env]/2
         inactive_energy = core + Tr[D_env (h + h_eff)] / 2
     """
-    n = h.shape[0]
-    env_density = np.zeros((n, n))
+    env_density = np.zeros(h.shape)
     env_density[inactive, inactive] = 2.0
 
-    coulomb, exchange = coulomb_exchange(eri, env_density)
-    h_eff = h + coulomb - 0.5 * exchange
-    inactive_energy = core_energy + 0.5 * float(np.sum(env_density * (h + h_eff)))
+    h_eff = _fock(h, eri, env_density)
+    (inactive_energy,) = _energies(h, [core_energy], env_density, h_eff)
 
     idx = np.asarray(active, dtype=int)
     if len(idx):

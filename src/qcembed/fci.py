@@ -483,8 +483,8 @@ def _davidson_ground(
     for iteration in range(1, DAVIDSON_MAX_ITERATIONS + 1):
         thetas, ritz = np.linalg.eigh(projected[:size, :size])
         theta, coefficients = float(thetas[0]), ritz[:, 0]
-        vector = coefficients @ basis[:size]
-        residual = coefficients @ images[:size] - theta * vector
+        vector, image = coefficients @ basis[:size], coefficients @ images[:size]
+        residual = image - theta * vector
         residual_norm = float(np.linalg.norm(residual))
         if residual_norm < DAVIDSON_TOLERANCE:
             return theta, vector / np.linalg.norm(vector), matvecs, residual_norm
@@ -492,7 +492,7 @@ def _davidson_ground(
             break
 
         if size == max_subspace:
-            images[0] = coefficients @ images[:size]
+            images[0] = image
             basis[0] = vector
             projected[0, 0] = theta
             size = 1

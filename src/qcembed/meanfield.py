@@ -9,12 +9,13 @@ consumed by the active-space reduction and the embedding cycle.
 The one Roothaan loop steps a stack of same-shape systems (h as (B, n, n),
 (pq|rs) as (B, n, n, n, n)) with one ``np.linalg.eigh`` call (lower
 triangle, full spectrum) per step for the whole stack; :func:`solve_rhf`
-is a stack of one.  Each member follows its lone path bitwise and leaves
-the stack when it converges or fails (a non-finite Fock matrix raises
-``ValueError`` before it reaches LAPACK).  The density 2 C_occ C_occ^T
-does not depend on the eigenvectors' signs, so the signs are fixed once,
-on the canonical orbitals returned.  The Fock and energy steps are those
-of :func:`build_fock` and :func:`electronic_energy`.  Needs numpy only.
+is a stack of one.  Each member follows its lone path bitwise.  The step
+after its last one closes it: the signs of that step's eigenvectors are
+fixed, once, and occupied without mixing (the density 2 C_occ C_occ^T does
+not depend on them).  A closed or failed member leaves the stack; a
+non-finite Fock matrix raises ``ValueError`` before it reaches LAPACK.  The
+Fock and energy steps are those of :func:`build_fock`,
+:func:`electronic_energy` and the frozen-core reduction.  Needs numpy only.
 """
 
 from __future__ import annotations
@@ -62,15 +63,10 @@ class MeanFieldResult:
         return int(round(np.trace(self.density))) // 2
 
 
-def coulomb_exchange(eri: np.ndarray, density: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(J, K) with J_pq = sum_rs (pq|rs) D_rs and K_pq = sum_rs (pr|sq) D_rs, per stacked member."""
+def _fock(h: np.ndarray, eri: np.ndarray, density: np.ndarray) -> np.ndarray:
+    """h + J - K/2 with J_pq = sum_rs (pq|rs) D_rs and K_pq = sum_rs (pr|sq) D_rs, per stacked member."""
     coulomb = np.einsum("...pqrs,...rs->...pq", eri, density)
     exchange = np.einsum("...prsq,...rs->...pq", eri, density)
-    return coulomb, exchange
-
-
-def _fock(h: np.ndarray, eri: np.ndarray, density: np.ndarray) -> np.ndarray:
-    coulomb, exchange = coulomb_exchange(eri, density)
     return h + coulomb - 0.5 * exchange
 
 
@@ -107,13 +103,11 @@ def _occupy(coefficients: np.ndarray, n_occ: int) -> np.ndarray:
     return 2.0 * c_occ @ c_occ.swapaxes(-1, -2)
 
 
-def _fail_non_finite(matrices: np.ndarray, members: list[int], outcomes: list) -> list[int]:
-    # rows of the finite matrices; the other rows' members fail LAPACK's input check, on their own
-    finite = np.isfinite(matrices).all(axis=(-2, -1)).tolist()
-    for k, ok in zip(members, finite):
-        if not ok:
+def _fail_non_finite(matrices: np.ndarray, members: list[int], outcomes: list) -> None:
+    # the member of each non-finite matrix fails LAPACK's input check, on its own
+    for k, finite in zip(members, np.isfinite(matrices).all(axis=(-2, -1)).tolist()):
+        if not finite:
             outcomes[k] = ValueError("array must not contain infs or NaNs")
-    return [i for i, ok in enumerate(finite) if ok]
 
 
 def _fail_degenerate(orbital_energies: np.ndarray, members: list[int], outcomes: list, n_occ: int) -> None:
@@ -151,8 +145,8 @@ def _solve_stack(
 ) -> list[MeanFieldResult | Exception]:
     """:func:`solve_rhf` on a stack of systems of one (n_orbitals, n_electrons)
     shape: entry k is bitwise ``solve_rhf(systems[k], ...)``'s result, or the
-    exception it raises.  A member leaves the stack when it converges, runs
-    out of steps or fails, before the next ``np.linalg.eigh`` call."""
+    exception it raises.  A member that stops at step s is closed by step
+    s + 1 and then leaves the stack, as a failed one does at once."""
     if len({(s.n_orbitals, s.n_electrons) for s in systems}) > 1:
         raise ScfError("a stack holds systems of one (n_orbitals, n_electrons) shape")
     outcomes: list = [_input_error(integrals, max_iter, mixing) for integrals in systems]
@@ -163,16 +157,17 @@ def _solve_stack(
     h = _stack([systems[k].one_body for k in rows])
     eri = _stack([systems[k].two_body_dense for k in rows])
     histories: dict[int, list[float]] = {k: [] for k in rows}
-    finished: dict[int, tuple[np.ndarray, int, bool]] = {}  # member: (last Fock, iterations, converged)
+    stopped: dict[int, bool] = {}  # member: converged, till the next step closes it
 
-    # step 0 takes the core guess (h's occupied eigenvectors); steps 1..max_iter mix
+    # step 0 takes the core guess (h's occupied eigenvectors); steps 1..max_iter mix;
+    # the step after a member's last one closes it on its last Fock matrix, unmixed
     fock, density, energies, leaving = h, h, [0.0] * len(rows), False
-    for step in range(max_iter + 1):
+    for step in range(max_iter + 2):
         if not np.isfinite(fock).all():
             _fail_non_finite(fock, rows, outcomes)
             leaving = True
         if leaving:
-            keep = [i for i, k in enumerate(rows) if outcomes[k] is None and k not in finished]
+            keep = [i for i, k in enumerate(rows) if outcomes[k] is None]
             if not keep:
                 break
             rows, core, energies = ([x[i] for i in keep] for x in (rows, core, energies))
@@ -181,44 +176,34 @@ def _solve_stack(
         eps, coeff = np.linalg.eigh(fock)
         _fail_degenerate(eps, rows, outcomes, n_occ)
         new_density = _occupy(coeff, n_occ)
-        density = new_density if step == 0 else (1.0 - mixing) * density + mixing * new_density
+        closing = [i for i, k in enumerate(rows) if k in stopped] if stopped else []
+        if step == 0 or len(closing) == len(rows):  # the core guess and a closing step do not mix
+            density = new_density
+        else:
+            density = (1.0 - mixing) * density + mixing * new_density
+            if closing:
+                density[closing] = new_density[closing]
         fock = _fock(h, eri, density)
         new_energies = _energies(h, core, density, fock)
         for i, k in enumerate(rows):
-            if outcomes[k] is not None:
+            if k in stopped and outcomes[k] is None:
+                outcomes[k] = MeanFieldResult(
+                    energy=new_energies[i],
+                    orbital_energies=eps[i],
+                    orbital_coefficients=_fix_eigenvector_signs(coeff[i]),
+                    density=density[i],
+                    converged=stopped.pop(k),
+                    iterations=len(histories[k]),
+                    energy_history=tuple(histories[k]),
+                )
+            if outcomes[k] is not None:  # closed or failed
                 leaving = True
             elif step:
                 histories[k].append(new_energies[i])
                 converged = abs(new_energies[i] - energies[i]) < tol
                 if converged or step == max_iter:
-                    finished[k], leaving = (fock[i], step, converged), True
+                    stopped[k] = converged
         energies = new_energies
-
-    # Sign-fixed canonical orbitals and idempotent density from each final Fock.
-    members = list(finished)
-    focks = _stack([finished[k][0] for k in members]) if members else h[:0]
-    keep = _fail_non_finite(focks, members, outcomes)
-    if not keep:
-        return outcomes
-    members, focks = [members[i] for i in keep], focks[keep]
-    eps, coeff = np.linalg.eigh(focks)
-    _fail_degenerate(eps, members, outcomes, n_occ)
-    for i, k in enumerate(members):
-        if outcomes[k] is not None:
-            continue
-        integrals, (_, iterations, converged) = systems[k], finished[k]
-        coefficients = _fix_eigenvector_signs(coeff[i])
-        density = _occupy(coefficients, n_occ)
-        fock = _fock(integrals.one_body, integrals.two_body_dense, density)
-        outcomes[k] = MeanFieldResult(
-            energy=electronic_energy(integrals, density, fock),
-            orbital_energies=eps[i],
-            orbital_coefficients=coefficients,
-            density=density,
-            converged=converged,
-            iterations=iterations,
-            energy_history=tuple(histories[k]),
-        )
     return outcomes
 
 

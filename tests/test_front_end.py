@@ -12,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcembed.activespace import transform_to_mo_basis
+from qcembed.activespace import ActiveSpaceSpec, reduce_integrals, transform_to_mo_basis
 from qcembed.integrals import FcidumpError, IntegralSet, SymmetricTwoBody, parse_fcidump, read_fcidump
 from qcembed.meanfield import ScfError, solve_rhf
 
 from conftest import FIXTURE_DIR, capture_mismatch
-from oracles import reference_parse_fcidump, reference_solve_rhf, reference_transform_to_mo_basis
+from oracles import (
+    hartree_fock_determinant_energy, reference_parse_fcidump, reference_solve_rhf, reference_transform_to_mo_basis,
+)
 
 H8 = Path(__file__).parent.parent / "bench" / "data" / "h8_sto3g.fcidump"
 FCIDUMPS = sorted(FIXTURE_DIR.glob("*.fcidump")) + [H8]
@@ -28,6 +30,9 @@ FCIDUMPS = sorted(FIXTURE_DIR.glob("*.fcidump")) + [H8]
 E_HF_BOUND = 1e-9
 ORBITAL_ENERGY_BOUND = 1e-5
 ROUNDING_BOUND = 1e-12
+# The (electrons, orbitals) window each system's frozen-core reduction is
+# pinned at, by the file name's prefix.
+ACTIVE_SPACES = {"h2": ActiveSpaceSpec(2, 2), "lih": ActiveSpaceSpec(2, 3), "h2o": ActiveSpaceSpec(4, 4), "h8": ActiveSpaceSpec(4, 6)}
 
 
 def _digest(*parts) -> str:
@@ -46,11 +51,13 @@ def _digest(*parts) -> str:
 
 
 def front_end_digests(path: Path) -> dict[str, str]:
-    """Digests of the parsed integrals, the full mean-field result and
-    the MO-basis integrals of one FCIDUMP file."""
+    """Digests of the parsed integrals, the full mean-field result, the
+    MO-basis integrals and the frozen-core reduction to the file's
+    ``ACTIVE_SPACES`` window of one FCIDUMP file."""
     integrals = read_fcidump(path)
     mf = solve_rhf(integrals)
     h_mo, eri_mo = transform_to_mo_basis(integrals, mf.orbital_coefficients)
+    active = reduce_integrals(integrals, mf, _active_space(path))
     return {
         "integrals": _digest(
             integrals.n_orbitals, integrals.n_electrons, integrals.spin_2ms, integrals.core_energy,
@@ -62,12 +69,17 @@ def front_end_digests(path: Path) -> dict[str, str]:
         ),
         "h_mo": _digest(h_mo),
         "eri_mo": _digest(eri_mo),
+        "active": _digest(active.one_body_eff, active.two_body.canonical_vector(), active.inactive_energy),
     }
 
 
+def _active_space(path: Path) -> ActiveSpaceSpec:
+    return ACTIVE_SPACES[path.name.split("_")[0]]
+
+
 def test_front_end_matches_its_digests():
-    """Parse, RHF and MO transform of every committed FCIDUMP give the
-    bits in fixtures/front_end_digests.json (captured by dumping
+    """Parse, RHF, MO transform and frozen-core reduction of every
+    committed FCIDUMP give the bits in fixtures/front_end_digests.json (captured by dumping
     ``{path.name: front_end_digests(path) for path in FCIDUMPS}``)."""
     expected = json.loads((FIXTURE_DIR / "front_end_digests.json").read_text())
     assert sorted(expected) == sorted(path.name for path in FCIDUMPS)
@@ -104,6 +116,20 @@ def test_front_end_holds_on_any_blas_core(golden, path):
     np.testing.assert_allclose(eri_mo, expected_eri, rtol=0, atol=ROUNDING_BOUND)
     for axes in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):  # with these, all 8 hold
         np.testing.assert_allclose(eri_mo, eri_mo.transpose(axes), rtol=0, atol=ROUNDING_BOUND)
+
+
+@pytest.mark.parametrize("path", FCIDUMPS, ids=lambda path: path.name)
+def test_frozen_core_split_holds_on_any_blas_core(path):
+    """What the ``active`` digest pins, at a bound no BLAS kernel's
+    rounding reaches: the frozen-core split is an identity, so the
+    inactive energy plus the active Hartree-Fock determinant's energy is
+    the mean-field energy (measured within 4.5e-15 Ha on SkylakeX)."""
+    integrals = read_fcidump(path)
+    mf = solve_rhf(integrals)
+    spec = _active_space(path)
+    active = reduce_integrals(integrals, mf, spec)
+    split = active.inactive_energy + hartree_fock_determinant_energy(active, spec.n_active_electrons // 2)
+    assert abs(split - mf.energy) <= ROUNDING_BOUND
 
 
 def _parsed(parse, text: str):

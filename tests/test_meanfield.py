@@ -392,7 +392,23 @@ def eigh_rows(seen: list[np.ndarray], n: int) -> list[bytes]:
 def test_stacked_solve_is_each_members_lone_solve(name, members, mixing, max_iter):
     base = load(name)
     systems = [one_body_variant(base, *member) for member in members]
-    options = {"mixing": mixing, "max_iter": max_iter}
+    assert_stack_is_lone_solves(systems, mixing=mixing, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("name, max_iter", [("h2_0735", 5), ("lih", 30)])
+def test_members_stopped_by_max_iter_close_after_converged_ones(name, max_iter):
+    """h2_0735 converges in 1 step and LiH's first perturbed copy in 29;
+    the other copies still step until ``max_iter``, then close."""
+    base = load(name)
+    systems = [base] + [one_body_variant(base, "perturbed", seed, 1e-2) for seed in range(5)]
+    results = assert_stack_is_lone_solves(systems, max_iter=max_iter)
+    assert min(result.iterations for result in results if result.converged) < max_iter
+    assert any(result.iterations == max_iter and not result.converged for result in results)
+
+
+def assert_stack_is_lone_solves(systems: list[IntegralSet], **options) -> list:
+    """``_solve_stack(systems)``, asserted member by member to be the lone
+    solve's result bit for bit, or its exception and message."""
     expected, seen_lone = [], []
     with np.errstate(invalid="ignore", over="ignore"), pytest.MonkeyPatch.context() as patch:
         for integrals in systems:
@@ -409,11 +425,12 @@ def test_stacked_solve_is_each_members_lone_solve(name, members, mixing, max_ite
         else:
             assert_bitwise_result(result, lone)
     # Each member's rows reach LAPACK exactly as its lone solve's matrices
-    # do: a member that converged or failed took no further step.
-    n = base.n_orbitals
+    # do: a member that was closed or failed took no further step.
+    n = systems[0].n_orbitals
     assert eigh_rows(seen_stacked, n) == eigh_rows([m for seen in seen_lone for m in seen], n)
-    # one call per step for the whole stack, and at most one canonicalisation
-    assert len(seen_stacked) <= max(map(len, seen_lone)) + 1
+    # one call per step for the whole stack: as many as the longest lone solve makes
+    assert len(seen_stacked) == max(map(len, seen_lone))
+    return actual
 
 
 def test_stacked_solve_makes_one_eigh_call_per_step(monkeypatch):
@@ -423,11 +440,12 @@ def test_stacked_solve_makes_one_eigh_call_per_step(monkeypatch):
     results = meanfield._solve_stack(systems)
     iterations = [result.iterations for result in results]
     assert len(set(iterations)) > 1
-    # core guess + one per step of the longest solve + one canonicalisation
+    # core guess + one per step of the longest solve + the step that closes it
     assert len(seen) == max(iterations) + 2
+    # a member that stops at step s is closed, on its last Fock matrix, by step s + 1
     assert [len(matrices) for matrices in seen] == [5] + [
-        sum(it >= step for it in iterations) for step in range(1, max(iterations) + 1)
-    ] + [5]
+        sum(it >= step - 1 for it in iterations) for step in range(1, max(iterations) + 2)
+    ]
 
 
 def test_stack_of_one_shape_only():

@@ -79,6 +79,17 @@ def test_only_report_formats_tables(name):
     assert ".10g" not in source
 
 
+@pytest.mark.parametrize("name", MODULES)
+def test_only_meanfield_forms_a_fock_matrix(name):
+    """The Coulomb and exchange contractions of a Fock matrix are spelled
+    in ``meanfield`` alone: no other module writes their einsum subscripts
+    (``pqrs,`` for J, ``prsq`` for K); the frozen-core reduction calls
+    the mean-field Fock step."""
+    source = Path(importlib.import_module(f"qcembed.{name}").__file__).read_text()
+    spelled = [subscripts for subscripts in ("pqrs,", "prsq") if subscripts in source]
+    assert spelled == (["pqrs,", "prsq"] if name == "meanfield" else [])
+
+
 _COLD_PATH_SCRIPT = """
 import json
 import sys
