@@ -254,22 +254,20 @@ def run_embedding(
     inactive_density = np.zeros((n, n))
     inactive_density[inactive, inactive] = 2.0
 
-    if resume_from is not None:
-        _check_resume(resume_from, inactive_density, inactive, active)
-        density = resume_from.damped_density.copy()
-        energies = list(resume_from.energy_history)
-        alphas = list(resume_from.alpha_history)
-        deltas = list(resume_from.delta_history)
-        evaluations = list(resume_from.solver_evaluations)
-        start = resume_from.iteration + 1
-        previous_energy = energies[-1] if energies else None
+    if resume_from is None:
+        # a fresh run starts from the state a resume holds at iteration 0
+        density = np.diag([2.0] * mf.n_occupied + [0.0] * (n - mf.n_occupied))
+        resume_from = EmbeddingState(
+            iteration=0, damped_density=density, energy_history=(), alpha_history=(), converged=False
+        )
     else:
-        occupied = np.arange(mf.n_occupied)
-        density = np.zeros((n, n))
-        density[occupied, occupied] = 2.0
-        energies, alphas, deltas, evaluations = [], [], [], []
-        start = 1
-        previous_energy = None
+        _check_resume(resume_from, inactive_density, inactive, active)
+    density = resume_from.damped_density.copy()
+    energies = list(resume_from.energy_history)
+    alphas = list(resume_from.alpha_history)
+    deltas = list(resume_from.delta_history)
+    evaluations = list(resume_from.solver_evaluations)
+    start = resume_from.iteration + 1
 
     converged = False
     iteration = start - 1
@@ -286,25 +284,18 @@ def run_embedding(
                 ) from exc
 
         energy = active_h.inactive_energy + active_energy
+        delta = abs(energy - energies[-1]) if energies else math.nan
 
         new_density = inactive_density.copy()
-        if active:
-            idx = np.asarray(active, dtype=int)
-            new_density[np.ix_(idx, idx)] = gamma
+        new_density[np.ix_(active, active)] = gamma
         density = (1.0 - alpha) * density + alpha * new_density
 
         alphas.append(alpha)
         energies.append(energy)
+        deltas.append(delta)
         evaluations.append(n_evals)
-        if previous_energy is None:
-            deltas.append(math.nan)
-        else:
-            delta = abs(energy - previous_energy)
-            deltas.append(delta)
-            if delta < config.threshold:
-                converged = True
-        previous_energy = energy
-        if converged:
+        if delta < config.threshold:
+            converged = True
             break
 
     return EmbeddingState(

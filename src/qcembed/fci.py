@@ -48,8 +48,9 @@ index array that is not a writeable intp array.
   sector, on one of two row sets: the packed triangle I <= i of the
   even states, where D and G are symmetric in (I, i), or the whole box.
   D and G are (rows, n_pairs) arrays: D is two gathers of the signed
-  vector, one per spin, G one pair-space product run in batches small
-  enough for OpenBLAS to keep on the calling thread, and sigma a
+  vector, one per spin, G one pair-space product run in batches of at most
+  ``_openblas.SINGLE_THREAD_GEMM_SIZE``, small enough for OpenBLAS to
+  keep on the calling thread, and sigma a
   gathered signed sum of G for alpha and, for beta, its mirror on the
   triangle or a second gathered signed sum on the box.  The index
   tables are compiled once per shape, on its first solve; every buffer
@@ -80,6 +81,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._openblas import SINGLE_THREAD_GEMM_SIZE
 from .activespace import ActiveHamiltonian, _split_sector
 from .integrals import _pair_indices
 
@@ -102,11 +104,6 @@ DAVIDSON_MAX_SUBSPACE = 16
 # clamp on |diag - theta|, and the fraction of its norm a correction must
 # keep after orthogonalization to count as a new direction
 _SMALL = 1e-8
-# The spin-flip-even pair-space product runs in batches of at most this
-# m * n * k, OpenBLAS's single-thread threshold (65536 times its default
-# GEMM_MULTITHREAD_THRESHOLD of 4): a larger product wakes a BLAS worker
-# that costs more CPU than it saves at these sizes.
-_SINGLE_THREAD_GEMM_SIZE = 4 * 65536
 # distinct (n, n_alpha, n_beta) shapes whose string spaces are kept
 _SPACE_CACHE_SIZE = 8
 
@@ -353,7 +350,7 @@ def _compile_tables(space: _StringSpace) -> _OperatorTables:
         one read with a minus sign, or 2m for none) reads at column i."""
         return np.concatenate((index, index + size, np.full((1, index.shape[1]), 2 * size, dtype=np.intp)))
 
-    rows = _SINGLE_THREAD_GEMM_SIZE // (n_pairs * width) or size
+    rows = SINGLE_THREAD_GEMM_SIZE // (n_pairs * width) or size
     batches = -(-size // rows)
     return _OperatorTables(
         basis=basis,

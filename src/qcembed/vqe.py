@@ -22,24 +22,17 @@ accepted iterate's callback entry is the energy scipy hands over in
 callback ends the run with ``StopIteration`` on the energy-change stop.
 
 The optimizer's own linear algebra runs with scipy's bundled OpenBLAS
-held to one thread: L-BFGS-B solves its small BFGS matrices with LAPACK
-``dtrtrs``, whose calls there OpenBLAS hands to its thread pool, and the
-woken worker then spins between the optimizer's ``setulb`` calls for the
-whole minimization, burning a second core for no speed.
+held to the calling thread (``_openblas.calling_thread`` says why).
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from . import _openblas
 from .pauli import PauliSum
 from .sim import UccsdAnsatz, _evolve_rows, _expectation_rows, _grouped_operator
 # evolve_ansatz and expectation are not called here but stay importable
@@ -85,6 +78,8 @@ class VqeConfig:
         for name in ("sigma", "tolerance", "gradient_step"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         if self.max_iterations < 1:
@@ -126,55 +121,6 @@ def initialize_parameters(n: int, config: VqeConfig) -> np.ndarray:
     if config.sigma == 0.0:
         return np.zeros(n)
     return rng.normal(0.0, config.sigma, size=n)
-
-
-@functools.cache
-def _scipy_openblas() -> ctypes.CDLL | None:
-    """scipy's bundled OpenBLAS (``scipy.libs/libscipy_openblas*.so``
-    beside the scipy package), or None when scipy uses another BLAS or
-    the library lacks ``openblas_set_num_threads_local``."""
-    import scipy
-
-    paths = sorted(Path(scipy.__file__).parents[1].glob("scipy.libs/libscipy_openblas*.so"))
-    if not paths:
-        return None
-    try:
-        library = ctypes.CDLL(str(paths[0]))
-        set_threads = library.openblas_set_num_threads_local
-    except (OSError, AttributeError):
-        return None
-    set_threads.argtypes = [ctypes.c_int]
-    set_threads.restype = ctypes.c_int  # the previous thread count
-    return library
-
-
-# In scipy's pthreads OpenBLAS the thread count is one process-wide value,
-# so overlapping minimizations share one pin: the first to enter saves the
-# count, the last to leave restores it.
-_pin_lock = threading.Lock()
-_pin = {"depth": 0, "saved": 1}
-
-
-@contextmanager
-def _blas_on_calling_thread():
-    """Hold scipy's OpenBLAS to the calling thread for the duration and
-    restore the previous thread count on every exit; without scipy's
-    bundled OpenBLAS this does nothing."""
-    library = _scipy_openblas()
-    if library is None:
-        yield
-        return
-    with _pin_lock:
-        if _pin["depth"] == 0:
-            _pin["saved"] = library.openblas_set_num_threads_local(1)
-        _pin["depth"] += 1
-    try:
-        yield
-    finally:
-        with _pin_lock:
-            _pin["depth"] -= 1
-            if _pin["depth"] == 0:
-                library.openblas_set_num_threads_local(_pin["saved"])
 
 
 def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | None = None) -> VqeResult:
@@ -246,7 +192,7 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
         energy, parameters = record(sweep(x0))[0], x0
         converged, message, gradient_norm = True, "no parameters to optimize", 0.0
     else:
-        with _blas_on_calling_thread():
+        with _openblas.calling_thread():
             result = scipy.optimize.minimize(
                 energy_and_gradient,
                 x0,

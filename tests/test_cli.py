@@ -359,6 +359,14 @@ def test_config_value_refused_by_its_section_names_the_file(capsys, tmp_path):
     assert f"error [config.ConfigError]: {path}: [vqe] tolerance must be finite, got nan" in err
 
 
+def test_negative_seed_is_refused_before_any_file_is_read(capsys, tmp_path):
+    missing = tmp_path / "missing.fcidump"
+    code = main(["vqe", "--fcidump", str(missing), "--active", "2,2", "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error [builtins.ValueError]: seed must be >= 0, got -1" in err
+
+
 # Each command of the byte snapshot, with the inputs that
 # _snapshot_inputs lays out; "{name}" is a path from that dict.
 _SNAPSHOT_COMMANDS = {

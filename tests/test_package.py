@@ -39,6 +39,18 @@ def _imported_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def _imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules that ``source`` imports, leaving out
+    its relative imports."""
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    return imported
+
+
 def _bench_patches(monkeypatch) -> set[tuple[str, str]]:
     """(module, attribute) of every function the traced benchmark wraps."""
     monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "bench"))
@@ -67,15 +79,8 @@ def test_module_uses_every_name_it_imports(name, monkeypatch):
 def test_only_report_formats_tables(name):
     """How a number enters a table is decided in ``report`` alone: no
     other module imports ``csv`` or spells the ``.10g`` cell format."""
-    module = importlib.import_module(f"qcembed.{name}")
-    source = Path(module.__file__).read_text()
-    imported = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            imported.add(node.module.split(".")[0])
-    assert "csv" not in imported
+    source = Path(importlib.import_module(f"qcembed.{name}").__file__).read_text()
+    assert "csv" not in _imported_modules(source)
     assert ".10g" not in source
 
 
@@ -88,6 +93,24 @@ def test_only_meanfield_forms_a_fock_matrix(name):
     source = Path(importlib.import_module(f"qcembed.{name}").__file__).read_text()
     spelled = [subscripts for subscripts in ("pqrs,", "prsq") if subscripts in source]
     assert spelled == (["pqrs,", "prsq"] if name == "meanfield" else [])
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_only_openblas_calls_into_a_bundled_blas(name):
+    """Finding a wheel's OpenBLAS and calling into it is ``_openblas``'s
+    alone: no other module imports ``ctypes`` or spells the library's file
+    name."""
+    source = Path(importlib.import_module(f"qcembed.{name}").__file__).read_text()
+    found = ["ctypes" in _imported_modules(source), "libscipy_openblas" in source]
+    assert found == ([True, True] if name == "_openblas" else [False, False])
+
+
+@pytest.mark.parametrize("path", sorted(Path(__file__).parent.glob("*.py")), ids=lambda path: path.name)
+def test_tests_read_blas_through_the_package(path):
+    """The test header, the capture messages and the thread-pin tests read
+    the OpenBLAS through ``qcembed._openblas``: no test module imports
+    ``ctypes``."""
+    assert "ctypes" not in _imported_modules(path.read_text())
 
 
 _COLD_PATH_SCRIPT = """
@@ -105,34 +128,60 @@ from qcembed import (
     read_fcidump, reduce_integrals, solve_rhf,
 )
 
+from qcembed._openblas import library
+
 stages = {"import": loaded()}
+opened = [library.cache_info().currsize]
 integrals = read_fcidump(sys.argv[1])
 active = reduce_integrals(integrals, solve_rhf(integrals), ActiveSpaceSpec(2, 2))
 fci_solve(active)
 stages["fci"] = loaded()
+opened.append(library.cache_info().currsize)
 minimize(map_active_hamiltonian(active), build_uccsd_ansatz(2, 2))
 stages["vqe"] = loaded()
-print(json.dumps(stages))
+opened.append(library.cache_info().currsize)
+print(json.dumps({**stages, "opened": opened}))
 """
+
+
+def _run_python(script: str, *args: str, **environ: str):
+    """The JSON that a fresh interpreter prints when it runs ``script`` on
+    ``args``, with the package's source first on its path and ``environ``
+    added to its environment."""
+    source_root = str(Path(qcembed.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env={**os.environ, "PYTHONPATH": path, **environ},
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    return json.loads(completed.stdout)
 
 
 def test_cold_path_loads_no_scipy(golden):
     """``import qcembed.cli``, RHF, the reduction and an FCI solve load no
-    scipy module; the first VQE minimization loads the optimizer."""
-    source_root = str(Path(qcembed.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
-    completed = subprocess.run(
-        [sys.executable, "-c", _COLD_PATH_SCRIPT, str(FIXTURE_DIR / golden["h2_0735"]["file"])],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-        check=True,
-    )
-    stages = json.loads(completed.stdout)
+    scipy module and open no OpenBLAS through ``_openblas``; the first VQE
+    minimization loads the optimizer and opens scipy's library to pin its
+    pool."""
+    stages = _run_python(_COLD_PATH_SCRIPT, str(FIXTURE_DIR / golden["h2_0735"]["file"]))
     assert stages["import"] == []
     assert stages["fci"] == []
     assert "scipy.optimize" in stages["vqe"]
+    assert stages["opened"] == [0, 0, 1]
+
+
+def test_environment_reads_the_core_each_library_loaded():
+    """``OPENBLAS_CORETYPE`` overrides the kernel core both bundled
+    libraries pick at load time, and the record reads the core from the
+    libraries themselves."""
+    script = "import json; from qcembed._openblas import environment; print(json.dumps(environment()))"
+    record = _run_python(script, OPENBLAS_CORETYPE="Haswell")
+    if record["numpy_openblas"] is None or record["scipy_openblas"] is None:
+        pytest.skip("numpy or scipy is built on a BLAS other than a bundled OpenBLAS")
+    assert (record["numpy_core"], record["scipy_core"]) == ("Haswell", "Haswell")
 
 
 _CPU_TICKS = """
@@ -198,17 +247,7 @@ report(before, cpu_ticks())
 def _thread_ticks(loop: str, path: Path) -> dict:
     """CPU ticks of the main thread and of all other threads of a fresh
     interpreter while it runs ``loop`` on the FCIDUMP file ``path``."""
-    source_root = str(Path(qcembed.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
-    completed = subprocess.run(
-        [sys.executable, "-c", _CPU_TICKS + loop, str(path)],
-        env={**os.environ, "PYTHONPATH": pythonpath},
-        capture_output=True,
-        text=True,
-        timeout=300,
-        check=True,
-    )
-    return json.loads(completed.stdout)
+    return _run_python(_CPU_TICKS + loop, str(path))
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")

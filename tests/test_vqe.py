@@ -2,7 +2,6 @@
 the batched gradient sweep against the serial reference, and the
 optimizer's BLAS thread pin."""
 
-import ctypes
 import sys
 import threading
 from unittest import mock
@@ -18,7 +17,7 @@ from qcembed.meanfield import solve_rhf
 from qcembed.pauli import PauliSum
 from qcembed.report import csv_text
 from qcembed.sim import build_uccsd_ansatz, map_active_hamiltonian
-from qcembed import vqe
+from qcembed import _openblas, vqe
 from qcembed.vqe import (
     VqeConfig,
     VqeError,
@@ -61,6 +60,8 @@ def test_initialize_scale():
 
 
 def test_config_validation():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        VqeConfig(seed=-1)
     with pytest.raises(ValueError):
         VqeConfig(sigma=-0.1)
     with pytest.raises(ValueError):
@@ -80,7 +81,7 @@ def test_zero_parameter_ansatz_returns_hf_energy():
     ansatz = build_uccsd_ansatz(1, 2)  # no virtuals: 0 parameters
     assert ansatz.n_parameters == 0
     hamiltonian = PauliSum.identity(ansatz.n_qubits, -0.75)
-    with mock.patch.object(vqe, "_scipy_openblas") as lookup:
+    with mock.patch.object(_openblas, "library") as lookup:
         result = minimize(hamiltonian, ansatz, VqeConfig(seed=0))
     lookup.assert_not_called()  # no optimizer runs, so the BLAS pool is left alone
     assert result.energy == pytest.approx(-0.75)
@@ -458,22 +459,14 @@ def blas_threads():
     """Reads the thread count of scipy's OpenBLAS pool, which is set to 2
     for the test (so a restore is told apart from the pin) and put back
     after it."""
-    import scipy.optimize  # noqa: F401  (loads scipy's OpenBLAS)
-
-    library = vqe._scipy_openblas()
-    if library is None:
+    library = _openblas.library("scipy")
+    if library is None or not hasattr(library, "openblas_set_num_threads_local"):
         pytest.skip("scipy has no bundled OpenBLAS exporting openblas_set_num_threads_local")
+    previous = _openblas._call(library, "openblas_set_num_threads_local", 2)
     try:
-        get_threads = library.scipy_openblas_get_num_threads
-    except AttributeError:
-        pytest.skip("scipy's OpenBLAS exports no scipy_openblas_get_num_threads")
-    get_threads.argtypes = []
-    get_threads.restype = ctypes.c_int
-    previous = library.openblas_set_num_threads_local(2)
-    try:
-        yield get_threads
+        yield lambda: _openblas.environment()["scipy_threads"]
     finally:
-        library.openblas_set_num_threads_local(previous)
+        _openblas._call(library, "openblas_set_num_threads_local", previous)
 
 
 def spy_on_energies(read):
@@ -554,7 +547,7 @@ def test_run_without_scipy_openblas_is_bitwise_pinned_run(problems, which):
     hamiltonian, ansatz = problems[which]
     config = VqeConfig(seed=5)
     pinned = minimize(hamiltonian, ansatz, config)
-    with mock.patch.object(vqe, "_scipy_openblas", return_value=None):
+    with mock.patch.object(_openblas, "library", return_value=None):
         unpinned = minimize(hamiltonian, ansatz, config)
     assert_same_run(unpinned, pinned)
     assert unpinned.message == pinned.message

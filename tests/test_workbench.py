@@ -484,6 +484,7 @@ def test_load_config_refuses_non_finite_tolerance(tmp_path):
     "section, lines, message",
     [
         ("vqe", "sigma = -1", "sigma must be >= 0, got -1.0"),
+        ("vqe", "seed = -3", "seed must be >= 0, got -3"),
         ("embedding", "damping_floor = 2", "damping parameters must satisfy 0 < floor <= scale <= 1"),
         ("active_space", "n_electrons = 3\nn_orbitals = 4", "n_active_electrons must be even, got 3"),
         ("mu_scan", "mu_step = 0", "mu_step must be positive, got 0.0"),
