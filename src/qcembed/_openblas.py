@@ -20,7 +20,12 @@ __all__ = ["SINGLE_THREAD_GEMM_SIZE", "calling_thread", "environment", "library"
 
 # m * n * k of the largest GEMM that OpenBLAS runs on the calling thread:
 # 65536 times its default GEMM_MULTITHREAD_THRESHOLD of 4.  A larger product
-# wakes a BLAS worker that costs more CPU than it saves at FCI's sizes.
+# wakes a BLAS worker that costs more CPU than it saves at FCI's sizes.  The
+# batches also keep OpenBLAS on its small-matrix kernel, so pinning one large
+# GEMM to one thread is no substitute: H8 (8e,8o)'s pair-space product
+# (2485 x 36 by 36 x 37) took 200-331 us as one GEMM pinned to one thread and
+# 130-219 us in its 13 batches (9 alternating rounds in one process on a
+# 2-vCPU VM; energies bitwise equal).
 SINGLE_THREAD_GEMM_SIZE = 4 * 65536
 
 

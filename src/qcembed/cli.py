@@ -248,6 +248,20 @@ _COMMANDS = {
 }
 
 
+def _error_tag(exc: Exception) -> str:
+    """``module.Class`` of an error line.  The module is the one that
+    defines the exception's class or, for a builtin class, the innermost
+    package module the exception was raised through: the layer that
+    refused the value, as in ``vqe.ValueError``."""
+    module = type(exc).__module__
+    if module == "builtins":
+        import traceback  # here: a run that ends without an error never loads it
+
+        names = [frame.f_globals.get("__name__", "") for frame, _ in traceback.walk_tb(exc.__traceback__)]
+        module = next((name for name in reversed(names) if name.startswith(f"{__package__}.")), module)
+    return f"{module.rsplit('.', maxsplit=1)[-1]}.{type(exc).__name__}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -256,8 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit:
         raise
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        module = type(exc).__module__.rsplit(".", maxsplit=1)[-1]
-        print(f"error [{module}.{type(exc).__name__}]: {exc}", file=sys.stderr)
+        print(f"error [{_error_tag(exc)}]: {exc}", file=sys.stderr)
         return 2
 
 

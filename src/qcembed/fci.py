@@ -50,7 +50,7 @@ index array that is not a writeable intp array.
   D and G are (rows, n_pairs) arrays: D is two gathers of the signed
   vector, one per spin, G one pair-space product run in batches of at most
   ``_openblas.SINGLE_THREAD_GEMM_SIZE``, small enough for OpenBLAS to
-  keep on the calling thread, and sigma a
+  keep on the calling thread and on its small-matrix kernel, and sigma a
   gathered signed sum of G for alpha and, for beta, its mirror on the
   triangle or a second gathered signed sum on the box.  The index
   tables are compiled once per shape, on its first solve; every buffer

@@ -48,6 +48,9 @@ class MeanFieldResult:
     the orbitals are converged only to about 1e-6 (occupied-virtual Fock
     elements of 9.3e-7 on LiH STO-3G); ``orbital_energies`` are the
     eigenvalues of the last mixed density's Fock, not of ``density``'s.
+    ``orbital_gradient`` records how far the orbitals are from
+    self-consistency: max |F D - D F| at the returned density, from the
+    closing step's own Fock matrix (NaN for a result built by hand).
     """
 
     energy: float
@@ -57,6 +60,7 @@ class MeanFieldResult:
     converged: bool
     iterations: int
     energy_history: tuple[float, ...] = ()
+    orbital_gradient: float = float("nan")
 
     @property
     def n_occupied(self) -> int:
@@ -195,6 +199,7 @@ def _solve_stack(
                     converged=stopped.pop(k),
                     iterations=len(histories[k]),
                     energy_history=tuple(histories[k]),
+                    orbital_gradient=float(np.abs(fock[i] @ density[i] - density[i] @ fock[i]).max()),
                 )
             if outcomes[k] is not None:  # closed or failed
                 leaving = True

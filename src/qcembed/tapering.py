@@ -256,5 +256,7 @@ def find_z2_symmetries(operator: PauliSum) -> Z2Symmetries:
 
 
 def taper_all_sectors(operator: PauliSum) -> list[TaperingResult]:
+    """One :class:`TaperingResult` per sector, in the order of
+    :meth:`Z2Symmetries.all_sectors`, each from one ``taper`` call."""
     syms = find_z2_symmetries(operator)
-    return [syms.taper_result(sector) for sector, _ in syms.all_sectors()]
+    return [syms.taper_result(sector) for sector in cartesian_product((1, -1), repeat=syms.n_generators)]

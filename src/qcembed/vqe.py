@@ -11,9 +11,8 @@ drops below the tolerance or the iteration cap is reached.
 Each point theta the optimizer evaluates is simulated once, with the 2n
 shifted points of its gradient, in one sweep: the rows theta,
 theta + h e_0, theta - h e_0, theta + h e_1, ... of a ((2n+1) x n)
-matrix, simulated in blocks of at most ``_BLOCK_AMPLITUDES`` amplitudes
-with the statevector kernels' row forms, all reading the Hamiltonian's
-X-mask table that the call compiles before its first sweep.  L-BFGS-B
+matrix, whose energies come from ``sim._block_energies``, built once per
+call from the ansatz and the Hamiltonian: the register is sim's alone.  L-BFGS-B
 takes energy and gradient from one sweep (``jac=True``), which records
 theta's energy and then the shifted ones (+theta_0, -theta_0, +theta_1,
 ...), each one evaluation, as a serial loop would.  An
@@ -34,7 +33,7 @@ import numpy as np
 
 from . import _openblas
 from .pauli import PauliSum
-from .sim import UccsdAnsatz, _evolve_rows, _expectation_rows, _grouped_operator
+from .sim import UccsdAnsatz, _block_energies
 # evolve_ansatz and expectation are not called here but stay importable
 # from this module: bench/layers.py wraps them by name
 from .sim import evolve_ansatz, expectation  # noqa: F401
@@ -42,13 +41,6 @@ from .sim import evolve_ansatz, expectation  # noqa: F401
 __all__ = ["VqeConfig", "VqeResult", "VqeError", "initialize_parameters", "minimize"]
 
 _PARAMETER_BOUND = np.pi  # exp(theta G) is 2*pi-periodic in this representation
-
-# float64 amplitudes per block of gradient rows: the fastest block measured at
-# 8 and 10 qubits (smaller blocks pay more numpy calls, larger ones fall out of
-# cache).  One central-difference sweep of H8 (4e,5o) and (4e,6o) on a 2-vCPU
-# VM, median of 10 alternating runs: 2^14 5.7 and 88.9 ms, 2^15 4.8 and
-# 66.0 ms (10 of 10 runs faster at both), 2^16 4.7 and 70.9 ms.
-_BLOCK_AMPLITUDES = 2**15
 
 
 class VqeError(RuntimeError):
@@ -129,10 +121,6 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
 
     if config is None:
         config = VqeConfig()
-    if hamiltonian.n_qubits != ansatz.n_qubits:
-        raise ValueError(
-            f"hamiltonian acts on {hamiltonian.n_qubits} qubits, ansatz on {ansatz.n_qubits}"
-        )
 
     trace: list[tuple[int, float]] = []
 
@@ -151,10 +139,8 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
 
     n = ansatz.n_parameters
     x0 = initialize_parameters(n, config)
-    block_rows = max(1, _BLOCK_AMPLITUDES // 2**ansatz.n_qubits)
     k = np.arange(n)
-    support = ansatz._support
-    table = _grouped_operator(hamiltonian, support)
+    energies_of = _block_energies(ansatz, hamiltonian)
 
     def sweep(theta: np.ndarray) -> list[float]:
         h = config.gradient_step
@@ -162,10 +148,7 @@ def minimize(hamiltonian: PauliSum, ansatz: UccsdAnsatz, config: VqeConfig | Non
         rows = np.repeat(theta[None, :], 2 * n + 1, axis=0)
         rows[2 * k + 1, k] = theta + h
         rows[2 * k + 2, k] = theta - h
-        return np.concatenate([
-            _expectation_rows(_evolve_rows(ansatz, rows[start : start + block_rows]), table, support)
-            for start in range(0, 2 * n + 1, block_rows)
-        ]).tolist()
+        return energies_of(rows).tolist()
 
     gradient_norm = float("nan")
 

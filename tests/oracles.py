@@ -437,31 +437,29 @@ def reference_evolve_rows(ansatz, thetas: np.ndarray, dtype=np.complex128) -> np
 def full_register_evolve_rows(ansatz, thetas: np.ndarray) -> np.ndarray:
     """The row kernel as it was before the support: every generator
     rotates every amplitude it connects, reachable or not, in float64."""
-    from qcembed.sim import _columns, _compile_generator
+    from qcembed.sim import _compile_generator
 
-    cos, sin = _columns(np.cos(thetas)), _columns(np.sin(thetas))
-    amps = np.zeros((2**ansatz.n_qubits,) + cos.shape[1:])
+    amps = np.zeros((2**ansatz.n_qubits, len(thetas)))
     amps[ansatz.reference_index] = 1.0
-    per_state = (slice(None),) + (None,) * (amps.ndim - 1)
-    for generator, c, s in zip(ansatz.generators, cos, sin):
+    for generator, c, s in zip(ansatz.generators, np.cos(thetas).T, np.sin(thetas).T):
         connected, source, factors = _compile_generator(generator, np.ones(amps.shape[0], dtype=bool))
         rotated = amps[source]
-        rotated *= factors[per_state]
+        rotated *= factors[:, None]
         rotated *= s
         kept = amps[connected]
         kept *= c
         kept += rotated
         amps[connected] = kept
-    return np.atleast_2d(amps.T)
+    return amps.T
 
 
 def full_register_expectation_rows(amps: np.ndarray, op) -> np.ndarray:
     """The energy kernel as it was before the support: op applied on
     every basis index by its full table, then one ``np.vdot`` per row of
     complex128 copies."""
-    from qcembed.sim import _apply_operator, _columns, _grouped_operator
+    from qcembed.sim import _apply_operator, _grouped_operator
 
-    applied = np.atleast_2d(_apply_operator(_columns(amps), _grouped_operator(op)).T)
+    applied = _apply_operator(amps.T, _grouped_operator(op)).T
     rows = np.ascontiguousarray(amps, dtype=np.complex128)
     applied = np.ascontiguousarray(applied, dtype=np.complex128)
     return np.array([np.vdot(row, out) for row, out in zip(rows, applied)], dtype=np.complex128).real
@@ -523,26 +521,23 @@ def unfolded_evolve_rows(ansatz, thetas: np.ndarray) -> np.ndarray:
     gathered amplitudes before the trig values, ((a f) s; a c), on the
     entries :func:`reference_reachable_rotations` keeps: five numpy calls
     per rotation, gather, two scalings, add and scatter."""
-    from qcembed.sim import _columns
-
     rotations, _ = reference_reachable_rotations(ansatz.generators, ansatz.reference_index)
     n = ansatz.n_parameters
     trig_rows = [row for k, (_, _, factors) in enumerate(rotations) for row in [k] * len(factors) + [n + k] * len(factors)]
-    trig = _columns(np.concatenate([np.sin(thetas), np.cos(thetas)], axis=1))[np.array(trig_rows, dtype=np.intp)]
-    amps = np.zeros((2**ansatz.n_qubits,) + trig.shape[1:])
+    trig = np.concatenate([np.sin(thetas), np.cos(thetas)], axis=1).T[np.array(trig_rows, dtype=np.intp)]
+    amps = np.zeros((2**ansatz.n_qubits, len(thetas)))
     amps[ansatz.reference_index] = 1.0
-    per_state = (slice(None),) + (None,) * (amps.ndim - 1)
     stop = 0
     for connected, source, factors in rotations:
         moved, scales = np.concatenate([source, connected]), np.concatenate([factors, np.ones(len(factors))])
         start, stop, half = stop, stop + len(moved), len(moved) // 2
         rotated = amps[moved]
-        rotated *= scales[per_state]
+        rotated *= scales[:, None]
         rotated *= trig[start:stop]
         kept = rotated[half:]
         kept += rotated[:half]
         amps[moved[half:]] = kept
-    return np.atleast_2d(amps.T)
+    return amps.T
 
 
 def reference_map_with_ladder(op, ladder):
@@ -1130,6 +1125,7 @@ def reference_solve_rhf(
         converged=converged,
         iterations=iterations,
         energy_history=tuple(history),
+        orbital_gradient=float(np.abs(fock @ density - density @ fock).max()),
     )
 
 

@@ -364,7 +364,23 @@ def test_negative_seed_is_refused_before_any_file_is_read(capsys, tmp_path):
     code = main(["vqe", "--fcidump", str(missing), "--active", "2,2", "--seed", "-1"])
     err = capsys.readouterr().err
     assert code == 2
-    assert "error [builtins.ValueError]: seed must be >= 0, got -1" in err
+    assert "error [vqe.ValueError]: seed must be >= 0, got -1" in err
+
+
+def test_error_tag_names_the_layer_that_refused():
+    """A builtin exception is tagged with the innermost package module it
+    was raised through; a package class keeps its own module; one raised
+    outside the package stays ``builtins``."""
+    from qcembed.config import ConfigError
+    from qcembed.embedding import EmbeddingConfig
+
+    with pytest.raises(ValueError) as refused:
+        EmbeddingConfig(threshold=-1.0)
+    assert cli._error_tag(refused.value) == "embedding.ValueError"
+    with pytest.raises(ValueError) as outside:
+        int("seven")
+    assert cli._error_tag(outside.value) == "builtins.ValueError"
+    assert cli._error_tag(ConfigError("bad")) == "config.ConfigError"
 
 
 # Each command of the byte snapshot, with the inputs that

@@ -56,6 +56,7 @@ def assert_bitwise_result(actual: MeanFieldResult, expected: MeanFieldResult):
     assert_bitwise_array(actual.density, expected.density)
     assert_bitwise_array(np.array(actual.energy), np.array(expected.energy))
     assert_bitwise_array(np.array(actual.energy_history), np.array(expected.energy_history))
+    assert_bitwise_array(np.array(actual.orbital_gradient), np.array(expected.orbital_gradient))
     assert type(actual.energy) is type(expected.energy)
     assert actual.converged is expected.converged
     assert actual.iterations == expected.iterations
@@ -115,6 +116,25 @@ def test_h2o_and_lih_energies_match_oracle(golden, lih_integrals, h2o_integrals)
         result = solve_rhf(integrals)
         assert result.converged
         assert result.energy == pytest.approx(record["e_hf"], abs=1e-8)
+
+
+# max |F D - D F| at the returned density, measured with build_fock
+ORBITAL_GRADIENTS = {"lih": 1.85e-6, "h2o": 3.24e-7, "h8": 3.02e-7, "h2_0735": 0.0}
+
+
+@pytest.mark.parametrize("name", ORBITAL_GRADIENTS)
+def test_orbital_gradient_records_how_far_the_rhf_converged(name):
+    """Within a factor of 2 of the value measured with ``build_fock``; the
+    minimal-basis H2 orbitals are fixed by symmetry, so its gradient is
+    exactly 0.  A result built by hand has none."""
+    integrals = load(name)
+    result = solve_rhf(integrals)
+    fock, density = build_fock(integrals, result.density), result.density
+    assert result.orbital_gradient == pytest.approx(np.abs(fock @ density - density @ fock).max(), rel=1e-6)
+    expected = ORBITAL_GRADIENTS[name]
+    assert expected / 2 <= result.orbital_gradient <= 2 * expected
+    fields = {"energy", "orbital_energies", "orbital_coefficients", "density", "converged", "iterations"}
+    assert np.isnan(MeanFieldResult(**{key: getattr(result, key) for key in fields}).orbital_gradient)
 
 
 def test_density_invariants(h2o_integrals):

@@ -96,6 +96,29 @@ def test_only_meanfield_forms_a_fock_matrix(name):
 
 
 @pytest.mark.parametrize("name", MODULES)
+def test_only_sim_knows_the_register(name):
+    """How the VQE register is laid out, blocked and simulated is ``sim``'s
+    alone: it holds the one amplitude budget, and ``vqe`` spells no
+    support, no power of two and no budget, and takes from ``sim`` only
+    the ansatz, the block-energies kernel and the two names that
+    ``bench/layers.py`` wraps."""
+    source = Path(importlib.import_module(f"qcembed.{name}").__file__).read_text()
+    tree = ast.parse(source)
+    budgets = [
+        target.id for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name) and target.id.endswith("_AMPLITUDES")
+    ]
+    assert budgets == (["_CHUNK_AMPLITUDES"] if name == "sim" else [])
+    if name == "vqe":
+        assert [word for word in ("_support", "2**", "_AMPLITUDES") if word in source] == []
+        from_sim = {
+            alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "sim" for alias in node.names
+        }
+        assert from_sim == {"UccsdAnsatz", "_block_energies", "evolve_ansatz", "expectation"}
+
+
+@pytest.mark.parametrize("name", MODULES)
 def test_only_openblas_calls_into_a_bundled_blas(name):
     """Finding a wheel's OpenBLAS and calling into it is ``_openblas``'s
     alone: no other module imports ``ctypes`` or spells the library's file

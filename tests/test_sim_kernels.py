@@ -34,7 +34,6 @@ from qcembed.sim import (
     SimulationError,
     Statevector,
     _apply_operator,
-    _columns,
     _compile_generator,
     _evolve_rows,
     _expectation_rows,
@@ -634,7 +633,7 @@ def test_kernels_allocate_a_chunk_not_a_term_array():
     hamiltonian = map_active_hamiltonian(active)
     ansatz = build_uccsd_ansatz(active.n_orbitals, active.n_electrons)
     support = ansatz._support
-    columns = _columns(_evolve_rows(ansatz, random_parameter_rows(ansatz, 0, vqe._BLOCK_AMPLITUDES // 2**ansatz.n_qubits)))
+    columns = _evolve_rows(ansatz, random_parameter_rows(ansatz, 0, sim._CHUNK_AMPLITUDES // 2**ansatz.n_qubits)).T
     chunk = sim._CHUNK_AMPLITUDES * np.dtype(np.complex128).itemsize
     tracemalloc.start()
     try:
@@ -758,7 +757,7 @@ def test_vqe_trace_is_bitwise_under_the_group_loop(vqe_problems, key, seed, monk
         rows = (np.ascontiguousarray(row) for row in amps)
         return np.array([reference_grouped_expectation(row, hamiltonian) for row in rows])
 
-    monkeypatch.setattr(vqe, "_expectation_rows", group_loop_rows)
+    monkeypatch.setattr(sim, "_expectation_rows", group_loop_rows)
     looped = vqe.minimize(hamiltonian, ansatz, config)
     assert len(looped_rows) == looped.evaluations - looped.iterations
     assert result.evaluations == looped.evaluations

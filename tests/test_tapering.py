@@ -100,6 +100,17 @@ def test_h2_tapering_counts_and_ground_energy():
     assert min(sector_grounds) == pytest.approx(full_ground, abs=1e-10)
 
 
+def test_taper_all_sectors_tapers_each_sector_once():
+    op = h2_qubit_hamiltonian()
+    syms = find_z2_symmetries(op)
+    spy = mock.patch.object(tapering.Z2Symmetries, "taper", autospec=True, side_effect=tapering.Z2Symmetries.taper)
+    with spy as taper:
+        results = taper_all_sectors(op)
+    assert taper.call_count == len(results) == 2**syms.n_generators
+    assert [call.args[1] for call in taper.call_args_list] == [result.sector_labels for result in results]
+    assert [sector for sector, _ in syms.all_sectors()] == [result.sector_labels for result in results]
+
+
 def test_h2_union_of_sectors_equals_spectrum():
     op = h2_qubit_hamiltonian()
     assert np.allclose(union_of_sector_spectra(op), sorted_spectrum(op), atol=1e-10)

@@ -17,7 +17,7 @@ from qcembed.meanfield import solve_rhf
 from qcembed.pauli import PauliSum
 from qcembed.report import csv_text
 from qcembed.sim import build_uccsd_ansatz, map_active_hamiltonian
-from qcembed import _openblas, vqe
+from qcembed import _openblas, sim, vqe
 from qcembed.vqe import (
     VqeConfig,
     VqeError,
@@ -256,8 +256,8 @@ def test_sweep_is_bitwise_reference(problems, which, seed, sigma, max_iterations
     hamiltonian, ansatz = problems[which]
     config = VqeConfig(seed=seed, sigma=sigma, max_iterations=max_iterations)
     # 2n+1 rows in blocks of 3 or 5 leave a partial last block on every problem
-    block = vqe._BLOCK_AMPLITUDES if block_rows is None else block_rows * 2**ansatz.n_qubits
-    with mock.patch.object(vqe, "_BLOCK_AMPLITUDES", block):
+    block = sim._CHUNK_AMPLITUDES if block_rows is None else block_rows * 2**ansatz.n_qubits
+    with mock.patch.object(sim, "_CHUNK_AMPLITUDES", block):
         result = minimize(hamiltonian, ansatz, config)
     assert_same_run(result, reference_minimize(hamiltonian, ansatz, config))
 
@@ -282,16 +282,16 @@ def test_each_point_is_simulated_once(problems, which, seed, block_rows):
     n = ansatz.n_parameters
     config = VqeConfig(seed=seed)
     blocks = []
-    evolve_rows = vqe._evolve_rows
+    evolve_rows = sim._evolve_rows
 
     def spy_rows(ansatz, thetas):
         blocks.append(np.array(thetas))
         return evolve_rows(ansatz, thetas)
 
-    block = vqe._BLOCK_AMPLITUDES if block_rows is None else block_rows * 2**ansatz.n_qubits
+    block = sim._CHUNK_AMPLITUDES if block_rows is None else block_rows * 2**ansatz.n_qubits
     with (
-        mock.patch.object(vqe, "_BLOCK_AMPLITUDES", block),
-        mock.patch.object(vqe, "_evolve_rows", spy_rows),
+        mock.patch.object(sim, "_CHUNK_AMPLITUDES", block),
+        mock.patch.object(sim, "_evolve_rows", spy_rows),
         mock.patch.object(vqe, "evolve_ansatz", side_effect=vqe.evolve_ansatz) as single,
     ):
         result = minimize(hamiltonian, ansatz, config)
@@ -321,7 +321,7 @@ def test_minimize_compiles_its_table_once(problems, monkeypatch, case):
     else:
         hamiltonian, ansatz = problems[which]
     compiles, blocks = [], []
-    grouped_operator, expectation_rows = vqe._grouped_operator, vqe._expectation_rows
+    grouped_operator, expectation_rows = sim._grouped_operator, sim._expectation_rows
 
     def spy_compile(op, rows):
         compiles.append(op)
@@ -332,9 +332,9 @@ def test_minimize_compiles_its_table_once(problems, monkeypatch, case):
         blocks.append(len(amps))
         return expectation_rows(amps, table, rows)
 
-    monkeypatch.setattr(vqe, "_BLOCK_AMPLITUDES", 4 * 64)
-    monkeypatch.setattr(vqe, "_grouped_operator", spy_compile)
-    monkeypatch.setattr(vqe, "_expectation_rows", spy_rows)
+    monkeypatch.setattr(sim, "_CHUNK_AMPLITUDES", 4 * 64)
+    monkeypatch.setattr(sim, "_grouped_operator", spy_compile)
+    monkeypatch.setattr(sim, "_expectation_rows", spy_rows)
     for call in (1, 2):
         result = minimize(hamiltonian, ansatz, VqeConfig(seed=0, max_iterations=3))
         assert len(compiles) == call and compiles[-1] is hamiltonian
@@ -425,8 +425,8 @@ def test_non_finite_shifted_row_raises_with_reference_trace(problems, block_rows
         reference_minimize(hamiltonian, ansatz, config)
     # the start point and the rows of generators 0..k-1 came first
     assert len(expected.value.trace) in (1 + 2 * k, 2 + 2 * k)
-    block = vqe._BLOCK_AMPLITUDES if block_rows is None else block_rows * 2**ansatz.n_qubits
-    with mock.patch.object(vqe, "_BLOCK_AMPLITUDES", block), pytest.raises(VqeError) as err:
+    block = sim._CHUNK_AMPLITUDES if block_rows is None else block_rows * 2**ansatz.n_qubits
+    with mock.patch.object(sim, "_CHUNK_AMPLITUDES", block), pytest.raises(VqeError) as err:
         minimize(hamiltonian, ansatz, config)
     assert err.value.trace == expected.value.trace
     assert str(err.value) == str(expected.value)
@@ -444,8 +444,8 @@ def test_non_finite_start_point_raises_with_reference_trace(problems, which, k, 
     with pytest.raises(VqeError) as expected:
         reference_minimize(hamiltonian, ansatz, config)
     assert expected.value.trace == []
-    block = vqe._BLOCK_AMPLITUDES if block_rows is None else block_rows * 2**ansatz.n_qubits
-    with mock.patch.object(vqe, "_BLOCK_AMPLITUDES", block), pytest.raises(VqeError) as err:
+    block = sim._CHUNK_AMPLITUDES if block_rows is None else block_rows * 2**ansatz.n_qubits
+    with mock.patch.object(sim, "_CHUNK_AMPLITUDES", block), pytest.raises(VqeError) as err:
         minimize(hamiltonian, ansatz, config)
     assert err.value.trace == []
     assert str(err.value) == str(expected.value)
@@ -474,16 +474,16 @@ def spy_on_energies(read):
     ``read()`` on every call."""
     seen = {"expectation": [], "_expectation_rows": []}
 
-    def spy(name):
-        function = getattr(vqe, name)
+    def spy(module, name):
+        function = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             seen[name].append(read())
             return function(*args, **kwargs)
 
-        return mock.patch.object(vqe, name, wrapper)
+        return mock.patch.object(module, name, wrapper)
 
-    return seen, spy("expectation"), spy("_expectation_rows")
+    return seen, spy(vqe, "expectation"), spy(sim, "_expectation_rows")
 
 
 STOPS = {
@@ -568,7 +568,7 @@ def test_nan_inside_a_sweep_raises_with_the_trace_before_it(problems, position, 
     bad = {"first": 0, "middle": n, "last": 2 * n, "second sweep": 2 * n + 1 + n}[position]
     assert bad < len(clean.trace)
     seen = {"rows": 0}
-    expectation_rows = vqe._expectation_rows
+    expectation_rows = sim._expectation_rows
 
     def with_nan(amps, table, rows):
         energies = expectation_rows(amps, table, rows)
@@ -577,9 +577,9 @@ def test_nan_inside_a_sweep_raises_with_the_trace_before_it(problems, position, 
             energies[bad - start] = np.nan
         return energies
 
-    block = vqe._BLOCK_AMPLITUDES if block_rows is None else block_rows * 2**ansatz.n_qubits
-    with mock.patch.object(vqe, "_expectation_rows", with_nan), \
-            mock.patch.object(vqe, "_BLOCK_AMPLITUDES", block), pytest.raises(VqeError) as err:
+    block = sim._CHUNK_AMPLITUDES if block_rows is None else block_rows * 2**ansatz.n_qubits
+    with mock.patch.object(sim, "_expectation_rows", with_nan), \
+            mock.patch.object(sim, "_CHUNK_AMPLITUDES", block), pytest.raises(VqeError) as err:
         minimize(hamiltonian, ansatz, config)
     assert str(err.value) == "non-finite energy nan during optimization"
     assert err.value.trace == list(clean.trace[:bad])
